@@ -14,7 +14,7 @@ from typing import Any
 
 from . import types as ty
 from .checker import CallableSymbol, SymbolTable
-from .simulator import GATE_MATRICES, SimulationError, r1frac_matrix
+from .simulator import GATE_ADJOINTS, GATE_MATRICES, SimulationError, r1frac_matrix
 from .values import Pauli, QubitRef, RangeValue, Result, UNIT
 
 PRIMITIVE_NAMESPACE = "Microsoft.Quantum.Primitive"
@@ -97,9 +97,12 @@ def seed_table(table: SymbolTable) -> None:
 
 def _gate_handler(name: str):
     matrix = GATE_MATRICES[name]
+    adjoint_matrix = GATE_ADJOINTS[name]
 
     def handler(interp, arg, adjoint, controls):
-        interp.apply_gate(name, matrix, arg, adjoint, controls)
+        interp.apply_gate(
+            name, adjoint_matrix if adjoint else matrix, arg, adjoint, controls
+        )
         return UNIT
 
     return handler

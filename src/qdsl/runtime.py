@@ -658,9 +658,9 @@ class Interpreter:
         adjoint: bool,
         controls: list[QubitRef],
     ) -> None:
-        m = matrix.conj().T if adjoint else matrix
+        """Apply `matrix` as given; `adjoint` only labels the trace line."""
         try:
-            self.simulator.apply(m, target.id, [c.id for c in controls])
+            self.simulator.apply(matrix, target.id, [c.id for c in controls])
         except SimulationError as exc:
             raise QdslFailure(str(exc)) from None
         self.stats.gates += 1

@@ -2,56 +2,114 @@
 
 The simulator stores one complex128 amplitude per basis state of the live
 qubits. Indexing is little-endian over allocation order: the qubit that was
-allocated into bit position p contributes bit p of the basis index. Gates are
-applied with stride/index arithmetic on the flat vector, never by building a
-full 2^n x 2^n operator.
+allocated into bit position p contributes bit p of the basis index, which is
+axis n-1-p of the view `state.reshape((2,) * n)`. No 2^n x 2^n operator is
+ever built.
 
-Measurement follows the Born rule for a Pauli product P: the probability of
-the +1 outcome (reported as Zero) is (1 + Re<psi|P psi>)/2 and the state
-collapses to the normalized projection (psi +/- P psi)/2. Assertions probe
-the same quantity without collapsing, which a state-vector backend can do
-because it is not bound by no-cloning.
+Every kernel updates slices of that view in place. The controls and the
+target select length-1 slices, never integer indices: indexing every axis
+with an integer would return a 0-d copy, and a gate whose controls and
+target cover every qubit would write into that copy. A gate whose
+off-diagonal entries are zero (Z, T, R1Frac and their controlled and adjoint
+forms) only scales the target=1 slice under the controls, and the target=0
+slice too when its entry is not 1. Any other gate mixes the two target
+slices from one saved copy.
+
+Measurement of a Pauli product P rotates each X and Y factor into Z and
+folds the parity of the involved qubits into the first of them (the pivot)
+with CNOTs, so that P acts as Z on the pivot alone. The probability of the
++1 outcome (reported as Zero) is the weight of the pivot=0 slice. The state
+collapses by zeroing the rejected slice and dividing the kept one by the
+square root of its probability, and the rotations are then undone.
+Assertions probe the same probability on a copy of the state, which a
+state-vector backend can do because it is not bound by no-cloning.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Iterable, Sequence
+import os
+from typing import Sequence
 
 import numpy as np
 
 DEFAULT_CAPACITY = 24
 RELEASE_EPSILON = 1e-9
+BYTES_PER_AMPLITUDE = 16  # complex128
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory; unbounded where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+# An allocation that doubles the state vector to 2^n amplitudes must leave
+# room for the new vector and one kernel temporary of the same size.
+MEMORY_BUDGET = _physical_memory()
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
+
+def _frozen(rows) -> np.ndarray:
+    matrix = np.array(rows, dtype=complex)
+    matrix.setflags(write=False)
+    return matrix
+
+
 GATE_MATRICES: dict[str, np.ndarray] = {
-    "I": np.array([[1, 0], [0, 1]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array(
-        [[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex
-    ),
-    "T": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
+    "I": _frozen([[1, 0], [0, 1]]),
+    "X": _frozen([[0, 1], [1, 0]]),
+    "Y": _frozen([[0, -1j], [1j, 0]]),
+    "Z": _frozen([[1, 0], [0, -1]]),
+    "H": _frozen([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]]),
+    "T": _frozen([[1, 0], [0, np.exp(1j * math.pi / 4)]]),
+}
+GATE_ADJOINTS: dict[str, np.ndarray] = {
+    name: _frozen(matrix.conj().T) for name, matrix in GATE_MATRICES.items()
 }
 
-PAULI_MATRICES = {
-    "I": GATE_MATRICES["I"],
-    "X": GATE_MATRICES["X"],
-    "Y": GATE_MATRICES["Y"],
-    "Z": GATE_MATRICES["Z"],
+# U with U P U^dagger = Z, for the Pauli factors that are not already Z:
+# H for X, and H S^dagger for Y.
+_TO_Z = {
+    "X": GATE_MATRICES["H"],
+    "Y": _frozen(GATE_MATRICES["H"] @ np.diag([1, -1j])),
 }
+_FROM_Z = {basis: _frozen(matrix.conj().T) for basis, matrix in _TO_Z.items()}
+
+_ZERO = slice(0, 1)
+_ONE = slice(1, 2)
 
 
+@functools.lru_cache(maxsize=1024)
 def r1frac_matrix(numerator: int, power: int) -> np.ndarray:
-    """Phase gate diag(1, exp(i pi numerator / 2^power))."""
+    """Phase gate diag(1, exp(i pi numerator / 2^power)), shared read-only."""
     phase = np.exp(1j * math.pi * numerator / float(2**power))
-    return np.array([[1, 0], [0, phase]], dtype=complex)
+    return _frozen([[1, 0], [0, phase]])
 
 
 class SimulationError(Exception):
     pass
+
+
+def _mix(out: np.ndarray, x: complex, other: np.ndarray, y: complex) -> None:
+    """out <- x * out + y * other, in place."""
+    if x == 0:
+        np.multiply(other, y, out=out)
+        return
+    if x != 1:
+        out *= x
+    if y != 0:
+        out += y * other
+
+
+def _weight(view: np.ndarray) -> float:
+    """Sum of |amplitude|^2 over a slice."""
+    flat = view.ravel()  # vdot is slow on strided views; ravel copies them
+    return float(np.vdot(flat, flat).real)
 
 
 class StateVectorSimulator:
@@ -74,39 +132,46 @@ class StateVectorSimulator:
                 f"cannot allocate more than {self.capacity} qubits "
                 "(raise the limit with --max-qubits)"
             )
+        needed = 2 * BYTES_PER_AMPLITUDE * 2 * self.state.size
+        if needed > MEMORY_BUDGET:
+            raise SimulationError(
+                f"allocating qubit {self.num_qubits + 1} needs {needed} bytes "
+                "(the doubled state vector and one kernel temporary), more "
+                f"than the {MEMORY_BUDGET} bytes of physical memory"
+            )
         self.position[qubit_id] = self.num_qubits
-        self.state = np.concatenate(
-            [self.state, np.zeros_like(self.state)]
-        )
+        self.state = np.concatenate([self.state, np.zeros_like(self.state)])
 
     def release(self, qubit_id: int, strict: bool, rng=None) -> bool:
         """Remove a qubit; returns True when it had to be reset first.
 
         In strict mode the qubit must already be in |0> up to
         RELEASE_EPSILON; otherwise it is measured (consuming randomness)
-        and flipped to |0> before removal.
+        and the surviving slice, |0> or |1>, becomes the new state.
         """
         pos = self._position_of(qubit_id)
-        p_one = self._bit_probability(pos)
-        was_reset = False
-        if p_one > RELEASE_EPSILON:
+        lo, hi = self._target_slices(pos)
+        p_one = _weight(hi)
+        dirty = p_one > RELEASE_EPSILON
+        keep_one = False
+        if dirty:
             if strict:
                 raise SimulationError(
                     f"qubit q{qubit_id} was released with probability "
                     f"{p_one:.3g} of being |1>; qubits must be returned "
                     "to |0> before release"
                 )
-            outcome_one = (rng.random() if rng is not None else 0.5) < p_one
-            self._project_bit(pos, 1 if outcome_one else 0)
-            was_reset = True
-        else:
-            self._project_bit(pos, 0)
-        self._drop_bit(pos)
+            keep_one = (rng.random() if rng is not None else 0.5) < p_one
+        probability = p_one if keep_one else 1.0 - p_one
+        if probability < 1e-300:
+            raise SimulationError("projection onto a zero-probability subspace")
+        kept = hi if keep_one else lo
+        self.state = (kept / math.sqrt(probability)).ravel()
         del self.position[qubit_id]
         for qid, p in self.position.items():
             if p > pos:
                 self.position[qid] = p - 1
-        return was_reset
+        return dirty
 
     def _position_of(self, qubit_id: int) -> int:
         if qubit_id not in self.position:
@@ -129,75 +194,111 @@ class StateVectorSimulator:
                 "a qubit may appear only once among the controls and the "
                 f"target of a gate (got {sorted(set(involved))})"
             )
-        if controls:
-            self._apply_controlled(matrix, pos, controls)
-        else:
-            self._apply_single(self.state, matrix, pos)
+        self._apply_at(matrix, pos, controls)
 
-    def _apply_single(self, vec: np.ndarray, matrix: np.ndarray, pos: int) -> None:
+    def _target_slices(
+        self, pos: int, controls: Sequence[int] = ()
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the target=0 and target=1 slices where every control is 1."""
         n = self.num_qubits
-        view = vec.reshape(2 ** (n - 1 - pos), 2, 2**pos)
-        lo = view[:, 0, :].copy()
-        hi = view[:, 1, :].copy()
-        view[:, 0, :] = matrix[0, 0] * lo + matrix[0, 1] * hi
-        view[:, 1, :] = matrix[1, 0] * lo + matrix[1, 1] * hi
-
-    def _apply_controlled(
-        self, matrix: np.ndarray, pos: int, controls: list[int]
-    ) -> None:
-        indices = np.arange(self.state.size, dtype=np.int64)
-        mask = np.ones(self.state.size, dtype=bool)
+        tensor = self.state.reshape((2,) * n)
+        index = [slice(None)] * n
         for c in controls:
-            mask &= (indices >> c) & 1 == 1
-        mask &= (indices >> pos) & 1 == 0
-        i0 = indices[mask]
-        i1 = i0 | (1 << pos)
-        lo = self.state[i0]
-        hi = self.state[i1]
-        self.state[i0] = matrix[0, 0] * lo + matrix[0, 1] * hi
-        self.state[i1] = matrix[1, 0] * lo + matrix[1, 1] * hi
+            index[n - 1 - c] = _ONE
+        index[n - 1 - pos] = _ZERO
+        lo = tensor[tuple(index)]
+        index[n - 1 - pos] = _ONE
+        return lo, tensor[tuple(index)]
+
+    def _apply_at(
+        self, matrix: np.ndarray, pos: int, controls: Sequence[int] = ()
+    ) -> None:
+        lo, hi = self._target_slices(pos, controls)
+        (a, b), (c, d) = matrix.tolist()
+        if b == 0 and c == 0:
+            if d != 1:
+                hi *= d
+            if a != 1:
+                lo *= a
+            return
+        saved = lo.copy()
+        _mix(lo, a, hi, b)
+        _mix(hi, d, saved, c)
 
     # ── Measurement ──────────────────────────────────────────────────────
 
-    def _pauli_applied(
+    def _rotate_to_z(
         self, bases: Sequence[str], qubit_ids: Sequence[int]
-    ) -> np.ndarray:
-        scratch = self.state.copy()
-        for basis, qid in zip(bases, qubit_ids):
-            if basis == "I":
-                continue
-            self._apply_single(scratch, PAULI_MATRICES[basis], self._position_of(qid))
-        return scratch
+    ) -> list[tuple[str, int]]:
+        """Turn P into Z on the first non-I factor; returns the factors.
+
+        Each X or Y factor is rotated into Z, and a CNOT from every other
+        factor into the first folds the parity of all of them into it.
+        """
+        factors = [
+            (basis, self.position[qid])
+            for basis, qid in zip(bases, qubit_ids)
+            if basis != "I"
+        ]
+        for basis, pos in factors:
+            if basis != "Z":
+                self._apply_at(_TO_Z[basis], pos)
+        for _, pos in factors[1:]:
+            self._apply_at(GATE_MATRICES["X"], factors[0][1], (pos,))
+        return factors
+
+    def _rotate_from_z(self, factors: list[tuple[str, int]]) -> None:
+        """Undo `_rotate_to_z`; the CNOTs share a target, so they commute."""
+        for _, pos in factors[1:]:
+            self._apply_at(GATE_MATRICES["X"], factors[0][1], (pos,))
+        for basis, pos in factors:
+            if basis != "Z":
+                self._apply_at(_FROM_Z[basis], pos)
+
+    def _zero_probability(self, factors: list[tuple[str, int]]) -> float:
+        """Probability of Zero once `_rotate_to_z` has produced `factors`."""
+        if not factors:
+            return 1.0  # the identity has the whole space as +1 eigenspace
+        _, hi = self._target_slices(factors[0][1])
+        return min(1.0, max(0.0, 1.0 - _weight(hi)))
 
     def expectation(self, bases: Sequence[str], qubit_ids: Sequence[int]) -> float:
         """Re<psi|P|psi> for the Pauli product P."""
-        self._check_measurement_args(bases, qubit_ids)
-        scratch = self._pauli_applied(bases, qubit_ids)
-        return float(np.real(np.vdot(self.state, scratch)))
+        return 2.0 * self.probe_zero_probability(bases, qubit_ids) - 1.0
 
     def probe_zero_probability(
         self, bases: Sequence[str], qubit_ids: Sequence[int]
     ) -> float:
         """Probability of the +1 (Zero) outcome, without collapsing."""
-        p = (1.0 + self.expectation(bases, qubit_ids)) / 2.0
-        return min(1.0, max(0.0, p))
+        self._check_measurement_args(bases, qubit_ids)
+        state = self.state
+        self.state = state.copy()
+        try:
+            return self._zero_probability(self._rotate_to_z(bases, qubit_ids))
+        finally:
+            self.state = state
 
     def measure(
         self, bases: Sequence[str], qubit_ids: Sequence[int], rng
     ) -> int:
         """Projective Pauli-product measurement; returns 0 for Zero, 1 for One."""
         self._check_measurement_args(bases, qubit_ids)
-        scratch = self._pauli_applied(bases, qubit_ids)
-        p_zero = (1.0 + float(np.real(np.vdot(self.state, scratch)))) / 2.0
-        p_zero = min(1.0, max(0.0, p_zero))
-        outcome = 0 if rng.random() < p_zero else 1
-        sign = 1.0 if outcome == 0 else -1.0
-        probability = p_zero if outcome == 0 else 1.0 - p_zero
-        if probability < 1e-300:
-            raise SimulationError(
-                "measurement collapsed onto an outcome of probability zero"
-            )
-        self.state = (self.state + sign * scratch) / (2.0 * math.sqrt(probability))
+        factors = self._rotate_to_z(bases, qubit_ids)
+        try:
+            p_zero = self._zero_probability(factors)
+            outcome = 0 if rng.random() < p_zero else 1
+            probability = p_zero if outcome == 0 else 1.0 - p_zero
+            if probability < 1e-300:
+                raise SimulationError(
+                    "measurement collapsed onto an outcome of probability zero"
+                )
+            if factors:
+                lo, hi = self._target_slices(factors[0][1])
+                kept, rejected = (lo, hi) if outcome == 0 else (hi, lo)
+                rejected[...] = 0.0
+                kept /= math.sqrt(probability)
+        finally:
+            self._rotate_from_z(factors)
         return outcome
 
     def _check_measurement_args(
@@ -215,32 +316,6 @@ class StateVectorSimulator:
             )
         for q in qubit_ids:
             self._position_of(q)
-
-    # ── Projection helpers ───────────────────────────────────────────────
-
-    def _bit_probability(self, pos: int) -> float:
-        n = self.num_qubits
-        view = self.state.reshape(2 ** (n - 1 - pos), 2, 2**pos)
-        return float(np.sum(np.abs(view[:, 1, :]) ** 2))
-
-    def _project_bit(self, pos: int, value: int) -> None:
-        n = self.num_qubits
-        view = self.state.reshape(2 ** (n - 1 - pos), 2, 2**pos)
-        keep = view[:, value, :]
-        norm = math.sqrt(float(np.sum(np.abs(keep) ** 2)))
-        if norm < 1e-300:
-            raise SimulationError("projection onto a zero-probability subspace")
-        view[:, 1 - value, :] = 0.0
-        self.state = self.state / norm
-
-    def _drop_bit(self, pos: int) -> None:
-        n = self.num_qubits
-        arr = self.state.reshape((2,) * n) if n > 0 else self.state
-        # The amplitudes live entirely in one slice after projection; keep
-        # whichever slice carries the norm (the reset path keeps slice 0
-        # only after the flip is accounted for by projection).
-        reduced = arr.take(0, axis=n - 1 - pos) + arr.take(1, axis=n - 1 - pos)
-        self.state = np.ascontiguousarray(reduced).reshape(-1)
 
     # ── Inspection ───────────────────────────────────────────────────────
 

@@ -1,8 +1,9 @@
 """Command-line interface, exercised through real subprocesses.
 
-Every test shells out to `python -m qdsl` the way a user would, so argument
-parsing, environment-variable fallbacks, exit codes, and the exact output
-formats are all covered end to end.
+Every test but one shells out to `python -m qdsl` the way a user would, so
+argument parsing, environment-variable fallbacks, exit codes, and the exact
+output formats are all covered end to end. The memory-budget test runs the
+CLI in process, because it patches the budget down.
 """
 
 import json
@@ -367,6 +368,27 @@ namespace Demo {
     assert "max-qubits" in capped.stderr
     roomy = qdsl("run", "--max-qubits", "8", str(path))
     assert roomy.returncode == 0
+
+
+def test_memory_budget_fails_the_run_with_a_message(tmp_path, monkeypatch, capsys):
+    # In process, so that the budget can be patched down: a real run would
+    # have to request more than the machine's physical memory.
+    import qdsl.simulator
+    from qdsl import cli
+
+    path = tmp_path / "huge.qds"
+    path.write_text("""
+namespace Demo {
+    open Microsoft.Quantum.Primitive;
+    operation Main () : () {
+        body { using (qs = Qubit[40]) { } }
+    }
+}""")
+    monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 2**16)
+    assert cli.main(["run", "--max-qubits", "40", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: allocating qubit 12 needs 131072 bytes")
+    assert "Traceback" not in err
 
 
 def test_max_iterations_flag(tmp_path):

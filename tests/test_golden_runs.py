@@ -122,16 +122,23 @@ def test_every_runnable_accept_file_is_pinned():
         assert not runnable or filename in pinned, filename
 
 
+def write_golden(name: str, golden: dict) -> None:
+    """One line per variant, so a changed run shows as a changed line."""
+    lines = [
+        f"{json.dumps(variant)}: {json.dumps(golden[variant], sort_keys=True)}"
+        for variant in sorted(golden)
+    ]
+    with open(os.path.join(GOLDEN, f"{name}.json"), "w", encoding="utf-8") as handle:
+        handle.write("{\n" + ",\n".join(lines) + "\n}\n")
+
+
 def regenerate() -> None:
     for name in sorted(CASES):
-        golden = {
+        write_golden(name, {
             _variant(seed, dump): run_case(name, seed, dump)
             for seed in SEEDS
             for dump in (False, True)
-        }
-        with open(os.path.join(GOLDEN, f"{name}.json"), "w", encoding="utf-8") as handle:
-            json.dump(golden, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        })
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ The frozen gate matrices below are typed out from the standard definitions,
 not imported from the implementation, so a typo in the backend's constants
 cannot hide. Full-register operators for the oracle come from explicit
 Kronecker products and a direct basis-by-basis construction for controlled
-gates, never from the backend's stride arithmetic.
+gates, never from the backend's slice kernels.
 """
 
 import cmath
@@ -13,10 +13,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qdsl.simulator
 from qdsl.simulator import (
+    GATE_ADJOINTS,
     GATE_MATRICES,
     SimulationError,
     StateVectorSimulator,
@@ -106,6 +108,19 @@ def test_r1frac_general_angle():
     assert abs(m[1, 1] - cmath.exp(1j * math.pi * 5 / 16)) <= 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_cached_adjoints_match_conjugate_transpose(name):
+    assert np.max(np.abs(GATE_ADJOINTS[name] - FROZEN[name].conj().T)) <= 1e-12
+
+
+def test_shared_gate_matrices_are_read_only():
+    shared = [*GATE_MATRICES.values(), *GATE_ADJOINTS.values(), r1frac_matrix(1, 3)]
+    for matrix in shared:
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 2.0
+    assert r1frac_matrix(1, 3) is r1frac_matrix(1, 3)
+
+
 @pytest.mark.parametrize("name", ["I", "X", "Y", "Z", "H"])
 def test_named_gates_are_self_inverse_except_t(name):
     g = FROZEN[name]
@@ -175,6 +190,91 @@ def test_controlled_apply_matches_direct_construction(controls, target):
     assert np.max(np.abs(sim.state - expected)) <= 1e-12
 
 
+def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array(
+        [
+            [c, -cmath.exp(1j * lam) * s],
+            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
+        ]
+    )
+
+
+def _gate_matrix(kind: str, angles: tuple[float, float, float]) -> np.ndarray:
+    """Dense, diagonal or X-like 2x2 unitaries, including the exact special
+    entries (1 on the diagonal, 1 off it) that the kernel treats specially."""
+    theta, phi, lam = angles
+    if kind == "dense":
+        return _u3(theta, phi, lam)
+    if kind == "diagonal":
+        return np.diag([cmath.exp(1j * phi), cmath.exp(1j * lam)])
+    if kind == "phase":
+        return np.diag([1.0, cmath.exp(1j * lam)]).astype(complex)
+    if kind == "x_like":
+        return np.array([[0, cmath.exp(1j * phi)], [cmath.exp(1j * lam), 0]])
+    return FROZEN[kind].copy()
+
+
+_ANGLE = st.floats(0.1, 2 * math.pi - 0.1)
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, 8))
+    gates = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["dense", "diagonal", "phase", "x_like", "X", "H", "Z"]))
+        matrix = _gate_matrix(kind, (draw(_ANGLE), draw(_ANGLE), draw(_ANGLE)))
+        if draw(st.booleans()):
+            matrix = matrix.conj().T
+        target = draw(st.integers(0, n - 1))
+        others = [q for q in range(n) if q != target]
+        controls = draw(
+            st.lists(st.sampled_from(others), unique=True, max_size=min(3, len(others)))
+            if others
+            else st.just([])
+        )
+        gates.append((matrix, target, controls))
+    return n, gates, draw(st.integers(0, 2**31))
+
+
+def _oracle_operator(n, target, controls, matrix):
+    if controls:
+        return controlled_operator(n, controls, target, matrix)
+    return operator_at(n, target, matrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit=_circuits())
+def test_random_circuits_match_explicit_operators(circuit):
+    n, gates, seed = circuit
+    psi = haar_random_state(n, np.random.default_rng(seed))
+    sim = make_sim(n)
+    set_state(sim, psi)
+    expected = psi
+    for matrix, target, controls in gates:
+        sim.apply(matrix, target, control_ids=controls)
+        expected = _oracle_operator(n, target, controls, matrix) @ expected
+    assert np.max(np.abs(sim.state - expected)) <= 1e-10
+    assert sim.state.shape == (2**n,) and sim.state.dtype == np.complex128
+    assert sim.state.flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "phase", "x_like"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_controls_and_target_covering_every_qubit(kind, n):
+    # Integer indices on every axis would give a 0-d copy and drop the write.
+    matrix = _gate_matrix(kind, (0.7, 1.9, 2.6))
+    psi = haar_random_state(n, np.random.default_rng(n))
+    for target in range(n):
+        controls = [q for q in range(n) if q != target]
+        sim = make_sim(n)
+        set_state(sim, psi)
+        sim.apply(matrix, target, control_ids=controls)
+        expected = _oracle_operator(n, target, controls, matrix) @ psi
+        assert np.max(np.abs(sim.state - expected)) <= 1e-12
+
+
 def test_cnot_truth_table():
     for a in (0, 1):
         sim = make_sim(2)
@@ -211,6 +311,48 @@ def test_expectation_matches_operator_oracle():
             np.vdot(psi, pauli_product_operator(3, bases, positions) @ psi)
         )
         assert abs(sim.expectation(bases, positions) - oracle) <= 1e-12
+
+
+class _CountingRng:
+    def __init__(self, value: float):
+        self.value = value
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    letters=st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=5),
+    draw=st.floats(0.0, 0.999999),
+    seed=st.integers(0, 2**31),
+    data=st.data(),
+)
+def test_pauli_measurement_matches_projector_oracle(n, letters, draw, seed, data):
+    letters = letters[:n]
+    positions = data.draw(st.permutations(range(n)))[: len(letters)]
+    psi = haar_random_state(n, np.random.default_rng(seed))
+    pauli = pauli_product_operator(n, letters, positions)
+    plus = (np.eye(2**n) + pauli) / 2
+    p_zero = float(np.linalg.norm(plus @ psi) ** 2)
+    assume(abs(draw - p_zero) > 1e-9)
+    outcome = 0 if draw < p_zero else 1
+    projector = plus if outcome == 0 else np.eye(2**n) - plus
+    probability = p_zero if outcome == 0 else 1.0 - p_zero
+    collapsed = projector @ psi / math.sqrt(probability)
+
+    sim = make_sim(n)
+    set_state(sim, psi)
+    assert abs(sim.probe_zero_probability(letters, positions) - p_zero) <= 1e-12
+    assert np.array_equal(sim.state, psi)
+    rng = _CountingRng(draw)
+    assert sim.measure(letters, positions, rng) == outcome
+    assert rng.draws == 1
+    assert np.max(np.abs(sim.state - collapsed)) <= 1e-10
+    assert sim.state.flags.c_contiguous
 
 
 def test_probe_does_not_disturb_the_state():
@@ -325,6 +467,25 @@ def test_allocation_grows_state_in_zero_branch():
     # New qubit arrives in |0>: no amplitude on indices with bit 1 set.
     assert abs(amps[2]) == 0.0 and abs(amps[3]) == 0.0
     assert abs(amps[0] - SQ2) <= 1e-12 and abs(amps[1] - SQ2) <= 1e-12
+
+
+def test_allocation_refuses_beyond_the_memory_budget(monkeypatch):
+    # Four qubits fit: 2 x 16 bytes x 2^4 = 512. The fifth needs 1024.
+    monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 512)
+    sim = make_sim(4)
+    with pytest.raises(SimulationError, match="needs 1024 bytes"):
+        sim.allocate(4)
+    assert sim.num_qubits == 4 and sim.state.shape == (16,)
+
+
+def test_dirty_release_draws_once_and_keeps_the_surviving_slice():
+    sim = make_sim(2)
+    sim.apply(FROZEN["H"], 0)
+    sim.apply(FROZEN["X"], 1, control_ids=[0])
+    rng = _CountingRng(0.9)  # p(one) = 1/2, so the draw keeps |0>
+    assert sim.release(1, strict=False, rng=rng) is True
+    assert rng.draws == 1
+    assert np.max(np.abs(sim.state - np.array([1.0, 0.0]))) <= 1e-12
 
 
 def test_double_allocation_rejected():
