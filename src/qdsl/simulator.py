@@ -15,12 +15,15 @@ forms) only scales the target=1 slice under the controls, and the target=0
 slice too when its entry is not 1. Any other gate mixes the two target
 slices from one saved copy.
 
-Measurement of a Pauli product P rotates each X and Y factor into Z and
-folds the parity of the involved qubits into the first of them (the pivot)
-with CNOTs, so that P acts as Z on the pivot alone. The probability of the
-+1 outcome (reported as Zero) is the weight of the pivot=0 slice. The state
-collapses by zeroing the rejected slice and dividing the kept one by the
-square root of its probability, and the rotations are then undone.
+Measurement of a Pauli product P conjugates P into Z on one pivot qubit
+with gates applied in place. S^dagger turns each Y factor into X. If any
+factor is X, the first is the pivot: CNOTs and CZs from it absorb every
+other factor, and one H turns its X into Z. Otherwise CNOTs into the first
+Z factor fold the parity of all Z factors into it. Either way at most one
+dense gate runs, however long P is. The probability of the +1 outcome
+(reported as Zero) is the weight of the pivot=0 slice. The state collapses
+by zeroing the rejected slice and dividing the kept one by the square root
+of its probability, and the gates are then undone in reverse.
 Assertions probe the same probability on a copy of the state, which a
 state-vector backend can do because it is not bound by no-cloning.
 """
@@ -72,13 +75,8 @@ GATE_ADJOINTS: dict[str, np.ndarray] = {
     name: _frozen(matrix.conj().T) for name, matrix in GATE_MATRICES.items()
 }
 
-# U with U P U^dagger = Z, for the Pauli factors that are not already Z:
-# H for X, and H S^dagger for Y.
-_TO_Z = {
-    "X": GATE_MATRICES["H"],
-    "Y": _frozen(GATE_MATRICES["H"] @ np.diag([1, -1j])),
-}
-_FROM_Z = {basis: _frozen(matrix.conj().T) for basis, matrix in _TO_Z.items()}
+_S = _frozen([[1, 0], [0, 1j]])
+_S_DAG = _frozen([[1, 0], [0, -1j]])  # S^dagger Y S = X
 
 _ZERO = slice(0, 1)
 _ONE = slice(1, 2)
@@ -99,10 +97,8 @@ def _mix(out: np.ndarray, x: complex, other: np.ndarray, y: complex) -> None:
     """out <- x * out + y * other, in place."""
     if x == 0:
         np.multiply(other, y, out=out)
-        return
-    if x != 1:
+    else:
         out *= x
-    if y != 0:
         out += y * other
 
 
@@ -227,39 +223,46 @@ class StateVectorSimulator:
 
     # ── Measurement ──────────────────────────────────────────────────────
 
-    def _rotate_to_z(
+    def _to_z_basis(
         self, bases: Sequence[str], qubit_ids: Sequence[int]
-    ) -> list[tuple[str, int]]:
-        """Turn P into Z on the first non-I factor; returns the factors.
+    ) -> tuple[int | None, list]:
+        """Conjugate P into Z on one pivot qubit, in place (see module doc).
 
-        Each X or Y factor is rotated into Z, and a CNOT from every other
-        factor into the first folds the parity of all of them into it.
+        Returns the pivot's bit position, None when P is the identity, and
+        the gates applied as (matrix, inverse, target, controls).
         """
-        factors = [
-            (basis, self.position[qid])
-            for basis, qid in zip(bases, qubit_ids)
-            if basis != "I"
-        ]
-        for basis, pos in factors:
-            if basis != "Z":
-                self._apply_at(_TO_Z[basis], pos)
-        for _, pos in factors[1:]:
-            self._apply_at(GATE_MATRICES["X"], factors[0][1], (pos,))
-        return factors
+        x_factors, z_factors, gates = [], [], []
+        for basis, qid in zip(bases, qubit_ids):
+            pos = self.position[qid]
+            if basis == "Y":
+                gates.append((_S_DAG, _S, pos, ()))
+            if basis in ("X", "Y"):
+                x_factors.append(pos)
+            elif basis == "Z":
+                z_factors.append(pos)
+        x, z, h = GATE_MATRICES["X"], GATE_MATRICES["Z"], GATE_MATRICES["H"]
+        pivot = None
+        if x_factors:
+            pivot = x_factors[0]
+            gates += [(x, x, q, (pivot,)) for q in x_factors[1:]]
+            gates += [(z, z, q, (pivot,)) for q in z_factors]
+            gates.append((h, h, pivot, ()))
+        elif z_factors:
+            pivot = z_factors[0]
+            gates += [(x, x, pivot, (q,)) for q in z_factors[1:]]
+        for matrix, _, target, controls in gates:
+            self._apply_at(matrix, target, controls)
+        return pivot, gates
 
-    def _rotate_from_z(self, factors: list[tuple[str, int]]) -> None:
-        """Undo `_rotate_to_z`; the CNOTs share a target, so they commute."""
-        for _, pos in factors[1:]:
-            self._apply_at(GATE_MATRICES["X"], factors[0][1], (pos,))
-        for basis, pos in factors:
-            if basis != "Z":
-                self._apply_at(_FROM_Z[basis], pos)
+    def _undo(self, gates: list) -> None:
+        for _, inverse, target, controls in reversed(gates):
+            self._apply_at(inverse, target, controls)
 
-    def _zero_probability(self, factors: list[tuple[str, int]]) -> float:
-        """Probability of Zero once `_rotate_to_z` has produced `factors`."""
-        if not factors:
+    def _zero_probability(self, pivot: int | None) -> float:
+        """Probability of Zero once `_to_z_basis` has chosen `pivot`."""
+        if pivot is None:
             return 1.0  # the identity has the whole space as +1 eigenspace
-        _, hi = self._target_slices(factors[0][1])
+        _, hi = self._target_slices(pivot)
         return min(1.0, max(0.0, 1.0 - _weight(hi)))
 
     def expectation(self, bases: Sequence[str], qubit_ids: Sequence[int]) -> float:
@@ -274,7 +277,7 @@ class StateVectorSimulator:
         state = self.state
         self.state = state.copy()
         try:
-            return self._zero_probability(self._rotate_to_z(bases, qubit_ids))
+            return self._zero_probability(self._to_z_basis(bases, qubit_ids)[0])
         finally:
             self.state = state
 
@@ -283,22 +286,22 @@ class StateVectorSimulator:
     ) -> int:
         """Projective Pauli-product measurement; returns 0 for Zero, 1 for One."""
         self._check_measurement_args(bases, qubit_ids)
-        factors = self._rotate_to_z(bases, qubit_ids)
+        pivot, gates = self._to_z_basis(bases, qubit_ids)
         try:
-            p_zero = self._zero_probability(factors)
+            p_zero = self._zero_probability(pivot)
             outcome = 0 if rng.random() < p_zero else 1
             probability = p_zero if outcome == 0 else 1.0 - p_zero
             if probability < 1e-300:
                 raise SimulationError(
                     "measurement collapsed onto an outcome of probability zero"
                 )
-            if factors:
-                lo, hi = self._target_slices(factors[0][1])
+            if pivot is not None:
+                lo, hi = self._target_slices(pivot)
                 kept, rejected = (lo, hi) if outcome == 0 else (hi, lo)
                 rejected[...] = 0.0
                 kept /= math.sqrt(probability)
         finally:
-            self._rotate_from_z(factors)
+            self._undo(gates)
         return outcome
 
     def _check_measurement_args(

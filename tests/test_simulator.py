@@ -486,6 +486,7 @@ def test_dirty_release_draws_once_and_keeps_the_surviving_slice():
     assert sim.release(1, strict=False, rng=rng) is True
     assert rng.draws == 1
     assert np.max(np.abs(sim.state - np.array([1.0, 0.0]))) <= 1e-12
+    assert sim.state.flags.c_contiguous
 
 
 def test_double_allocation_rejected():
