@@ -201,8 +201,8 @@ def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
 
 
 def _gate_matrix(kind: str, angles: tuple[float, float, float]) -> np.ndarray:
-    """Dense, diagonal or X-like 2x2 unitaries, including the exact special
-    entries (1 on the diagonal, 1 off it) that the kernel treats specially."""
+    """Dense, diagonal or X-like 2x2 unitaries, including the exact entries
+    the kernel branches on: zero off the diagonal, zero on it, and a 1 on it."""
     theta, phi, lam = angles
     if kind == "dense":
         return _u3(theta, phi, lam)
