@@ -1205,21 +1205,3 @@ def _stmt_returns(stmt: Stmt) -> bool:
             stmt.else_block
         )
     return False
-
-
-# ── Opens bookkeeping ────────────────────────────────────────────────────────
-
-
-def attach_opens(program: Program, table: SymbolTable) -> None:
-    """Cache each callable's effective opens on its symbol for later passes."""
-    for ns in program.namespaces:
-        opens = [op.name for op in ns.opens if table.has_namespace(op.name)]
-        if ns.implicit:
-            for name in IMPLICIT_OPENS:
-                if table.has_namespace(name) and name not in opens:
-                    opens.append(name)
-        for decl in ns.decls:
-            if isinstance(decl, CallableDecl):
-                sym = table.namespaces.get(ns.name, {}).get(decl.name)
-                if isinstance(sym, CallableSymbol) and sym.decl is decl:
-                    sym._opens_cache = opens  # type: ignore[attr-defined]

@@ -112,12 +112,3 @@ def error(code: str, message: str, span: Span, file: str = "<input>") -> Diagnos
 
 def warning(code: str, message: str, span: Span, file: str = "<input>") -> Diagnostic:
     return Diagnostic(Severity.WARNING, code, message, span, file)
-
-
-class CompileError(Exception):
-    """Raised by entry points that cannot return partial results."""
-
-    def __init__(self, diagnostics: list[Diagnostic]) -> None:
-        self.diagnostics = diagnostics
-        first = diagnostics[0] if diagnostics else None
-        super().__init__(first.message if first else "compilation failed")

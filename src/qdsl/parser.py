@@ -155,10 +155,6 @@ class Parser:
     def _at_keyword(self, word: str) -> bool:
         return self._current().is_keyword(word)
 
-    def _at_ident(self, name: str | None = None) -> bool:
-        tok = self._current()
-        return tok.kind is TokenKind.IDENT and (name is None or tok.lexeme == name)
-
     def _advance(self) -> Token:
         tok = self._current()
         if tok.kind is not TokenKind.EOF:

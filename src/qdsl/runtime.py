@@ -1,10 +1,16 @@
-"""Tree-walking interpreter with qubit ledger and simulator backend.
+"""Closure-compiled runtime with qubit ledger and simulator backend.
 
 Each shot runs on a fresh interpreter: a qubit ledger handing out the lowest
 free qubit id, a state-vector simulator, and a per-shot RNG. Invoking a
 callable value peels its wrapper stack outermost-first, accumulating flattened
 control registers and an adjoint parity bit, then dispatches the base symbol
 to the matching specialization body (or intrinsic handler).
+
+A specialization body is compiled on its first invocation into closures
+``(interp, frame) -> value`` (Feeley & Lapalme 1987) cached on its
+``SpecEntry``. Locals live in one frame slot per binding site. A statement
+returns None to fall through, or the value of a ``return``. Compiled code
+reads ``interp.options`` at run time and calls through ``interp.invoke``.
 
 Failures raised by programs (fail statements, assertion violations, runtime
 errors such as out-of-range indexing) surface as QdslFailure and carry a
@@ -14,50 +20,24 @@ source span when one is known.
 from __future__ import annotations
 
 import heapq
+import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from . import types as ty
 from .ast_nodes import (
-    AllocateStmt,
-    ArrayExpr,
-    BinaryExpr,
     Block,
-    BoolLit,
-    CallExpr,
-    DoubleLit,
     Expr,
-    ExprStmt,
-    FailStmt,
-    ForStmt,
-    FunctorExpr,
     Hole,
-    IfStmt,
-    IndexExpr,
-    IntLit,
-    InterpString,
-    LetStmt,
-    MutableStmt,
-    Name,
     NamePattern,
     ParamLeaf,
     ParamTuple,
-    Pattern,
-    PauliKind,
-    PauliLit,
-    RangeExpr,
-    RepeatStmt,
-    ResultLit,
-    ReturnStmt,
-    SetStmt,
     SpecImpl,
     SpecKind,
     Stmt,
-    StringLit,
     TupleExpr,
-    TuplePattern,
-    UnaryExpr,
 )
 from .checker import CallableSymbol, UdtSymbol
 from .simulator import SimulationError, StateVectorSimulator
@@ -83,18 +63,13 @@ class QdslFailure(Exception):
         self.file = file
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value: Any):
-        self.value = value
-
-
 @dataclass
 class RunOptions:
     strict_release: bool = True
     elide_diagnostics: bool = False
     max_qubits: int = 24
     max_iterations: int = 1_000_000
-    recursion_limit: int = 1000
+    recursion_limit: int = 1000  # qdsl call depth
     dump_state: bool = False  # snapshot before each outermost release
 
 
@@ -141,41 +116,6 @@ class QubitLedger:
         heapq.heappush(self._free, qid)
 
 
-class Env:
-    def __init__(self) -> None:
-        self.scopes: list[dict[str, Any]] = []
-
-    def push(self) -> None:
-        self.scopes.append({})
-
-    def pop(self) -> None:
-        self.scopes.pop()
-
-    def bind(self, name: str, value: Any) -> None:
-        self.scopes[-1][name] = value
-
-    def lookup(self, name: str) -> Any:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        raise KeyError(name)
-
-    def assign(self, name: str, value: Any) -> None:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                scope[name] = value
-                return
-        raise KeyError(name)
-
-
-_PAULI_FROM_KIND = {
-    PauliKind.I: Pauli.I,
-    PauliKind.X: Pauli.X,
-    PauliKind.Y: Pauli.Y,
-    PauliKind.Z: Pauli.Z,
-}
-
-
 class Interpreter:
     def __init__(
         self,
@@ -215,214 +155,72 @@ class Interpreter:
     # ── Invocation ───────────────────────────────────────────────────────
 
     def invoke(self, closure: Closure, arg: Any) -> Any:
+        limit = self.options.recursion_limit
+        if self._depth >= limit:
+            raise QdslFailure(f"call depth exceeded the limit of {limit}")
         self._depth += 1
-        if self._depth > self.options.recursion_limit:
-            self._depth -= 1
-            raise QdslFailure(
-                f"call depth exceeded the limit of {self.options.recursion_limit}"
-            )
         try:
             adjoint = False
             controls: list[QubitRef] = []
-            current = arg
             for wrapper in closure.wrappers:
                 kind = wrapper[0]
                 if kind == "adjoint":
                     adjoint = not adjoint
                 elif kind == "controlled":
-                    register, current = current
+                    register, arg = arg
                     controls.extend(register)
                 else:
-                    current = fill_shape(wrapper[1], current)
-            return self._dispatch(closure.base, current, adjoint, controls)
+                    arg = fill_shape(wrapper[1], arg)
+            base = closure.base
+            if isinstance(base, UdtSymbol):
+                return arg  # newtype values are represented by their base value
+            if (
+                self.options.elide_diagnostics
+                and not base.is_operation
+                and ty.normalize(base.output) == ty.UNIT
+            ):
+                return UNIT
+            if base.intrinsic is not None:
+                return self.intrinsics[base.intrinsic](self, arg, adjoint, controls)
+            return _specialization(base, adjoint, controls)(self, arg, controls)
         except RecursionError:
             raise QdslFailure("recursion limit exceeded") from None
         finally:
             self._depth -= 1
 
-    def _dispatch(
-        self, base: Any, arg: Any, adjoint: bool, controls: list[QubitRef]
-    ) -> Any:
-        if isinstance(base, UdtSymbol):
-            return arg  # newtype values are represented by their base value
-        assert isinstance(base, CallableSymbol)
-        if (
-            self.options.elide_diagnostics
-            and not base.is_operation
-            and ty.normalize(base.output) == ty.UNIT
-        ):
-            return UNIT
-        if base.intrinsic is not None:
-            handler = self.intrinsics[base.intrinsic]
-            return handler(self, arg, adjoint, controls)
-        return self._run_specialization(base, arg, adjoint, controls)
+    # ── Qubit blocks ─────────────────────────────────────────────────────
 
-    def _run_specialization(
-        self, sym: CallableSymbol, arg: Any, adjoint: bool, controls: list[QubitRef]
-    ) -> Any:
-        specs = sym.specializations
-        ctl_value: Any = None
-        if controls and adjoint:
-            entry = specs.get(SpecKind.CONTROLLED_ADJOINT)
-            if entry is not None and entry.impl is SpecImpl.SELF:
-                entry = specs.get(SpecKind.CONTROLLED)
-        elif controls:
-            entry = specs.get(SpecKind.CONTROLLED)
-        elif adjoint:
-            entry = specs.get(SpecKind.ADJOINT)
-            if entry is not None and entry.impl is SpecImpl.SELF:
-                entry = specs.get(SpecKind.BODY)
-        else:
-            entry = specs.get(SpecKind.BODY)
-        if entry is None or entry.block is None:
-            raise QdslFailure(
-                f"'{sym.qualified}' has no executable specialization for "
-                f"adjoint={adjoint}, controlled={bool(controls)}"
-            )
-        if controls:
-            ctl_value = list(controls)
-        env = Env()
-        env.push()
-        try:
-            if entry.ctl_param is not None:
-                env.bind(entry.ctl_param, ctl_value)
-            if sym.decl is not None:
-                self._bind_params(sym.decl.params, arg, env)
-            for stmt in entry.block.stmts:
-                self._exec_stmt(stmt, env)
-        except _ReturnSignal as signal:
-            return signal.value
-        finally:
-            env.pop()
-        return UNIT
+    def _borrow(
+        self, n: int, visible: list, span: Span
+    ) -> tuple[list[QubitRef], list[QubitRef]]:
+        """Live qubits no visible binding reaches, topped up with fresh ones."""
+        reachable: set[int] = set()
+        for value in visible:
+            _collect_qubits(value, reachable)
+        candidates = sorted(self.ledger.live - reachable)[:n]
+        fresh = [self._allocate_one(span) for _ in range(n - len(candidates))]
+        self.stats.borrowed_existing += len(candidates)
+        self.stats.borrowed_fresh += len(fresh)
+        if candidates or fresh:
+            borrowed = " ".join(f"q{q}" for q in candidates) or "-"
+            extra = "".join(f" +q{r.id}" for r in fresh)
+            self.trace(f"borrow {borrowed}{extra}")
+        return [QubitRef(q) for q in candidates] + fresh, fresh
 
-    def _bind_params(self, params: ParamTuple, arg: Any, env: Env) -> None:
-        items = params.items
-        if len(items) == 1:
-            self._bind_param_item(items[0], arg, env)
-            return
-        for item, value in zip(items, arg):
-            self._bind_param_item(item, value, env)
-
-    def _bind_param_item(self, item, value: Any, env: Env) -> None:
-        if isinstance(item, ParamLeaf):
-            env.bind(item.name, value)
-        else:
-            self._bind_params(item, value, env)
-
-    # ── Statements ───────────────────────────────────────────────────────
-
-    def _exec_block(self, block: Block, env: Env) -> None:
-        env.push()
-        try:
-            for stmt in block.stmts:
-                self._exec_stmt(stmt, env)
-        finally:
-            env.pop()
-
-    def _exec_stmt(self, stmt: Stmt, env: Env) -> None:
-        if isinstance(stmt, LetStmt):
-            self._bind_pattern(stmt.pattern, self.eval(stmt.value, env), env)
-        elif isinstance(stmt, MutableStmt):
-            env.bind(stmt.name, self.eval(stmt.value, env))
-        elif isinstance(stmt, SetStmt):
-            env.assign(stmt.name, self.eval(stmt.value, env))
-        elif isinstance(stmt, IfStmt):
-            for cond, block in stmt.branches:
-                if self.eval(cond, env):
-                    self._exec_block(block, env)
-                    return
-            if stmt.else_block is not None:
-                self._exec_block(stmt.else_block, env)
-        elif isinstance(stmt, ForStmt):
-            iterable = self.eval(stmt.iterable, env)
-            for value in iterable:
-                env.push()
-                try:
-                    env.bind(stmt.var, value)
-                    for inner in stmt.body.stmts:
-                        self._exec_stmt(inner, env)
-                finally:
-                    env.pop()
-        elif isinstance(stmt, RepeatStmt):
-            self._exec_repeat(stmt, env)
-        elif isinstance(stmt, ReturnStmt):
-            raise _ReturnSignal(self.eval(stmt.value, env))
-        elif isinstance(stmt, FailStmt):
-            message = self.eval(stmt.message, env)
-            raise QdslFailure(str(message), stmt.span)
-        elif isinstance(stmt, AllocateStmt):
-            self._exec_allocate(stmt, env)
-        elif isinstance(stmt, ExprStmt):
-            self.eval(stmt.expr, env)
-        else:
-            raise TypeError(f"unknown statement {type(stmt).__name__}")
-
-    def _exec_repeat(self, stmt: RepeatStmt, env: Env) -> None:
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > self.options.max_iterations:
-                raise QdslFailure(
-                    f"repeat block exceeded {self.options.max_iterations} "
-                    "iterations",
-                    stmt.span,
-                )
-            env.push()
-            try:
-                # Bindings made in the body stay visible to the condition
-                # and the fixup block.
-                for inner in stmt.body.stmts:
-                    self._exec_stmt(inner, env)
-                if self.eval(stmt.condition, env):
-                    return
-                self._exec_block(stmt.fixup, env)
-            finally:
-                env.pop()
-
-    def _exec_allocate(self, stmt: AllocateStmt, env: Env) -> None:
-        count: Optional[int] = None
-        if stmt.count is not None:
-            count = self.eval(stmt.count, env)
-            if count < 0:
-                raise QdslFailure(
-                    f"cannot allocate {count} qubits", stmt.count.span
-                )
-        n = 1 if count is None else count
-        if stmt.borrowing:
-            reachable = _reachable_qubits(env)
-            candidates = sorted(self.ledger.live - reachable)[:n]
-            fresh = [self._allocate_one(stmt.span) for _ in range(n - len(candidates))]
-            refs = [QubitRef(q) for q in candidates] + fresh
-            self.stats.borrowed_existing += len(candidates)
-            self.stats.borrowed_fresh += len(fresh)
-            if candidates or fresh:
-                borrowed = " ".join(f"q{q}" for q in candidates) or "-"
-                extra = "".join(f" +q{r.id}" for r in fresh)
-                self.trace(f"borrow {borrowed}{extra}")
-        else:
-            fresh = [self._allocate_one(stmt.span) for _ in range(n)]
-            refs = fresh
-            if fresh:
-                self.trace("allocate " + " ".join(f"q{r.id}" for r in fresh))
-        value: Any = refs if count is not None else refs[0]
-        env.push()
+    def _hold(self, fresh: list[QubitRef], body: Callable, frame: list, span: Span):
+        """Run a qubit block's body, then release the qubits it allocated."""
         self._alloc_depth += 1
-        failed = False
         try:
-            env.bind(stmt.name, value)
-            for inner in stmt.body.stmts:
-                self._exec_stmt(inner, env)
+            value = body(self, frame)
             if self.options.dump_state and self._alloc_depth == 1:
-                ids, amplitudes = self.simulator.amplitudes()
-                self.state_dumps.append((ids, amplitudes))
+                self.state_dumps.append(self.simulator.amplitudes())
         except BaseException:
-            failed = True
-            raise
-        finally:
             self._alloc_depth -= 1
-            env.pop()
-            self._release(fresh, stmt.span, strict=not failed)
+            self._release(fresh, span, strict=False)
+            raise
+        self._alloc_depth -= 1
+        self._release(fresh, span, strict=True)
+        return value
 
     def _allocate_one(self, span: Span) -> QubitRef:
         qid = self.ledger.allocate()
@@ -452,202 +250,6 @@ class Interpreter:
             self.stats.releases += 1
             self.trace(f"release q{ref.id}")
 
-    def _bind_pattern(self, pattern: Pattern, value: Any, env: Env) -> None:
-        if isinstance(pattern, NamePattern):
-            env.bind(pattern.name, value)
-            return
-        assert isinstance(pattern, TuplePattern)
-        for sub, item in zip(pattern.items, value):
-            self._bind_pattern(sub, item, env)
-
-    # ── Expressions ──────────────────────────────────────────────────────
-
-    def eval(self, expr: Expr, env: Env) -> Any:
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, DoubleLit):
-            return expr.value
-        if isinstance(expr, BoolLit):
-            return expr.value
-        if isinstance(expr, StringLit):
-            return expr.value
-        if isinstance(expr, PauliLit):
-            return _PAULI_FROM_KIND[expr.kind]
-        if isinstance(expr, ResultLit):
-            return Result.One if expr.one else Result.Zero
-        if isinstance(expr, InterpString):
-            return "".join(
-                part if isinstance(part, str) else render_value(self.eval(part, env))
-                for part in expr.parts
-            )
-        if isinstance(expr, Name):
-            return self._eval_name(expr, env)
-        if isinstance(expr, TupleExpr):
-            return tuple(self.eval(item, env) for item in expr.items)
-        if isinstance(expr, ArrayExpr):
-            return [self.eval(item, env) for item in expr.items]
-        if isinstance(expr, RangeExpr):
-            return self._eval_range(expr, env)
-        if isinstance(expr, IndexExpr):
-            return self._eval_index(expr, env)
-        if isinstance(expr, CallExpr):
-            return self._eval_call(expr, env)
-        if isinstance(expr, FunctorExpr):
-            operand = self.eval(expr.operand, env)
-            return operand.adjoint() if expr.functor == "Adjoint" else operand.controlled()
-        if isinstance(expr, UnaryExpr):
-            return self._eval_unary(expr, env)
-        if isinstance(expr, BinaryExpr):
-            return self._eval_binary(expr, env)
-        if isinstance(expr, Hole):
-            raise QdslFailure("'_' cannot be evaluated", expr.span)
-        raise TypeError(f"unknown expression {type(expr).__name__}")
-
-    def _eval_name(self, expr: Name, env: Env) -> Any:
-        binding = expr.binding
-        if binding is None:
-            raise QdslFailure(f"unresolved name '{expr.name}'", expr.span)
-        kind = binding[0]
-        if kind == "local":
-            return env.lookup(binding[1])
-        return Closure(binding[1])
-
-    def _eval_range(self, expr: RangeExpr, env: Env) -> RangeValue:
-        start = self.eval(expr.start, env)
-        step = self.eval(expr.step, env) if expr.step is not None else 1
-        end = self.eval(expr.end, env)
-        if step == 0:
-            raise QdslFailure("a range step cannot be zero", expr.span)
-        return RangeValue(start, step, end)
-
-    def _eval_index(self, expr: IndexExpr, env: Env) -> Any:
-        base = self.eval(expr.base, env)
-        index = self.eval(expr.index, env)
-        if isinstance(index, RangeValue):
-            return [self._index_into(base, i, expr.span) for i in index]
-        return self._index_into(base, index, expr.span)
-
-    @staticmethod
-    def _index_into(base: list, index: int, span: Span) -> Any:
-        if not 0 <= index < len(base):
-            raise QdslFailure(
-                f"index {index} is out of range for an array of length "
-                f"{len(base)}",
-                span,
-            )
-        return base[index]
-
-    def _eval_call(self, expr: CallExpr, env: Env) -> Any:
-        callee = self.eval(expr.callee, env)
-        if not isinstance(callee, Closure):
-            raise QdslFailure("value is not callable", expr.span)
-        if expr.is_partial:
-            if len(expr.args) == 1:
-                shape = self._build_shape(expr.args[0], env)
-            else:
-                shape = (
-                    "tuple",
-                    [self._build_shape(a, env) for a in expr.args],
-                )
-            return callee.partial(shape)
-        if len(expr.args) == 0:
-            arg: Any = UNIT
-        elif len(expr.args) == 1:
-            arg = self.eval(expr.args[0], env)
-        else:
-            arg = tuple(self.eval(a, env) for a in expr.args)
-        try:
-            return self.invoke(callee, arg)
-        except QdslFailure as failure:
-            if failure.span is None:
-                failure.span = expr.span
-            raise
-
-    def _build_shape(self, expr: Expr, env: Env):
-        if isinstance(expr, Hole):
-            return ("hole",)
-        if isinstance(expr, TupleExpr) and _contains_hole(expr):
-            return ("tuple", [self._build_shape(i, env) for i in expr.items])
-        return ("given", self.eval(expr, env))
-
-    def _eval_unary(self, expr: UnaryExpr, env: Env) -> Any:
-        value = self.eval(expr.operand, env)
-        if expr.op == "-":
-            return wrap64(-value) if isinstance(value, int) and not isinstance(value, bool) else -value
-        if expr.op == "!":
-            return not value
-        if expr.op == "~":
-            return wrap64(~value)
-        raise TypeError(f"unknown unary operator {expr.op}")
-
-    def _eval_binary(self, expr: BinaryExpr, env: Env) -> Any:
-        op = expr.op
-        if op == "&&":
-            return bool(self.eval(expr.left, env)) and bool(self.eval(expr.right, env))
-        if op == "||":
-            return bool(self.eval(expr.left, env)) or bool(self.eval(expr.right, env))
-        left = self.eval(expr.left, env)
-        right = self.eval(expr.right, env)
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            if isinstance(left, list):
-                return left + right
-            if isinstance(left, float) or isinstance(right, float):
-                return left + right
-            return wrap64(left + right)
-        if op == "-":
-            if isinstance(left, float) or isinstance(right, float):
-                return left - right
-            return wrap64(left - right)
-        if op == "*":
-            if isinstance(left, float) or isinstance(right, float):
-                return left * right
-            return wrap64(left * right)
-        if op == "/":
-            if isinstance(left, float) or isinstance(right, float):
-                if right == 0.0:
-                    raise QdslFailure("division by zero", expr.span)
-                return left / right
-            return self._int_div(left, right, expr.span)
-        if op == "%":
-            if right == 0:
-                raise QdslFailure("division by zero", expr.span)
-            return wrap64(left - right * self._int_div(left, right, expr.span))
-        if op == "<<":
-            if right < 0:
-                raise QdslFailure("negative shift count", expr.span)
-            return 0 if right >= 64 else wrap64(left << right)
-        if op == ">>":
-            if right < 0:
-                raise QdslFailure("negative shift count", expr.span)
-            return wrap64(left >> min(right, 63))
-        if op == "&":
-            return wrap64(left & right)
-        if op == "|":
-            return wrap64(left | right)
-        if op == "^":
-            return wrap64(left ^ right)
-        raise TypeError(f"unknown binary operator {op}")
-
-    def _int_div(self, a: int, b: int, span: Span) -> int:
-        if b == 0:
-            raise QdslFailure("division by zero", span)
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return wrap64(q)
-
     # ── Helpers used by intrinsic handlers ───────────────────────────────
 
     def apply_gate(
@@ -669,21 +271,28 @@ class Interpreter:
         self.trace(f"gate {prefix}{display} q{target.id}{suffix}")
 
 
-def _contains_hole(expr: Expr) -> bool:
-    if isinstance(expr, Hole):
-        return True
-    if isinstance(expr, TupleExpr):
-        return any(_contains_hole(i) for i in expr.items)
-    return False
+_SPEC_KINDS = (
+    (SpecKind.BODY, SpecKind.ADJOINT),
+    (SpecKind.CONTROLLED, SpecKind.CONTROLLED_ADJOINT),
+)
 
 
-def _reachable_qubits(env: Env) -> set[int]:
-    """Qubit ids reachable from any binding in the current frame."""
-    out: set[int] = set()
-    for scope in env.scopes:
-        for value in scope.values():
-            _collect_qubits(value, out)
-    return out
+def _specialization(
+    sym: CallableSymbol, adjoint: bool, controls: list[QubitRef]
+) -> Callable:
+    """The compiled body for this functor combination, compiled on first use."""
+    specs = sym.specializations
+    entry = specs.get(_SPEC_KINDS[bool(controls)][adjoint])
+    if entry is not None and entry.impl is SpecImpl.SELF:  # adjoint self
+        entry = specs.get(_SPEC_KINDS[bool(controls)][False])
+    if entry is None or entry.block is None:
+        raise QdslFailure(
+            f"'{sym.qualified}' has no executable specialization for "
+            f"adjoint={adjoint}, controlled={bool(controls)}"
+        )
+    if entry.compiled is None:
+        entry.compiled = _Compiler().specialization(sym, entry)
+    return entry.compiled
 
 
 def _collect_qubits(value: Any, out: set[int]) -> None:
@@ -693,20 +302,402 @@ def _collect_qubits(value: Any, out: set[int]) -> None:
         for item in value:
             _collect_qubits(item, out)
     elif isinstance(value, Closure):
-        for wrapper in value.wrappers:
-            if wrapper[0] == "partial":
-                _collect_shape_qubits(wrapper[1], out)
+        _collect_qubits(value.wrappers, out)  # values given to partial applications
 
 
-def _collect_shape_qubits(shape, out: set[int]) -> None:
-    if shape[0] == "given":
-        _collect_qubits(shape[1], out)
-    elif shape[0] == "tuple":
-        for child in shape[1]:
-            _collect_shape_qubits(child, out)
+# ── Closure compiler ─────────────────────────────────────────────────────────
+
+Code = Callable[[Interpreter, list], Any]
+
+
+def _const(value: Any) -> Code:
+    return lambda interp, frame: value
+
+
+def _tuple(items: list[Code]) -> Code:
+    return lambda interp, frame: tuple([item(interp, frame) for item in items])
+
+
+def _store(slot: int, value: Code) -> Code:
+    def store(interp, frame):
+        frame[slot] = value(interp, frame)
+    return store
+
+
+class _Compiler:
+    """Compiles one specialization body into closures over a slot frame.
+
+    There is one method per AST node class, named after it. Every binding
+    site gets its own frame slot, and the scope stack maps the names in scope
+    to their slots the way the checker scopes them, so a slot of a finished
+    block is never read.
+    """
+
+    def __init__(self) -> None:
+        self.scopes: list[dict[str, int]] = [{}]
+        self.size = 0
+
+    def specialization(self, sym: CallableSymbol, entry) -> Callable:
+        ctl_slot = None if entry.ctl_param is None else self._define(entry.ctl_param)
+        bind = None if sym.decl is None else self._binder(sym.decl.params)
+        body = self._sequence(entry.block.stmts)
+        size = self.size
+
+        def run(interp: Interpreter, arg: Any, controls: list[QubitRef]) -> Any:
+            frame = [None] * size
+            if ctl_slot is not None:
+                frame[ctl_slot] = list(controls)
+            if bind is not None:
+                bind(frame, arg)
+            value = body(interp, frame)
+            return UNIT if value is None else value
+        return run
+
+    def _define(self, name: str) -> int:
+        slot = self.size
+        self.size += 1
+        self.scopes[-1][name] = slot
+        return slot
+
+    def _lookup(self, name: str) -> int:
+        return next(scope[name] for scope in reversed(self.scopes) if name in scope)
+
+    def _binder(self, node) -> Callable[[list, Any], None]:
+        """Stores a value into the slots of a pattern or parameter tuple."""
+        if isinstance(node, (NamePattern, ParamLeaf)):
+            slot = self._define(node.name)
+            return lambda frame, value: operator.setitem(frame, slot, value)
+        if isinstance(node, ParamTuple) and len(node.items) == 1:
+            return self._binder(node.items[0])  # takes the whole argument
+        parts = [self._binder(item) for item in node.items]
+
+        def bind_all(frame, value):
+            for part, item in zip(parts, value):
+                part(frame, item)
+        return bind_all
+
+    # ── Statements ───────────────────────────────────────────────────────
+
+    def _compile(self, node) -> Code:
+        return getattr(self, "_" + type(node).__name__)(node)
+
+    def _block(self, block: Block) -> Code:
+        self.scopes.append({})
+        code = self._sequence(block.stmts)
+        self.scopes.pop()
+        return code
+
+    def _sequence(self, stmts: list[Stmt]) -> Code:
+        codes = [self._compile(stmt) for stmt in stmts]
+        if len(codes) == 1:
+            return codes[0]
+
+        def sequence(interp, frame):
+            for code in codes:
+                if (value := code(interp, frame)) is not None:
+                    return value
+        return sequence
+
+    def _LetStmt(self, stmt) -> Code:
+        value = self._compile(stmt.value)
+        if isinstance(stmt.pattern, NamePattern):
+            return _store(self._define(stmt.pattern.name), value)
+        bind = self._binder(stmt.pattern)
+        return lambda interp, frame: bind(frame, value(interp, frame))
+
+    def _MutableStmt(self, stmt) -> Code:
+        value = self._compile(stmt.value)
+        return _store(self._define(stmt.name), value)
+
+    def _SetStmt(self, stmt) -> Code:
+        return _store(self._lookup(stmt.name), self._compile(stmt.value))
+
+    def _IfStmt(self, stmt) -> Code:
+        branches = [(self._compile(c), self._block(b)) for c, b in stmt.branches]
+        orelse = None if stmt.else_block is None else self._block(stmt.else_block)
+
+        def if_(interp, frame):
+            for condition, block in branches:
+                if condition(interp, frame):
+                    return block(interp, frame)
+            if orelse is not None:
+                return orelse(interp, frame)
+        return if_
+
+    def _ForStmt(self, stmt) -> Code:
+        iterable = self._compile(stmt.iterable)
+        self.scopes.append({})
+        slot = self._define(stmt.var)
+        body = self._sequence(stmt.body.stmts)
+        self.scopes.pop()
+
+        def for_(interp, frame):
+            for item in iterable(interp, frame):
+                frame[slot] = item
+                if (value := body(interp, frame)) is not None:
+                    return value
+        return for_
+
+    def _RepeatStmt(self, stmt) -> Code:
+        # Bindings made in the body stay visible to the condition and fixup.
+        self.scopes.append({})
+        body = self._sequence(stmt.body.stmts)
+        condition = self._compile(stmt.condition)
+        fixup = self._block(stmt.fixup)
+        self.scopes.pop()
+        span = stmt.span
+
+        def repeat(interp, frame):
+            limit = interp.options.max_iterations
+            for _ in range(limit):
+                if (value := body(interp, frame)) is not None:
+                    return value
+                if condition(interp, frame):
+                    return None
+                if (value := fixup(interp, frame)) is not None:
+                    return value
+            raise QdslFailure(f"repeat block exceeded {limit} iterations", span)
+        return repeat
+
+    def _ReturnStmt(self, stmt) -> Code:
+        # An expression never evaluates to None, so it is its own return.
+        return self._compile(stmt.value)
+
+    def _FailStmt(self, stmt) -> Code:
+        message, span = self._compile(stmt.message), stmt.span
+        return lambda interp, frame: interp.fail(str(message(interp, frame)), span)
+
+    def _ExprStmt(self, stmt) -> Code:
+        expr = self._compile(stmt.expr)
+
+        def discard(interp, frame):
+            expr(interp, frame)
+        return discard
+
+    def _AllocateStmt(self, stmt) -> Code:
+        count = None if stmt.count is None else self._compile(stmt.count)
+        # Borrowing skips the qubits reachable from the bindings in scope here.
+        visible = [slot for scope in self.scopes for slot in scope.values()]
+        self.scopes.append({})
+        slot = self._define(stmt.name)
+        body = self._sequence(stmt.body.stmts)
+        self.scopes.pop()
+        span, borrowing = stmt.span, stmt.borrowing
+        count_span = None if stmt.count is None else stmt.count.span
+
+        def allocate(interp, frame):
+            n = 1
+            if count is not None:
+                n = count(interp, frame)
+                if n < 0:
+                    raise QdslFailure(f"cannot allocate {n} qubits", count_span)
+            if borrowing:
+                refs, fresh = interp._borrow(n, [frame[s] for s in visible], span)
+            else:
+                refs = fresh = [interp._allocate_one(span) for _ in range(n)]
+                if fresh:
+                    interp.trace("allocate " + " ".join(f"q{r.id}" for r in fresh))
+            frame[slot] = refs if count is not None else refs[0]
+            return interp._hold(fresh, body, frame, span)
+        return allocate
+
+    # ── Expressions ──────────────────────────────────────────────────────
+
+    def _literal(self, expr) -> Code:
+        return _const(expr.value)
+
+    _IntLit = _DoubleLit = _BoolLit = _StringLit = _literal
+
+    def _PauliLit(self, expr) -> Code:
+        return _const(Pauli[expr.kind.name])
+
+    def _ResultLit(self, expr) -> Code:
+        return _const(Result.One if expr.one else Result.Zero)
+
+    def _InterpString(self, expr) -> Code:
+        parts = [_const(p) if isinstance(p, str) else self._compile(p) for p in expr.parts]
+        return lambda interp, frame: "".join([render_value(p(interp, frame)) for p in parts])
+
+    def _Name(self, expr) -> Code:
+        binding = expr.binding
+        if binding is None:
+            message, span = f"unresolved name '{expr.name}'", expr.span
+            return lambda interp, frame: interp.fail(message, span)
+        if binding[0] == "local":
+            slot = self._lookup(binding[1])
+            return lambda interp, frame: frame[slot]
+        return _const(Closure(binding[1]))
+
+    def _Hole(self, expr) -> Code:
+        span = expr.span
+        return lambda interp, frame: interp.fail("'_' cannot be evaluated", span)
+
+    def _TupleExpr(self, expr) -> Code:
+        return _tuple([self._compile(item) for item in expr.items])
+
+    def _ArrayExpr(self, expr) -> Code:
+        items = [self._compile(item) for item in expr.items]
+        return lambda interp, frame: [item(interp, frame) for item in items]
+
+    def _RangeExpr(self, expr) -> Code:
+        start, end, span = self._compile(expr.start), self._compile(expr.end), expr.span
+        step = _const(1) if expr.step is None else self._compile(expr.step)
+
+        def range_(interp, frame):
+            first, by, last = start(interp, frame), step(interp, frame), end(interp, frame)
+            if by == 0:
+                raise QdslFailure("a range step cannot be zero", span)
+            return RangeValue(first, by, last)
+        return range_
+
+    def _IndexExpr(self, expr) -> Code:
+        base, index, span = self._compile(expr.base), self._compile(expr.index), expr.span
+
+        def index_(interp, frame):
+            array, at = base(interp, frame), index(interp, frame)
+            if isinstance(at, RangeValue):
+                return [_index_into(array, i, span) for i in at]
+            return _index_into(array, at, span)
+        return index_
+
+    def _CallExpr(self, expr) -> Code:
+        callee, span = self._compile(expr.callee), expr.span
+        if expr.is_partial:
+            args = expr.args
+            shape = self._shape(args[0] if len(args) == 1 else TupleExpr(span, items=args))
+
+            def partial(interp, frame):
+                target = callee(interp, frame)
+                if not isinstance(target, Closure):
+                    raise QdslFailure("value is not callable", span)
+                return target.partial(shape(interp, frame))
+            return partial
+        args = [self._compile(a) for a in expr.args]
+        arg = _tuple(args) if len(args) > 1 else args[0] if args else _const(UNIT)
+
+        def call(interp, frame):
+            target = callee(interp, frame)
+            if not isinstance(target, Closure):
+                raise QdslFailure("value is not callable", span)
+            value = arg(interp, frame)
+            try:
+                return interp.invoke(target, value)
+            except QdslFailure as failure:
+                if failure.span is None:
+                    failure.span = span
+                raise
+        return call
+
+    def _shape(self, expr: Expr) -> Code:
+        """Partial-application shape of an argument, with given values evaluated."""
+        if isinstance(expr, Hole):
+            return _const(("hole",))
+        if isinstance(expr, TupleExpr) and _contains_hole(expr):
+            items = [self._shape(item) for item in expr.items]
+            return lambda interp, frame: ("tuple", [i(interp, frame) for i in items])
+        value = self._compile(expr)
+        return lambda interp, frame: ("given", value(interp, frame))
+
+    def _FunctorExpr(self, expr) -> Code:
+        operand = self._compile(expr.operand)
+        if expr.functor == "Adjoint":
+            return lambda interp, frame: operand(interp, frame).adjoint()
+        return lambda interp, frame: operand(interp, frame).controlled()
+
+    def _UnaryExpr(self, expr) -> Code:
+        operand, apply = self._compile(expr.operand), _UNARY[expr.op]
+        return lambda interp, frame: apply(operand(interp, frame))
+
+    def _BinaryExpr(self, expr) -> Code:
+        op, left, right = expr.op, self._compile(expr.left), self._compile(expr.right)
+        if op == "&&":
+            return lambda interp, frame: left(interp, frame) and right(interp, frame)
+        if op == "||":
+            return lambda interp, frame: left(interp, frame) or right(interp, frame)
+        if op in _COMPARISONS:
+            compare = _COMPARISONS[op]
+            return lambda interp, frame: compare(left(interp, frame), right(interp, frame))
+        apply, span = _ARITHMETIC[op], expr.span
+        return lambda interp, frame: apply(left(interp, frame), right(interp, frame), span)
+
+
+def _contains_hole(expr: Expr) -> bool:
+    if isinstance(expr, Hole):
+        return True
+    if isinstance(expr, TupleExpr):
+        return any(_contains_hole(i) for i in expr.items)
+    return False
+
+
+def _index_into(array: list, index: int, span: Span) -> Any:
+    if not 0 <= index < len(array):
+        raise QdslFailure(
+            f"index {index} is out of range for an array of length {len(array)}",
+            span,
+        )
+    return array[index]
+
+
+# ── Operators ────────────────────────────────────────────────────────────────
+
+
+def _num(left, right, value):
+    """Double arithmetic stays as it is; Int arithmetic wraps to 64 bits."""
+    if isinstance(left, float) or isinstance(right, float):
+        return value
+    return wrap64(value)
+
+
+def _int_div(a: int, b: int, span: Span) -> int:
+    if b == 0:
+        raise QdslFailure("division by zero", span)
+    q = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        q = -q
+    return wrap64(q)
+
+
+def _divide(left, right, span):
+    if isinstance(left, float) or isinstance(right, float):
+        if right == 0.0:
+            raise QdslFailure("division by zero", span)
+        return left / right
+    return _int_div(left, right, span)
+
+
+def _shift(count: int, span: Span) -> int:
+    if count < 0:
+        raise QdslFailure("negative shift count", span)
+    return count
+
+
+_UNARY = {
+    "-": lambda v: -v if isinstance(v, float) else wrap64(-v),
+    "!": operator.not_,
+    "~": lambda v: wrap64(~v),
+}
+_COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITHMETIC = {
+    "+": lambda a, b, span: a + b if isinstance(a, list) else _num(a, b, a + b),
+    "-": lambda a, b, span: _num(a, b, a - b),
+    "*": lambda a, b, span: _num(a, b, a * b),
+    "/": _divide,
+    "%": lambda a, b, span: wrap64(a - b * _int_div(a, b, span)),
+    "<<": lambda a, b, span: 0 if _shift(b, span) >= 64 else wrap64(a << b),
+    ">>": lambda a, b, span: wrap64(a >> min(_shift(b, span), 63)),
+    "&": lambda a, b, span: wrap64(a & b),
+    "|": lambda a, b, span: wrap64(a | b),
+    "^": lambda a, b, span: wrap64(a ^ b),
+}
 
 
 # ── Shot driver ──────────────────────────────────────────────────────────────
+
+# Python frames one qdsl call may use (call, invoke, body, statements and the
+# expressions around it), and a ceiling for Python's recursion limit.
+_FRAMES_PER_CALL = 16
+_MAX_PYTHON_DEPTH = 200_000
 
 
 def run_shots(
@@ -717,13 +708,21 @@ def run_shots(
     options: RunOptions,
     trace: Optional[Callable[[int, str], None]] = None,
 ) -> list[ShotResult]:
-    results = []
-    for shot in range(shots):
-        rng = random.Random(seed ^ shot) if seed is not None else random.Random()
-        shot_trace = (lambda line, s=shot: trace(s, line)) if trace else None
-        interp = Interpreter(intrinsics, options, rng, shot_trace)
-        value = interp.run(entry)
-        results.append(
-            ShotResult(value, interp.messages, interp.stats, interp.state_dumps)
-        )
-    return results
+    # Python's recursion limit is raised for the run so that the qdsl call
+    # depth limit, not Python's, is the one a recursive program meets.
+    previous = sys.getrecursionlimit()
+    needed = previous + options.recursion_limit * _FRAMES_PER_CALL
+    sys.setrecursionlimit(max(previous, min(needed, _MAX_PYTHON_DEPTH)))
+    try:
+        results = []
+        for shot in range(shots):
+            rng = random.Random(seed ^ shot) if seed is not None else random.Random()
+            shot_trace = (lambda line, s=shot: trace(s, line)) if trace else None
+            interp = Interpreter(intrinsics, options, rng, shot_trace)
+            value = interp.run(entry)
+            results.append(
+                ShotResult(value, interp.messages, interp.stats, interp.state_dumps)
+            )
+        return results
+    finally:
+        sys.setrecursionlimit(previous)

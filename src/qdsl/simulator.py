@@ -84,8 +84,14 @@ _ONE = slice(1, 2)
 
 @functools.lru_cache(maxsize=1024)
 def r1frac_matrix(numerator: int, power: int) -> np.ndarray:
-    """Phase gate diag(1, exp(i pi numerator / 2^power)), shared read-only."""
-    phase = np.exp(1j * math.pi * numerator / float(2**power))
+    """Phase gate diag(1, exp(i pi numerator / 2^power)), shared read-only.
+
+    ldexp scales by 2^-power bit for bit as a division by 2^power does, and a
+    large power underflows to the phase 1 instead of overflowing. For a
+    negative power the angle is a multiple of 2 pi.
+    """
+    angle = math.ldexp(math.pi * numerator, -power) if power >= 0 else 0.0
+    phase = np.exp(1j * angle)
     return _frozen([[1, 0], [0, phase]])
 
 

@@ -16,9 +16,6 @@ class Span:
     def union(self, other: Span) -> Span:
         return Span(min(self.start, other.start), max(self.end, other.end))
 
-    def contains(self, other: Span) -> bool:
-        return self.start <= other.start and other.end <= self.end
-
     @property
     def empty(self) -> bool:
         return self.end <= self.start
@@ -51,14 +48,6 @@ class SourceFile:
         offset = max(0, min(offset, len(self.text)))
         line = bisect.bisect_right(starts, offset) - 1
         return line + 1, offset - starts[line] + 1
-
-    def line_text(self, line: int) -> str:
-        starts = self._starts()
-        if not 1 <= line <= len(starts):
-            return ""
-        begin = starts[line - 1]
-        end = starts[line] - 1 if line < len(starts) else len(self.text)
-        return self.text[begin:end]
 
     def snippet(self, span: Span) -> str:
         return self.text[span.start : span.end]

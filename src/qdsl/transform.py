@@ -27,8 +27,8 @@ miscompiled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from . import diagnostics as diag
 from . import types as ty
@@ -71,6 +71,8 @@ class SpecEntry:
     block: Optional[Block]  # None for self/intrinsic entries
     ctl_param: Optional[str] = None
     generated: bool = False
+    # The runtime's closure-compiled body, built on the first invocation.
+    compiled: Optional[Callable] = field(default=None, repr=False, compare=False)
 
 
 class TransformError(Exception):

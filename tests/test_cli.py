@@ -408,6 +408,55 @@ namespace Demo {
     assert "iterations" in proc.stderr
 
 
+def test_huge_r1frac_power_runs_without_a_traceback(tmp_path):
+    path = tmp_path / "tiny_phase.qds"
+    path.write_text("""
+namespace Demo {
+    open Microsoft.Quantum.Primitive;
+    operation Main () : Result {
+        body {
+            mutable r = Zero;
+            using (q = Qubit()) {
+                H(q);
+                R1Frac(1, 2000, q);
+                H(q);
+                set r = Measure([PauliZ], [q]);
+            }
+            return r;
+        }
+    }
+}""")
+    proc = qdsl("run", "--shots", "20", "--seed", "1", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Zero: 20" in proc.stdout  # the phase is 1, so H undoes H
+
+
+def test_documented_call_depth_runs_in_a_fresh_process(tmp_path):
+    # Main plus Down(998) .. Down(0) nest exactly 1000 calls, the default
+    # limit; one more call fails with exit 3 and a message.
+    source = """
+namespace Demo {{
+    function Down (n : Int) : Int {{
+        if (n == 0) {{ return 0; }}
+        return 1 + Down(n - 1);
+    }}
+    operation Main () : Int {{
+        body {{ return Down({}); }}
+    }}
+}}"""
+    path = tmp_path / "deep.qds"
+    path.write_text(source.format(998))
+    proc = qdsl("run", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "998" in proc.stdout
+    path.write_text(source.format(999))
+    proc = qdsl("run", str(path))
+    assert proc.returncode == 3
+    assert "call depth exceeded the limit of 1000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_elide_diagnostics_flag(tmp_path):
     path = tmp_path / "asserting.qds"
     path.write_text("""

@@ -108,6 +108,24 @@ def test_r1frac_general_angle():
     assert abs(m[1, 1] - cmath.exp(1j * math.pi * 5 / 16)) <= 1e-12
 
 
+def test_r1frac_matches_the_division_formula_bit_for_bit():
+    # Seeded runs must not move: for powers 0-60 the phase is the one the
+    # former formula computed by dividing by float(2**power).
+    numerators = [0, 1, -1, 2, 3, -7, 5, 1023, -4096, 123456789, 2**53 + 1, -(2**63)]
+    for power in range(61):
+        for numerator in numerators:
+            old = np.exp(1j * math.pi * numerator / float(2**power))
+            assert r1frac_matrix(numerator, power)[1, 1] == old, (numerator, power)
+
+
+@pytest.mark.parametrize("power", [1100, 2000, 2**63 - 1, -1, -2000, -(2**63)])
+def test_r1frac_extreme_powers_give_the_exact_phase(power):
+    # A tiny angle rounds to the phase 1; a negative power makes the angle
+    # an even multiple of pi.
+    m = r1frac_matrix(3, power)
+    assert m[1, 1] == 1.0
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_cached_adjoints_match_conjugate_transpose(name):
     assert np.max(np.abs(GATE_ADJOINTS[name] - FROZEN[name].conj().T)) <= 1e-12
