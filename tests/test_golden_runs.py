@@ -12,6 +12,10 @@ Results, histogram, messages and the exit code must match exactly. Dumped
 amplitudes must match within 1e-12: a kernel that adds in another order may
 round differently in the last bit or turn 0.0 into -0.0.
 
+The full text output of `qdsl trace --shots 3 --seed 1` for the programs in
+`TRACE_CASES` is pinned byte for byte in `tests/golden/traces/`: every gate,
+allocation, borrow, release, measurement and message line.
+
 Regenerate the files only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden_runs.py
@@ -57,6 +61,16 @@ CASES = {
         os.path.join(GOLDEN, "programs", "pauli_mix.qds"), ["--permissive-release"]
     ),
 }
+
+
+# case name -> (source path, extra CLI arguments) for `qdsl trace`
+TRACE_CASES = {
+    "borrowing": CASES["borrowing"],
+    "interp_message": CASES["interp_message"],
+    "pauli_mix": CASES["pauli_mix"],
+    "borrow_topup": (os.path.join(GOLDEN, "programs", "borrow_topup.qds"), []),
+}
+TRACE_ARGS = ["--shots", "3", "--seed", "1"]
 
 
 def _variant(seed: int, dump: bool) -> str:
@@ -112,6 +126,26 @@ def test_seeded_run_matches_golden(name, seed, dump):
                 assert abs(complex(gr, gi) - complex(wr, wi)) <= AMPLITUDE_TOLERANCE
 
 
+def run_trace(name: str) -> str:
+    """`qdsl trace` of one case in process: its exit code line, then stdout."""
+    path, extra = TRACE_CASES[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["trace", path, *TRACE_ARGS, *extra])
+    return f"exit {code}\n" + out.getvalue()
+
+
+def _trace_path(name: str) -> str:
+    return os.path.join(GOLDEN, "traces", f"{name}.txt")
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_seeded_trace_matches_golden(name):
+    with open(_trace_path(name), encoding="utf-8") as handle:
+        expected = handle.read()
+    assert run_trace(name) == expected
+
+
 def test_every_runnable_accept_file_is_pinned():
     """A new accept file with a `Main` must get a golden case too."""
     pinned = {os.path.basename(path) for path, _ in CASES.values()}
@@ -139,6 +173,10 @@ def regenerate() -> None:
             for seed in SEEDS
             for dump in (False, True)
         })
+    os.makedirs(os.path.join(GOLDEN, "traces"), exist_ok=True)
+    for name in sorted(TRACE_CASES):
+        with open(_trace_path(name), "w", encoding="utf-8") as handle:
+            handle.write(run_trace(name))
 
 
 if __name__ == "__main__":
