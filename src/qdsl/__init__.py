@@ -3,8 +3,10 @@
 The package compiles namespaced source files (operations with adjoint and
 controlled specializations, functions, newtypes, generics) against a bundled
 prelude, and executes them on a dense state-vector simulator with strict
-qubit accounting.
+qubit accounting. Compiling and checking never load the simulator or numpy.
 """
+
+from importlib import import_module
 
 from .compiler import (
     CompileResult,
@@ -15,15 +17,27 @@ from .compiler import (
     wrap_statement_snippet,
 )
 from .diagnostics import Diagnostic, Severity
-from .runtime import (
-    Interpreter,
-    QdslFailure,
-    RunOptions,
-    RunStats,
-    ShotResult,
-    run_shots,
-)
-from .simulator import SimulationError, StateVectorSimulator
+
+# The runtime and the simulator (and with it numpy) load on first access
+# (PEP 562), so importing the package to compile or check never loads them.
+_LAZY = {
+    "Interpreter": "runtime",
+    "QdslFailure": "runtime",
+    "RunOptions": "runtime",
+    "RunStats": "runtime",
+    "ShotResult": "runtime",
+    "run_shots": "runtime",
+    "SimulationError": "simulator",
+    "StateVectorSimulator": "simulator",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 __version__ = "0.1.0"
 

@@ -25,7 +25,6 @@ from .ast_nodes import SpecDecl, SpecImpl
 from .compiler import CompileResult, compile_units, resolve_entry
 from .prelude import intrinsic_handlers, prelude_units
 from .pretty import pretty_print
-from .runtime import QdslFailure, RunOptions, run_shots
 from .source import SourceFile
 from .values import render_value
 
@@ -177,13 +176,15 @@ def _emit_specializations(result: CompileResult) -> None:
             print(pretty_print(decl))
 
 
-def _run_options(args) -> RunOptions:
+def _run_options(args):
     max_qubits = args.max_qubits
     if max_qubits is None:
         max_qubits = _env_int("MAX_QUBITS", 24)
     max_iterations = args.max_iterations
     if max_iterations is None:
         max_iterations = _env_int("MAX_ITERATIONS", 1_000_000)
+    from .runtime import RunOptions
+
     return RunOptions(
         strict_release=args.strict_release,
         elide_diagnostics=args.elide_diagnostics,
@@ -240,14 +241,16 @@ def _cmd_run(args, tracing: bool) -> int:
     if seed is None:
         seed = _env_int("SEED", None)
 
+    options = _run_options(args)
+    # The runtime, and numpy with it, loads only once a program is ready to run.
+    from .runtime import QdslFailure, run_shots
+
     trace_cb = None
     if tracing:
         trace_cb = lambda shot, line: print(f"[{shot}] {line}")
 
     try:
-        outcomes = run_shots(
-            intrinsic_handlers(), entry, shots, seed, _run_options(args), trace_cb
-        )
+        outcomes = run_shots(intrinsic_handlers(), entry, shots, seed, options, trace_cb)
     except QdslFailure as failure:
         print(f"runtime error: {failure.message}", file=sys.stderr)
         return EXIT_RUNTIME

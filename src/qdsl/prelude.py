@@ -14,7 +14,6 @@ from typing import Any
 
 from . import types as ty
 from .checker import CallableSymbol, SymbolTable
-from .simulator import GATE_ADJOINTS, GATE_MATRICES, SimulationError, r1frac_matrix
 from .values import Pauli, QubitRef, RangeValue, Result, UNIT
 
 PRIMITIVE_NAMESPACE = "Microsoft.Quantum.Primitive"
@@ -95,10 +94,7 @@ def seed_table(table: SymbolTable) -> None:
 # ── Handlers ─────────────────────────────────────────────────────────────────
 
 
-def _gate_handler(name: str):
-    matrix = GATE_MATRICES[name]
-    adjoint_matrix = GATE_ADJOINTS[name]
-
+def _gate_handler(name: str, matrix, adjoint_matrix):
     def handler(interp, arg, adjoint, controls):
         interp.apply_gate(
             name, adjoint_matrix if adjoint else matrix, arg, adjoint, controls
@@ -108,13 +104,18 @@ def _gate_handler(name: str):
     return handler
 
 
-def _r1frac(interp, arg, adjoint, controls):
-    numerator, power, target = arg
-    if adjoint:
-        numerator = -numerator
-    matrix = r1frac_matrix(numerator, power)
-    interp.apply_gate(f"R1Frac({numerator},{power})", matrix, target, False, controls)
-    return UNIT
+def _r1frac_handler(r1frac_matrix):
+    def r1frac(interp, arg, adjoint, controls):
+        numerator, power, target = arg
+        if adjoint:
+            numerator = -numerator
+        matrix = r1frac_matrix(numerator, power)
+        interp.apply_gate(
+            f"R1Frac({numerator},{power})", matrix, target, False, controls
+        )
+        return UNIT
+
+    return r1frac
 
 
 def _measurement_args(interp, bases, qubits):
@@ -133,15 +134,12 @@ def _measure(interp, arg, adjoint, controls):
         # The identity has the whole space as its +1 eigenspace.
         outcome = Result.Zero
     else:
-        try:
-            bit = interp.simulator.measure(letters, ids, interp.rng)
-        except SimulationError as exc:
-            interp.fail(str(exc))
-        outcome = Result.One if bit else Result.Zero
+        outcome = Result.One if interp.measure(letters, ids) else Result.Zero
     interp.stats.measurements += 1
-    basis_text = " ".join(letters) or "-"
-    target_text = " ".join(f"q{q}" for q in ids) or "-"
-    interp.trace(f"measure [{basis_text}] [{target_text}] -> {outcome.name}")
+    if interp.trace is not None:
+        basis_text = " ".join(letters) or "-"
+        target_text = " ".join(f"q{q}" for q in ids) or "-"
+        interp.trace(f"measure [{basis_text}] [{target_text}] -> {outcome.name}")
     return outcome
 
 
@@ -149,10 +147,7 @@ def _probe(interp, bases, qubits) -> float:
     letters, ids = _measurement_args(interp, bases, qubits)
     if all(letter == "I" for letter in letters):
         return 1.0
-    try:
-        return interp.simulator.probe_zero_probability(letters, ids)
-    except SimulationError as exc:
-        interp.fail(str(exc))
+    return interp.probe(letters, ids)
 
 
 def _snap(probability: float) -> float:
@@ -191,7 +186,8 @@ def _assert_prob(interp, arg, adjoint, controls):
 
 def _message(interp, arg, adjoint, controls):
     interp.messages.append(arg)
-    interp.trace(f"message {arg}")
+    if interp.trace is not None:
+        interp.trace(f"message {arg}")
     return UNIT
 
 
@@ -215,12 +211,17 @@ def _updated(interp, arg, adjoint, controls):
 
 
 def intrinsic_handlers() -> dict[str, Any]:
+    # The simulator, and numpy with it, loads here and not with this module,
+    # so compiling a program never loads it.
+    from .simulator import GATE_ADJOINTS, GATE_MATRICES, r1frac_matrix
+
     handlers: dict[str, Any] = {
-        name: _gate_handler(name) for name in ("H", "X", "Y", "Z", "I", "T")
+        name: _gate_handler(name, GATE_MATRICES[name], GATE_ADJOINTS[name])
+        for name in ("H", "X", "Y", "Z", "I", "T")
     }
     handlers.update(
         {
-            "R1Frac": _r1frac,
+            "R1Frac": _r1frac_handler(r1frac_matrix),
             "Measure": _measure,
             "Assert": _assert,
             "AssertProb": _assert_prob,

@@ -132,7 +132,7 @@ class Interpreter:
         self.stats = RunStats()
         self.messages: list[str] = []
         self.state_dumps: list = []
-        self._trace = trace
+        self.trace = trace  # called with each event line, or None
         self._depth = 0
         self._alloc_depth = 0
 
@@ -147,10 +147,6 @@ class Interpreter:
 
     def fail(self, message: str, span: Optional[Span] = None, file: str = "") -> None:
         raise QdslFailure(message, span, file)
-
-    def trace(self, line: str) -> None:
-        if self._trace is not None:
-            self._trace(line)
 
     # ── Invocation ───────────────────────────────────────────────────────
 
@@ -201,7 +197,7 @@ class Interpreter:
         fresh = [self._allocate_one(span) for _ in range(n - len(candidates))]
         self.stats.borrowed_existing += len(candidates)
         self.stats.borrowed_fresh += len(fresh)
-        if candidates or fresh:
+        if self.trace is not None and (candidates or fresh):
             borrowed = " ".join(f"q{q}" for q in candidates) or "-"
             extra = "".join(f" +q{r.id}" for r in fresh)
             self.trace(f"borrow {borrowed}{extra}")
@@ -248,7 +244,8 @@ class Interpreter:
                 self.stats.resets_on_release += 1
             self.ledger.release(ref.id)
             self.stats.releases += 1
-            self.trace(f"release q{ref.id}")
+            if self.trace is not None:
+                self.trace(f"release q{ref.id}")
 
     # ── Helpers used by intrinsic handlers ───────────────────────────────
 
@@ -266,9 +263,25 @@ class Interpreter:
         except SimulationError as exc:
             raise QdslFailure(str(exc)) from None
         self.stats.gates += 1
-        suffix = f" ctl[{' '.join(f'q{c.id}' for c in controls)}]" if controls else ""
-        prefix = "Adjoint " if adjoint else ""
-        self.trace(f"gate {prefix}{display} q{target.id}{suffix}")
+        if self.trace is not None:
+            ctl = " ".join(f"q{c.id}" for c in controls)
+            suffix = f" ctl[{ctl}]" if controls else ""
+            prefix = "Adjoint " if adjoint else ""
+            self.trace(f"gate {prefix}{display} q{target.id}{suffix}")
+
+    def measure(self, bases: list[str], ids: list[int]) -> int:
+        """Measure the Pauli product; a simulator error becomes a failure."""
+        try:
+            return self.simulator.measure(bases, ids, self.rng)
+        except SimulationError as exc:
+            raise QdslFailure(str(exc)) from None
+
+    def probe(self, bases: list[str], ids: list[int]) -> float:
+        """The probability that measuring the Pauli product gives Zero."""
+        try:
+            return self.simulator.probe_zero_probability(bases, ids)
+        except SimulationError as exc:
+            raise QdslFailure(str(exc)) from None
 
 
 _SPEC_KINDS = (
@@ -430,12 +443,17 @@ class _Compiler:
         slot = self._define(stmt.var)
         body = self._sequence(stmt.body.stmts)
         self.scopes.pop()
+        span = stmt.span
 
         def for_(interp, frame):
-            for item in iterable(interp, frame):
+            limit = interp.options.max_iterations
+            items = iter(iterable(interp, frame))
+            for _, item in zip(range(limit), items):
                 frame[slot] = item
                 if (value := body(interp, frame)) is not None:
                     return value
+            if next(items, None) is not None:
+                raise QdslFailure(f"for loop exceeded {limit} iterations", span)
         return for_
 
     def _RepeatStmt(self, stmt) -> Code:
@@ -495,7 +513,7 @@ class _Compiler:
                 refs, fresh = interp._borrow(n, [frame[s] for s in visible], span)
             else:
                 refs = fresh = [interp._allocate_one(span) for _ in range(n)]
-                if fresh:
+                if fresh and interp.trace is not None:
                     interp.trace("allocate " + " ".join(f"q{r.id}" for r in fresh))
             frame[slot] = refs if count is not None else refs[0]
             return interp._hold(fresh, body, frame, span)

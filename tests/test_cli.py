@@ -100,6 +100,15 @@ def test_check_reports_diagnostics_with_positions(bad_file):
     assert "[type-mismatch]" in proc.stderr
 
 
+def test_check_diagnostic_line_format(bad_file):
+    """README documents this exact form: file:line:col: severity: message [code]."""
+    proc = qdsl("check", bad_file)
+    assert proc.stderr == (
+        f"{bad_file}:4:16: error: operator + is not defined for Int and Bool "
+        "[type-mismatch]\n"
+    )
+
+
 def test_check_json_payload(bad_file):
     proc = qdsl("check", "--json", bad_file)
     assert proc.returncode == 1
@@ -406,6 +415,27 @@ namespace Demo {
     proc = qdsl("run", "--max-iterations", "100", str(path))
     assert proc.returncode == 3
     assert "iterations" in proc.stderr
+
+
+@pytest.mark.parametrize("count, code", [(100, 0), (101, 3)])
+def test_max_iterations_bounds_for_loops(tmp_path, count, code):
+    path = tmp_path / "count.qds"
+    path.write_text("""
+namespace Demo {
+    operation Main () : Int {
+        body {
+            mutable n = 0;
+            for (i in 1 .. %d) { set n = n + 1; }
+            return n;
+        }
+    }
+}""" % count)
+    proc = qdsl("run", "--max-iterations", "100", str(path))
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stdout == f"shot 0: {count}\n"
+    else:
+        assert proc.stderr == "runtime error: for loop exceeded 100 iterations\n"
 
 
 def test_huge_r1frac_power_runs_without_a_traceback(tmp_path):

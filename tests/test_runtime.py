@@ -287,6 +287,59 @@ def test_repeat_iteration_limit():
         )
 
 
+FOR_LOOP = """
+namespace T {
+    operation Main () : Int {
+        body {
+            mutable n = 0;
+            for (i in 1 .. COUNT) { set n = n + 1; }
+            return n;
+        }
+    }
+}"""
+
+
+def test_for_loop_runs_exactly_at_the_iteration_limit():
+    [shot] = run_main(FOR_LOOP.replace("COUNT", "50"), max_iterations=50)
+    assert shot.value == 50
+
+
+def test_for_loop_past_the_iteration_limit_fails_at_the_loop():
+    text = FOR_LOOP.replace("COUNT", "51")
+    with pytest.raises(QdslFailure, match="^for loop exceeded 50 iterations$") as info:
+        run_main(text, max_iterations=50)
+    span = info.value.span
+    assert text[span.start:].startswith("for (i in 1 .. 51)")
+
+
+def test_iteration_limit_counts_each_for_loop_on_its_own():
+    [shot] = run_statements("""
+            mutable n = 0;
+            for (i in 1 .. 10) {
+                for (j in 1 .. 10) { set n = n + 1; }
+            }
+            Message($"{n}");
+    """, max_iterations=10)
+    assert shot.messages == ["100"]
+
+
+def test_for_loop_that_returns_before_the_limit_runs():
+    text = """
+namespace T {
+    function FirstAbove (floor : Int) : Int {
+        for (i in 0 .. 1000000000) {
+            if (i > floor) { return i; }
+        }
+        return -1;
+    }
+    operation Main () : Int {
+        body { return FirstAbove(7); }
+    }
+}"""
+    [shot] = run_main(text, max_iterations=10)
+    assert shot.value == 8
+
+
 def test_recursion_limit():
     text = """
 namespace T {
