@@ -68,7 +68,7 @@ class RunOptions:
     strict_release: bool = True
     elide_diagnostics: bool = False
     max_qubits: int = 24
-    max_iterations: int = 1_000_000
+    max_iterations: int = 1_000_000  # per repeat or for loop
     recursion_limit: int = 1000  # qdsl call depth
     dump_state: bool = False  # snapshot before each outermost release
 
