@@ -166,6 +166,34 @@ namespace Demo {
     assert "(Controlled H)(ctls, a);" in proc.stdout
 
 
+def test_emit_specializations_prints_a_self_variant_once(tmp_path):
+    # `controlled adjoint self` runs the generated controlled block; that
+    # block is printed once, as the controlled specialization.
+    path = tmp_path / "mirror.qds"
+    path.write_text("""
+namespace Demo {
+    open Microsoft.Quantum.Primitive;
+    operation Mirror (a : Qubit, b : Qubit) : () {
+        body {
+            CNOT(a, b);
+        }
+        adjoint self
+        controlled auto
+        controlled adjoint self
+    }
+}""")
+    proc = qdsl("check", "--emit-specializations", str(path))
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "ok: 1 file(s) checked\n"
+        "// Demo.Mirror\n"
+        "controlled (ctls) {\n"
+        "    (Controlled CNOT)(ctls, (a, b));\n"
+        "}\n"
+        "\n"
+    )
+
+
 def test_missing_file_is_usage_error(tmp_path):
     proc = qdsl("check", str(tmp_path / "nope.qds"))
     assert proc.returncode == 2

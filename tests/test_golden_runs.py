@@ -16,27 +16,41 @@ The full text output of `qdsl trace --shots 3 --seed 1` for the programs in
 `TRACE_CASES` is pinned byte for byte in `tests/golden/traces/`: every gate,
 allocation, borrow, release, measurement and message line.
 
-Regenerate the files only when an output change is intended:
+`tests/golden/specializations.txt` pins the specialization generator and the
+diagnostics byte for byte: every generated block (with its callable, kind and
+control register name) of the prelude and of each accept-corpus file, then
+the rendered diagnostics of each reject-corpus file.
 
-    PYTHONPATH=src python tests/test_golden_runs.py
+Regenerate a golden file only when its output change is intended, and name
+each file to rewrite by its path under `tests/golden/`; files not named are
+left alone, and no name prints the list of known files:
+
+    PYTHONPATH=src python tests/test_golden_runs.py traces/pauli_mix.txt
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
 
 from qdsl import cli
-from qdsl.compiler import wrap_statement_snippet
+from qdsl.compiler import compile_units, wrap_statement_snippet
+from qdsl.pretty import pretty_print
+from qdsl.source import SourceFile
+from test_corpus import load_accept
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 ACCEPT = os.path.join(HERE, "corpus", "accept")
+REJECT = os.path.join(HERE, "corpus", "reject")
+SPECIALIZATIONS = "specializations.txt"
 
 SEEDS = (1, 2, 3)
 SHOTS = 20
@@ -156,28 +170,92 @@ def test_every_runnable_accept_file_is_pinned():
         assert not runnable or filename in pinned, filename
 
 
-def write_golden(name: str, golden: dict) -> None:
-    """One line per variant, so a changed run shows as a changed line."""
+def specialization_text() -> str:
+    """Generated blocks of the prelude and of each accept file, then the
+    rendered diagnostics of each reject file."""
+    lines: list[str] = []
+
+    def generated(label: str, callables) -> None:
+        lines.append(f"== {label}")
+        for sym in callables:
+            for kind, entry in sym.specializations.items():
+                if entry.generated:
+                    lines.append(f"-- {sym.qualified} {kind.value} {entry.ctl_param}")
+                    lines.append(pretty_print(entry.block))
+
+    generated("prelude", compile_units([]).table.all_callables())
+    for name in sorted(os.listdir(ACCEPT)):
+        text, exclude = load_accept(name)
+        result = compile_units([(name, text)], prelude_exclude=exclude)
+        generated(name, result.user_callables())
+    for name in sorted(os.listdir(REJECT)):
+        with open(os.path.join(REJECT, name), encoding="utf-8") as handle:
+            text = handle.read()
+        source = SourceFile(name, text)
+        lines.append(f"== {name}")
+        lines.extend(d.render(source) for d in compile_units([(name, text)]).diagnostics)
+    return "\n".join(lines) + "\n"
+
+
+def test_specializations_and_diagnostics_match_golden():
+    with open(os.path.join(GOLDEN, SPECIALIZATIONS), encoding="utf-8") as handle:
+        expected = handle.read()
+    assert specialization_text() == expected
+
+
+def run_golden_text(name: str) -> str:
+    """Every variant of one run case, one line each, so a changed run shows
+    as a changed line."""
+    golden = {
+        _variant(seed, dump): run_case(name, seed, dump)
+        for seed in SEEDS
+        for dump in (False, True)
+    }
     lines = [
         f"{json.dumps(variant)}: {json.dumps(golden[variant], sort_keys=True)}"
         for variant in sorted(golden)
     ]
-    with open(os.path.join(GOLDEN, f"{name}.json"), "w", encoding="utf-8") as handle:
-        handle.write("{\n" + ",\n".join(lines) + "\n}\n")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def regenerate() -> None:
-    for name in sorted(CASES):
-        write_golden(name, {
-            _variant(seed, dump): run_case(name, seed, dump)
-            for seed in SEEDS
-            for dump in (False, True)
-        })
-    os.makedirs(os.path.join(GOLDEN, "traces"), exist_ok=True)
-    for name in sorted(TRACE_CASES):
-        with open(_trace_path(name), "w", encoding="utf-8") as handle:
-            handle.write(run_trace(name))
+def golden_files() -> dict:
+    """Golden file, by its path under `tests/golden/` -> its text builder."""
+    files = {f"{name}.json": functools.partial(run_golden_text, name) for name in CASES}
+    for name in TRACE_CASES:
+        files[f"traces/{name}.txt"] = functools.partial(run_trace, name)
+    files[SPECIALIZATIONS] = specialization_text
+    return files
+
+
+def test_every_golden_file_has_a_builder():
+    on_disk = {
+        os.path.relpath(os.path.join(root, filename), GOLDEN).replace(os.sep, "/")
+        for root, _, filenames in os.walk(GOLDEN)
+        if os.path.basename(root) != "programs"
+        for filename in filenames
+    }
+    assert on_disk == set(golden_files())
+
+
+def test_regenerate_rejects_unknown_names_and_writes_nothing(monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", "/nonexistent")
+    for names in ([], ["pauli_mix.json", "no_such_case.json"]):
+        with pytest.raises(SystemExit):
+            regenerate(names)
+
+
+def regenerate(names: list[str]) -> None:
+    """Rewrite the named golden files, and only those."""
+    files = golden_files()
+    if not names or any(name not in files for name in names):
+        raise SystemExit(
+            "usage: test_golden_runs.py GOLDEN_FILE...\nknown golden files:\n  "
+            + "\n  ".join(files)
+        )
+    for name in names:
+        with open(os.path.join(GOLDEN, name), "w", encoding="utf-8") as handle:
+            handle.write(files[name]())
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

@@ -355,6 +355,34 @@ namespace T {
     assert_unitaries_close(backward, forward, 1e-12)
 
 
+@pytest.mark.parametrize("ca_impl", ["auto", "self"])
+def test_controlled_adjoint_of_a_self_adjoint_operation(ca_impl):
+    # Either way the controlled adjoint runs the controlled body.
+    result = compile_ok(f"""
+namespace T {{
+    open Microsoft.Quantum.Primitive;
+    operation Mirror (a : Qubit, b : Qubit) : () {{
+        body {{
+            H(a);
+            CNOT(a, b);
+            H(a);
+        }}
+        adjoint self
+        controlled auto
+        controlled adjoint {ca_impl}
+    }}
+}}""")
+    sym = get_symbol(result, "T.Mirror")
+    base = operation_unitary(sym, 2, tuple_arg)
+    controlled = operation_unitary(sym, 2, tuple_arg, n_controls=1)
+    ca = operation_unitary(sym, 2, tuple_arg, adjoint=True, n_controls=1)
+    expected = np.kron(np.diag([1.0, 0.0]), np.eye(4)) + np.kron(
+        np.diag([0.0, 1.0]), base
+    )
+    assert_unitaries_close(controlled, expected, 1e-12)
+    assert_unitaries_close(ca, controlled, 1e-12)
+
+
 def test_loop_adjoint_handles_strided_ranges():
     # 0..2..5 visits 0, 2, 4; its reverse must visit 4, 2, 0 even though
     # the naive swapped range 5..-2..0 would visit 5, 3, 1.
