@@ -302,7 +302,7 @@ class SpecImpl(Enum):
 @dataclass
 class SpecDecl(Node):
     kind: SpecKind
-    impl: SpecImpl
+    impl: SpecImpl = SpecImpl.PROVIDED
     block: Optional[Block] = None  # for PROVIDED
     ctl_param: Optional[str] = None  # for provided controlled variants
 

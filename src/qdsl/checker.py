@@ -53,7 +53,6 @@ from .ast_nodes import (
     ResultLit,
     ReturnStmt,
     SetStmt,
-    SpecDecl,
     SpecImpl,
     SpecKind,
     Stmt,
@@ -93,6 +92,8 @@ class CallableSymbol:
     decl: Optional[CallableDecl] = None
     intrinsic: Optional[str] = None  # key into the runtime intrinsic registry
     file: str = "<builtin>"
+    # The namespaces its declaration opens; filled by resolve_signatures.
+    opens: list[str] = dc_field(default_factory=list)
     # Filled by the specialization generator:
     specializations: dict = dc_field(default_factory=dict)
 
@@ -240,7 +241,7 @@ class Checker:
                     sym: Symbol = UdtSymbol(ns.name, decl.name, None, decl, file)
                     clash = self.table.define(sym)
                     if clash is not None:
-                        self._duplicate(decl.name, decl.name_span, file, clash)
+                        self._duplicate(decl.name, decl.name_span, file)
                 elif isinstance(decl, CallableDecl):
                     self._validate_spec_combination(decl, file)
                     sym = CallableSymbol(
@@ -257,9 +258,9 @@ class Checker:
                     )
                     clash = self.table.define(sym)
                     if clash is not None:
-                        self._duplicate(decl.name, decl.name_span, file, clash)
+                        self._duplicate(decl.name, decl.name_span, file)
 
-    def _duplicate(self, name: str, span: Span, file: str, clash: Symbol) -> None:
+    def _duplicate(self, name: str, span: Span, file: str) -> None:
         self.diagnostics.append(
             diag.error(
                 diag.DUPLICATE_DEFINITION,
@@ -312,13 +313,14 @@ class Checker:
     # ── Pass 2: resolve signatures ───────────────────────────────────────
 
     def resolve_signatures(self, program: Program, file: str) -> None:
+        ns_opens = []
         for ns in program.namespaces:
             opens = self._effective_opens(ns, file)
+            ns_opens.append(opens)
             for decl in ns.decls:
                 if isinstance(decl, NewtypeDecl):
                     self._resolve_udt_base(ns.name, opens, decl, file)
-        for ns in program.namespaces:
-            opens = self._effective_opens_quiet(ns)
+        for ns, opens in zip(program.namespaces, ns_opens):
             for decl in ns.decls:
                 if isinstance(decl, CallableDecl):
                     self._resolve_callable_signature(ns.name, opens, decl, file)
@@ -381,6 +383,7 @@ class Checker:
         sym = self.table.namespaces.get(namespace, {}).get(decl.name)
         if not isinstance(sym, CallableSymbol) or sym.decl is not decl:
             return
+        sym.opens = opens
         seen: set[str] = set()
         for p in decl.type_params:
             if p in seen:
@@ -482,26 +485,14 @@ class Checker:
 
     def check_bodies(self, program: Program, file: str) -> None:
         for ns in program.namespaces:
-            opens = self._effective_opens_quiet(ns)
             for decl in ns.decls:
                 if isinstance(decl, CallableDecl):
-                    self._check_callable(ns.name, opens, decl, file)
+                    self._check_callable(ns.name, decl, file)
 
-    def _effective_opens_quiet(self, ns: Namespace) -> list[str]:
-        opens = [op.name for op in ns.opens if self.table.has_namespace(op.name)]
-        if ns.implicit:
-            for name in IMPLICIT_OPENS:
-                if self.table.has_namespace(name) and name not in opens:
-                    opens.append(name)
-        return opens
-
-    def _check_callable(
-        self, namespace: str, opens: list[str], decl: CallableDecl, file: str
-    ) -> None:
+    def _check_callable(self, namespace: str, decl: CallableDecl, file: str) -> None:
         sym = self.table.namespaces.get(namespace, {}).get(decl.name)
         if not isinstance(sym, CallableSymbol) or sym.decl is not decl:
             return
-        sym._opens_cache = opens  # type: ignore[attr-defined]
         for spec in decl.specs:
             if spec.impl is not SpecImpl.PROVIDED or spec.block is None:
                 continue
@@ -547,7 +538,7 @@ class Checker:
         ctx = _Context(
             self.table,
             sym.namespace,
-            self._opens_for(sym),
+            sym.opens,
             file,
             self.diagnostics,
             rigid_params=frozenset(sym.type_params),
@@ -562,12 +553,6 @@ class Checker:
         self._bind_params(sym.decl.params if sym.decl else None, sym, scope, ctx)
         self._check_block(block, scope, ctx)
         return self.diagnostics[before:]
-
-    def _opens_for(self, sym: CallableSymbol) -> list[str]:
-        if sym.decl is None:
-            return []
-        # Find the namespace node that owns this declaration.
-        return getattr(sym, "_opens_cache", None) or []
 
     def _bind_params(
         self,
@@ -929,7 +914,7 @@ class Checker:
         callee = self.check_expr(expr.callee, scope, ctx)
         if _is_error(callee):
             for arg in expr.args:
-                if not _shape_has_hole(arg):
+                if not shape_has_hole(arg):
                     self.check_expr(arg, scope, ctx)
             return ERROR
         callee_n = ty.normalize(callee)
@@ -940,7 +925,7 @@ class Checker:
                 expr.callee.span,
             )
             return ERROR
-        has_holes = any(_shape_has_hole(a) for a in expr.args)
+        has_holes = any(shape_has_hole(a) for a in expr.args)
         expr.is_partial = has_holes
         if has_holes:
             return self._check_partial(expr, callee_n, scope, ctx)
@@ -1055,7 +1040,7 @@ class Checker:
         """Missing-parts type of one argument shape, or None if fully given."""
         if isinstance(shape, Hole):
             return comp
-        if isinstance(shape, TupleExpr) and _shape_has_hole(shape):
+        if isinstance(shape, TupleExpr) and shape_has_hole(shape):
             return self._missing_tuple(comp, shape.items, shape.span, scope, ctx)
         t = self.check_expr(shape, scope, ctx, expected=_concrete_or_none(comp))
         if _is_error(t):
@@ -1175,11 +1160,11 @@ def _concrete_or_none(t: ty.Type | None) -> ty.Type | None:
     return t
 
 
-def _shape_has_hole(expr: Expr) -> bool:
+def shape_has_hole(expr: Expr) -> bool:
     if isinstance(expr, Hole):
         return True
     if isinstance(expr, TupleExpr):
-        return any(_shape_has_hole(i) for i in expr.items)
+        return any(shape_has_hole(i) for i in expr.items)
     return False
 
 

@@ -21,7 +21,7 @@ import os
 import sys
 from typing import Optional
 
-from .ast_nodes import SpecDecl, SpecImpl
+from .ast_nodes import SpecDecl
 from .compiler import CompileResult, compile_units, resolve_entry
 from .prelude import intrinsic_handlers, prelude_units
 from .pretty import pretty_print
@@ -29,6 +29,7 @@ from .source import SourceFile
 from .values import render_value
 
 JSON_VERSION = 1
+DEFAULT_SHOTS = 1
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -69,7 +70,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="print the generated adjoint/controlled bodies",
     )
 
-    def add_run_arguments(p: argparse.ArgumentParser, default_shots: int) -> None:
+    def add_run_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument("files", nargs="+", help="source files (.qds)")
         p.add_argument(
             "--entry",
@@ -105,13 +106,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--max-qubits", type=int, default=None)
         p.add_argument("--max-iterations", type=int, default=None)
-        p.set_defaults(default_shots=default_shots)
 
     run_p = sub.add_parser("run", help="execute an entry point")
-    add_run_arguments(run_p, default_shots=1)
+    add_run_arguments(run_p)
 
     trace_p = sub.add_parser("trace", help="execute while printing every event")
-    add_run_arguments(trace_p, default_shots=1)
+    add_run_arguments(trace_p)
 
     return parser
 
@@ -161,16 +161,14 @@ def _cmd_check(args) -> int:
 
 def _emit_specializations(result: CompileResult) -> None:
     for sym in result.user_callables():
-        for entry in sym.specializations.values():
-            if not entry.generated or entry.block is None:
+        printed: set[int] = set()  # `controlled adjoint self` repeats an entry
+        for kind, entry in sym.specializations.items():
+            if not entry.generated or id(entry) in printed:
                 continue
+            printed.add(id(entry))
             # Render with an explicit block even though the source said auto.
             decl = SpecDecl(
-                entry.block.span,
-                entry.kind,
-                SpecImpl.PROVIDED,
-                entry.block,
-                entry.ctl_param,
+                entry.block.span, kind, block=entry.block, ctl_param=entry.ctl_param
             )
             print(f"// {sym.qualified}")
             print(pretty_print(decl))
@@ -234,7 +232,7 @@ def _cmd_run(args, tracing: bool) -> int:
 
     shots = args.shots
     if shots is None:
-        shots = _env_int("SHOTS", args.default_shots)
+        shots = _env_int("SHOTS", DEFAULT_SHOTS)
     if shots < 1:
         raise UsageError("--shots must be at least 1")
     seed = args.seed

@@ -9,13 +9,13 @@ earlier ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import prelude, transform
 from . import types as ty
 from .ast_nodes import Program
-from .checker import CallableSymbol, Checker, SymbolTable, UdtSymbol
+from .checker import CallableSymbol, Checker, SymbolTable
 from .diagnostics import Diagnostic, Severity
 from .parser import parse_program
 
@@ -44,15 +44,10 @@ class CompileResult:
 
 
 def compile_units(
-    units: list[tuple[str, str]],
-    include_prelude: bool = True,
-    prelude_exclude: tuple[str, ...] = (),
+    units: list[tuple[str, str]], prelude_exclude: tuple[str, ...] = ()
 ) -> CompileResult:
     """Compile (file label, source text) units against the prelude."""
-    all_units: list[tuple[str, str]] = []
-    if include_prelude:
-        all_units.extend(prelude.prelude_units(prelude_exclude))
-    all_units.extend(units)
+    all_units = [*prelude.prelude_units(prelude_exclude), *units]
 
     diagnostics: list[Diagnostic] = []
     programs: list[tuple[str, Program]] = []
@@ -62,8 +57,7 @@ def compile_units(
         programs.append((file, program))
 
     table = SymbolTable()
-    if include_prelude:
-        prelude.seed_table(table)
+    prelude.seed_table(table)
     result = CompileResult(table, programs, diagnostics, [f for f, _ in units])
     if result.errors:
         return result

@@ -34,12 +34,11 @@ from .ast_nodes import (
     NamePattern,
     ParamLeaf,
     ParamTuple,
-    SpecImpl,
     SpecKind,
     Stmt,
     TupleExpr,
 )
-from .checker import CallableSymbol, UdtSymbol
+from .checker import CallableSymbol, UdtSymbol, shape_has_hole
 from .simulator import SimulationError, StateVectorSimulator
 from .source import Span
 from .values import (
@@ -294,11 +293,8 @@ def _specialization(
     sym: CallableSymbol, adjoint: bool, controls: list[QubitRef]
 ) -> Callable:
     """The compiled body for this functor combination, compiled on first use."""
-    specs = sym.specializations
-    entry = specs.get(_SPEC_KINDS[bool(controls)][adjoint])
-    if entry is not None and entry.impl is SpecImpl.SELF:  # adjoint self
-        entry = specs.get(_SPEC_KINDS[bool(controls)][False])
-    if entry is None or entry.block is None:
+    entry = sym.specializations.get(_SPEC_KINDS[bool(controls)][adjoint])
+    if entry is None:
         raise QdslFailure(
             f"'{sym.qualified}' has no executable specialization for "
             f"adjoint={adjoint}, controlled={bool(controls)}"
@@ -610,7 +606,7 @@ class _Compiler:
         """Partial-application shape of an argument, with given values evaluated."""
         if isinstance(expr, Hole):
             return _const(("hole",))
-        if isinstance(expr, TupleExpr) and _contains_hole(expr):
+        if isinstance(expr, TupleExpr) and shape_has_hole(expr):
             items = [self._shape(item) for item in expr.items]
             return lambda interp, frame: ("tuple", [i(interp, frame) for i in items])
         value = self._compile(expr)
@@ -637,14 +633,6 @@ class _Compiler:
             return lambda interp, frame: compare(left(interp, frame), right(interp, frame))
         apply, span = _ARITHMETIC[op], expr.span
         return lambda interp, frame: apply(left(interp, frame), right(interp, frame), span)
-
-
-def _contains_hole(expr: Expr) -> bool:
-    if isinstance(expr, Hole):
-        return True
-    if isinstance(expr, TupleExpr):
-        return any(_contains_hole(i) for i in expr.items)
-    return False
 
 
 def _index_into(array: list, index: int, span: Span) -> Any:

@@ -23,6 +23,11 @@ name. The controlled-adjoint body is the controlled rewrite of the adjoint
 body. Every generated block is type-checked again, so a body that calls an
 operation lacking the required variant is reported rather than silently
 miscompiled.
+
+The specialization table is final: each declared variant maps to the entry
+that runs it. `self` is resolved here, to the entry it stands for (the body
+for `adjoint self`, the controlled entry for `controlled adjoint self`), so
+the runtime and the CLI look a variant up and never see `self` or `auto`.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from .ast_nodes import (
     SpecKind,
     Stmt,
     TupleExpr,
-    TuplePattern,
     walk,
 )
 from .checker import Checker, CallableSymbol
@@ -66,9 +70,9 @@ REVERSED_RANGE = "Microsoft.Quantum.Primitive.ReversedRange"
 
 @dataclass
 class SpecEntry:
-    kind: SpecKind
-    impl: SpecImpl
-    block: Optional[Block]  # None for self/intrinsic entries
+    """The block that runs one variant of a callable."""
+
+    block: Block
     ctl_param: Optional[str] = None
     generated: bool = False
     # The runtime's closure-compiled body, built on the first invocation.
@@ -114,6 +118,55 @@ def _require_classical(expr: Expr, code: str, what: str) -> None:
         )
 
 
+# ── Steps shared by both rewriters ───────────────────────────────────────────
+
+# Statement names for the ineligibility messages.
+_STMT_NAMES = {
+    MutableStmt: "mutable bindings",
+    SetStmt: "set statements",
+    RepeatStmt: "repeat blocks",
+    AllocateStmt: "qubit allocations",
+    ReturnStmt: "return statements",
+    FailStmt: "fail statements",
+}
+
+
+def _ineligible(stmt: Stmt, code: str, variant: str) -> TransformError:
+    kind = _STMT_NAMES.get(type(stmt), "this statement")
+    return TransformError(
+        code,
+        f"{kind} cannot appear in a body with an auto-generated {variant}",
+        stmt.span,
+    )
+
+
+def _call_stmt(
+    stmt: ExprStmt, code: str, verb: str, rewrite: Callable[[CallExpr], Expr]
+) -> Stmt:
+    """Rewrite an operation call statement; a classical call stays as it is.
+
+    A classical diagnostic or bookkeeping call sees the same state in the
+    rewritten body as in the forward execution, so it needs no rewrite.
+    """
+    expr = stmt.expr
+    if not isinstance(expr, CallExpr):
+        raise TransformError(code, f"only call statements can be {verb}", stmt.span)
+    for arg in expr.args:
+        _require_classical(arg, code, "a call argument here")
+    _require_classical(expr.callee, code, "a callee here")
+    if not _is_operation_type(expr.callee.ty):
+        return stmt
+    return ExprStmt(stmt.span, rewrite(expr))
+
+
+def _if_stmt(stmt: IfStmt, code: str, rewrite: Callable[[Block], Block]) -> IfStmt:
+    for cond, _ in stmt.branches:
+        _require_classical(cond, code, "an if condition here")
+    branches = [(cond, rewrite(block)) for cond, block in stmt.branches]
+    else_block = rewrite(stmt.else_block) if stmt.else_block is not None else None
+    return IfStmt(stmt.span, branches, else_block)
+
+
 # ── Adjoint generation ───────────────────────────────────────────────────────
 
 
@@ -133,35 +186,13 @@ def adjoint_block(block: Block) -> Block:
 
 
 def _adjoint_stmt(stmt: Stmt) -> Stmt:
+    code = diag.ADJOINT_INELIGIBLE
     if isinstance(stmt, ExprStmt):
-        expr = stmt.expr
-        if not isinstance(expr, CallExpr):
-            raise TransformError(
-                diag.ADJOINT_INELIGIBLE,
-                "only call statements can be inverted",
-                stmt.span,
-            )
-        for arg in expr.args:
-            _require_classical(arg, diag.ADJOINT_INELIGIBLE, "a call argument here")
-        _require_classical(expr.callee, diag.ADJOINT_INELIGIBLE, "a callee here")
-        if not _is_operation_type(expr.callee.ty):
-            # Classical diagnostic or bookkeeping call: the mirror position
-            # sees the same state as the forward execution, keep it as-is.
-            return stmt
-        inverted = CallExpr(expr.span, callee=_invert(expr.callee), args=list(expr.args))
-        return ExprStmt(stmt.span, inverted)
+        return _call_stmt(stmt, code, "inverted", _inverted_call)
     if isinstance(stmt, IfStmt):
-        for cond, _ in stmt.branches:
-            _require_classical(cond, diag.ADJOINT_INELIGIBLE, "an if condition here")
-        branches = [(cond, adjoint_block(b)) for cond, b in stmt.branches]
-        else_block = (
-            adjoint_block(stmt.else_block) if stmt.else_block is not None else None
-        )
-        return IfStmt(stmt.span, branches, else_block)
+        return _if_stmt(stmt, code, adjoint_block)
     if isinstance(stmt, ForStmt):
-        _require_classical(
-            stmt.iterable, diag.ADJOINT_INELIGIBLE, "a loop range here"
-        )
+        _require_classical(stmt.iterable, code, "a loop range here")
         reversed_range = CallExpr(
             stmt.iterable.span,
             callee=Name(stmt.iterable.span, name=REVERSED_RANGE),
@@ -170,25 +201,16 @@ def _adjoint_stmt(stmt: Stmt) -> Stmt:
         return ForStmt(
             stmt.span, stmt.var, stmt.var_span, reversed_range, adjoint_block(stmt.body)
         )
-    kind = {
-        MutableStmt: "mutable bindings",
-        SetStmt: "set statements",
-        RepeatStmt: "repeat blocks",
-        AllocateStmt: "qubit allocations",
-        ReturnStmt: "return statements",
-        FailStmt: "fail statements",
-    }.get(type(stmt), "this statement")
-    raise TransformError(
-        diag.ADJOINT_INELIGIBLE,
-        f"{kind} cannot appear in a body with an auto-generated adjoint",
-        stmt.span,
-    )
+    raise _ineligible(stmt, code, "adjoint")
 
 
-def _invert(callee: Expr) -> Expr:
+def _inverted_call(call: CallExpr) -> CallExpr:
+    callee = call.callee
     if isinstance(callee, FunctorExpr) and callee.functor == "Adjoint":
-        return callee.operand
-    return FunctorExpr(callee.span, functor="Adjoint", operand=callee)
+        callee = callee.operand
+    else:
+        callee = FunctorExpr(callee.span, functor="Adjoint", operand=callee)
+    return CallExpr(call.span, callee=callee, args=list(call.args))
 
 
 # ── Controlled generation ────────────────────────────────────────────────────
@@ -199,55 +221,18 @@ def controlled_block(block: Block, ctl_name: str) -> Block:
 
 
 def _controlled_stmt(stmt: Stmt, ctl: str) -> Stmt:
+    code = diag.CONTROLLED_INELIGIBLE
     if isinstance(stmt, ExprStmt):
-        expr = stmt.expr
-        if not isinstance(expr, CallExpr):
-            raise TransformError(
-                diag.CONTROLLED_INELIGIBLE,
-                "only call statements can be controlled",
-                stmt.span,
-            )
-        for arg in expr.args:
-            _require_classical(
-                arg, diag.CONTROLLED_INELIGIBLE, "a call argument here"
-            )
-        _require_classical(expr.callee, diag.CONTROLLED_INELIGIBLE, "a callee here")
-        if not _is_operation_type(expr.callee.ty):
-            return stmt
-        span = expr.span
-        if len(expr.args) == 1:
-            packed = expr.args[0]
-        else:
-            packed = TupleExpr(span, items=list(expr.args))
-        call = CallExpr(
-            span,
-            callee=FunctorExpr(
-                expr.callee.span, functor="Controlled", operand=expr.callee
-            ),
-            args=[Name(span, name=ctl), packed],
+        return _call_stmt(
+            stmt, code, "controlled", lambda call: _controlled_call(call, ctl)
         )
-        return ExprStmt(stmt.span, call)
     if isinstance(stmt, (LetStmt, MutableStmt, SetStmt)):
-        _require_classical(
-            stmt.value, diag.CONTROLLED_INELIGIBLE, "a classical binding here"
-        )
+        _require_classical(stmt.value, code, "a classical binding here")
         return stmt
     if isinstance(stmt, IfStmt):
-        for cond, _ in stmt.branches:
-            _require_classical(
-                cond, diag.CONTROLLED_INELIGIBLE, "an if condition here"
-            )
-        branches = [(cond, controlled_block(b, ctl)) for cond, b in stmt.branches]
-        else_block = (
-            controlled_block(stmt.else_block, ctl)
-            if stmt.else_block is not None
-            else None
-        )
-        return IfStmt(stmt.span, branches, else_block)
+        return _if_stmt(stmt, code, lambda block: controlled_block(block, ctl))
     if isinstance(stmt, ForStmt):
-        _require_classical(
-            stmt.iterable, diag.CONTROLLED_INELIGIBLE, "a loop range here"
-        )
+        _require_classical(stmt.iterable, code, "a loop range here")
         return ForStmt(
             stmt.span,
             stmt.var,
@@ -256,20 +241,21 @@ def _controlled_stmt(stmt: Stmt, ctl: str) -> Stmt:
             controlled_block(stmt.body, ctl),
         )
     if isinstance(stmt, FailStmt):
-        _require_classical(
-            stmt.message, diag.CONTROLLED_INELIGIBLE, "a fail message here"
-        )
+        _require_classical(stmt.message, code, "a fail message here")
         return stmt
-    kind = {
-        RepeatStmt: "repeat blocks",
-        AllocateStmt: "qubit allocations",
-        ReturnStmt: "return statements",
-    }.get(type(stmt), "this statement")
-    raise TransformError(
-        diag.CONTROLLED_INELIGIBLE,
-        f"{kind} cannot appear in a body with an auto-generated controlled "
-        "specialization",
-        stmt.span,
+    raise _ineligible(stmt, code, "controlled specialization")
+
+
+def _controlled_call(call: CallExpr, ctl: str) -> CallExpr:
+    span = call.span
+    if len(call.args) == 1:
+        packed = call.args[0]
+    else:
+        packed = TupleExpr(span, items=list(call.args))
+    return CallExpr(
+        span,
+        callee=FunctorExpr(call.callee.span, functor="Controlled", operand=call.callee),
+        args=[Name(span, name=ctl), packed],
     )
 
 
@@ -306,119 +292,64 @@ def fresh_control_name(decl: CallableDecl) -> str:
 # ── Table construction ───────────────────────────────────────────────────────
 
 
+# The variants in table order: (variant, the entry `self` stands for, the
+# entry `auto` rewrites). A controlled specialization cannot be `self`.
+_VARIANTS = (
+    (SpecKind.ADJOINT, SpecKind.BODY, SpecKind.BODY),
+    (SpecKind.CONTROLLED, None, SpecKind.BODY),
+    (SpecKind.CONTROLLED_ADJOINT, SpecKind.CONTROLLED, SpecKind.ADJOINT),
+)
+
+
 def build_specializations(
     sym: CallableSymbol, checker: Checker, file: str
 ) -> list[Diagnostic]:
-    """Fill sym.specializations from its declaration; returns diagnostics."""
-    decl = sym.decl
+    """Fill sym.specializations with its finished table; returns diagnostics.
+
+    Each declared variant maps to the entry that runs it: a provided block,
+    the entry a `self` variant stands for, or a generated and re-checked
+    block for `auto`. A variant whose source entry could not be generated
+    (already reported) is left out.
+    """
     problems: list[Diagnostic] = []
-    if decl is None:
+    by_kind = {s.kind: s for s in sym.decl.specs}
+    body = by_kind.get(SpecKind.BODY)
+    if body is None or body.block is None:
         return problems
-    table: dict[SpecKind, SpecEntry] = {}
-    by_kind = {s.kind: s for s in decl.specs}
-    body_spec = by_kind.get(SpecKind.BODY)
-    if body_spec is None or body_spec.block is None:
-        return problems
-    table[SpecKind.BODY] = SpecEntry(SpecKind.BODY, SpecImpl.PROVIDED, body_spec.block)
-
-    def report(err: TransformError, what: str) -> None:
-        problems.append(
-            diag.error(
-                err.code,
-                f"cannot generate the {what} specialization of "
-                f"'{sym.name}': {err.message}",
-                err.span,
-                file,
-            )
-        )
-
-    ctl_name = fresh_control_name(decl)
-
-    adj = by_kind.get(SpecKind.ADJOINT)
-    if adj is not None:
-        if adj.impl is SpecImpl.PROVIDED:
-            table[SpecKind.ADJOINT] = SpecEntry(
-                SpecKind.ADJOINT, SpecImpl.PROVIDED, adj.block
-            )
-        elif adj.impl is SpecImpl.SELF:
-            table[SpecKind.ADJOINT] = SpecEntry(SpecKind.ADJOINT, SpecImpl.SELF, None)
-        else:
-            try:
-                block = adjoint_block(body_spec.block)
-            except TransformError as err:
-                report(err, "adjoint")
-                block = None
-            if block is not None:
-                problems.extend(
-                    checker.check_specialization_block(sym, block, None, file)
-                )
-                table[SpecKind.ADJOINT] = SpecEntry(
-                    SpecKind.ADJOINT, SpecImpl.AUTO, block, generated=True
-                )
-
-    ctl = by_kind.get(SpecKind.CONTROLLED)
-    if ctl is not None:
-        if ctl.impl is SpecImpl.PROVIDED:
-            table[SpecKind.CONTROLLED] = SpecEntry(
-                SpecKind.CONTROLLED, SpecImpl.PROVIDED, ctl.block, ctl.ctl_param
-            )
-        else:
-            try:
-                block = controlled_block(body_spec.block, ctl_name)
-            except TransformError as err:
-                report(err, "controlled")
-                block = None
-            if block is not None:
-                problems.extend(
-                    checker.check_specialization_block(sym, block, ctl_name, file)
-                )
-                table[SpecKind.CONTROLLED] = SpecEntry(
-                    SpecKind.CONTROLLED,
-                    SpecImpl.AUTO,
-                    block,
-                    ctl_name,
-                    generated=True,
-                )
-
-    ca = by_kind.get(SpecKind.CONTROLLED_ADJOINT)
-    if ca is not None:
-        if ca.impl is SpecImpl.PROVIDED:
-            table[SpecKind.CONTROLLED_ADJOINT] = SpecEntry(
-                SpecKind.CONTROLLED_ADJOINT, SpecImpl.PROVIDED, ca.block, ca.ctl_param
-            )
-        elif ca.impl is SpecImpl.SELF:
-            table[SpecKind.CONTROLLED_ADJOINT] = SpecEntry(
-                SpecKind.CONTROLLED_ADJOINT, SpecImpl.SELF, None
-            )
-        else:
-            # Controlled rewrite of the adjoint body (or of the body itself
-            # when the operation is self-adjoint).
-            adj_entry = table.get(SpecKind.ADJOINT)
-            source_block: Block | None
-            if adj_entry is None:
-                source_block = None
-            elif adj_entry.impl is SpecImpl.SELF:
-                source_block = body_spec.block
+    table = {SpecKind.BODY: SpecEntry(body.block)}
+    ctl_name = fresh_control_name(sym.decl)
+    for kind, self_source, auto_source in _VARIANTS:
+        spec = by_kind.get(kind)
+        if spec is None:
+            continue
+        if spec.impl is SpecImpl.PROVIDED:
+            table[kind] = SpecEntry(spec.block, spec.ctl_param)
+            continue
+        source = table.get(self_source if spec.impl is SpecImpl.SELF else auto_source)
+        if source is None:
+            continue
+        if spec.impl is SpecImpl.SELF:
+            table[kind] = source
+            continue
+        ctl = None if kind is SpecKind.ADJOINT else ctl_name
+        try:
+            if ctl is None:
+                block = adjoint_block(source.block)
             else:
-                source_block = adj_entry.block
-            if source_block is not None:
-                try:
-                    block = controlled_block(source_block, ctl_name)
-                except TransformError as err:
-                    report(err, "controlled adjoint")
-                    block = None
-                if block is not None:
-                    problems.extend(
-                        checker.check_specialization_block(sym, block, ctl_name, file)
-                    )
-                    table[SpecKind.CONTROLLED_ADJOINT] = SpecEntry(
-                        SpecKind.CONTROLLED_ADJOINT,
-                        SpecImpl.AUTO,
-                        block,
-                        ctl_name,
-                        generated=True,
-                    )
-
+                block = controlled_block(source.block, ctl)
+        except TransformError as err:
+            problems.append(
+                diag.error(
+                    err.code,
+                    f"cannot generate the {kind.value} specialization of "
+                    f"'{sym.name}': {err.message}",
+                    err.span,
+                    file,
+                )
+            )
+            continue
+        problems.extend(checker.check_specialization_block(sym, block, ctl, file))
+        table[kind] = SpecEntry(block, ctl, generated=True)
     sym.specializations = table
     return problems
 

@@ -191,9 +191,9 @@ def specialization_text() -> str:
     for name in sorted(os.listdir(REJECT)):
         with open(os.path.join(REJECT, name), encoding="utf-8") as handle:
             text = handle.read()
-        source = SourceFile(name, text)
+        diagnostics = compile_units([(name, text)]).diagnostics
         lines.append(f"== {name}")
-        lines.extend(d.render(source) for d in compile_units([(name, text)]).diagnostics)
+        lines.extend(d.render(SourceFile(name, text)) for d in diagnostics)
     return "\n".join(lines) + "\n"
 
 
