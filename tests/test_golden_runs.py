@@ -237,11 +237,14 @@ def test_every_golden_file_has_a_builder():
     assert on_disk == set(golden_files())
 
 
-def test_regenerate_rejects_unknown_names_and_writes_nothing(monkeypatch):
-    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", "/nonexistent")
+def test_regenerate_writes_only_the_named_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", str(tmp_path))
     for names in ([], ["pauli_mix.json", "no_such_case.json"]):
         with pytest.raises(SystemExit):
             regenerate(names)
+    assert os.listdir(tmp_path) == []
+    regenerate([SPECIALIZATIONS])
+    assert os.listdir(tmp_path) == [SPECIALIZATIONS]
 
 
 def regenerate(names: list[str]) -> None:
