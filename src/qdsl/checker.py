@@ -163,6 +163,15 @@ class SymbolTable:
                 found.append(sym)
         return found
 
+    def copy(self) -> "SymbolTable":
+        """A table that takes new symbols without changing this one.
+
+        The namespace dicts are copied; the symbols in them are shared.
+        """
+        table = SymbolTable()
+        table.namespaces = {ns: dict(syms) for ns, syms in self.namespaces.items()}
+        return table
+
     def has_namespace(self, name: str) -> bool:
         return name in self.namespaces
 
@@ -550,35 +559,30 @@ class Checker:
             scope.define(
                 LocalBinding(ctl_param, ty.Array(ty.QUBIT), False, block.span)
             )
-        self._bind_params(sym.decl.params if sym.decl else None, sym, scope, ctx)
+        self._bind_params(sym, scope, ctx)
         self._check_block(block, scope, ctx)
         return self.diagnostics[before:]
 
-    def _bind_params(
-        self,
-        params: ParamTuple | None,
-        sym: CallableSymbol,
-        scope: Scope,
-        ctx: _Context,
-    ) -> None:
-        if params is None:
+    def _bind_params(self, sym: CallableSymbol, scope: Scope, ctx: _Context) -> None:
+        """Bind each parameter to its part of the resolved input type."""
+        if sym.decl is None:
             return
 
-        def bind(item) -> None:
+        def bind(item, t: ty.Type) -> None:
             if isinstance(item, ParamLeaf):
-                t = self.resolve_type(item.type, ctx)
                 if not scope.define(LocalBinding(item.name, t, False, item.span)):
                     ctx.error(
                         diag.DUPLICATE_BINDING,
                         f"parameter '{item.name}' is declared twice",
                         item.span,
                     )
+            elif len(item.items) == 1:
+                bind(item.items[0], t)  # a one-item tuple normalizes to its item
             else:
-                for sub in item.items:
-                    bind(sub)
+                for sub, sub_t in zip(item.items, t.items):
+                    bind(sub, sub_t)
 
-        for item in params.items:
-            bind(item)
+        bind(sym.decl.params, sym.input)
 
     # ── Statements ───────────────────────────────────────────────────────
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .ast_nodes import SpecDecl
 from .compiler import CompileResult, compile_units, resolve_entry
-from .prelude import intrinsic_handlers, prelude_units
+from .prelude import intrinsic_handlers
 from .pretty import pretty_print
 from .source import SourceFile
 from .values import render_value
@@ -135,8 +135,9 @@ def _load(files: list[str]) -> tuple[CompileResult, Sources]:
             raise UsageError(f"no such file: {path}")
         with open(path, "r", encoding="utf-8") as handle:
             units.append((path, handle.read()))
-    sources = {name: SourceFile(name, text) for name, text in prelude_units()}
-    sources.update({name: SourceFile(name, text) for name, text in units})
+    # The prelude is checked clean on its own, so only these files can hold
+    # a diagnostic.
+    sources = {name: SourceFile(name, text) for name, text in units}
     return compile_units(units), sources
 
 

@@ -1,14 +1,17 @@
 """Compilation pipeline: parse, collect, check, generate specializations.
 
-Multiple source units (the bundled prelude plus any user files) share one
-symbol table; namespaces merge across units. Body checking only runs when
-parsing produced no errors, and specialization generation only runs on a
-fully checked program, so later passes can rely on the annotations of the
-earlier ones.
+Source units are checked in layers, each over a copy of the symbol table
+below it, so namespaces merge across units while the lower table stays as
+it was. The bundled prelude is a layer over the intrinsics, checked once per
+process for each set of excluded prelude files; the user's units are a layer
+over it. Within a layer, body checking only runs when parsing produced no
+errors, and specialization generation only runs on a fully checked program,
+so later passes can rely on the annotations of the earlier ones.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,19 +49,55 @@ class CompileResult:
 def compile_units(
     units: list[tuple[str, str]], prelude_exclude: tuple[str, ...] = ()
 ) -> CompileResult:
-    """Compile (file label, source text) units against the prelude."""
-    all_units = [*prelude.prelude_units(prelude_exclude), *units]
+    """Compile (file label, source text) units against the prelude.
 
+    The prelude is checked once per process for each set of excluded files,
+    and the units are checked as a layer over that table, so prelude names
+    resolve to prelude declarations only.
+    """
+    excluded = frozenset(prelude_exclude).intersection(prelude.prelude_files())
+    base, open_units = _checked_prelude(excluded)
+    return _check_layer(base, [*open_units, *units], [f for f, _ in units])
+
+
+@functools.cache
+def _checked_prelude(
+    excluded: frozenset[str],
+) -> tuple[CompileResult, list[tuple[str, str]]]:
+    """The checked prelude without the `excluded` files, and the units left open.
+
+    A prelude that does not check on its own (it calls a name that the user's
+    files supply in place of an excluded file) cannot be cached: its units
+    are returned to be checked with the user's layer over the intrinsics.
+    """
+    table = SymbolTable()
+    prelude.seed_table(table)
+    seeded = CompileResult(table, [], [], [])
+    units = prelude.prelude_units(tuple(excluded))
+    checked = _check_layer(seeded, units, [])
+    if checked.diagnostics:
+        return seeded, units
+    return checked, []
+
+
+def _check_layer(
+    base: CompileResult, units: list[tuple[str, str]], user_files: list[str]
+) -> CompileResult:
+    """Parse, check and generate `units` over a copy of `base`'s table.
+
+    The layer's declarations go into the copy, so `base` is left as it was.
+    Only the layer's programs are checked and only its callables get
+    specialization tables; `base` symbols are shared, already finished.
+    """
     diagnostics: list[Diagnostic] = []
     programs: list[tuple[str, Program]] = []
-    for file, text in all_units:
+    for file, text in units:
         program, diags = parse_program(text, file)
         diagnostics.extend(diags)
         programs.append((file, program))
 
-    table = SymbolTable()
-    prelude.seed_table(table)
-    result = CompileResult(table, programs, diagnostics, [f for f, _ in units])
+    table = base.table.copy()
+    result = CompileResult(table, [*base.units, *programs], diagnostics, user_files)
     if result.errors:
         return result
 
@@ -73,7 +112,12 @@ def compile_units(
     if result.errors:
         return result
 
-    diagnostics.extend(transform.generate_all(table.all_callables(), checker))
+    layer = [
+        sym
+        for sym in table.all_callables()
+        if base.table.lookup_qualified(sym.qualified) is not sym
+    ]
+    diagnostics.extend(transform.generate_all(layer, checker))
     return result
 
 
@@ -87,9 +131,6 @@ def compile_files(paths: list[str], **kwargs) -> CompileResult:
 
 def compile_snippet(text: str, file: str = "<snippet>", **kwargs) -> CompileResult:
     return compile_units([(file, text)], **kwargs)
-
-
-SNIPPET_ENTRY = "Snippet.Main"
 
 
 def wrap_statement_snippet(text: str) -> str:

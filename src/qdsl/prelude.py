@@ -9,6 +9,7 @@ package data (``prelude/*.qds``) along with the canon namespace.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 from typing import Any
 
@@ -237,12 +238,18 @@ def intrinsic_handlers() -> dict[str, Any]:
 # ── Prelude sources ──────────────────────────────────────────────────────────
 
 
+@functools.cache
+def prelude_files() -> tuple[str, ...]:
+    """Names of the bundled prelude files, sorted."""
+    root = resources.files("qdsl").joinpath("prelude")
+    return tuple(sorted(e.name for e in root.iterdir() if e.name.endswith(".qds")))
+
+
 def prelude_units(exclude: tuple[str, ...] = ()) -> list[tuple[str, str]]:
     """(file label, source text) pairs for the bundled prelude files."""
     root = resources.files("qdsl").joinpath("prelude")
-    units = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if not entry.name.endswith(".qds") or entry.name in exclude:
-            continue
-        units.append((f"prelude/{entry.name}", entry.read_text(encoding="utf-8")))
-    return units
+    return [
+        (f"prelude/{name}", root.joinpath(name).read_text(encoding="utf-8"))
+        for name in prelude_files()
+        if name not in exclude
+    ]

@@ -46,9 +46,10 @@ def loaded_after(code: str, tmp_path) -> tuple[int, list[str]]:
 
 COMPILE_ONLY = {
     "import": "import qdsl, qdsl.cli",
-    "compile_units": (
+    "compile_units": (  # one cold call, which checks the prelude, then a warm one
         "from qdsl.compiler import compile_units\n"
-        "assert compile_units([(GOOD, open(GOOD).read())]).ok"
+        "assert compile_units([(GOOD, open(GOOD).read())]).ok\n"
+        "assert compile_units([(AUTO, open(AUTO).read())]).ok"
     ),
     "check": "from qdsl import cli\nassert cli.main(['check', GOOD]) == 0",
     "check_json": "from qdsl import cli\nassert cli.main(['check', '--json', BAD]) == 1",
