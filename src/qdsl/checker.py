@@ -96,6 +96,8 @@ class CallableSymbol:
     opens: list[str] = dc_field(default_factory=list)
     # Filled by the specialization generator:
     specializations: dict = dc_field(default_factory=dict)
+    # The runtime's simulator.ShotPrefix, made when it first runs as an entry point.
+    shot_prefix: Optional[object] = dc_field(default=None, repr=False, compare=False)
 
     @property
     def qualified(self) -> str:

@@ -2,7 +2,8 @@
 
 Source units are checked in layers, each over a copy of the symbol table
 below it, so namespaces merge across units while the lower table stays as
-it was. The bundled prelude is a layer over the intrinsics, checked once per
+it was. The bundled prelude is `primitive.qds` as a layer over the
+intrinsics and the other files as a layer over that, checked once per
 process for each set of excluded prelude files; the user's units are a layer
 over it. Within a layer, body checking only runs when parsing produced no
 errors, and specialization generation only runs on a fully checked program,
@@ -60,6 +61,9 @@ def compile_units(
     return _check_layer(base, [*open_units, *units], [f for f, _ in units])
 
 
+_PRIMITIVE = "primitive.qds"
+
+
 @functools.cache
 def _checked_prelude(
     excluded: frozenset[str],
@@ -67,16 +71,22 @@ def _checked_prelude(
     """The checked prelude without the `excluded` files, and the units left open.
 
     A prelude that does not check on its own (it calls a name that the user's
-    files supply in place of an excluded file) cannot be cached: its units
-    are returned to be checked with the user's layer over the intrinsics.
+    files supply in place of an excluded file) cannot be cached whole: its
+    units are returned to be checked with the user's layer. They go over
+    the checked `primitive.qds` alone, which needs only the intrinsics.
     """
-    table = SymbolTable()
-    prelude.seed_table(table)
-    seeded = CompileResult(table, [], [], [])
-    units = prelude.prelude_units(tuple(excluded))
-    checked = _check_layer(seeded, units, [])
+    primitive_only = frozenset(prelude.prelude_files()) - {_PRIMITIVE}
+    if excluded == primitive_only or _PRIMITIVE in excluded:
+        table = SymbolTable()
+        prelude.seed_table(table)
+        base, units = CompileResult(table, [], [], []), []
+    else:
+        base, units = _checked_prelude(primitive_only)
+        excluded |= {_PRIMITIVE}
+    units = units + prelude.prelude_units(tuple(excluded))
+    checked = _check_layer(base, units, [])
     if checked.diagnostics:
-        return seeded, units
+        return base, units
     return checked, []
 
 

@@ -1,7 +1,9 @@
 """Closure-compiled runtime with qubit ledger and simulator backend.
 
 Each shot runs on a fresh interpreter: a qubit ledger handing out the lowest
-free qubit id, a state-vector simulator, and a per-shot RNG. Invoking a
+free qubit id, a state-vector simulator, and a per-shot RNG. The entry
+point's shots share a `ShotPrefix`, so a shot skips the simulator work that
+an earlier shot did before its first random draw. Invoking a
 callable value peels its wrapper stack outermost-first, accumulating flattened
 control registers and an adjoint parity bit, then dispatches the base symbol
 to the matching specialization body (or intrinsic handler).
@@ -39,7 +41,7 @@ from .ast_nodes import (
     TupleExpr,
 )
 from .checker import CallableSymbol, UdtSymbol, shape_has_hole
-from .simulator import SimulationError, StateVectorSimulator
+from .simulator import ShotPrefix, SimulationError, StateVectorSimulator
 from .source import Span
 from .values import (
     Closure,
@@ -719,13 +721,17 @@ def run_shots(
     previous = sys.getrecursionlimit()
     needed = previous + options.recursion_limit * _FRAMES_PER_CALL
     sys.setrecursionlimit(max(previous, min(needed, _MAX_PYTHON_DEPTH)))
+    if entry.shot_prefix is None:
+        entry.shot_prefix = ShotPrefix()
     try:
         results = []
         for shot in range(shots):
             rng = random.Random(seed ^ shot) if seed is not None else random.Random()
             shot_trace = (lambda line, s=shot: trace(s, line)) if trace else None
             interp = Interpreter(intrinsics, options, rng, shot_trace)
+            prefix = entry.shot_prefix.stand_in(interp)
             value = interp.run(entry)
+            prefix.commit()
             results.append(
                 ShotResult(value, interp.messages, interp.stats, interp.state_dumps)
             )

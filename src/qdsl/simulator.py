@@ -26,6 +26,9 @@ by zeroing the rejected slice and dividing the kept one by the square root
 of its probability, and the gates are then undone in reverse.
 Assertions probe the same probability on a copy of the state, which a
 state-vector backend can do because it is not bound by no-cloning.
+
+`ShotPrefix` lets the shots of one entry point share the simulator work
+they all do before their first random draw.
 """
 
 from __future__ import annotations
@@ -127,6 +130,11 @@ class StateVectorSimulator:
     # ── Allocation ───────────────────────────────────────────────────────
 
     def allocate(self, qubit_id: int) -> None:
+        self._claim(qubit_id)
+        self.state = np.concatenate([self.state, np.zeros_like(self.state)])
+
+    def _claim(self, qubit_id: int) -> None:
+        """Check that `qubit_id` may be allocated and give it the next position."""
         if qubit_id in self.position:
             raise SimulationError(f"qubit q{qubit_id} is already allocated")
         if self.num_qubits >= self.capacity:
@@ -134,7 +142,7 @@ class StateVectorSimulator:
                 f"cannot allocate more than {self.capacity} qubits "
                 "(raise the limit with --max-qubits)"
             )
-        needed = 2 * BYTES_PER_AMPLITUDE * 2 * self.state.size
+        needed = 2 * BYTES_PER_AMPLITUDE * (2 << self.num_qubits)
         if needed > MEMORY_BUDGET:
             raise SimulationError(
                 f"allocating qubit {self.num_qubits + 1} needs {needed} bytes "
@@ -142,7 +150,6 @@ class StateVectorSimulator:
                 f"than the {MEMORY_BUDGET} bytes of physical memory"
             )
         self.position[qubit_id] = self.num_qubits
-        self.state = np.concatenate([self.state, np.zeros_like(self.state)])
 
     def release(self, qubit_id: int, strict: bool, rng=None) -> bool:
         """Remove a qubit; returns True when it had to be reset first.
@@ -169,11 +176,16 @@ class StateVectorSimulator:
             raise SimulationError("projection onto a zero-probability subspace")
         kept = hi if keep_one else lo
         self.state = (kept / math.sqrt(probability)).ravel()
+        self._drop(qubit_id)
+        return dirty
+
+    def _drop(self, qubit_id: int) -> None:
+        """Free the bit position of `qubit_id` and close the gap it leaves."""
+        pos = self._position_of(qubit_id)
         del self.position[qubit_id]
         for qid, p in self.position.items():
             if p > pos:
                 self.position[qid] = p - 1
-        return dirty
 
     def _position_of(self, qubit_id: int) -> int:
         if qubit_id not in self.position:
@@ -188,6 +200,12 @@ class StateVectorSimulator:
         target_id: int,
         control_ids: Sequence[int] = (),
     ) -> None:
+        self._apply_at(matrix, *self._gate_positions(target_id, control_ids))
+
+    def _gate_positions(
+        self, target_id: int, control_ids: Sequence[int]
+    ) -> tuple[int, list[int]]:
+        """Bit positions of a gate's target and controls, checked."""
         pos = self._position_of(target_id)
         controls = [self._position_of(c) for c in control_ids]
         involved = [target_id, *control_ids]
@@ -196,7 +214,7 @@ class StateVectorSimulator:
                 "a qubit may appear only once among the controls and the "
                 f"target of a gate (got {sorted(set(involved))})"
             )
-        self._apply_at(matrix, pos, controls)
+        return pos, controls
 
     def _target_slices(
         self, pos: int, controls: Sequence[int] = ()
@@ -271,10 +289,6 @@ class StateVectorSimulator:
         _, hi = self._target_slices(pivot)
         return min(1.0, max(0.0, 1.0 - _weight(hi)))
 
-    def expectation(self, bases: Sequence[str], qubit_ids: Sequence[int]) -> float:
-        """Re<psi|P|psi> for the Pauli product P."""
-        return 2.0 * self.probe_zero_probability(bases, qubit_ids) - 1.0
-
     def probe_zero_probability(
         self, bases: Sequence[str], qubit_ids: Sequence[int]
     ) -> float:
@@ -344,3 +358,163 @@ class StateVectorSimulator:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.state) ** 2)))
+
+
+# ── Shot prefix ──────────────────────────────────────────────────────────────
+
+# Operations one log may hold (a few hundred bytes each), so a long program
+# that never draws cannot grow its log without bound.
+_MAX_LOG = 1 << 16
+
+
+class ShotPrefix:
+    """The simulator operations every shot of an entry point starts with.
+
+    Each shot starts from |0...0>, and until its first random draw it runs
+    the same operations whenever its calls are the same. The first shot that
+    draws records them (the log): allocations, gates keyed by their matrix's
+    bytes, releases that draw nothing and probes with their results. The
+    log ends before the draw, at a measurement or a dirty permissive release.
+    The next shot that repeats the whole log copies the state it leaves (the
+    snapshot), if the state, the snapshot and one kernel temporary fit in
+    MEMORY_BUDGET. Later shots check each operation against the log and run
+    its checks (positions, capacity, budget, duplicates, measurement
+    arguments) without computing amplitudes, and load a copy of the snapshot
+    where the log ends. A shot that departs from the log replays the part it
+    matched from |0...0> and goes on from there. A shot stores what it
+    found only once it has succeeded, and a shot that never draws stores a
+    log only if it reaches _MAX_LOG operations.
+    """
+
+    def __init__(self) -> None:
+        self.log: list | None = None  # (key, value) per operation
+        self.snapshot: np.ndarray | None = None
+
+    def stand_in(self, owner) -> _PrefixStandIn:
+        """Point `owner.simulator` at a stand-in for this shot's prefix."""
+        return _PrefixStandIn(self, owner)
+
+
+class _PrefixStandIn:
+    """Takes a shot's simulator calls until the shot leaves the prefix.
+
+    On leaving it points `owner.simulator` back at the shot's simulator, so
+    every later call costs what it would cost with no prefix at all. Its
+    operations go into `ops` as (key, value): the value is a probe's result,
+    or a gate's matrix for a replay.
+    """
+
+    def __init__(self, prefix: ShotPrefix, owner) -> None:
+        self.prefix, self.owner = prefix, owner
+        self.sim: StateVectorSimulator = owner.simulator
+        self.log = prefix.log  # None while this shot records
+        self.skip = prefix.snapshot is not None
+        self.ops: list = []
+        self.recorded: list | None = None
+        self.snapshot: np.ndarray | None = None
+        owner.simulator = self
+
+    def commit(self) -> None:
+        """Store what this shot found; call it once the shot has succeeded."""
+        if self.recorded is not None:
+            self.prefix.log = self.recorded
+        if self.snapshot is not None:
+            self.snapshot.setflags(write=False)
+            self.prefix.snapshot = self.snapshot
+
+    # ── The simulator calls the interpreter makes ────────────────────────
+
+    def allocate(self, qubit_id: int) -> None:
+        key = ("allocate", qubit_id)
+        if not self._follows(key):
+            return self.sim.allocate(qubit_id)
+        if self.skip:
+            self.sim._claim(qubit_id)
+        else:
+            self.sim.allocate(qubit_id)
+        self._matched(key, None)
+
+    def apply(
+        self, matrix: np.ndarray, target_id: int, control_ids: Sequence[int] = ()
+    ) -> None:
+        key = ("apply", matrix.tobytes(), target_id, tuple(control_ids))
+        if not self._follows(key):
+            return self.sim.apply(matrix, target_id, control_ids)
+        if self.skip:
+            self.sim._gate_positions(target_id, control_ids)  # its checks alone
+        else:
+            self.sim.apply(matrix, target_id, control_ids)
+        self._matched(key, matrix)
+
+    def release(self, qubit_id: int, strict: bool, rng=None) -> bool:
+        key = ("release", qubit_id)
+        if not self._follows(key):
+            return self.sim.release(qubit_id, strict, rng)
+        if self.skip:
+            self.sim._drop(qubit_id)  # the log holds only clean releases
+        elif self.sim.release(qubit_id, strict, rng):
+            self._leave()  # it drew, so the prefix ended before it
+            return True
+        self._matched(key, None)
+        return False
+
+    def probe_zero_probability(
+        self, bases: Sequence[str], qubit_ids: Sequence[int]
+    ) -> float:
+        key = ("probe", tuple(bases), tuple(qubit_ids))
+        if not self._follows(key):
+            return self.sim.probe_zero_probability(bases, qubit_ids)
+        if self.skip:
+            self.sim._check_measurement_args(bases, qubit_ids)
+            probability = self.log[len(self.ops)][1]
+        else:
+            probability = self.sim.probe_zero_probability(bases, qubit_ids)
+        self._matched(key, probability)
+        return probability
+
+    def measure(self, bases: Sequence[str], qubit_ids: Sequence[int], rng) -> int:
+        self._leave()
+        return self.sim.measure(bases, qubit_ids, rng)
+
+    def amplitudes(self) -> tuple[list[int], np.ndarray]:
+        if self.skip:
+            self._leave()
+        return self.sim.amplitudes()
+
+    # ── Following the log ────────────────────────────────────────────────
+
+    def _follows(self, key: tuple) -> bool:
+        """Whether the call `key` continues the prefix; if not, leave it."""
+        at = len(self.ops)
+        if self.log is None or (at < len(self.log) and self.log[at][0] == key):
+            return True
+        self._leave()
+        return False
+
+    def _matched(self, key: tuple, value) -> None:
+        self.ops.append((key, value))
+        if self.log is None:
+            if len(self.ops) == _MAX_LOG:
+                self._leave()
+        elif len(self.ops) == len(self.log):
+            if self.skip:
+                self.sim.state = self.prefix.snapshot.copy()
+            elif 3 * BYTES_PER_AMPLITUDE * (1 << self.sim.num_qubits) <= MEMORY_BUDGET:
+                self.snapshot = self.sim.state.copy()
+            self.owner.simulator = self.sim
+
+    def _leave(self) -> None:
+        """Hand the shot's simulator back, with its state brought up to date."""
+        if self.log is None:
+            self.recorded = self.ops
+        elif self.skip:
+            sim = self.sim
+            sim.position, sim.state = {}, np.ones(1, dtype=complex)
+            for key, value in self.ops:
+                if key[0] == "allocate":
+                    sim.allocate(key[1])
+                elif key[0] == "apply":
+                    sim.apply(value, key[2], key[3])
+                elif key[0] == "release":
+                    sim.release(key[1], strict=True)
+        self.owner.simulator = self.sim

@@ -152,7 +152,29 @@ def test_equal_exclusions_share_one_cache_entry():
     }
     for exclude, key in same.items():
         table = compile_units([], exclude).table
-        if key != ("canon_aqft.qds",):  # an open prelude is checked per compile
-            name = "Microsoft.Quantum.Primitive.SWAP"
-            assert table.lookup_qualified(name) is tables[key].lookup_qualified(name)
+        name = "Microsoft.Quantum.Primitive.SWAP"
+        assert table.lookup_qualified(name) is tables[key].lookup_qualified(name)
+    assert compiler._checked_prelude.cache_info().misses == misses
+
+
+def test_open_prelude_keeps_primitive_closed():
+    """Excluding canon_aqft.qds leaves canon.qds open, to be checked with the
+    user's file on every compile, but primitive.qds stays a cached layer
+    under it: its symbols are shared, the open file's are checked afresh."""
+    text, exclude = corpus_unit("accept", "approximate_qft.qds")
+    assert exclude == ("canon_aqft.qds",)
+    first, second = (
+        compile_units([("approximate_qft.qds", text)], prelude_exclude=exclude)
+        for _ in range(2)
+    )
+    assert first.ok and second.ok
+    misses = compiler._checked_prelude.cache_info().misses
+    primitive = compile_units([], ("canon.qds", "canon_aqft.qds")).table
+    for name in ("CNOT", "CCNOT", "SWAP", "Reset", "ResetAll"):
+        name = f"Microsoft.Quantum.Primitive.{name}"
+        sym = primitive.lookup_qualified(name)
+        assert first.table.lookup_qualified(name) is sym
+        assert second.table.lookup_qualified(name) is sym
+    qft = "Microsoft.Quantum.Canon.QFT"
+    assert first.table.lookup_qualified(qft) is not second.table.lookup_qualified(qft)
     assert compiler._checked_prelude.cache_info().misses == misses

@@ -328,7 +328,8 @@ def test_expectation_matches_operator_oracle():
         oracle = np.real(
             np.vdot(psi, pauli_product_operator(3, bases, positions) @ psi)
         )
-        assert abs(sim.expectation(bases, positions) - oracle) <= 1e-12
+        expectation = 2 * sim.probe_zero_probability(bases, positions) - 1
+        assert abs(expectation - oracle) <= 1e-12
 
 
 class _CountingRng:
