@@ -1,10 +1,16 @@
 """Dense state-vector simulation backend.
 
-The simulator stores one complex128 amplitude per basis state of the live
+The simulator stores one complex amplitude per basis state of the live
 qubits. Indexing is little-endian over allocation order: the qubit that was
 allocated into bit position p contributes bit p of the basis index, which is
 axis n-1-p of the view `state.reshape((2,) * n)`. No 2^n x 2^n operator is
 ever built.
+
+The live-qubit count alone selects the storage. Up to SMALL_QUBITS qubits the
+state is a Python list of complex, where a gate or a measurement costs a few
+Python operations; above it, a complex128 ndarray, where it costs a dozen
+numpy calls whatever the size. An allocation or a release that crosses the
+threshold converts the state. Both storages run the same algorithms below.
 
 Every kernel updates slices of that view in place. The controls and the
 target select length-1 slices, never integer indices: indexing every axis
@@ -43,6 +49,12 @@ import numpy as np
 DEFAULT_CAPACITY = 24
 RELEASE_EPSILON = 1e-9
 BYTES_PER_AMPLITUDE = 16  # complex128
+
+# At one qubit every slice holds one amplitude, so the list kernels compute
+# each probability bit for bit as np.vdot does. Over two or more amplitudes
+# OpenBLAS's zdotc sums with fused multiply-adds, which Python before 3.13
+# cannot reproduce, and a probability could differ in its last bit.
+SMALL_QUBITS = 1
 
 
 def _physical_memory() -> float:
@@ -117,11 +129,32 @@ def _weight(view: np.ndarray) -> float:
     return float(np.vdot(flat, flat).real)
 
 
+# ── List storage: the numpy kernels' arithmetic, one amplitude at a time ─────
+
+
+def _small_weight(state: list, pos: int) -> float:
+    """`_weight` of the pos=1 amplitudes of list storage, |x|^2 as vdot
+    computes it (abs(x)**2 goes through hypot and rounds differently)."""
+    total = 0.0
+    for i in range(len(state)):
+        if i >> pos & 1:
+            x = state[i]
+            total += x.real * x.real + x.imag * x.imag
+    return total
+
+
+def _divided(x: complex, scale: float) -> complex:
+    """x / s, with scale = 1 / s, as numpy divides a complex by a real: by
+    Smith's method with the ratio 0. x / s and x * scale differ from it in
+    the last bit or in the sign of a zero."""
+    return complex((x.real + x.imag * 0.0) * scale, (x.imag - x.real * 0.0) * scale)
+
+
 class StateVectorSimulator:
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
         self.position: dict[int, int] = {}  # qubit id -> bit position
-        self.state = np.ones(1, dtype=complex)
+        self.state: list[complex] | np.ndarray = [1 + 0j]
 
     @property
     def num_qubits(self) -> int:
@@ -131,7 +164,10 @@ class StateVectorSimulator:
 
     def allocate(self, qubit_id: int) -> None:
         self._claim(qubit_id)
-        self.state = np.concatenate([self.state, np.zeros_like(self.state)])
+        if self.num_qubits <= SMALL_QUBITS:
+            self.state = self.state + [0j] * len(self.state)
+        else:
+            self.state = np.concatenate([self.state, np.zeros_like(self.state)])
 
     def _claim(self, qubit_id: int) -> None:
         """Check that `qubit_id` may be allocated and give it the next position."""
@@ -159,8 +195,12 @@ class StateVectorSimulator:
         and the surviving slice, |0> or |1>, becomes the new state.
         """
         pos = self._position_of(qubit_id)
-        lo, hi = self._target_slices(pos)
-        p_one = _weight(hi)
+        small = self.num_qubits <= SMALL_QUBITS
+        if small:
+            p_one = _small_weight(self.state, pos)
+        else:
+            lo, hi = self._target_slices(pos)
+            p_one = _weight(hi)
         dirty = p_one > RELEASE_EPSILON
         keep_one = False
         if dirty:
@@ -174,8 +214,13 @@ class StateVectorSimulator:
         probability = p_one if keep_one else 1.0 - p_one
         if probability < 1e-300:
             raise SimulationError("projection onto a zero-probability subspace")
-        kept = hi if keep_one else lo
-        self.state = (kept / math.sqrt(probability)).ravel()
+        if small:
+            scale = 1.0 / math.sqrt(probability)
+            self.state = [_divided(x, scale) for i, x in enumerate(self.state)
+                          if i >> pos & 1 == keep_one]
+        else:
+            kept = ((hi if keep_one else lo) / math.sqrt(probability)).ravel()
+            self.state = kept.tolist() if self.num_qubits == SMALL_QUBITS + 1 else kept
         self._drop(qubit_id)
         return dirty
 
@@ -200,7 +245,11 @@ class StateVectorSimulator:
         target_id: int,
         control_ids: Sequence[int] = (),
     ) -> None:
-        self._apply_at(matrix, *self._gate_positions(target_id, control_ids))
+        pos, controls = self._gate_positions(target_id, control_ids)
+        if self.num_qubits <= SMALL_QUBITS:
+            self._apply_small(matrix, pos, controls)
+        else:
+            self._apply_at(matrix, pos, controls)
 
     def _gate_positions(
         self, target_id: int, control_ids: Sequence[int]
@@ -245,12 +294,36 @@ class StateVectorSimulator:
         _mix(lo, a, hi, b)
         _mix(hi, d, saved, c)
 
+    def _apply_small(
+        self, matrix: np.ndarray, pos: int, controls: Sequence[int] = ()
+    ) -> None:
+        """`_apply_at` on list storage, with the same cases and products."""
+        state = self.state
+        (a, b), (c, d) = matrix.tolist()
+        bit = mask = 1 << pos
+        for q in controls:
+            mask |= 1 << q
+        need = mask ^ bit  # every control 1, the target 0
+        for i in range(len(state)):
+            if i & mask != need:
+                continue
+            lo, hi = state[i], state[i | bit]
+            if b == 0 and c == 0:
+                if d != 1:
+                    state[i | bit] = hi * d
+                if a != 1:
+                    state[i] = lo * a
+            else:
+                state[i] = hi * b if a == 0 else lo * a + b * hi
+                state[i | bit] = lo * c if d == 0 else hi * d + c * lo
+
     # ── Measurement ──────────────────────────────────────────────────────
 
     def _to_z_basis(
-        self, bases: Sequence[str], qubit_ids: Sequence[int]
+        self, bases: Sequence[str], qubit_ids: Sequence[int], apply_at
     ) -> tuple[int | None, list]:
-        """Conjugate P into Z on one pivot qubit, in place (see module doc).
+        """Conjugate P into Z on one pivot qubit, in place (see module doc),
+        with the storage's gate kernel `apply_at`.
 
         Returns the pivot's bit position, None when P is the identity, and
         the gates applied as (matrix, inverse, target, controls).
@@ -275,29 +348,31 @@ class StateVectorSimulator:
             pivot = z_factors[0]
             gates += [(x, x, pivot, (q,)) for q in z_factors[1:]]
         for matrix, _, target, controls in gates:
-            self._apply_at(matrix, target, controls)
+            apply_at(matrix, target, controls)
         return pivot, gates
 
-    def _undo(self, gates: list) -> None:
-        for _, inverse, target, controls in reversed(gates):
-            self._apply_at(inverse, target, controls)
-
-    def _zero_probability(self, pivot: int | None) -> float:
+    def _zero_probability(self, pivot: int | None, small: bool) -> float:
         """Probability of Zero once `_to_z_basis` has chosen `pivot`."""
         if pivot is None:
             return 1.0  # the identity has the whole space as +1 eigenspace
-        _, hi = self._target_slices(pivot)
-        return min(1.0, max(0.0, 1.0 - _weight(hi)))
+        if small:
+            p_one = _small_weight(self.state, pivot)
+        else:
+            p_one = _weight(self._target_slices(pivot)[1])
+        return min(1.0, max(0.0, 1.0 - p_one))
 
     def probe_zero_probability(
         self, bases: Sequence[str], qubit_ids: Sequence[int]
     ) -> float:
         """Probability of the +1 (Zero) outcome, without collapsing."""
         self._check_measurement_args(bases, qubit_ids)
+        small = self.num_qubits <= SMALL_QUBITS
+        apply_at = self._apply_small if small else self._apply_at
         state = self.state
         self.state = state.copy()
         try:
-            return self._zero_probability(self._to_z_basis(bases, qubit_ids)[0])
+            pivot = self._to_z_basis(bases, qubit_ids, apply_at)[0]
+            return self._zero_probability(pivot, small)
         finally:
             self.state = state
 
@@ -306,22 +381,31 @@ class StateVectorSimulator:
     ) -> int:
         """Projective Pauli-product measurement; returns 0 for Zero, 1 for One."""
         self._check_measurement_args(bases, qubit_ids)
-        pivot, gates = self._to_z_basis(bases, qubit_ids)
+        small = self.num_qubits <= SMALL_QUBITS
+        apply_at = self._apply_small if small else self._apply_at
+        pivot, gates = self._to_z_basis(bases, qubit_ids, apply_at)
         try:
-            p_zero = self._zero_probability(pivot)
+            p_zero = self._zero_probability(pivot, small)
             outcome = 0 if rng.random() < p_zero else 1
             probability = p_zero if outcome == 0 else 1.0 - p_zero
             if probability < 1e-300:
                 raise SimulationError(
                     "measurement collapsed onto an outcome of probability zero"
                 )
-            if pivot is not None:
+            if pivot is not None and small:
+                scale = 1.0 / math.sqrt(probability)
+                self.state = [
+                    _divided(x, scale) if i >> pivot & 1 == outcome else 0j
+                    for i, x in enumerate(self.state)
+                ]
+            elif pivot is not None:
                 lo, hi = self._target_slices(pivot)
                 kept, rejected = (lo, hi) if outcome == 0 else (hi, lo)
                 rejected[...] = 0.0
                 kept /= math.sqrt(probability)
         finally:
-            self._undo(gates)
+            for _, inverse, target, controls in reversed(gates):
+                apply_at(inverse, target, controls)
         return outcome
 
     def _check_measurement_args(
@@ -342,22 +426,30 @@ class StateVectorSimulator:
 
     # ── Inspection ───────────────────────────────────────────────────────
 
+    def load(self, amplitudes) -> None:
+        """Set the state to a copy of `amplitudes`, indexed by bit position,
+        in the storage the live-qubit count selects."""
+        vector = np.array(amplitudes, dtype=complex)
+        if vector.shape != (1 << self.num_qubits,):
+            raise ValueError(
+                f"{self.num_qubits} qubits need {1 << self.num_qubits} "
+                f"amplitudes, got shape {vector.shape}"
+            )
+        self.state = vector.tolist() if self.num_qubits <= SMALL_QUBITS else vector
+
     def amplitudes(self) -> tuple[list[int], np.ndarray]:
         """State vector with bit j of the index tracking the j-th smallest id."""
         ids = sorted(self.position)
         n = len(ids)
         if n == 0:
-            return ids, self.state.copy()
+            return ids, np.array(self.state, dtype=complex)
         perm = [0] * n
         for axis in range(n):
             j = n - 1 - axis
             perm[axis] = n - 1 - self.position[ids[j]]
-        arr = self.state.reshape((2,) * n).transpose(perm)
+        arr = np.asarray(self.state, dtype=complex).reshape((2,) * n).transpose(perm)
         # Always copy: callers keep snapshots past later in-place projections.
         return ids, np.array(arr, copy=True).reshape(-1)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.state) ** 2)))
 
 
 # ── Shot prefix ──────────────────────────────────────────────────────────────
@@ -498,9 +590,9 @@ class _PrefixStandIn:
                 self._leave()
         elif len(self.ops) == len(self.log):
             if self.skip:
-                self.sim.state = self.prefix.snapshot.copy()
+                self.sim.load(self.prefix.snapshot)
             elif 3 * BYTES_PER_AMPLITUDE * (1 << self.sim.num_qubits) <= MEMORY_BUDGET:
-                self.snapshot = self.sim.state.copy()
+                self.snapshot = np.array(self.sim.state, dtype=complex)
             self.owner.simulator = self.sim
 
     def _leave(self) -> None:
@@ -509,7 +601,8 @@ class _PrefixStandIn:
             self.recorded = self.ops
         elif self.skip:
             sim = self.sim
-            sim.position, sim.state = {}, np.ones(1, dtype=complex)
+            sim.position = {}
+            sim.load([1])
             for key, value in self.ops:
                 if key[0] == "allocate":
                     sim.allocate(key[1])

@@ -29,6 +29,8 @@ from qdsl.compiler import (
 )
 from qdsl.prelude import intrinsic_handlers
 from qdsl.runtime import Interpreter, QdslFailure, RunOptions, run_shots
+import qdsl.simulator
+from qdsl.simulator import StateVectorSimulator
 from qdsl.values import Closure, QubitRef
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -172,6 +174,20 @@ def bit_reversal_permutation(n: int) -> np.ndarray:
 def haar_random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return vec / np.linalg.norm(vec)
+
+
+def assert_storage(sim: StateVectorSimulator) -> None:
+    """The state is in the storage its live-qubit count selects: a list of
+    2^n complex up to SMALL_QUBITS qubits, a contiguous complex128 vector
+    of 2^n amplitudes above."""
+    size = 1 << sim.num_qubits
+    if sim.num_qubits <= qdsl.simulator.SMALL_QUBITS:
+        assert type(sim.state) is list and len(sim.state) == size
+        assert all(type(x) is complex for x in sim.state)
+    else:
+        assert type(sim.state) is np.ndarray
+        assert sim.state.shape == (size,) and sim.state.dtype == np.complex128
+        assert sim.state.flags.c_contiguous
 
 
 def kron_all(factors: list[np.ndarray]) -> np.ndarray:

@@ -222,7 +222,7 @@ def _assert_adjoint_restores(sym, width, arg_builder, np_rng, states=50):
     backward = forward.adjoint()
     for _ in range(states):
         psi = haar_random_state(width, np_rng)
-        interp.simulator.state = psi.copy()
+        interp.simulator.load(psi)
         interp.invoke(forward, arg)
         interp.invoke(backward, arg)
         error = np.max(np.abs(interp.simulator.state - psi))

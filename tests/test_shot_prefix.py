@@ -27,6 +27,33 @@ HANDLERS = intrinsic_handlers()
 # Every runnable accept-corpus program and every golden program.
 PROGRAMS = {**CASES, "borrow_topup": TRACE_CASES["borrow_topup"]}
 
+# The benchmark's repeat-until-success coin on one qubit: its prefix ends
+# with a snapshot small enough for list storage.
+RUS_COIN = """
+namespace Bench {
+    open Microsoft.Quantum.Primitive;
+
+    operation Main () : Int {
+        body {
+            mutable tries = 0;
+            using (q = Qubit()) {
+                for (round in 1 .. 20) {
+                    repeat {
+                        H(q);
+                        let outcome = Measure([PauliZ], [q]);
+                        set tries = tries + 1;
+                    } until outcome == One
+                    fixup {
+                    }
+                    X(q);
+                }
+            }
+            return tries;
+        }
+    }
+}
+"""
+
 # A strict release, a gate sequence and a probe come before the first draw.
 PREFIXED = """
 namespace Demo {
@@ -109,10 +136,13 @@ def one_call(entry, seed: int, options: RunOptions, handlers=HANDLERS):
     return [summary(r) for r in results], None
 
 
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
+@pytest.mark.parametrize("name", sorted([*PROGRAMS, "rus_coin"]))
 def test_cached_shots_match_uncached_reference(name):
-    path, extra = PROGRAMS[name]
-    text, exclude = _source(path)
+    if name == "rus_coin":
+        text, exclude, extra = RUS_COIN, (), []
+    else:
+        path, extra = PROGRAMS[name]
+        text, exclude = _source(path)
     entry_name = extra[extra.index("--entry") + 1] if "--entry" in extra else None
     strict = "--permissive-release" not in extra
     for seed in SEEDS:
@@ -144,6 +174,25 @@ def test_prefix_with_probe_and_strict_release_is_reused(dump):
     assert ops.count("probe") == 1 and ops.count("release") == 1
     assert prefix.snapshot is not None
     assert len(prefix.snapshot) == 1 << PREFIXED_QUBITS
+
+
+def test_later_shots_leave_a_small_snapshot_unchanged():
+    storages = []
+
+    def spy(interp, arg, adjoint, controls):
+        storages.append(type(interp.simulator.state))
+        return HANDLERS["Measure"](interp, arg, adjoint, controls)
+
+    entry = compile_entry(RUS_COIN)
+    run_shots(HANDLERS, entry, 2, 1, RunOptions())
+    snapshot = entry.shot_prefix.snapshot
+    assert len(snapshot) == 2 and not snapshot.flags.writeable
+    stored = snapshot.tobytes()
+    # Each later shot loads the snapshot, then gates and measures in place.
+    run_shots({**HANDLERS, "Measure": spy}, entry, 5, 2, RunOptions())
+    assert entry.shot_prefix.snapshot is snapshot
+    assert snapshot.tobytes() == stored
+    assert set(storages) == {list}
 
 
 def test_one_shot_records_a_log_and_copies_no_state():

@@ -20,11 +20,12 @@ import qdsl.simulator
 from qdsl.simulator import (
     GATE_ADJOINTS,
     GATE_MATRICES,
+    SMALL_QUBITS,
     SimulationError,
     StateVectorSimulator,
     r1frac_matrix,
 )
-from conftest import haar_random_state, kron_all
+from conftest import assert_storage, haar_random_state, kron_all
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -45,8 +46,13 @@ def make_sim(n: int, capacity: int = 24) -> StateVectorSimulator:
     return sim
 
 
-def set_state(sim: StateVectorSimulator, vec: np.ndarray) -> None:
-    sim.state = np.asarray(vec, dtype=complex).copy()
+def norm(sim: StateVectorSimulator) -> float:
+    return float(np.linalg.norm(sim.amplitudes()[1]))
+
+
+def qubit_counts(top: int):
+    """Live-qubit counts, drawn as often at or below SMALL_QUBITS as above."""
+    return st.one_of(st.integers(1, SMALL_QUBITS), st.integers(SMALL_QUBITS + 1, top))
 
 
 def operator_at(n: int, pos: int, gate: np.ndarray) -> np.ndarray:
@@ -159,7 +165,7 @@ def test_apply_matches_full_operator(gate, pos):
     rng = np.random.default_rng(pos * 17 + len(gate))
     psi = haar_random_state(3, rng)
     sim = make_sim(3)
-    set_state(sim, psi)
+    sim.load(psi)
     sim.apply(FROZEN[gate], pos)
     expected = operator_at(3, pos, FROZEN[gate]) @ psi
     assert np.max(np.abs(sim.state - expected)) <= 1e-12
@@ -168,10 +174,10 @@ def test_apply_matches_full_operator(gate, pos):
 def test_apply_preserves_norm():
     rng = np.random.default_rng(5)
     sim = make_sim(4)
-    set_state(sim, haar_random_state(4, rng))
+    sim.load(haar_random_state(4, rng))
     for gate, pos in [("H", 0), ("T", 3), ("Y", 2), ("H", 1), ("X", 0)]:
         sim.apply(FROZEN[gate], pos)
-    assert abs(sim.norm() - 1.0) <= 1e-12
+    assert abs(norm(sim) - 1.0) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,7 +192,7 @@ def test_apply_preserves_norm():
 def test_gate_sequence_then_reversed_inverse_restores_state(moves, seed):
     psi = haar_random_state(3, np.random.default_rng(seed))
     sim = make_sim(3)
-    set_state(sim, psi)
+    sim.load(psi)
     for gate, pos in moves:
         sim.apply(FROZEN[gate], pos)
     for gate, pos in reversed(moves):
@@ -202,7 +208,7 @@ def test_controlled_apply_matches_direct_construction(controls, target):
     rng = np.random.default_rng(sum(controls) * 31 + target)
     psi = haar_random_state(3, rng)
     sim = make_sim(3)
-    set_state(sim, psi)
+    sim.load(psi)
     sim.apply(FROZEN["H"], target, control_ids=list(controls))
     expected = controlled_operator(3, controls, target, FROZEN["H"]) @ psi
     assert np.max(np.abs(sim.state - expected)) <= 1e-12
@@ -238,7 +244,7 @@ _ANGLE = st.floats(0.1, 2 * math.pi - 0.1)
 
 @st.composite
 def _circuits(draw):
-    n = draw(st.integers(1, 8))
+    n = draw(qubit_counts(8))
     gates = []
     for _ in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(["dense", "diagonal", "phase", "x_like", "X", "H", "Z"]))
@@ -268,14 +274,13 @@ def test_random_circuits_match_explicit_operators(circuit):
     n, gates, seed = circuit
     psi = haar_random_state(n, np.random.default_rng(seed))
     sim = make_sim(n)
-    set_state(sim, psi)
+    sim.load(psi)
     expected = psi
     for matrix, target, controls in gates:
         sim.apply(matrix, target, control_ids=controls)
         expected = _oracle_operator(n, target, controls, matrix) @ expected
     assert np.max(np.abs(sim.state - expected)) <= 1e-10
-    assert sim.state.shape == (2**n,) and sim.state.dtype == np.complex128
-    assert sim.state.flags.c_contiguous
+    assert_storage(sim)
 
 
 @pytest.mark.parametrize("kind", ["dense", "diagonal", "phase", "x_like"])
@@ -287,7 +292,7 @@ def test_controls_and_target_covering_every_qubit(kind, n):
     for target in range(n):
         controls = [q for q in range(n) if q != target]
         sim = make_sim(n)
-        set_state(sim, psi)
+        sim.load(psi)
         sim.apply(matrix, target, control_ids=controls)
         expected = _oracle_operator(n, target, controls, matrix) @ psi
         assert np.max(np.abs(sim.state - expected)) <= 1e-12
@@ -317,7 +322,7 @@ def test_expectation_matches_operator_oracle():
     rng = np.random.default_rng(9)
     psi = haar_random_state(3, rng)
     sim = make_sim(3)
-    set_state(sim, psi)
+    sim.load(psi)
     for bases, positions in [
         (["Z"], [0]),
         (["X", "X"], [0, 1]),
@@ -344,13 +349,34 @@ class _CountingRng:
 
 @settings(max_examples=150, deadline=None)
 @given(
-    n=st.integers(1, 5),
+    n=qubit_counts(5),
     letters=st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=5),
     draw=st.floats(0.0, 0.999999),
     seed=st.integers(0, 2**31),
     data=st.data(),
 )
 def test_pauli_measurement_matches_projector_oracle(n, letters, draw, seed, data):
+    check_pauli_measurement(n, letters, draw, seed, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    letters=st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=4),
+    draw=st.floats(0.0, 0.999999),
+    seed=st.integers(0, 2**31),
+    data=st.data(),
+)
+def test_list_storage_of_several_qubits_matches_projector_oracle(
+    n, letters, draw, seed, data
+):
+    # The list kernels are written for any threshold; run them past one qubit.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qdsl.simulator, "SMALL_QUBITS", 4)
+        check_pauli_measurement(n, letters, draw, seed, data)
+
+
+def check_pauli_measurement(n, letters, draw, seed, data):
     letters = letters[:n]
     positions = data.draw(st.permutations(range(n)))[: len(letters)]
     psi = haar_random_state(n, np.random.default_rng(seed))
@@ -364,14 +390,105 @@ def test_pauli_measurement_matches_projector_oracle(n, letters, draw, seed, data
     collapsed = projector @ psi / math.sqrt(probability)
 
     sim = make_sim(n)
-    set_state(sim, psi)
+    sim.load(psi)
     assert abs(sim.probe_zero_probability(letters, positions) - p_zero) <= 1e-12
     assert np.array_equal(sim.state, psi)
     rng = _CountingRng(draw)
     assert sim.measure(letters, positions, rng) == outcome
     assert rng.draws == 1
     assert np.max(np.abs(sim.state - collapsed)) <= 1e-10
-    assert sim.state.flags.c_contiguous
+    assert_storage(sim)
+
+
+# Before each of three seeded measurements, `probe_zero_probability` of every
+# Pauli product in PIN_PROBES[n], then the measurement's outcome: floats taken
+# bit for bit from the numpy storage. The list storage at n = SMALL_QUBITS
+# must give the same, or a last-bit drift would show only as an outcome that
+# flips in some later golden. A Bell pair needs two qubits.
+PIN_PROBES = {1: ["X", "Y", "Z"], 2: ["XI", "IY", "ZZ", "XX", "ZY"]}
+PIN_MEASURES = {1: ["X", "Y", "Z"], 2: ["IZ", "XX", "YI"]}
+PIN_PREPARATIONS = {
+    "plus": [("H", 0, [])],
+    "minus": [("X", 0, []), ("H", 0, [])],
+    "bell": [("H", 0, []), ("X", 1, [0])],
+    "haar": [],
+}
+PIN_HAAR = {  # haar_random_state(n, np.random.default_rng(10 + n))
+    1: [0.017995102771955096 + 0.6445509809996788j,
+        0.7156132333662547 - 0.2685663966315829j],
+    2: [-0.002358333854482142 + 0.5592116408497858j,
+        0.3613936865522447 - 0.4164640778455163j,
+        0.2561841914441991 - 0.21658385678427003j,
+        0.25009319986563533 - 0.45622750749980284j],
+}
+PINNED = {
+    ("plus", 1): [
+        (1.0, 0.5000000000000002, 0.5000000000000001, 0),
+        (1.0, 0.5000000000000003, 0.5000000000000002, 1),
+        (0.5000000000000001, 2.220446049250313e-16, 0.5, 1),
+    ],
+    ("minus", 1): [
+        (4.440892098500626e-16, 0.5000000000000002, 0.5000000000000001, 1),
+        (4.440892098500626e-16, 0.5000000000000002, 0.5000000000000001, 1),
+        (0.5000000000000001, 2.220446049250313e-16, 0.5, 1),
+    ],
+    ("haar", 1): [
+        (0.33977279926696147, 0.03391790850894982, 0.4157697908314215, 1),
+        (4.440892098500626e-16, 0.5000000000000002, 0.5000000000000001, 1),
+        (0.5000000000000001, 1.1102230246251565e-16, 0.5, 1),
+    ],
+    ("plus", 2): [
+        (1.0, 0.5000000000000002, 0.5000000000000001, 0.5000000000000002,
+         0.5000000000000002, 0),
+        (1.0, 0.5000000000000002, 0.5000000000000001, 0.5000000000000002,
+         0.5000000000000002, 1),
+        (1.0, 0.5000000000000001, 0.5, 2.220446049250313e-16,
+         0.5000000000000001, 1),
+    ],
+    ("minus", 2): [
+        (4.440892098500626e-16, 0.5000000000000002, 0.5000000000000001,
+         0.5000000000000002, 0.5000000000000002, 0),
+        (4.440892098500626e-16, 0.5000000000000002, 0.5000000000000001,
+         0.5000000000000002, 0.5000000000000002, 1),
+        (2.220446049250313e-16, 0.5000000000000001, 0.5, 2.220446049250313e-16,
+         0.5000000000000001, 1),
+    ],
+    ("bell", 2): [
+        (0.5000000000000002, 0.5000000000000002, 1.0, 1.0, 0.5000000000000002, 1),
+        (0.5000000000000001, 0.5000000000000001, 1.0, 0.5000000000000001,
+         0.5000000000000001, 1),
+        (0.5000000000000002, 0.5000000000000002, 1.0, 4.440892098500626e-16,
+         0.5000000000000002, 1),
+    ],
+    ("haar", 2): [
+        (0.4291375900458759, 0.2965266880000832, 0.5834133682189944,
+         0.42706520924452007, 0.417972501968922, 1),
+        (0.9250237176966627, 0.5000000000000002, 0.7063403577134865,
+         0.5000000000000002, 0.5000000000000002, 1),
+        (0.9250237176966627, 0.5000000000000002, 0.7063403577134864,
+         2.220446049250313e-16, 0.3363586355044118, 1),
+    ],
+}
+
+
+def test_pinned_states_straddle_the_threshold():
+    assert {n for _, n in PINNED} == {SMALL_QUBITS, SMALL_QUBITS + 1}
+
+
+@pytest.mark.parametrize("name,n", sorted(PINNED))
+def test_probabilities_at_the_threshold_are_pinned(name, n):
+    sim = make_sim(n)
+    if name == "haar":
+        sim.load(PIN_HAAR[n])
+    for gate, target, controls in PIN_PREPARATIONS[name]:
+        sim.apply(FROZEN[gate], target, controls)
+    rng = random.Random(5)
+    qubits = list(range(n))
+    seen = []
+    for pauli in PIN_MEASURES[n]:
+        probes = [sim.probe_zero_probability(list(p), qubits) for p in PIN_PROBES[n]]
+        seen.append((*probes, sim.measure(list(pauli), qubits, rng)))
+    assert seen == PINNED[name, n]
 
 
 def test_probe_does_not_disturb_the_state():
@@ -415,7 +532,7 @@ def test_measurement_collapse_is_consistent_and_normalized():
         sim = make_sim(1)
         sim.apply(FROZEN["H"], 0)
         first = sim.measure(["Z"], [0], rng)
-        assert abs(sim.norm() - 1.0) <= 1e-12
+        assert abs(norm(sim) - 1.0) <= 1e-12
         # The collapsed state must reproduce the outcome forever after.
         for _ in range(3):
             assert sim.measure(["Z"], [0], rng) == first
@@ -494,7 +611,8 @@ def test_allocation_refuses_beyond_the_memory_budget(monkeypatch):
     sim = make_sim(4)
     with pytest.raises(SimulationError, match="needs 1024 bytes"):
         sim.allocate(4)
-    assert sim.num_qubits == 4 and sim.state.shape == (16,)
+    assert sim.num_qubits == 4 and len(sim.state) == 16
+    assert_storage(sim)
 
 
 def test_dirty_release_draws_once_and_keeps_the_surviving_slice():
@@ -505,7 +623,7 @@ def test_dirty_release_draws_once_and_keeps_the_surviving_slice():
     assert sim.release(1, strict=False, rng=rng) is True
     assert rng.draws == 1
     assert np.max(np.abs(sim.state - np.array([1.0, 0.0]))) <= 1e-12
-    assert sim.state.flags.c_contiguous
+    assert_storage(sim)
 
 
 def test_double_allocation_rejected():
@@ -543,7 +661,7 @@ def test_permissive_release_measures_and_resets():
     was_reset = sim.release(0, strict=False, rng=rng)
     assert was_reset is True
     assert sim.num_qubits == 0
-    assert abs(sim.norm() - 1.0) <= 1e-12
+    assert abs(norm(sim) - 1.0) <= 1e-12
 
 
 def test_permissive_release_collapses_partner_consistently():
@@ -571,6 +689,145 @@ def test_release_compacts_positions():
     sim.apply(FROZEN["X"], 2)
     ids, amps = sim.amplitudes()
     assert abs(amps[3] - 1.0) <= 1e-12
+
+
+def _release_oracle(psi: np.ndarray, pos: int, draw: float) -> tuple[np.ndarray, bool]:
+    """A permissive release as a projector on bit `pos`, then that bit
+    dropped: the vector left, and whether the qubit had to be measured."""
+    ones = (np.arange(len(psi)) >> pos) & 1 == 1
+    p_one = float(np.sum(np.abs(psi[ones]) ** 2))
+    dirty = p_one > qdsl.simulator.RELEASE_EPSILON
+    assume(not dirty or abs(draw - p_one) > 1e-9)  # no tie for rounding to break
+    keep_one = dirty and draw < p_one
+    kept = psi[ones] if keep_one else psi[~ones]
+    return kept / math.sqrt(p_one if keep_one else 1.0 - p_one), dirty
+
+
+@st.composite
+def _crossing_programs(draw, threshold: int):
+    """Allocate threshold + 2 qubits, release them all in a drawn order and
+    allocate threshold + 1 again, with a gate after each step: the live
+    count crosses the threshold up, down and up again."""
+    top = threshold + 2
+    plan = [*range(top), *[None] * top, *range(top, 2 * top - 1)]  # None: release
+    steps, live = [], []
+    for qid in plan:
+        if qid is None:
+            released = draw(st.sampled_from(live))
+            live.remove(released)
+            steps.append(("release", released, draw(st.floats(0.0, 0.999999))))
+        else:
+            steps.append(("allocate", qid))
+            live.append(qid)
+        if not live:
+            continue
+        target = draw(st.sampled_from(live))
+        others = [q for q in live if q != target]
+        controls = draw(st.lists(st.sampled_from(others), unique=True, max_size=2)
+                        if others else st.just([]))
+        kind = draw(st.sampled_from(["dense", "diagonal", "x_like", "H"]))
+        matrix = _gate_matrix(kind, (draw(_ANGLE), draw(_ANGLE), draw(_ANGLE)))
+        steps.append(("gate", matrix, target, controls))
+    return steps
+
+
+@pytest.mark.parametrize("threshold", [SMALL_QUBITS, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_allocations_and_releases_across_the_threshold_match_the_oracle(
+    threshold, data
+):
+    # A threshold above the module's runs the list kernels with controls.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qdsl.simulator, "SMALL_QUBITS", threshold)
+        check_crossing_program(data.draw(_crossing_programs(threshold)), threshold)
+
+
+def check_crossing_program(steps, threshold: int) -> None:
+    sim = StateVectorSimulator()
+    order, psi = [], np.ones(1, dtype=complex)  # ids by bit position; the oracle
+    for step in steps:
+        if step[0] == "allocate":
+            sim.allocate(step[1])
+            order.append(step[1])
+            psi = np.kron([1, 0], psi)
+        elif step[0] == "release":
+            _, qid, value = step
+            psi, dirty = _release_oracle(psi, order.index(qid), value)
+            rng = _CountingRng(value)
+            assert sim.release(qid, strict=False, rng=rng) is dirty
+            assert rng.draws == dirty
+            order.remove(qid)
+        else:
+            _, matrix, target, controls = step
+            positions = [order.index(c) for c in controls]
+            sim.apply(matrix, target, control_ids=controls)
+            psi = _oracle_operator(len(order), order.index(target), positions, matrix) @ psi
+        assert type(sim.state) is (list if len(order) <= threshold else np.ndarray)
+        assert_storage(sim)
+        assert np.max(np.abs(sim.state - psi)) <= 1e-10
+
+
+@st.composite
+def _program_steps(draw):
+    """Allocations, gates, probes, measurements and permissive releases on at
+    most SMALL_QUBITS + 1 qubits, with the gates the intrinsics apply."""
+    steps, live = [], []
+    for qid in range(draw(st.integers(1, 30))):
+        kinds = ["gate", "probe", "measure", "release"] if live else []
+        if len(live) <= SMALL_QUBITS:
+            kinds.append("allocate")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "allocate":
+            live.append(qid)
+            steps.append(("allocate", qid))
+        elif kind == "gate":
+            matrix = draw(st.sampled_from([*GATE_MATRICES.values(), *GATE_ADJOINTS.values()])
+                          | st.builds(r1frac_matrix, st.integers(-8, 8), st.integers(0, 4)))
+            target = draw(st.sampled_from(live))
+            controls = [q for q in live if q != target][: draw(st.integers(0, 1))]
+            steps.append(("gate", matrix, target, controls))
+        elif kind == "release":
+            released = draw(st.sampled_from(live))
+            live.remove(released)
+            steps.append(("release", released, draw(st.floats(0.0, 0.999999))))
+        else:
+            qubits = draw(st.permutations(live))[: draw(st.integers(1, len(live)))]
+            bases = [draw(st.sampled_from("IXYZ")) for _ in qubits]
+            steps.append((kind, bases, qubits, draw(st.floats(0.0, 0.999999))))
+    return steps
+
+
+def _observed(steps) -> list:
+    """Every result and the bytes of the amplitudes after every step."""
+    sim, seen = StateVectorSimulator(), []
+    for kind, *args in steps:
+        try:
+            if kind == "allocate":
+                sim.allocate(*args)
+            elif kind == "gate":
+                sim.apply(*args)
+            elif kind == "release":
+                seen.append(sim.release(args[0], strict=False, rng=_FixedRng(args[1])))
+            elif kind == "probe":
+                seen.append(sim.probe_zero_probability(*args[:2]))
+            else:
+                seen.append(sim.measure(*args[:2], _FixedRng(args[2])))
+        except SimulationError as error:  # a collapse onto probability zero
+            return [*seen, str(error)]
+        seen.append(sim.amplitudes()[1].tobytes())
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=_program_steps())
+def test_list_storage_gives_the_numpy_storage_bytes(steps):
+    # Seeded output must not move: every probability, outcome and amplitude,
+    # down to the sign of a zero, is the one the numpy storage computes.
+    observed = _observed(steps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qdsl.simulator, "SMALL_QUBITS", 0)
+        assert _observed(steps) == observed
 
 
 def test_release_unallocated_qubit_rejected():
@@ -616,6 +873,19 @@ def test_amplitudes_snapshot_is_independent_of_later_evolution():
     sim.release(0, strict=False, rng=random.Random(0))
     assert abs(snapshot[0] - SQ2) <= 1e-12
     assert abs(snapshot[3] - SQ2) <= 1e-12
+
+
+def test_load_copies_into_the_selected_storage_and_checks_the_size():
+    psi = haar_random_state(SMALL_QUBITS + 1, np.random.default_rng(4))
+    for n in (SMALL_QUBITS, SMALL_QUBITS + 1):
+        sim = make_sim(n)
+        sim.load(psi[: 1 << n])
+        assert_storage(sim)
+        assert np.array_equal(sim.state, psi[: 1 << n])
+        with pytest.raises(ValueError, match="need"):
+            sim.load(psi[: 1 << (n - 1)])
+    sim.state[0] = 0.0
+    assert psi[0] != 0.0
 
 
 def test_empty_register_amplitudes():
