@@ -21,6 +21,10 @@ diagnostics byte for byte: every generated block (with its callable, kind and
 control register name) of the prelude and of each accept-corpus file, then
 the rendered diagnostics of each reject-corpus file.
 
+`tests/golden/tokens.txt` pins the lexer: the span, kind and lexeme of every
+token, then the span, code and message of every lexer diagnostic, of each
+`.qds` file of the corpus, of `tests/golden/programs/` and of the prelude.
+
 Regenerate a golden file only when its output change is intended, and name
 each file to rewrite by its path under `tests/golden/`; files not named are
 left alone, and no name prints the list of known files:
@@ -40,8 +44,10 @@ import tempfile
 
 import pytest
 
+import qdsl
 from qdsl import cli
 from qdsl.compiler import compile_units, wrap_statement_snippet
+from qdsl.lexer import tokenize
 from qdsl.pretty import pretty_print
 from qdsl.source import SourceFile
 from test_corpus import load_accept
@@ -50,7 +56,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 ACCEPT = os.path.join(HERE, "corpus", "accept")
 REJECT = os.path.join(HERE, "corpus", "reject")
+PROGRAMS = os.path.join(GOLDEN, "programs")
+PRELUDE = os.path.join(os.path.dirname(os.path.abspath(qdsl.__file__)), "prelude")
 SPECIALIZATIONS = "specializations.txt"
+TOKENS = "tokens.txt"
 
 SEEDS = (1, 2, 3)
 SHOTS = 20
@@ -203,6 +212,35 @@ def test_specializations_and_diagnostics_match_golden():
     assert specialization_text() == expected
 
 
+def token_text() -> str:
+    """Every token and lexer diagnostic of each source file, one a line."""
+    lines: list[str] = []
+    folders = {
+        "corpus/accept": ACCEPT,
+        "corpus/reject": REJECT,
+        "golden/programs": PROGRAMS,
+        "prelude": PRELUDE,
+    }
+    for label, folder in folders.items():
+        for name in sorted(os.listdir(folder)):
+            if not name.endswith(".qds"):
+                continue
+            with open(os.path.join(folder, name), encoding="utf-8") as handle:
+                tokens, diagnostics = tokenize(handle.read(), name)
+            lines.append(f"== {label}/{name}")
+            for t in tokens:
+                lines.append(f"{t.span.start}:{t.span.end} {t.kind.name} {t.lexeme!r}")
+            for d in diagnostics:
+                lines.append(f"{d.span.start}:{d.span.end} {d.code} {d.message!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_token_stream_matches_golden():
+    with open(os.path.join(GOLDEN, TOKENS), encoding="utf-8") as handle:
+        expected = handle.read()
+    assert token_text() == expected
+
+
 def run_golden_text(name: str) -> str:
     """Every variant of one run case, one line each, so a changed run shows
     as a changed line."""
@@ -224,6 +262,7 @@ def golden_files() -> dict:
     for name in TRACE_CASES:
         files[f"traces/{name}.txt"] = functools.partial(run_trace, name)
     files[SPECIALIZATIONS] = specialization_text
+    files[TOKENS] = token_text
     return files
 
 
