@@ -151,7 +151,6 @@ class CallExpr(Expr):
     args: list[Expr] = field(default_factory=list)
     # Checker annotations:
     is_partial: bool = field(default=False, compare=False)
-    elidable: bool = field(default=False, compare=False)
 
 
 @dataclass

@@ -962,8 +962,6 @@ class Checker:
                 expr.span,
             )
             return ERROR
-        if not callee_n.operation and ty.normalize(result) == ty.UNIT:
-            expr.elidable = True
         return result
 
     def _check_args(

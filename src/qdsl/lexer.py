@@ -1,177 +1,130 @@
-"""Hand-written lexer producing spanned tokens with error recovery.
+"""Lexer: one regular expression whose named groups are the token classes.
 
-Lexical rules worth calling out:
+At each position ``_TOKEN`` tries its alternatives in order, and the first
+that matches decides the token. A group named after a ``TokenKind`` gives a
+token of that kind as matched; a lower-case group needs the loop's care:
 
-* ``//`` starts a line comment.
-* A digit run followed by ``..`` stays an integer so that ``1..4`` lexes as
-  three tokens (range syntax), never as a malformed double.
-* ``_`` alone is a symbol (the missing-argument placeholder); identifiers may
-  contain underscores anywhere else.
-* `````T`` lexes as a single type-parameter token including the backtick.
-* ``$"..."`` lexes as one interpolated-string token; the parser splits out
-  the embedded expressions.
+* ``skip``: blanks (space, tab, CR, LF) and ``//`` line comments.
+* ``KEYWORD``, ``IDENT``: ASCII words. ``_`` alone is not a word but the
+  missing-argument placeholder symbol; identifiers may contain underscores
+  anywhere else.
+* ``DOUBLE``, ``INT``: a dot begins a fraction only when a digit follows
+  it, so ``1..4`` lexes as a range and ``1.`` as an Int and a ``.``.
+* ``STRING``: ``"..."``, in which a backslash escapes the next character,
+  even a newline. ``open_string`` is one cut off by the end of its line or
+  of the text; it is reported and still yields a token.
+* ``interp_string``: ``$"...{expr}..."`` is one token, ended by
+  ``_interp_string_end``; the parser splits out the embedded expressions.
+* ``TYPE_PARAM``: ```T`` including the backtick. ``backtick`` is one
+  with no name after it, reported and skipped.
+* ``SYMBOL``: ``tokens.SYMBOLS``, tried in their order so the longest wins.
+* ``illegal``: any other character, reported and skipped.
 """
 
 from __future__ import annotations
+
+import re
 
 from . import diagnostics as diag
 from .diagnostics import Diagnostic
 from .source import Span
 from .tokens import KEYWORDS, SYMBOLS, Token, TokenKind
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-
-
-class Lexer:
-    def __init__(self, text: str, file: str = "<input>") -> None:
-        self.text = text
-        self.file = file
-        self.pos = 0
-        self.tokens: list[Token] = []
-        self.diagnostics: list[Diagnostic] = []
-
-    # ── Character access ─────────────────────────────────────────────────
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def _error(self, code: str, message: str, start: int, end: int) -> None:
-        self.diagnostics.append(
-            diag.error(code, message, Span(start, max(end, start + 1)), self.file)
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{group}>{pattern})"
+        for group, pattern in (
+            ("skip", r"(?:[ \t\r\n]|//[^\n]*)+"),
+            ("KEYWORD", "(?:" + "|".join(sorted(KEYWORDS)) + r")\b"),
+            ("IDENT", r"[A-Za-z]\w*|_\w+"),
+            ("DOUBLE", r"\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)"),
+            ("INT", r"\d+"),
+            ("STRING", r'"(?:[^"\\\n]|\\.)*"'),
+            ("open_string", r'"(?:[^"\\\n]|\\.)*(?P<dangling>\\)?'),
+            ("interp_string", r'\$"'),
+            ("TYPE_PARAM", r"`[A-Za-z_]\w*"),
+            ("backtick", "`"),
+            ("SYMBOL", "|".join(map(re.escape, SYMBOLS))),
+            ("illegal", "."),
         )
+    ),
+    re.ASCII | re.DOTALL,
+)
+_KINDS = {kind.name: kind for kind in TokenKind}
 
-    # ── Main loop ────────────────────────────────────────────────────────
 
-    def run(self) -> list[Token]:
-        text = self.text
-        n = len(text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < n and text[self.pos] != "\n":
-                    self.pos += 1
-            elif ch in _IDENT_START:
-                self._lex_word()
-            elif ch in _DIGITS:
-                self._lex_number()
-            elif ch == '"':
-                self._lex_string(interpolated=False)
-            elif ch == "$" and self._peek(1) == '"':
-                self._lex_string(interpolated=True)
-            elif ch == "`":
-                self._lex_type_param()
-            else:
-                self._lex_symbol()
-        self.tokens.append(Token(TokenKind.EOF, "", Span(n, n)))
-        return self.tokens
+def _interp_string_end(text: str, pos: int) -> tuple[int, bool]:
+    """End of the ``$"`` string whose body starts at ``pos``, and whether a
+    quote closes it.
 
-    # ── Token classes ────────────────────────────────────────────────────
+    Braces nest inside its holes, which no regular expression can follow,
+    so this one form is scanned by hand: a backslash skips the next
+    character, a quote inside a hole does not close the string, and a
+    newline cuts it off.
+    """
+    depth = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch == "\\":
+            pos += 2
+            continue
+        if ch == "{":
+            depth += 1
+        elif ch == "}" and depth:
+            depth -= 1
+        elif ch == '"' and not depth:
+            return pos + 1, True
+        elif ch == "\n":
+            break
+        pos += 1
+    return pos, False
 
-    def _lex_word(self) -> None:
-        start = self.pos
-        while self._peek() in _IDENT_CONT:
-            self.pos += 1
-        word = self.text[start : self.pos]
-        if word == "_":
-            kind = TokenKind.SYMBOL
-        elif word in KEYWORDS:
-            kind = TokenKind.KEYWORD
-        else:
-            kind = TokenKind.IDENT
-        self.tokens.append(Token(kind, word, Span(start, self.pos)))
 
-    def _lex_number(self) -> None:
-        start = self.pos
-        while self._peek() in _DIGITS:
-            self.pos += 1
-        is_double = False
-        # A dot begins a fraction only when not part of `..` and followed
-        # by a digit, so `1..4` and `a[1].` style slices stay integers.
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            is_double = True
-            self.pos += 1
-            while self._peek() in _DIGITS:
-                self.pos += 1
-        if self._peek() in ("e", "E") and (
-            self._peek(1) in _DIGITS
-            or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-        ):
-            is_double = True
-            self.pos += 1
-            if self._peek() in "+-":
-                self.pos += 1
-            while self._peek() in _DIGITS:
-                self.pos += 1
-        kind = TokenKind.DOUBLE if is_double else TokenKind.INT
-        self.tokens.append(Token(kind, self.text[start : self.pos], Span(start, self.pos)))
-
-    def _lex_string(self, interpolated: bool) -> None:
-        start = self.pos
-        self.pos += 2 if interpolated else 1
-        depth = 0  # brace nesting inside an interpolated string
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "\\":
-                self.pos += 2
-                continue
-            if interpolated and ch == "{":
-                depth += 1
-            elif interpolated and ch == "}" and depth > 0:
-                depth -= 1
-            elif ch == '"' and depth == 0:
-                self.pos += 1
-                kind = TokenKind.INTERP_STRING if interpolated else TokenKind.STRING
-                self.tokens.append(
-                    Token(kind, self.text[start : self.pos], Span(start, self.pos))
+def lex(
+    text: str, file: str = "<input>", offset: int = 0
+) -> tuple[list[Token], list[Diagnostic]]:
+    """Tokenize ``text``, the part of ``file`` that starts at ``offset``;
+    always returns a token list ending in EOF."""
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    match = _TOKEN.match
+    pos = 0
+    while pos < len(text):
+        m = match(text, pos)
+        start, pos = pos, m.end()
+        kind = _KINDS.get(m.lastgroup)
+        if kind is not None:
+            tokens.append(Token(kind, m.group(), Span(start + offset, pos + offset)))
+            continue
+        group = m.lastgroup
+        if group in ("open_string", "interp_string"):
+            kind, closed = TokenKind.STRING, False
+            if group == "interp_string":
+                kind = TokenKind.INTERP_STRING
+                pos, closed = _interp_string_end(text, pos)
+            elif m.group("dangling"):
+                pos += 1  # an escape at the very end of the text skips past it
+            span = Span(start + offset, pos + offset)
+            tokens.append(Token(kind, text[start:pos], span))
+            if not closed:
+                diagnostics.append(
+                    diag.error(
+                        diag.UNTERMINATED_STRING, "unterminated string literal", span, file
+                    )
                 )
-                return
-            elif ch == "\n":
-                break
-            self.pos += 1
-        self._error(
-            diag.UNTERMINATED_STRING, "unterminated string literal", start, self.pos
-        )
-        kind = TokenKind.INTERP_STRING if interpolated else TokenKind.STRING
-        self.tokens.append(
-            Token(kind, self.text[start : self.pos], Span(start, self.pos))
-        )
-
-    def _lex_type_param(self) -> None:
-        start = self.pos
-        self.pos += 1
-        if self._peek() not in _IDENT_START:
-            self._error(
-                diag.ILLEGAL_CHARACTER,
-                "expected a name after ` in type parameter",
-                start,
-                self.pos,
+        elif group != "skip":
+            message = (
+                "expected a name after ` in type parameter"
+                if group == "backtick"
+                else f"illegal character {m.group()!r}"
             )
-            return
-        while self._peek() in _IDENT_CONT:
-            self.pos += 1
-        self.tokens.append(
-            Token(TokenKind.TYPE_PARAM, self.text[start : self.pos], Span(start, self.pos))
-        )
-
-    def _lex_symbol(self) -> None:
-        start = self.pos
-        for sym in SYMBOLS:
-            if self.text.startswith(sym, self.pos):
-                self.pos += len(sym)
-                self.tokens.append(Token(TokenKind.SYMBOL, sym, Span(start, self.pos)))
-                return
-        ch = self.text[self.pos]
-        self._error(diag.ILLEGAL_CHARACTER, f"illegal character {ch!r}", start, start + 1)
-        self.pos += 1
+            span = Span(start + offset, pos + offset)
+            diagnostics.append(diag.error(diag.ILLEGAL_CHARACTER, message, span, file))
+    end = len(text) + offset
+    tokens.append(Token(TokenKind.EOF, "", Span(end, end)))
+    return tokens, diagnostics
 
 
 def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
-    """Tokenize ``text``; always returns a token list ending in EOF."""
-    lexer = Lexer(text, file)
-    tokens = lexer.run()
-    return tokens, lexer.diagnostics
+    """Tokenize the whole of ``text``; always returns a token list ending in EOF."""
+    return lex(text, file)

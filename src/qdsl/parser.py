@@ -23,6 +23,8 @@ are written parenthesized: ``(Controlled X)([c], t)``.
 
 from __future__ import annotations
 
+import re
+
 from . import diagnostics as diag
 from .ast_nodes import (
     AllocateStmt,
@@ -77,7 +79,7 @@ from .ast_nodes import (
     UnaryExpr,
 )
 from .diagnostics import Diagnostic
-from .lexer import tokenize
+from .lexer import lex, tokenize
 from .source import Span
 from .tokens import Token, TokenKind
 
@@ -838,22 +840,9 @@ class Parser:
         return InterpString(tok.span, parts=parts)
 
     def _parse_embedded(self, text: str, offset: int) -> Expr:
-        tokens, lex_diags = tokenize(text, self.file)
-        shifted = [
-            Token(t.kind, t.lexeme, Span(t.span.start + offset, t.span.end + offset))
-            for t in tokens
-        ]
-        for d in lex_diags:
-            self.diagnostics.append(
-                diag.Diagnostic(
-                    d.severity,
-                    d.code,
-                    d.message,
-                    Span(d.span.start + offset, d.span.end + offset),
-                    self.file,
-                )
-            )
-        sub = Parser(shifted, self.file)
+        tokens, lex_diags = lex(text, self.file, offset)
+        self.diagnostics.extend(lex_diags)
+        sub = Parser(tokens, self.file)
         try:
             expr = sub.parse_expression()
             if not sub._at_eof():
@@ -933,19 +922,12 @@ class Parser:
         return first  # parenthesized type: (T) is T
 
 
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPED = {"n": "\n", "t": "\t", "r": "\r"}
+
+
 def _unescape(raw: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "\\" and i + 1 < len(raw):
-            nxt = raw[i + 1]
-            out.append({"n": "\n", "t": "\t", "r": "\r"}.get(nxt, nxt))
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _ESCAPE.sub(lambda m: _ESCAPED.get(m[1], m[1]), raw)
 
 
 # ── Public entry points ──────────────────────────────────────────────────────
@@ -956,19 +938,6 @@ def parse_program(text: str, file: str = "<input>") -> tuple[Program, list[Diagn
     parser = Parser(tokens, file)
     program = parser.parse_program()
     return program, lex_diags + parser.diagnostics
-
-
-def parse_statements(text: str, file: str = "<input>") -> tuple[list[Stmt], list[Diagnostic]]:
-    """Parse a statement sequence (used for snippet-style sources)."""
-    tokens, lex_diags = tokenize(text, file)
-    parser = Parser(tokens, file)
-    stmts: list[Stmt] = []
-    while not parser._at_eof():
-        try:
-            stmts.append(parser._parse_statement())
-        except _ParseError:
-            parser._sync_statement()
-    return stmts, lex_diags + parser.diagnostics
 
 
 def parse_expression(text: str, file: str = "<input>") -> tuple[Expr, list[Diagnostic]]:

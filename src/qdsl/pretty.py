@@ -47,7 +47,6 @@ from .ast_nodes import (
     SetStmt,
     SpecDecl,
     SpecImpl,
-    SpecKind,
     Stmt,
     StringLit,
     TupleExpr,
@@ -152,10 +151,7 @@ def render_type(ty: TypeNode) -> str:
     if isinstance(ty, TupleTypeNode):
         return "(" + ", ".join(render_type(t) for t in ty.items) + ")"
     if isinstance(ty, ArrayTypeNode):
-        inner = render_type(ty.element)
-        if isinstance(ty.element, CallableTypeNode):
-            pass  # already parenthesized
-        return inner + "[]"
+        return render_type(ty.element) + "[]"
     if isinstance(ty, CallableTypeNode):
         arrow = "=>" if ty.is_operation else "->"
         text = f"({render_type(ty.input)} {arrow} {render_type(ty.output)}"
@@ -220,13 +216,9 @@ def _render_stmt(w: _Writer, stmt: Stmt) -> None:
     elif isinstance(stmt, ExprStmt):
         w.line(render_expr(stmt.expr) + ";")
     elif isinstance(stmt, IfStmt):
-        first = True
-        for cond, block in stmt.branches:
-            kw = "if" if first else "elif"
-            first = False
+        for i, (cond, block) in enumerate(stmt.branches):
+            kw = "elif" if i else "if"
             _render_block(w, block, f"{kw} ({render_expr(cond)}) {{")
-            if w.lines[-1].endswith("}"):
-                pass
         if stmt.else_block is not None:
             _render_block(w, stmt.else_block, "else {")
     elif isinstance(stmt, ForStmt):

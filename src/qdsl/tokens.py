@@ -55,7 +55,8 @@ KEYWORDS = frozenset(
     }
 )
 
-# Multi-character symbols first; the lexer applies maximal munch.
+# The lexer's pattern tries the symbols in this order, so multi-character
+# symbols come before their one-character prefixes and the longest wins.
 SYMBOLS = (
     "..",
     "==",

@@ -337,18 +337,6 @@ def contains_var(t: Type) -> bool:
     return False
 
 
-def contains_rigid(t: Type) -> bool:
-    if isinstance(t, Param) and t.uid is None:
-        return True
-    if isinstance(t, Tuple):
-        return any(contains_rigid(i) for i in t.items)
-    if isinstance(t, Array):
-        return contains_rigid(t.element)
-    if isinstance(t, Callable):
-        return contains_rigid(t.input) or contains_rigid(t.output)
-    return False
-
-
 def instantiate(t: Type, mapping: dict[str, Param]) -> Type:
     """Replace rigid parameters named in ``mapping`` with fresh variables."""
     if isinstance(t, Param) and t.uid is None and t.name in mapping:

@@ -8,7 +8,7 @@ type an expression is given, and how scopes interact.
 import pytest
 
 from qdsl import types as ty
-from qdsl.ast_nodes import CallExpr, FunctorExpr, walk
+from qdsl.ast_nodes import FunctorExpr, walk
 from conftest import compile_errors, compile_ok, get_symbol
 
 
@@ -406,29 +406,3 @@ namespace T {
         Message($"xs: {xs} slice: {xs[r]} flag: {Length(xs) > 1}");
     }
 }""")
-
-
-# ── Elision marking ──────────────────────────────────────────────────────────
-
-
-def test_unit_function_calls_are_marked_elidable():
-    result = compile_ok("""
-namespace T {
-    open Microsoft.Quantum.Primitive;
-    operation O (q : Qubit) : () {
-        body {
-            Assert([PauliZ], [q], Zero);
-            X(q);
-        }
-    }
-}""")
-    calls = [
-        n for n in body_exprs(result, "T.O") if isinstance(n, CallExpr)
-    ]
-    flags = {}
-    for call in calls:
-        name = getattr(call.callee, "name", None)
-        if name:
-            flags[name] = getattr(call, "elidable", False)
-    assert flags["Assert"] is True
-    assert flags["X"] is False

@@ -23,7 +23,8 @@ REJECT = sorted(os.listdir(os.path.join(CORPUS, "reject")))
 
 
 def load_accept(name: str) -> tuple[str, tuple[str, ...]]:
-    text = open(os.path.join(CORPUS, "accept", name)).read()
+    with open(os.path.join(CORPUS, "accept", name), encoding="utf-8") as handle:
+        text = handle.read()
     first = text.splitlines()[0]
     exclude: tuple[str, ...] = ()
     if first.startswith("// prelude-exclude:"):
@@ -42,7 +43,8 @@ def test_accept_compiles_cleanly(name):
 
 @pytest.mark.parametrize("name", REJECT)
 def test_reject_produces_expected_code(name):
-    text = open(os.path.join(CORPUS, "reject", name)).read()
+    with open(os.path.join(CORPUS, "reject", name), encoding="utf-8") as handle:
+        text = handle.read()
     expected = text.splitlines()[0].split("// expect:")[1].strip()
     result = compile_units([(name, text)])
     codes = [d.code for d in result.errors]
@@ -55,11 +57,11 @@ def test_reject_corpus_is_large_enough():
 
 
 def test_reject_corpus_covers_every_error_code():
-    expected = {
-        open(os.path.join(CORPUS, "reject", name)).read().splitlines()[0]
-        .split("// expect:")[1].strip()
-        for name in REJECT
-    }
+    expected = set()
+    for name in REJECT:
+        with open(os.path.join(CORPUS, "reject", name), encoding="utf-8") as handle:
+            first = handle.read().splitlines()[0]
+        expected.add(first.split("// expect:")[1].strip())
     assert expected == set(diag.ALL_CODES)
 
 

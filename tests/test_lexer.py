@@ -5,12 +5,16 @@ stripping, `..` never folding into a double, `_` as the placeholder
 symbol, backtick type parameters, interpolated strings as one token).
 """
 
+import os
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qdsl import diagnostics as diag
 from qdsl.lexer import tokenize
-from qdsl.tokens import TokenKind
+from qdsl.tokens import KEYWORDS, TokenKind
+
+GRAMMAR = os.path.join(os.path.dirname(__file__), "..", "docs", "grammar.md")
 
 
 def kinds_and_lexemes(text):
@@ -147,6 +151,51 @@ def test_illegal_character_recovers():
     assert pairs == [(K.IDENT, "a"), (K.IDENT, "b")]
 
 
+def test_backtick_without_a_name_is_illegal_and_yields_no_token():
+    pairs, diags = kinds_and_lexemes("` x")
+    assert [(d.code, d.message) for d in diags] == [
+        (diag.ILLEGAL_CHARACTER, "expected a name after ` in type parameter")
+    ]
+    assert (diags[0].span.start, diags[0].span.end) == (0, 1)
+    assert pairs == [(K.IDENT, "x")]
+
+
+def test_unterminated_string_ends_before_its_newline():
+    tokens, diags = tokenize('"ab\ny')
+    assert (tokens[0].lexeme, tokens[0].span.end) == ('"ab', 3)
+    assert (diags[0].span.start, diags[0].span.end) == (0, 3)
+    assert tokens[1].lexeme == "y"
+
+
+def test_escape_skips_the_next_character_even_a_newline():
+    assert lex_clean('"a\\\nb"') == [(K.STRING, '"a\\\nb"')]
+    for text in ('"a\\\nb" x', '$"a\\\nb" x'):
+        pairs, diags = kinds_and_lexemes(text)
+        assert diags == [] and pairs[-1] == (K.IDENT, "x")
+
+
+def test_escape_at_the_end_of_the_text_ends_the_span_one_past_it():
+    for text in ('"ab\\', '$"ab\\'):
+        tokens, diags = tokenize(text)
+        assert tokens[0].lexeme == text
+        assert tokens[0].span.end == len(text) + 1
+        assert [d.code for d in diags] == [diag.UNTERMINATED_STRING]
+        assert diags[0].span.end == len(text) + 1
+        assert tokens[-1].span.start == len(text)
+
+
+def test_identifiers_are_ascii():
+    pairs, diags = kinds_and_lexemes("caf\u00e9")
+    assert pairs == [(K.IDENT, "caf")]
+    assert [d.message for d in diags] == ["illegal character '\u00e9'"]
+
+
+def test_grammar_doc_lists_exactly_the_keywords():
+    with open(GRAMMAR, encoding="utf-8") as handle:
+        listed = handle.read().split("Keywords: `", 1)[1].split("`", 1)[0].split()
+    assert sorted(listed) == sorted(KEYWORDS)
+
+
 def test_eof_token_always_present():
     tokens, _ = tokenize("")
     assert tokens[-1].kind is K.EOF
@@ -200,3 +249,22 @@ def test_space_separated_fragments_round_trip(fragments):
     tokens, diags = tokenize(text)
     assert diags == []
     assert [t.lexeme for t in tokens[:-1]] == fragments
+
+
+RAW_PIECES = ["\\", '"', '$"', "`", "{", "}", "/", ".", "e", "\n", "#", "\u00e9", " ", "x", "_"]
+
+
+@given(st.lists(st.sampled_from(RAW_PIECES + list("0123456789")), max_size=40))
+def test_any_text_lexes_to_spans_that_slice_back(pieces):
+    """On any text: no exception, EOF at the end, ascending disjoint spans,
+    each slicing back to its lexeme."""
+    text = "".join(pieces)
+    tokens, _ = tokenize(text)
+    *body, eof = tokens
+    assert eof.kind is K.EOF and (eof.span.start, eof.span.end) == (len(text), len(text))
+    for a, b in zip(body, body[1:]):
+        assert a.span.end <= b.span.start
+    for t in body:
+        assert text[t.span.start : t.span.end] == t.lexeme
+        # only a string cut off by an escape at the very end runs one past
+        assert t.span.end <= len(text) or t.span.end == len(text) + 1 == body[-1].span.end

@@ -12,12 +12,10 @@ from qdsl import diagnostics as diag
 from qdsl.ast_nodes import (
     AllocateStmt,
     BinaryExpr,
-    Block,
     CallExpr,
     FunctorExpr,
     IfStmt,
     IndexExpr,
-    IntLit,
     LetStmt,
     Name,
     RangeExpr,
@@ -27,7 +25,7 @@ from qdsl.ast_nodes import (
     structurally_equal,
     walk,
 )
-from qdsl.parser import parse_expression, parse_program, parse_statements
+from qdsl.parser import parse_expression, parse_program
 from qdsl.pretty import pretty_print
 
 
@@ -37,10 +35,14 @@ def expr(text):
     return node
 
 
+def in_body(text):
+    """``text`` as the statements of an operation body."""
+    return "namespace T { operation Op () : () { body { " + text + " } } }"
+
+
 def stmts(text):
-    statements, diags = parse_statements(text)
-    assert diags == [], [d.render() for d in diags]
-    return statements
+    [spec] = program(in_body(text)).namespaces[0].decls[0].specs
+    return spec.block.stmts
 
 
 def program(text):
@@ -165,7 +167,7 @@ def test_if_elif_else_collects_branches():
 def test_repeat_requires_fixup():
     [s] = stmts("repeat { let x = 1; } until x == 1 fixup { }")
     assert isinstance(s, RepeatStmt)
-    _, diags = parse_statements("repeat { } until true")
+    _, diags = parse_program(in_body("repeat { } until true"))
     assert any(d.code == diag.UNEXPECTED_TOKEN for d in diags)
 
 
@@ -253,7 +255,9 @@ namespace N {
 
 
 def test_every_span_is_well_formed_and_in_bounds():
-    text = open(__file__.replace("test_parser.py", "corpus/accept/functors_everywhere.qds")).read()
+    path = __file__.replace("test_parser.py", "corpus/accept/functors_everywhere.qds")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
     prog = program(text)
     for node in walk(prog):
         span = node.span
@@ -264,6 +268,16 @@ def test_statement_spans_ascend_within_a_block():
     body = stmts("let a = 1; let b = 2; let c = 3;")
     starts = [s.span.start for s in body]
     assert starts == sorted(starts)
+
+
+def test_interpolation_hole_diagnostics_carry_file_spans():
+    text = 'namespace N { function F () : () { Message($"a {x # y} b {"z}"); } }'
+    _, diags = parse_program(text)
+    assert [(d.code, text[d.span.start : d.span.end]) for d in diags] == [
+        (diag.ILLEGAL_CHARACTER, "#"),
+        (diag.UNEXPECTED_TOKEN, "y"),
+        (diag.UNTERMINATED_STRING, '"z'),
+    ]
 
 
 def test_name_spans_slice_to_their_text():
