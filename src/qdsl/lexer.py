@@ -14,7 +14,8 @@ token of that kind as matched; a lower-case group needs the loop's care:
   even a newline. ``open_string`` is one cut off by the end of its line or
   of the text; it is reported and still yields a token.
 * ``interp_string``: ``$"...{expr}..."`` is one token, ended by
-  ``_interp_string_end``; the parser splits out the embedded expressions.
+  ``scan_interp_string``; the parser splits out the embedded expressions
+  at the holes that function finds.
 * ``TYPE_PARAM``: ```T`` including the backtick. ``backtick`` is one
   with no name after it, reported and skipped.
 * ``SYMBOL``: ``tokens.SYMBOLS``, tried in their order so the longest wins.
@@ -53,31 +54,38 @@ _TOKEN = re.compile(
 _KINDS = {kind.name: kind for kind in TokenKind}
 
 
-def _interp_string_end(text: str, pos: int) -> tuple[int, bool]:
-    """End of the ``$"`` string whose body starts at ``pos``, and whether a
-    quote closes it.
+def scan_interp_string(
+    text: str, pos: int
+) -> tuple[int, bool, list[tuple[int, int | None]]]:
+    """Scan the ``$"`` string whose body starts at ``pos``: its end, whether
+    a quote closes it, and its holes as the offsets of each outermost ``{``
+    and of the ``}`` that closes it (None for a hole left open).
 
     Braces nest inside its holes, which no regular expression can follow,
     so this one form is scanned by hand: a backslash skips the next
     character, a quote inside a hole does not close the string, and a
     newline cuts it off.
     """
-    depth = 0
+    depth, holes = 0, []
     while pos < len(text):
         ch = text[pos]
         if ch == "\\":
             pos += 2
             continue
         if ch == "{":
+            if not depth:
+                holes.append((pos, None))
             depth += 1
         elif ch == "}" and depth:
             depth -= 1
+            if not depth:
+                holes[-1] = (holes[-1][0], pos)
         elif ch == '"' and not depth:
-            return pos + 1, True
+            return pos + 1, True, holes
         elif ch == "\n":
             break
         pos += 1
-    return pos, False
+    return pos, False, holes
 
 
 def lex(
@@ -101,7 +109,7 @@ def lex(
             kind, closed = TokenKind.STRING, False
             if group == "interp_string":
                 kind = TokenKind.INTERP_STRING
-                pos, closed = _interp_string_end(text, pos)
+                pos, closed, _ = scan_interp_string(text, pos)
             elif m.group("dangling"):
                 pos += 1  # an escape at the very end of the text skips past it
             span = Span(start + offset, pos + offset)

@@ -79,7 +79,7 @@ from .ast_nodes import (
     UnaryExpr,
 )
 from .diagnostics import Diagnostic
-from .lexer import lex, tokenize
+from .lexer import lex, scan_interp_string, tokenize
 from .source import Span
 from .tokens import Token, TokenKind
 
@@ -796,47 +796,29 @@ class Parser:
         return ArrayExpr(start.union(end), items=items)
 
     def _parse_interpolation(self, tok: Token) -> InterpString:
-        """Split a ``$"..."`` token and parse each embedded expression."""
+        """Split a ``$"..."`` token at the holes the lexer's scan finds and
+        parse each embedded expression."""
         body = tok.lexeme[2:-1] if tok.lexeme.endswith('"') else tok.lexeme[2:]
         base = tok.span.start + 2
         parts: list = []
-        text: list[str] = []
-        i = 0
-        while i < len(body):
-            ch = body[i]
-            if ch == "\\" and i + 1 < len(body):
-                text.append(_unescape(body[i : i + 2]))
-                i += 2
-                continue
-            if ch == "{":
-                depth = 1
-                j = i + 1
-                while j < len(body) and depth > 0:
-                    if body[j] == "{":
-                        depth += 1
-                    elif body[j] == "}":
-                        depth -= 1
-                    j += 1
-                if depth > 0:
-                    self.diagnostics.append(
-                        diag.error(
-                            diag.UNEXPECTED_TOKEN,
-                            "unterminated interpolation hole",
-                            Span(base + i, base + len(body)),
-                            self.file,
-                        )
+        at = 0
+        for start, end in scan_interp_string(body, 0)[2]:
+            if start > at:
+                parts.append(_unescape(body[at:start]))
+            if end is None:
+                self.diagnostics.append(
+                    diag.error(
+                        diag.UNEXPECTED_TOKEN,
+                        "unterminated interpolation hole",
+                        Span(base + start, base + len(body)),
+                        self.file,
                     )
-                    break
-                if text:
-                    parts.append("".join(text))
-                    text = []
-                parts.append(self._parse_embedded(body[i + 1 : j - 1], base + i + 1))
-                i = j
-                continue
-            text.append(ch)
-            i += 1
-        if text:
-            parts.append("".join(text))
+                )
+                return InterpString(tok.span, parts=parts)
+            parts.append(self._parse_embedded(body[start + 1 : end], base + start + 1))
+            at = end + 1
+        if at < len(body):
+            parts.append(_unescape(body[at:]))
         return InterpString(tok.span, parts=parts)
 
     def _parse_embedded(self, text: str, offset: int) -> Expr:

@@ -2,8 +2,8 @@
 
 Each shot runs on a fresh interpreter: a qubit ledger handing out the lowest
 free qubit id, a state-vector simulator, and a per-shot RNG. The entry
-point's shots share a `ShotPrefix`, so a shot skips the simulator work that
-an earlier shot did before its first random draw. Invoking a
+point's shots share a `ShotPrefix`, so a shot skips the simulator work of
+an earlier shot for as long as its outcomes are that shot's. Invoking a
 callable value peels its wrapper stack outermost-first, accumulating flattened
 control registers and an adjoint parity bit, then dispatches the base symbol
 to the matching specialization body (or intrinsic handler).

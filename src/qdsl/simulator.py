@@ -29,12 +29,15 @@ Z factor fold the parity of all Z factors into it. Either way at most one
 dense gate runs, however long P is. The probability of the +1 outcome
 (reported as Zero) is the weight of the pivot=0 slice. The state collapses
 by zeroing the rejected slice and dividing the kept one by the square root
-of its probability, and the gates are then undone in reverse.
+of its probability, and the gates are then undone in reverse. A weight is
+summed in chunks of a fixed length, so its bits do not depend on how many
+threads the BLAS library runs.
 Assertions probe the same probability on a copy of the state, which a
 state-vector backend can do because it is not bound by no-cloning.
 
 `ShotPrefix` lets the shots of one entry point share the simulator work
-they all do before their first random draw.
+they have in common: all of it before the first random draw, and past each
+draw for as long as a shot's outcomes are those of the shot it follows.
 """
 
 from __future__ import annotations
@@ -123,10 +126,19 @@ def _mix(out: np.ndarray, x: complex, other: np.ndarray, y: complex) -> None:
         out += y * other
 
 
+# OpenBLAS splits a zdotc of more than 10,000 elements across its threads, so
+# its bits would depend on the CPU count; a chunk this long is summed by one.
+_WEIGHT_CHUNK = 8192
+
+
 def _weight(view: np.ndarray) -> float:
-    """Sum of |amplitude|^2 over a slice."""
+    """Sum of |amplitude|^2 over a slice, chunk by chunk in a fixed order."""
     flat = view.ravel()  # vdot is slow on strided views; ravel copies them
-    return float(np.vdot(flat, flat).real)
+    total = 0.0
+    for start in range(0, len(flat), _WEIGHT_CHUNK):
+        chunk = flat[start : start + _WEIGHT_CHUNK]
+        total += np.vdot(chunk, chunk).real
+    return float(total)
 
 
 # ── List storage: the numpy kernels' arithmetic, one amplitude at a time ─────
@@ -155,6 +167,7 @@ class StateVectorSimulator:
         self.capacity = capacity
         self.position: dict[int, int] = {}  # qubit id -> bit position
         self.state: list[complex] | np.ndarray = [1 + 0j]
+        self.drawn: tuple[float, float] | None = None  # see `_draw`
 
     @property
     def num_qubits(self) -> int:
@@ -210,7 +223,7 @@ class StateVectorSimulator:
                     f"{p_one:.3g} of being |1>; qubits must be returned "
                     "to |0> before release"
                 )
-            keep_one = (rng.random() if rng is not None else 0.5) < p_one
+            keep_one = self._draw(rng, p_one)
         probability = p_one if keep_one else 1.0 - p_one
         if probability < 1e-300:
             raise SimulationError("projection onto a zero-probability subspace")
@@ -253,15 +266,17 @@ class StateVectorSimulator:
 
     def _gate_positions(
         self, target_id: int, control_ids: Sequence[int]
-    ) -> tuple[int, list[int]]:
+    ) -> tuple[int, Sequence[int]]:
         """Bit positions of a gate's target and controls, checked."""
         pos = self._position_of(target_id)
+        if not control_ids:
+            return pos, ()
         controls = [self._position_of(c) for c in control_ids]
-        involved = [target_id, *control_ids]
-        if len(set(involved)) != len(involved):
+        # Distinct qubits have distinct positions.
+        if pos in controls or len(set(controls)) != len(controls):
             raise SimulationError(
                 "a qubit may appear only once among the controls and the "
-                f"target of a gate (got {sorted(set(involved))})"
+                f"target of a gate (got {sorted({target_id, *control_ids})})"
             )
         return pos, controls
 
@@ -386,7 +401,7 @@ class StateVectorSimulator:
         pivot, gates = self._to_z_basis(bases, qubit_ids, apply_at)
         try:
             p_zero = self._zero_probability(pivot, small)
-            outcome = 0 if rng.random() < p_zero else 1
+            outcome = 0 if self._draw(rng, p_zero) else 1
             probability = p_zero if outcome == 0 else 1.0 - p_zero
             if probability < 1e-300:
                 raise SimulationError(
@@ -408,6 +423,13 @@ class StateVectorSimulator:
                 apply_at(inverse, target, controls)
         return outcome
 
+    def _draw(self, rng, p: float) -> bool:
+        """Whether a number drawn from `rng` falls below `p`. Keeps both in
+        `drawn`, as (p, number), for a caller that records the draw."""
+        r = rng.random() if rng is not None else 0.5
+        self.drawn = (p, r)
+        return r < p
+
     def _check_measurement_args(
         self, bases: Sequence[str], qubit_ids: Sequence[int]
     ) -> None:
@@ -416,6 +438,9 @@ class StateVectorSimulator:
                 f"measurement needs one Pauli basis per qubit, got "
                 f"{len(bases)} bases for {len(qubit_ids)} qubits"
             )
+        if len(qubit_ids) == 1:  # one qubit appears once
+            self._position_of(qubit_ids[0])
+            return
         active = [q for b, q in zip(bases, qubit_ids) if b != "I"]
         if len(set(active)) != len(active):
             raise SimulationError(
@@ -455,45 +480,60 @@ class StateVectorSimulator:
 # ── Shot prefix ──────────────────────────────────────────────────────────────
 
 # Operations one log may hold (a few hundred bytes each), so a long program
-# that never draws cannot grow its log without bound.
+# cannot grow its log without bound.
 _MAX_LOG = 1 << 16
 
 
 class ShotPrefix:
-    """The simulator operations every shot of an entry point starts with.
+    """The simulator operations the shots of an entry point have in common.
 
-    Each shot starts from |0...0>, and until its first random draw it runs
-    the same operations whenever its calls are the same. The first shot that
-    draws records them (the log): allocations, gates keyed by their matrix's
-    bytes, releases that draw nothing and probes with their results. The
-    log ends before the draw, at a measurement or a dirty permissive release.
-    The next shot that repeats the whole log copies the state it leaves (the
-    snapshot), if the state, the snapshot and one kernel temporary fit in
-    MEMORY_BUDGET. Later shots check each operation against the log and run
-    its checks (positions, capacity, budget, duplicates, measurement
-    arguments) without computing amplitudes, and load a copy of the snapshot
-    where the log ends. A shot that departs from the log replays the part it
-    matched from |0...0> and goes on from there. A shot stores what it
-    found only once it has succeeded, and a shot that never draws stores a
-    log only if it reaches _MAX_LOG operations.
+    Each shot starts from |0...0>, and it makes the same calls with the same
+    results as an earlier shot for as long as its draws give the earlier
+    outcomes. The first shot that succeeds records its calls (the log), up
+    to _MAX_LOG of them: allocations, gates keyed by their matrix's bytes,
+    releases, probes with their results, and each measurement and dirty
+    permissive release with the probability it drew against and the number
+    it drew. The next shot that repeats the log up to its first draw copies
+    the state there (the snapshot), if the state, the snapshot and one
+    kernel temporary fit in MEMORY_BUDGET. Later shots check each operation
+    against the log and run its checks (positions, capacity, budget,
+    duplicates, measurement arguments) without computing amplitudes. At a
+    logged draw they draw as the real call would and go on while the outcome
+    is the logged one. A shot that leaves the log (another call or outcome,
+    a dump, a strict release logged as dirty, or the end of the log) brings
+    its state up to date: before the first draw by replaying what it matched
+    from |0...0>, after it from the snapshot, with its own draws. It goes on
+    from there without the log. A shot stores what it found only once it
+    has succeeded.
     """
 
     def __init__(self) -> None:
         self.log: list | None = None  # (key, value) per operation
+        self.first_draw = 0  # index of the log's first draw, or its length
         self.snapshot: np.ndarray | None = None
 
     def stand_in(self, owner) -> _PrefixStandIn:
-        """Point `owner.simulator` at a stand-in for this shot's prefix."""
+        """Point `owner.simulator` at a stand-in that follows the log."""
         return _PrefixStandIn(self, owner)
 
 
+class _Drawn:
+    """A generator whose one number was drawn already."""
+
+    def __init__(self, r: float) -> None:
+        self.r = r
+
+    def random(self) -> float:
+        return self.r
+
+
 class _PrefixStandIn:
-    """Takes a shot's simulator calls until the shot leaves the prefix.
+    """Takes a shot's simulator calls until the shot leaves the log.
 
     On leaving it points `owner.simulator` back at the shot's simulator, so
-    every later call costs what it would cost with no prefix at all. Its
-    operations go into `ops` as (key, value): the value is a probe's result,
-    or a gate's matrix for a replay.
+    every later call costs what it would cost with no log at all. Its
+    operations go into `ops` as (key, value): the value is a gate's matrix,
+    a probe's result, or a draw's (probability, number).
     """
 
     def __init__(self, prefix: ShotPrefix, owner) -> None:
@@ -502,14 +542,19 @@ class _PrefixStandIn:
         self.log = prefix.log  # None while this shot records
         self.skip = prefix.snapshot is not None
         self.ops: list = []
-        self.recorded: list | None = None
         self.snapshot: np.ndarray | None = None
+        self.draw_positions: dict[int, int] = {}  # sim.position at the first draw
         owner.simulator = self
 
     def commit(self) -> None:
         """Store what this shot found; call it once the shot has succeeded."""
-        if self.recorded is not None:
-            self.prefix.log = self.recorded
+        if self.log is None:
+            self.prefix.log = self.ops
+            self.prefix.first_draw = next(
+                (i for i, (key, value) in enumerate(self.ops)
+                 if key[0] == "measure" or key[0] == "release" and value is not None),
+                len(self.ops),
+            )
         if self.snapshot is not None:
             self.snapshot.setflags(write=False)
             self.prefix.snapshot = self.snapshot
@@ -542,13 +587,24 @@ class _PrefixStandIn:
         key = ("release", qubit_id)
         if not self._follows(key):
             return self.sim.release(qubit_id, strict, rng)
-        if self.skip:
-            self.sim._drop(qubit_id)  # the log holds only clean releases
-        elif self.sim.release(qubit_id, strict, rng):
-            self._leave()  # it drew, so the prefix ended before it
-            return True
-        self._matched(key, None)
-        return False
+        if not self.skip:
+            dirty = self.sim.release(qubit_id, strict, rng)
+            self._matched(key, self.sim.drawn if dirty else None)
+            return dirty
+        logged = self.log[len(self.ops)][1]
+        if logged is None:
+            self.sim._drop(qubit_id)
+            self._matched(key, None)
+            return False
+        if strict:
+            self._leave()  # so that the real release raises its error
+            return self.sim.release(qubit_id, strict, rng)
+        self.sim._position_of(qubit_id)
+        r = rng.random() if rng is not None else 0.5
+        if self._redraw(key, r) is None:
+            return self.sim.release(qubit_id, strict, _Drawn(r))
+        self.sim._drop(qubit_id)
+        return True
 
     def probe_zero_probability(
         self, bases: Sequence[str], qubit_ids: Sequence[int]
@@ -565,8 +621,19 @@ class _PrefixStandIn:
         return probability
 
     def measure(self, bases: Sequence[str], qubit_ids: Sequence[int], rng) -> int:
-        self._leave()
-        return self.sim.measure(bases, qubit_ids, rng)
+        key = ("measure", tuple(bases), tuple(qubit_ids))
+        if not self._follows(key):
+            return self.sim.measure(bases, qubit_ids, rng)
+        if not self.skip:
+            outcome = self.sim.measure(bases, qubit_ids, rng)
+            self._matched(key, self.sim.drawn)
+            return outcome
+        self.sim._check_measurement_args(bases, qubit_ids)
+        r = rng.random()
+        below = self._redraw(key, r)
+        if below is None:
+            return self.sim.measure(bases, qubit_ids, _Drawn(r))
+        return 0 if below else 1
 
     def amplitudes(self) -> tuple[list[int], np.ndarray]:
         if self.skip:
@@ -576,38 +643,55 @@ class _PrefixStandIn:
     # ── Following the log ────────────────────────────────────────────────
 
     def _follows(self, key: tuple) -> bool:
-        """Whether the call `key` continues the prefix; if not, leave it."""
+        """Whether the call `key` continues the log; if not, leave it."""
         at = len(self.ops)
         if self.log is None or (at < len(self.log) and self.log[at][0] == key):
             return True
         self._leave()
         return False
 
+    def _redraw(self, key: tuple, r: float) -> bool | None:
+        """Match the logged draw `key` if `r`, drawn for it, gives the logged
+        outcome, and return whether `r` falls below the logged probability.
+        Otherwise leave the log and return None."""
+        p, logged = self.log[len(self.ops)][1]
+        if (r < p) != (logged < p):
+            self._leave()
+            return None
+        self._matched(key, (p, r))
+        return r < p
+
     def _matched(self, key: tuple, value) -> None:
         self.ops.append((key, value))
         if self.log is None:
             if len(self.ops) == _MAX_LOG:
                 self._leave()
-        elif len(self.ops) == len(self.log):
+        elif len(self.ops) == self.prefix.first_draw:
             if self.skip:
-                self.sim.load(self.prefix.snapshot)
-            elif 3 * BYTES_PER_AMPLITUDE * (1 << self.sim.num_qubits) <= MEMORY_BUDGET:
+                self.draw_positions = dict(self.sim.position)
+                return
+            if 3 * BYTES_PER_AMPLITUDE * (1 << self.sim.num_qubits) <= MEMORY_BUDGET:
                 self.snapshot = np.array(self.sim.state, dtype=complex)
             self.owner.simulator = self.sim
 
     def _leave(self) -> None:
         """Hand the shot's simulator back, with its state brought up to date."""
-        if self.log is None:
-            self.recorded = self.ops
-        elif self.skip:
-            sim = self.sim
-            sim.position = {}
-            sim.load([1])
-            for key, value in self.ops:
+        if self.skip:
+            sim, ops = self.sim, self.ops
+            if len(ops) < self.prefix.first_draw:
+                sim.position = {}
+                sim.load([1])
+            else:
+                sim.position, ops = self.draw_positions, ops[self.prefix.first_draw :]
+                sim.load(self.prefix.snapshot)
+            for key, value in ops:
                 if key[0] == "allocate":
                     sim.allocate(key[1])
                 elif key[0] == "apply":
                     sim.apply(value, key[2], key[3])
                 elif key[0] == "release":
-                    sim.release(key[1], strict=True)
+                    sim.release(key[1], strict=value is None,
+                                rng=value and _Drawn(value[1]))
+                elif key[0] == "measure":
+                    sim.measure(key[1], key[2], _Drawn(value[1]))
         self.owner.simulator = self.sim

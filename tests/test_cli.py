@@ -233,6 +233,45 @@ def test_run_json_deterministic_with_seed(good_file):
     assert sum(payload["histogram"].values()) == 25
 
 
+# Sixteen qubits entangled in a ladder: measuring one sums the weight of
+# 2^15 amplitudes, more than OpenBLAS sums on one thread.
+LADDER_PROGRAM = """
+namespace Demo {
+    open Microsoft.Quantum.Primitive;
+
+    operation Main () : Result {
+        body {
+            mutable r = Zero;
+            using (qs = Qubit[16]) {
+                for (i in 0 .. 15) {
+                    H(qs[i]);
+                    T(qs[i]);
+                    H(qs[i]);
+                }
+                for (i in 0 .. 14) {
+                    CNOT(qs[i], qs[i + 1]);
+                    T(qs[i + 1]);
+                    H(qs[i + 1]);
+                }
+                set r = Measure([PauliZ], [qs[7]]);
+                ResetAll(qs);
+            }
+            return r;
+        }
+    }
+}
+"""
+
+
+def test_run_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    path = tmp_path / "ladder.qds"
+    path.write_text(LADDER_PROGRAM)
+    argv = ("run", "--seed", "5", "--shots", "1", "--json", "--dump-state", str(path))
+    outputs = [qdsl(*argv, env_extra={"OPENBLAS_NUM_THREADS": n}) for n in "12"]
+    assert [p.returncode for p in outputs] == [0, 0]
+    assert outputs[0].stdout == outputs[1].stdout
+
+
 def test_run_seeds_change_outcomes(good_file):
     a = qdsl("run", "--shots", "25", "--seed", "1", "--json", good_file)
     b = qdsl("run", "--shots", "25", "--seed", "2", "--json", good_file)

@@ -16,15 +16,18 @@ from qdsl.ast_nodes import (
     FunctorExpr,
     IfStmt,
     IndexExpr,
+    InterpString,
     LetStmt,
     Name,
     RangeExpr,
     RepeatStmt,
+    StringLit,
     TupleExpr,
     UnaryExpr,
     structurally_equal,
     walk,
 )
+from qdsl.lexer import scan_interp_string, tokenize
 from qdsl.parser import parse_expression, parse_program
 from qdsl.pretty import pretty_print
 
@@ -277,6 +280,30 @@ def test_interpolation_hole_diagnostics_carry_file_spans():
         (diag.ILLEGAL_CHARACTER, "#"),
         (diag.UNEXPECTED_TOKEN, "y"),
         (diag.UNTERMINATED_STRING, '"z'),
+    ]
+
+
+def test_parser_cuts_an_interpolation_hole_where_the_lexer_closes_it():
+    # The backslash escapes the `}` after it, so the hole ends at the next one.
+    text = r'namespace N { function F () : () { Message($"<{ "\}" }>"); } }'
+    [tok] = [t for t in tokenize(text)[0] if t.lexeme.startswith('$"')]
+    end, closed, [(open_, close)] = scan_interp_string(tok.lexeme, 2)
+    assert closed and end == len(tok.lexeme)
+    assert tok.lexeme[open_:close + 1] == r'{ "\}" }'
+    prog, diags = parse_program(text)
+    assert diags == [], [d.render() for d in diags]
+    [interp] = [n for n in walk(prog) if isinstance(n, InterpString)]
+    before, hole, after = interp.parts
+    assert (before, after) == ("<", ">")
+    assert isinstance(hole, StringLit) and hole.value == "}"
+    assert text[hole.span.start : hole.span.end] == r'"\}"'
+    # A bare backslash in a hole is an illegal character, and the `}` it
+    # escapes is a token of the hole, which ends at the last `}`.
+    text = r'namespace N { function F () : () { Message($"{ \} }"); } }'
+    _, diags = parse_program(text)
+    assert [(d.code, d.message, text[d.span.start : d.span.end]) for d in diags] == [
+        (diag.ILLEGAL_CHARACTER, "illegal character '\\\\'", "\\"),
+        (diag.UNEXPECTED_TOKEN, "expected an expression, found '}'", "}"),
     ]
 
 

@@ -1,11 +1,12 @@
-"""Shots of one entry point share the simulator work before the first draw.
+"""Shots of one entry point share the simulator work they have in common.
 
-The first shot of an entry records its simulator operations up to its first
-random draw, the next shot that repeats them copies the state they leave, and
-later shots check their operations against the record and load that copy
-(see `simulator.ShotPrefix`). None of it may show: every shot must give the
-value, messages, `RunStats` and dumped amplitudes, byte for byte, that it
-gives on an entry compiled afresh, which has nothing recorded.
+The first shot of an entry records its simulator operations, draws included
+(the log). The next shot that repeats the log up to its first draw copies
+the state there, and later shots check their operations against the log,
+draw where it drew and skip the arithmetic while their outcomes are the
+logged ones (see `simulator.ShotPrefix`). None of it may show: every shot
+must give the value, messages, `RunStats` and dumped amplitudes, byte for
+byte, that it gives on an entry compiled afresh, which has nothing recorded.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import qdsl.simulator
 from qdsl.compiler import compile_units, resolve_entry
 from qdsl.prelude import intrinsic_handlers
 from qdsl.runtime import QdslFailure, RunOptions, run_shots
-from qdsl.simulator import GATE_MATRICES
+from qdsl.simulator import GATE_MATRICES, StateVectorSimulator, _PrefixStandIn
 from test_corpus import load_accept
 from test_golden_runs import CASES, SEEDS, SHOTS, TRACE_CASES
 
@@ -171,7 +172,13 @@ def test_prefix_with_probe_and_strict_release_is_reused(dump):
         assert shot_by_shot([entry] * SHOTS, seed, options) == expected
     prefix = entry.shot_prefix
     ops = [key[0] for key, _ in prefix.log]
-    assert ops.count("probe") == 1 and ops.count("release") == 1
+    # The log holds the whole first shot; the snapshot is taken at its first
+    # draw, after the probe and the strict release.
+    before = ops[: prefix.first_draw]
+    assert before.count("probe") == 1 and before.count("release") == 1
+    assert "measure" not in before and ops[prefix.first_draw] == "measure"
+    assert ops.count("measure") == PREFIXED_QUBITS
+    assert ops.count("release") == 1 + PREFIXED_QUBITS
     assert prefix.snapshot is not None
     assert len(prefix.snapshot) == 1 << PREFIXED_QUBITS
 
@@ -180,19 +187,22 @@ def test_later_shots_leave_a_small_snapshot_unchanged():
     storages = []
 
     def spy(interp, arg, adjoint, controls):
-        storages.append(type(interp.simulator.state))
-        return HANDLERS["Measure"](interp, arg, adjoint, controls)
+        outcome = HANDLERS["Measure"](interp, arg, adjoint, controls)
+        if isinstance(interp.simulator, StateVectorSimulator):
+            storages.append(type(interp.simulator.state))
+        return outcome
 
     entry = compile_entry(RUS_COIN)
     run_shots(HANDLERS, entry, 2, 1, RunOptions())
     snapshot = entry.shot_prefix.snapshot
     assert len(snapshot) == 2 and not snapshot.flags.writeable
     stored = snapshot.tobytes()
-    # Each later shot loads the snapshot, then gates and measures in place.
+    # Each later shot leaves the log at an outcome of its own, loads the
+    # snapshot, replays its draws and then gates and measures in place.
     run_shots({**HANDLERS, "Measure": spy}, entry, 5, 2, RunOptions())
     assert entry.shot_prefix.snapshot is snapshot
     assert snapshot.tobytes() == stored
-    assert set(storages) == {list}
+    assert len(storages) >= 5 and set(storages) == {list}
 
 
 def test_one_shot_records_a_log_and_copies_no_state():
@@ -286,17 +296,21 @@ namespace Demo {
 """
 
 
-def test_shot_that_never_draws_stores_a_log_only_at_the_length_limit(monkeypatch):
-    options = RunOptions(dump_state=True)
+@pytest.mark.parametrize("dump", [False, True], ids=["plain", "dump"])
+def test_shot_that_never_draws_stores_its_log(monkeypatch, dump):
+    options = RunOptions(dump_state=dump)
     expected = shot_by_shot(fresh_entries(NEVER_DRAWS), 1, options)
     entry = compile_entry(NEVER_DRAWS)
     assert shot_by_shot([entry] * SHOTS, 1, options) == expected
-    assert entry.shot_prefix.log is None
+    log = entry.shot_prefix.log
+    assert [key[0] for key, _ in log] == ["allocate"] * 2 + ["apply"] * 6 + ["release"] * 2
+    assert entry.shot_prefix.first_draw == len(log)
+    assert len(entry.shot_prefix.snapshot) == 1  # every qubit released
     monkeypatch.setattr(qdsl.simulator, "_MAX_LOG", 4)
     entry = compile_entry(NEVER_DRAWS)
     assert shot_by_shot([entry] * SHOTS, 1, options) == expected
-    assert len(entry.shot_prefix.log) == 4
-    assert entry.shot_prefix.snapshot is not None
+    assert len(entry.shot_prefix.log) == entry.shot_prefix.first_draw == 4
+    assert len(entry.shot_prefix.snapshot) == 4
 
 
 def test_lower_memory_budget_fails_as_uncached(monkeypatch):
@@ -311,15 +325,241 @@ def test_lower_memory_budget_fails_as_uncached(monkeypatch):
 
 
 def test_simulator_is_handed_back_after_the_prefix():
-    """Past the prefix the interpreter calls the simulator itself."""
-    seen = []
+    """Once a shot leaves the log the interpreter calls the simulator itself."""
+    seen: list[list[bool]] = []  # per shot, per measurement: the real simulator?
 
     def spy(interp, arg, adjoint, controls):
         outcome = HANDLERS["Measure"](interp, arg, adjoint, controls)
-        seen.append(type(interp.simulator))
+        seen[-1].append(isinstance(interp.simulator, StateVectorSimulator))
         return outcome
 
     entry = compile_entry(PREFIXED)
-    run_shots({**HANDLERS, "Measure": spy}, entry, 3, 1, RunOptions())
-    assert set(seen) == {qdsl.simulator.StateVectorSimulator}
+    for shot in range(SHOTS):
+        seen.append([])
+        run_shots({**HANDLERS, "Measure": spy}, entry, 1, 1 ^ shot, RunOptions())
+    assert seen[0] == [False] * PREFIXED_QUBITS  # it records them all
+    assert seen[1] == [True] * PREFIXED_QUBITS  # it copies the state at its first draw
+    for flags in seen[2:]:
+        assert flags == sorted(flags)  # never taken back once handed back
+    assert [] != [f for f in seen[2:] if f[0] is False and f[-1] is True]
+    assert [] != [f for f in seen[2:] if not any(f)]
     assert GATE_MATRICES["H"].tobytes() in {key[1] for key, _ in entry.shot_prefix.log}
+
+
+@pytest.fixture
+def departures(monkeypatch):
+    """Where shots that skip the arithmetic leave the log, as (operations
+    matched, the log's first draw, the logged call there or None past the
+    end, whether the shot left to dump its state)."""
+    seen = []
+    leave, amplitudes = _PrefixStandIn._leave, _PrefixStandIn.amplitudes
+    dumping = []
+
+    def spy_leave(self):
+        if self.skip:
+            at, log = len(self.ops), self.log
+            kind = log[at][0][0] if at < len(log) else None
+            seen.append((at, self.prefix.first_draw, kind, bool(dumping)))
+        leave(self)
+
+    def spy_amplitudes(self):
+        dumping.append(True)
+        try:
+            return amplitudes(self)
+        finally:
+            dumping.pop()
+
+    monkeypatch.setattr(_PrefixStandIn, "_leave", spy_leave)
+    monkeypatch.setattr(_PrefixStandIn, "amplitudes", spy_amplitudes)
+    return seen
+
+
+def assert_matches_reference(text: str, options: RunOptions, seeds=SEEDS):
+    entry = compile_entry(text)
+    for seed in seeds:
+        expected = shot_by_shot(fresh_entries(text), seed, options)
+        assert shot_by_shot([entry] * SHOTS, seed, options) == expected, seed
+    return entry
+
+
+def test_departure_at_an_even_measurement_replays_its_own_draws(departures):
+    entry = assert_matches_reference(PREFIXED, RunOptions())
+    first = entry.shot_prefix.first_draw
+    # Some shots match the first draw and leave at a later p = 1/2 outcome,
+    # so they load the snapshot and replay what they matched after it.
+    assert any(at > first and kind == "measure" for at, first, kind, _ in departures)
+    assert any(at == first and kind == "measure" for at, first, kind, _ in departures)
+
+
+# Dirty permissive releases, one with p = 1/2, then more work on the state
+# that they leave, on a qubit id that one of them freed.
+DIRTY_RELEASE = """
+namespace Demo {
+    open Microsoft.Quantum.Primitive;
+
+    operation Main () : Int {
+        body {
+            mutable value = 0;
+            using (qs = Qubit[3]) {
+                H(qs[0]);
+                if (Measure([PauliZ], [qs[0]]) == One) {
+                    set value = 1;
+                }
+                H(qs[1]);
+                CNOT(qs[1], qs[2]);
+                X(qs[2]);
+            }
+            using (rs = Qubit[2]) {
+                H(rs[1]);
+                T(rs[1]);
+                H(rs[1]);
+                if (Measure([PauliZ], [rs[1]]) == One) {
+                    set value = value + 2;
+                    X(rs[1]);
+                }
+            }
+            return value;
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["plain", "dump"])
+def test_departure_at_a_dirty_permissive_release(departures, dump):
+    options = RunOptions(strict_release=False, dump_state=dump)
+    entry = assert_matches_reference(DIRTY_RELEASE, options)
+    drawn = [value for key, value in entry.shot_prefix.log
+             if key[0] == "release" and value is not None]
+    assert 0.5 in [round(p, 9) for p, _ in drawn]
+    if not dump:
+        assert any(kind == "release" for _, _, kind, _ in departures)
+
+
+def test_log_cut_off_after_a_draw(monkeypatch, departures):
+    entry = compile_entry(PREFIXED)
+    run_shots(HANDLERS, entry, 1, 1, RunOptions())
+    cut = entry.shot_prefix.first_draw + 2
+    monkeypatch.setattr(qdsl.simulator, "_MAX_LOG", cut)
+    entry = assert_matches_reference(PREFIXED, RunOptions())
+    assert len(entry.shot_prefix.log) == cut
+    assert entry.shot_prefix.first_draw == cut - 2
+    assert any(kind is None and at == cut for at, _, kind, _ in departures)
+
+
+# The benchmark's QFT workload at 5 qubits: every outcome is certain.
+QFT_ROUND_TRIP = """
+namespace Demo {
+    open Microsoft.Quantum.Primitive;
+    open Microsoft.Quantum.Canon;
+
+    operation Main () : Int {
+        body {
+            mutable value = 0;
+            using (qs = Qubit[5]) {
+                X(qs[0]);
+                X(qs[3]);
+                QFT(BigEndian(qs));
+                (Adjoint QFT)(BigEndian(qs));
+                for (i in 0 .. 4) {
+                    if (Measure([PauliZ], [qs[i]]) == One) {
+                        set value = value + (1 << i);
+                        X(qs[i]);
+                    }
+                }
+            }
+            return value;
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [QFT_ROUND_TRIP, DIRTY_RELEASE], ids=["qft", "dirty_release"]
+)
+def test_dump_after_the_first_draw(departures, text):
+    # Each program's first qubit block measures before its dump.
+    options = RunOptions(strict_release=False, dump_state=True)
+    assert_matches_reference(text, options)
+    assert any(dump and at > first for at, first, _, dump in departures)
+
+
+# A strict release after a measurement, clean only when the outcome is Zero.
+DIRTY_LATER = """
+namespace Demo {
+    open Microsoft.Quantum.Primitive;
+
+    operation Main () : Result {
+        body {
+            mutable r = Zero;
+            using (q = Qubit()) {
+                H(q);
+                set r = Measure([PauliZ], [q]);
+            }
+            return r;
+        }
+    }
+}
+"""
+
+
+def test_strict_release_dirty_only_in_a_later_shot(departures):
+    # Seed 9 measures Zero in shots 0 to 2 and One in shot 3, which leaves
+    # the log at that outcome; its strict release then fails.
+    expected = shot_by_shot(fresh_entries(DIRTY_LATER), 9, RunOptions())
+    assert len(expected[0]) == 3
+    assert "released with probability 1 of being |1>" in expected[1]
+    entry = compile_entry(DIRTY_LATER)
+    assert shot_by_shot([entry] * SHOTS, 9, RunOptions()) == expected
+    assert [kind for _, _, kind, _ in departures] == ["measure"]
+    [logged] = [value for key, value in entry.shot_prefix.log if key[0] == "release"]
+    assert logged is None
+    # A permissive first shot that measures One logs a release that drew;
+    # a strict shot leaves the log there and fails as it does uncached.
+    entry = compile_entry(DIRTY_LATER)
+    run_shots(HANDLERS, entry, 2, 2, RunOptions(strict_release=False))
+    [logged] = [value for key, value in entry.shot_prefix.log if key[0] == "release"]
+    assert logged is not None and entry.shot_prefix.snapshot is not None
+    departures.clear()
+    for seed in SEEDS:
+        expected = shot_by_shot(fresh_entries(DIRTY_LATER), seed, RunOptions())
+        assert shot_by_shot([entry] * SHOTS, seed, RunOptions()) == expected
+    assert "release" in [kind for _, _, kind, _ in departures]
+
+
+def test_repeated_outcomes_do_no_amplitude_arithmetic(monkeypatch):
+    # The first shot records the log and the second copies the state at its
+    # first draw; no later shot calls a kernel, a weight or the collapse.
+    entry = compile_entry(QFT_ROUND_TRIP)
+    run_shots(HANDLERS, entry, 2, 1, RunOptions())
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("_weight", "_small_weight"):
+        counted(qdsl.simulator, name)
+    for name in ("_apply_at", "_apply_small", "_target_slices", "measure",
+                 "release", "allocate", "load", "probe_zero_probability"):
+        counted(StateVectorSimulator, name)
+    results = run_shots(HANDLERS, entry, 10, 3, RunOptions())
+    assert {r.value for r in results} == {0b01001}
+    assert calls == []
+    reference = shot_by_shot(fresh_entries(QFT_ROUND_TRIP), 3, RunOptions())[0]
+    assert [r.stats for r in results] == [stats for _, _, stats, _ in reference[:10]]
+    # A dump leaves the log after the measurements: the shot loads the
+    # snapshot and replays only what came after the first draw.
+    log, first = entry.shot_prefix.log, entry.shot_prefix.first_draw
+    calls.clear()
+    run_shots(HANDLERS, entry, 1, 3, RunOptions(dump_state=True))
+    after = [key[0] for key, _ in log[first:]]
+    assert calls.count("load") == 1
+    assert calls.count("measure") == after.count("measure") == 5
+    assert calls.count("_apply_at") == after.count("apply") == 2

@@ -310,9 +310,20 @@ def test_cnot_truth_table():
 
 
 def test_gate_rejects_duplicate_qubits():
-    sim = make_sim(2)
-    with pytest.raises(SimulationError):
-        sim.apply(FROZEN["X"], 1, control_ids=[1])
+    sim = make_sim(3)
+    duplicate = ("a qubit may appear only once among the controls and the "
+                 "target of a gate (got {})")
+    for target, controls, message in [
+        (1, [1], duplicate.format([1])),
+        (0, [2, 1, 2], duplicate.format([0, 1, 2])),
+        (2, [0, 2, 1], duplicate.format([0, 1, 2])),
+        (7, [], "qubit q7 is not allocated"),
+        (7, [7], "qubit q7 is not allocated"),
+        (0, [1, 9, 1], "qubit q9 is not allocated"),
+    ]:
+        with pytest.raises(SimulationError) as exc:
+            sim.apply(FROZEN["X"], target, control_ids=controls)
+        assert str(exc.value) == message
 
 
 # ── Measurement, expectation, probing ────────────────────────────────────────
@@ -560,12 +571,24 @@ def test_born_frequencies_on_plus_state():
 
 def test_measurement_argument_validation():
     sim = make_sim(2)
-    with pytest.raises(SimulationError):
-        sim.measure(["Z", "Z"], [0], random.Random(0))
-    with pytest.raises(SimulationError):
-        sim.measure(["Z", "X"], [0, 0], random.Random(0))
-    with pytest.raises(SimulationError):
-        sim.measure(["Z"], [7], random.Random(0))
+    duplicate = "a qubit may appear only once in a measurement register"
+    for bases, ids, message in [
+        (["Z", "Z"], [0], "measurement needs one Pauli basis per qubit, "
+                          "got 2 bases for 1 qubits"),
+        (["Z"], [0, 1], "measurement needs one Pauli basis per qubit, "
+                        "got 1 bases for 2 qubits"),
+        (["Z", "X"], [0, 0], duplicate),
+        (["Z", "X"], [7, 7], duplicate),
+        (["Z"], [7], "qubit q7 is not allocated"),
+        (["I"], [7], "qubit q7 is not allocated"),
+        (["I", "Z"], [0, 7], "qubit q7 is not allocated"),
+    ]:
+        with pytest.raises(SimulationError) as exc:
+            sim.measure(bases, ids, random.Random(0))
+        assert str(exc.value) == message
+        with pytest.raises(SimulationError) as exc:
+            sim.probe_zero_probability(bases, ids)
+        assert str(exc.value) == message
 
 
 def test_duplicate_identity_slots_are_fine():
