@@ -282,9 +282,6 @@ class ParamTuple(Node):
     items: list[Union[ParamLeaf, "ParamTuple"]]
 
 
-ParamItem = Union[ParamLeaf, ParamTuple]
-
-
 class SpecKind(Enum):
     BODY = "body"
     ADJOINT = "adjoint"

@@ -18,11 +18,9 @@ from .checker import CallableSymbol, SymbolTable
 from .values import Pauli, QubitRef, RangeValue, Result, UNIT
 
 PRIMITIVE_NAMESPACE = "Microsoft.Quantum.Primitive"
-CANON_NAMESPACE = "Microsoft.Quantum.Canon"
 
 _T = ty.Param("`T", None)
 
-_QUBIT_TO_UNIT = ty.QUBIT
 _PAULIS = ty.Array(ty.PAULI)
 _QUBITS = ty.Array(ty.QUBIT)
 

@@ -10,7 +10,8 @@ The live-qubit count alone selects the storage. Up to SMALL_QUBITS qubits the
 state is a Python list of complex, where a gate or a measurement costs a few
 Python operations; above it, a complex128 ndarray, where it costs a dozen
 numpy calls whatever the size. An allocation or a release that crosses the
-threshold converts the state. Both storages run the same algorithms below.
+threshold converts the state. The list kernels serve the one-qubit state
+alone, with the arithmetic of the numpy kernels below.
 
 Every kernel updates slices of that view in place. The controls and the
 target select length-1 slices, never integer indices: indexing every axis
@@ -36,8 +37,9 @@ Assertions probe the same probability on a copy of the state, which a
 state-vector backend can do because it is not bound by no-cloning.
 
 `ShotPrefix` lets the shots of one entry point share the simulator work
-they have in common: all of it before the first random draw, and past each
-draw for as long as a shot's outcomes are those of the shot it follows.
+they have in common: after the first shot records its calls, a later shot
+computes no amplitude for as long as its calls and outcomes are the logged
+ones.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ BYTES_PER_AMPLITUDE = 16  # complex128
 # At one qubit every slice holds one amplitude, so the list kernels compute
 # each probability bit for bit as np.vdot does. Over two or more amplitudes
 # OpenBLAS's zdotc sums with fused multiply-adds, which Python before 3.13
-# cannot reproduce, and a probability could differ in its last bit.
+# cannot reproduce, and a probability could differ in its last bit. Only 0
+# and 1 are valid: the list kernels are written for one qubit.
 SMALL_QUBITS = 1
 
 
@@ -144,15 +147,11 @@ def _weight(view: np.ndarray) -> float:
 # ── List storage: the numpy kernels' arithmetic, one amplitude at a time ─────
 
 
-def _small_weight(state: list, pos: int) -> float:
-    """`_weight` of the pos=1 amplitudes of list storage, |x|^2 as vdot
-    computes it (abs(x)**2 goes through hypot and rounds differently)."""
-    total = 0.0
-    for i in range(len(state)):
-        if i >> pos & 1:
-            x = state[i]
-            total += x.real * x.real + x.imag * x.imag
-    return total
+def _small_weight(state: list) -> float:
+    """`_weight` of the |1> amplitude of the one-qubit list state, |x|^2 as
+    vdot computes it (abs(x)**2 goes through hypot and rounds differently)."""
+    x = state[1]
+    return x.real * x.real + x.imag * x.imag
 
 
 def _divided(x: complex, scale: float) -> complex:
@@ -176,29 +175,30 @@ class StateVectorSimulator:
     # ── Allocation ───────────────────────────────────────────────────────
 
     def allocate(self, qubit_id: int) -> None:
-        self._claim(qubit_id)
+        if qubit_id in self.position:
+            raise SimulationError(f"qubit q{qubit_id} is already allocated")
+        self._check_limits(self.num_qubits)
+        self.position[qubit_id] = self.num_qubits
         if self.num_qubits <= SMALL_QUBITS:
             self.state = self.state + [0j] * len(self.state)
         else:
             self.state = np.concatenate([self.state, np.zeros_like(self.state)])
 
-    def _claim(self, qubit_id: int) -> None:
-        """Check that `qubit_id` may be allocated and give it the next position."""
-        if qubit_id in self.position:
-            raise SimulationError(f"qubit q{qubit_id} is already allocated")
-        if self.num_qubits >= self.capacity:
+    def _check_limits(self, live: int) -> None:
+        """Check that one more qubit fits next to `live` live ones: the qubit
+        limit and the memory budget."""
+        if live >= self.capacity:
             raise SimulationError(
                 f"cannot allocate more than {self.capacity} qubits "
                 "(raise the limit with --max-qubits)"
             )
-        needed = 2 * BYTES_PER_AMPLITUDE * (2 << self.num_qubits)
+        needed = 2 * BYTES_PER_AMPLITUDE * (2 << live)
         if needed > MEMORY_BUDGET:
             raise SimulationError(
-                f"allocating qubit {self.num_qubits + 1} needs {needed} bytes "
+                f"allocating qubit {live + 1} needs {needed} bytes "
                 "(the doubled state vector and one kernel temporary), more "
                 f"than the {MEMORY_BUDGET} bytes of physical memory"
             )
-        self.position[qubit_id] = self.num_qubits
 
     def release(self, qubit_id: int, strict: bool, rng=None) -> bool:
         """Remove a qubit; returns True when it had to be reset first.
@@ -210,7 +210,7 @@ class StateVectorSimulator:
         pos = self._position_of(qubit_id)
         small = self.num_qubits <= SMALL_QUBITS
         if small:
-            p_one = _small_weight(self.state, pos)
+            p_one = _small_weight(self.state)
         else:
             lo, hi = self._target_slices(pos)
             p_one = _weight(hi)
@@ -228,22 +228,16 @@ class StateVectorSimulator:
         if probability < 1e-300:
             raise SimulationError("projection onto a zero-probability subspace")
         if small:
-            scale = 1.0 / math.sqrt(probability)
-            self.state = [_divided(x, scale) for i, x in enumerate(self.state)
-                          if i >> pos & 1 == keep_one]
+            self.state = [_divided(self.state[keep_one], 1.0 / math.sqrt(probability))]
         else:
             kept = ((hi if keep_one else lo) / math.sqrt(probability)).ravel()
             self.state = kept.tolist() if self.num_qubits == SMALL_QUBITS + 1 else kept
-        self._drop(qubit_id)
-        return dirty
-
-    def _drop(self, qubit_id: int) -> None:
-        """Free the bit position of `qubit_id` and close the gap it leaves."""
-        pos = self._position_of(qubit_id)
+        # Free the bit position and close the gap it leaves.
         del self.position[qubit_id]
         for qid, p in self.position.items():
             if p > pos:
                 self.position[qid] = p - 1
+        return dirty
 
     def _position_of(self, qubit_id: int) -> int:
         if qubit_id not in self.position:
@@ -258,27 +252,19 @@ class StateVectorSimulator:
         target_id: int,
         control_ids: Sequence[int] = (),
     ) -> None:
-        pos, controls = self._gate_positions(target_id, control_ids)
+        pos, controls = self._position_of(target_id), ()
+        if control_ids:
+            controls = [self._position_of(c) for c in control_ids]
+            # Distinct qubits have distinct positions.
+            if pos in controls or len(set(controls)) != len(controls):
+                raise SimulationError(
+                    "a qubit may appear only once among the controls and the "
+                    f"target of a gate (got {sorted({target_id, *control_ids})})"
+                )
         if self.num_qubits <= SMALL_QUBITS:
             self._apply_small(matrix, pos, controls)
         else:
             self._apply_at(matrix, pos, controls)
-
-    def _gate_positions(
-        self, target_id: int, control_ids: Sequence[int]
-    ) -> tuple[int, Sequence[int]]:
-        """Bit positions of a gate's target and controls, checked."""
-        pos = self._position_of(target_id)
-        if not control_ids:
-            return pos, ()
-        controls = [self._position_of(c) for c in control_ids]
-        # Distinct qubits have distinct positions.
-        if pos in controls or len(set(controls)) != len(controls):
-            raise SimulationError(
-                "a qubit may appear only once among the controls and the "
-                f"target of a gate (got {sorted({target_id, *control_ids})})"
-            )
-        return pos, controls
 
     def _target_slices(
         self, pos: int, controls: Sequence[int] = ()
@@ -312,25 +298,15 @@ class StateVectorSimulator:
     def _apply_small(
         self, matrix: np.ndarray, pos: int, controls: Sequence[int] = ()
     ) -> None:
-        """`_apply_at` on list storage, with the same cases and products."""
-        state = self.state
+        """`_apply_at` on the one-qubit list state, with the same cases and
+        products. One qubit is at position 0 and cannot have a control."""
         (a, b), (c, d) = matrix.tolist()
-        bit = mask = 1 << pos
-        for q in controls:
-            mask |= 1 << q
-        need = mask ^ bit  # every control 1, the target 0
-        for i in range(len(state)):
-            if i & mask != need:
-                continue
-            lo, hi = state[i], state[i | bit]
-            if b == 0 and c == 0:
-                if d != 1:
-                    state[i | bit] = hi * d
-                if a != 1:
-                    state[i] = lo * a
-            else:
-                state[i] = hi * b if a == 0 else lo * a + b * hi
-                state[i | bit] = lo * c if d == 0 else hi * d + c * lo
+        lo, hi = self.state
+        if b == 0 and c == 0:
+            self.state = [lo if a == 1 else lo * a, hi if d == 1 else hi * d]
+        else:
+            self.state = [hi * b if a == 0 else lo * a + b * hi,
+                          lo * c if d == 0 else hi * d + c * lo]
 
     # ── Measurement ──────────────────────────────────────────────────────
 
@@ -371,7 +347,7 @@ class StateVectorSimulator:
         if pivot is None:
             return 1.0  # the identity has the whole space as +1 eigenspace
         if small:
-            p_one = _small_weight(self.state, pivot)
+            p_one = _small_weight(self.state)
         else:
             p_one = _weight(self._target_slices(pivot)[1])
         return min(1.0, max(0.0, 1.0 - p_one))
@@ -408,11 +384,8 @@ class StateVectorSimulator:
                     "measurement collapsed onto an outcome of probability zero"
                 )
             if pivot is not None and small:
-                scale = 1.0 / math.sqrt(probability)
-                self.state = [
-                    _divided(x, scale) if i >> pivot & 1 == outcome else 0j
-                    for i, x in enumerate(self.state)
-                ]
+                kept = _divided(self.state[outcome], 1.0 / math.sqrt(probability))
+                self.state = [0j, kept] if outcome else [kept, 0j]
             elif pivot is not None:
                 lo, hi = self._target_slices(pivot)
                 kept, rejected = (lo, hi) if outcome == 0 else (hi, lo)
@@ -438,6 +411,11 @@ class StateVectorSimulator:
                 f"measurement needs one Pauli basis per qubit, got "
                 f"{len(bases)} bases for {len(qubit_ids)} qubits"
             )
+        for basis in bases:
+            if basis not in ("I", "X", "Y", "Z"):
+                raise SimulationError(
+                    f"unknown Pauli basis {basis!r}; expected I, X, Y or Z"
+                )
         if len(qubit_ids) == 1:  # one qubit appears once
             self._position_of(qubit_ids[0])
             return
@@ -490,30 +468,32 @@ class ShotPrefix:
     Each shot starts from |0...0>, and it makes the same calls with the same
     results as an earlier shot for as long as its draws give the earlier
     outcomes. The first shot that succeeds records its calls (the log), up
-    to _MAX_LOG of them: allocations, gates keyed by their matrix's bytes,
-    releases, probes with their results, and each measurement and dirty
-    permissive release with the probability it drew against and the number
-    it drew. The next shot that repeats the log up to its first draw copies
-    the state there (the snapshot), if the state, the snapshot and one
-    kernel temporary fit in MEMORY_BUDGET. Later shots check each operation
-    against the log and run its checks (positions, capacity, budget,
-    duplicates, measurement arguments) without computing amplitudes. At a
-    logged draw they draw as the real call would and go on while the outcome
-    is the logged one. A shot that leaves the log (another call or outcome,
-    a dump, a strict release logged as dirty, or the end of the log) brings
-    its state up to date: before the first draw by replaying what it matched
-    from |0...0>, after it from the snapshot, with its own draws. It goes on
-    from there without the log. A shot stores what it found only once it
-    has succeeded.
+    to _MAX_LOG of them: allocations with the qubits live before them, gates
+    keyed by their matrix's bytes, releases, probes with their results, and
+    each measurement and dirty permissive release with the probability it
+    drew against and the number it drew. Every later shot follows the log as
+    a cursor and computes no amplitude. A matched key fixes every qubit id
+    and the order of every allocation and release, so of the checks only the
+    qubit limit and the memory budget are run again. At a logged draw the
+    shot draws as the real call would and goes on while the outcome is the
+    logged one. A shot that leaves the log (another call or outcome, a dump,
+    a strict release logged as dirty, or the end of the log) brings its
+    state up to date and goes on from there without the log. Before the
+    first draw it replays what it matched from |0...0>. At or after it, it
+    loads the snapshot, the state and the qubit positions at the first draw,
+    and replays the rest with the logged numbers, which give the logged
+    outcomes and so the same state. The first such shot takes the snapshot
+    by replaying the log from |0...0>, if the state, the snapshot and one
+    kernel temporary fit in MEMORY_BUDGET.
     """
 
     def __init__(self) -> None:
         self.log: list | None = None  # (key, value) per operation
         self.first_draw = 0  # index of the log's first draw, or its length
-        self.snapshot: np.ndarray | None = None
+        self.snapshot: tuple[np.ndarray, dict[int, int]] | None = None
 
     def stand_in(self, owner) -> _PrefixStandIn:
-        """Point `owner.simulator` at a stand-in that follows the log."""
+        """Point `owner.simulator` at a stand-in that records or follows the log."""
         return _PrefixStandIn(self, owner)
 
 
@@ -530,24 +510,25 @@ class _Drawn:
 class _PrefixStandIn:
     """Takes a shot's simulator calls until the shot leaves the log.
 
-    On leaving it points `owner.simulator` back at the shot's simulator, so
-    every later call costs what it would cost with no log at all. Its
-    operations go into `ops` as (key, value): the value is a gate's matrix,
-    a probe's result, or a draw's (probability, number).
+    While the entry has no log it records: each call goes to the shot's
+    simulator and into `ops` as (key, value), where the value is a gate's
+    matrix, an allocation's live-qubit count, a probe's result, or a draw's
+    (probability, number). Otherwise it follows the log, and `at` counts the
+    operations matched. On leaving it points `owner.simulator` back at the
+    shot's simulator, so every later call costs what it would cost with no
+    log at all.
     """
 
     def __init__(self, prefix: ShotPrefix, owner) -> None:
         self.prefix, self.owner = prefix, owner
         self.sim: StateVectorSimulator = owner.simulator
         self.log = prefix.log  # None while this shot records
-        self.skip = prefix.snapshot is not None
         self.ops: list = []
-        self.snapshot: np.ndarray | None = None
-        self.draw_positions: dict[int, int] = {}  # sim.position at the first draw
+        self.at = 0
         owner.simulator = self
 
     def commit(self) -> None:
-        """Store what this shot found; call it once the shot has succeeded."""
+        """Store a recorded log; call it once the shot has succeeded."""
         if self.log is None:
             self.prefix.log = self.ops
             self.prefix.first_draw = next(
@@ -555,143 +536,133 @@ class _PrefixStandIn:
                  if key[0] == "measure" or key[0] == "release" and value is not None),
                 len(self.ops),
             )
-        if self.snapshot is not None:
-            self.snapshot.setflags(write=False)
-            self.prefix.snapshot = self.snapshot
 
     # ── The simulator calls the interpreter makes ────────────────────────
 
     def allocate(self, qubit_id: int) -> None:
         key = ("allocate", qubit_id)
-        if not self._follows(key):
-            return self.sim.allocate(qubit_id)
-        if self.skip:
-            self.sim._claim(qubit_id)
-        else:
-            self.sim.allocate(qubit_id)
-        self._matched(key, None)
+        if self._follows(key):
+            self.sim._check_limits(self.log[self.at][1])
+            self.at += 1
+            return
+        live = self.sim.num_qubits
+        self.sim.allocate(qubit_id)
+        self._record(key, live)
 
     def apply(
         self, matrix: np.ndarray, target_id: int, control_ids: Sequence[int] = ()
     ) -> None:
         key = ("apply", matrix.tobytes(), target_id, tuple(control_ids))
-        if not self._follows(key):
-            return self.sim.apply(matrix, target_id, control_ids)
-        if self.skip:
-            self.sim._gate_positions(target_id, control_ids)  # its checks alone
-        else:
-            self.sim.apply(matrix, target_id, control_ids)
-        self._matched(key, matrix)
+        if self._follows(key):
+            self.at += 1
+            return
+        self.sim.apply(matrix, target_id, control_ids)
+        self._record(key, matrix)
 
     def release(self, qubit_id: int, strict: bool, rng=None) -> bool:
         key = ("release", qubit_id)
-        if not self._follows(key):
-            return self.sim.release(qubit_id, strict, rng)
-        if not self.skip:
-            dirty = self.sim.release(qubit_id, strict, rng)
-            self._matched(key, self.sim.drawn if dirty else None)
-            return dirty
-        logged = self.log[len(self.ops)][1]
-        if logged is None:
-            self.sim._drop(qubit_id)
-            self._matched(key, None)
-            return False
-        if strict:
-            self._leave()  # so that the real release raises its error
-            return self.sim.release(qubit_id, strict, rng)
-        self.sim._position_of(qubit_id)
-        r = rng.random() if rng is not None else 0.5
-        if self._redraw(key, r) is None:
-            return self.sim.release(qubit_id, strict, _Drawn(r))
-        self.sim._drop(qubit_id)
-        return True
+        if self._follows(key):
+            if self.log[self.at][1] is None:  # clean, in the log and here
+                self.at += 1
+                return False
+            if strict:
+                self._leave()  # so that the real release raises its error
+            else:
+                r = rng.random() if rng is not None else 0.5
+                if self._redraw(r) is not None:
+                    return True
+                rng = _Drawn(r)
+        dirty = self.sim.release(qubit_id, strict, rng)
+        self._record(key, self.sim.drawn if dirty else None)
+        return dirty
 
     def probe_zero_probability(
         self, bases: Sequence[str], qubit_ids: Sequence[int]
     ) -> float:
         key = ("probe", tuple(bases), tuple(qubit_ids))
-        if not self._follows(key):
-            return self.sim.probe_zero_probability(bases, qubit_ids)
-        if self.skip:
-            self.sim._check_measurement_args(bases, qubit_ids)
-            probability = self.log[len(self.ops)][1]
-        else:
-            probability = self.sim.probe_zero_probability(bases, qubit_ids)
-        self._matched(key, probability)
+        if self._follows(key):
+            self.at += 1
+            return self.log[self.at - 1][1]
+        probability = self.sim.probe_zero_probability(bases, qubit_ids)
+        self._record(key, probability)
         return probability
 
     def measure(self, bases: Sequence[str], qubit_ids: Sequence[int], rng) -> int:
         key = ("measure", tuple(bases), tuple(qubit_ids))
-        if not self._follows(key):
-            return self.sim.measure(bases, qubit_ids, rng)
-        if not self.skip:
-            outcome = self.sim.measure(bases, qubit_ids, rng)
-            self._matched(key, self.sim.drawn)
-            return outcome
-        self.sim._check_measurement_args(bases, qubit_ids)
-        r = rng.random()
-        below = self._redraw(key, r)
-        if below is None:
-            return self.sim.measure(bases, qubit_ids, _Drawn(r))
-        return 0 if below else 1
+        if self._follows(key):
+            r = rng.random()
+            below = self._redraw(r)
+            if below is not None:
+                return 0 if below else 1
+            rng = _Drawn(r)
+        outcome = self.sim.measure(bases, qubit_ids, rng)
+        self._record(key, self.sim.drawn)
+        return outcome
 
     def amplitudes(self) -> tuple[list[int], np.ndarray]:
-        if self.skip:
+        if self.log is not None:
             self._leave()
         return self.sim.amplitudes()
 
-    # ── Following the log ────────────────────────────────────────────────
+    # ── Recording and following the log ──────────────────────────────────
 
     def _follows(self, key: tuple) -> bool:
-        """Whether the call `key` continues the log; if not, leave it."""
-        at = len(self.ops)
-        if self.log is None or (at < len(self.log) and self.log[at][0] == key):
+        """Whether this shot follows the log and `key` is the call at its
+        cursor. A shot that follows the log and makes another call leaves it."""
+        if self.log is None:
+            return False
+        if self.at < len(self.log) and self.log[self.at][0] == key:
             return True
         self._leave()
         return False
 
-    def _redraw(self, key: tuple, r: float) -> bool | None:
-        """Match the logged draw `key` if `r`, drawn for it, gives the logged
-        outcome, and return whether `r` falls below the logged probability.
-        Otherwise leave the log and return None."""
-        p, logged = self.log[len(self.ops)][1]
+    def _record(self, key: tuple, value) -> None:
+        """Log a call that the shot's simulator has made, while recording."""
+        if self.log is None:
+            self.ops.append((key, value))
+            if len(self.ops) == _MAX_LOG:
+                self._leave()
+
+    def _redraw(self, r: float) -> bool | None:
+        """Match the logged draw at the cursor if `r`, drawn for it, gives
+        the logged outcome, and return whether `r` falls below the logged
+        probability. Otherwise leave the log and return None."""
+        p, logged = self.log[self.at][1]
         if (r < p) != (logged < p):
             self._leave()
             return None
-        self._matched(key, (p, r))
+        self.at += 1
         return r < p
-
-    def _matched(self, key: tuple, value) -> None:
-        self.ops.append((key, value))
-        if self.log is None:
-            if len(self.ops) == _MAX_LOG:
-                self._leave()
-        elif len(self.ops) == self.prefix.first_draw:
-            if self.skip:
-                self.draw_positions = dict(self.sim.position)
-                return
-            if 3 * BYTES_PER_AMPLITUDE * (1 << self.sim.num_qubits) <= MEMORY_BUDGET:
-                self.snapshot = np.array(self.sim.state, dtype=complex)
-            self.owner.simulator = self.sim
 
     def _leave(self) -> None:
         """Hand the shot's simulator back, with its state brought up to date."""
-        if self.skip:
-            sim, ops = self.sim, self.ops
-            if len(ops) < self.prefix.first_draw:
-                sim.position = {}
-                sim.load([1])
-            else:
-                sim.position, ops = self.draw_positions, ops[self.prefix.first_draw :]
-                sim.load(self.prefix.snapshot)
-            for key, value in ops:
-                if key[0] == "allocate":
-                    sim.allocate(key[1])
-                elif key[0] == "apply":
-                    sim.apply(value, key[2], key[3])
-                elif key[0] == "release":
-                    sim.release(key[1], strict=value is None,
-                                rng=value and _Drawn(value[1]))
-                elif key[0] == "measure":
-                    sim.measure(key[1], key[2], _Drawn(value[1]))
+        if self.log is not None:
+            prefix, sim, start = self.prefix, self.sim, 0
+            if self.at >= prefix.first_draw:
+                start = prefix.first_draw
+                if prefix.snapshot is None:
+                    self._replay(0, start)
+                    if 3 * BYTES_PER_AMPLITUDE * (1 << sim.num_qubits) <= MEMORY_BUDGET:
+                        state = np.array(sim.state, dtype=complex)
+                        state.setflags(write=False)
+                        prefix.snapshot = state, dict(sim.position)
+                else:
+                    state, positions = prefix.snapshot
+                    sim.position = dict(positions)
+                    sim.load(state)
+            self._replay(start, self.at)
         self.owner.simulator = self.sim
+
+    def _replay(self, start: int, stop: int) -> None:
+        """Make the logged calls start to stop on the shot's simulator."""
+        sim = self.sim
+        for key, value in self.log[start:stop]:
+            if key[0] == "allocate":
+                sim.allocate(key[1])
+            elif key[0] == "apply":
+                sim.apply(value, key[2], key[3])
+            elif key[0] == "release":
+                sim.release(key[1], strict=value is None,
+                            rng=value and _Drawn(value[1]))
+            elif key[0] == "measure":
+                sim.measure(key[1], key[2], _Drawn(value[1]))

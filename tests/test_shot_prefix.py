@@ -1,12 +1,13 @@
 """Shots of one entry point share the simulator work they have in common.
 
 The first shot of an entry records its simulator operations, draws included
-(the log). The next shot that repeats the log up to its first draw copies
-the state there, and later shots check their operations against the log,
-draw where it drew and skip the arithmetic while their outcomes are the
-logged ones (see `simulator.ShotPrefix`). None of it may show: every shot
-must give the value, messages, `RunStats` and dumped amplitudes, byte for
-byte, that it gives on an entry compiled afresh, which has nothing recorded.
+(the log). Every later shot follows the log as a cursor: it draws where the
+log drew and computes no amplitude while its calls and outcomes are the
+logged ones. A shot that leaves the log at or after its first draw starts
+from the state there (the snapshot), which the first such shot copies (see
+`simulator.ShotPrefix`). None of it may show: every shot must give the value,
+messages, `RunStats`, dumped amplitudes and trace lines, byte for byte, that
+it gives on an entry compiled afresh, which has nothing recorded.
 """
 
 from __future__ import annotations
@@ -172,15 +173,19 @@ def test_prefix_with_probe_and_strict_release_is_reused(dump):
         assert shot_by_shot([entry] * SHOTS, seed, options) == expected
     prefix = entry.shot_prefix
     ops = [key[0] for key, _ in prefix.log]
-    # The log holds the whole first shot; the snapshot is taken at its first
-    # draw, after the probe and the strict release.
+    # The log holds the whole first shot; the snapshot holds the state at its
+    # first draw, after the probe and the strict release.
     before = ops[: prefix.first_draw]
     assert before.count("probe") == 1 and before.count("release") == 1
     assert "measure" not in before and ops[prefix.first_draw] == "measure"
     assert ops.count("measure") == PREFIXED_QUBITS
     assert ops.count("release") == 1 + PREFIXED_QUBITS
-    assert prefix.snapshot is not None
-    assert len(prefix.snapshot) == 1 << PREFIXED_QUBITS
+    if dump:  # every shot leaves the log before its first draw
+        assert prefix.snapshot is None
+        return
+    state, positions = prefix.snapshot
+    assert len(state) == 1 << PREFIXED_QUBITS
+    assert sorted(positions.values()) == list(range(PREFIXED_QUBITS))
 
 
 def test_later_shots_leave_a_small_snapshot_unchanged():
@@ -195,13 +200,14 @@ def test_later_shots_leave_a_small_snapshot_unchanged():
     entry = compile_entry(RUS_COIN)
     run_shots(HANDLERS, entry, 2, 1, RunOptions())
     snapshot = entry.shot_prefix.snapshot
-    assert len(snapshot) == 2 and not snapshot.flags.writeable
-    stored = snapshot.tobytes()
+    state, positions = snapshot
+    assert len(state) == 2 and not state.flags.writeable and positions == {0: 0}
+    stored = state.tobytes()
     # Each later shot leaves the log at an outcome of its own, loads the
     # snapshot, replays its draws and then gates and measures in place.
     run_shots({**HANDLERS, "Measure": spy}, entry, 5, 2, RunOptions())
     assert entry.shot_prefix.snapshot is snapshot
-    assert snapshot.tobytes() == stored
+    assert state.tobytes() == stored and positions == {0: 0}
     assert len(storages) >= 5 and set(storages) == {list}
 
 
@@ -210,7 +216,7 @@ def test_one_shot_records_a_log_and_copies_no_state():
     run_shots(HANDLERS, entry, 1, 7, RunOptions())
     assert entry.shot_prefix.log
     assert entry.shot_prefix.snapshot is None
-    run_shots(HANDLERS, entry, 1, 8, RunOptions())
+    run_shots(HANDLERS, entry, 1, 8, RunOptions())  # leaves at a measurement
     assert entry.shot_prefix.snapshot is not None
 
 
@@ -305,12 +311,14 @@ def test_shot_that_never_draws_stores_its_log(monkeypatch, dump):
     log = entry.shot_prefix.log
     assert [key[0] for key, _ in log] == ["allocate"] * 2 + ["apply"] * 6 + ["release"] * 2
     assert entry.shot_prefix.first_draw == len(log)
-    assert len(entry.shot_prefix.snapshot) == 1  # every qubit released
+    # Later shots follow the log to its end, or leave it at the dump, before
+    # its releases: never at or after the end of the log, its first draw.
+    assert entry.shot_prefix.snapshot is None
     monkeypatch.setattr(qdsl.simulator, "_MAX_LOG", 4)
     entry = compile_entry(NEVER_DRAWS)
     assert shot_by_shot([entry] * SHOTS, 1, options) == expected
     assert len(entry.shot_prefix.log) == entry.shot_prefix.first_draw == 4
-    assert len(entry.shot_prefix.snapshot) == 4
+    assert len(entry.shot_prefix.snapshot[0]) == 4  # two qubits live
 
 
 def test_lower_memory_budget_fails_as_uncached(monkeypatch):
@@ -338,17 +346,16 @@ def test_simulator_is_handed_back_after_the_prefix():
         seen.append([])
         run_shots({**HANDLERS, "Measure": spy}, entry, 1, 1 ^ shot, RunOptions())
     assert seen[0] == [False] * PREFIXED_QUBITS  # it records them all
-    assert seen[1] == [True] * PREFIXED_QUBITS  # it copies the state at its first draw
-    for flags in seen[2:]:
+    for flags in seen[1:]:
         assert flags == sorted(flags)  # never taken back once handed back
-    assert [] != [f for f in seen[2:] if f[0] is False and f[-1] is True]
-    assert [] != [f for f in seen[2:] if not any(f)]
+    assert [] != [f for f in seen[1:] if f[0] is False and f[-1] is True]
+    assert [] != [f for f in seen[1:] if not any(f)]
     assert GATE_MATRICES["H"].tobytes() in {key[1] for key, _ in entry.shot_prefix.log}
 
 
 @pytest.fixture
 def departures(monkeypatch):
-    """Where shots that skip the arithmetic leave the log, as (operations
+    """Where shots that follow the log leave it, as (operations
     matched, the log's first draw, the logged call there or None past the
     end, whether the shot left to dump its state)."""
     seen = []
@@ -356,8 +363,8 @@ def departures(monkeypatch):
     dumping = []
 
     def spy_leave(self):
-        if self.skip:
-            at, log = len(self.ops), self.log
+        if self.log is not None:
+            at, log = self.at, self.log
             kind = log[at][0][0] if at < len(log) else None
             seen.append((at, self.prefix.first_draw, kind, bool(dumping)))
         leave(self)
@@ -528,11 +535,10 @@ def test_strict_release_dirty_only_in_a_later_shot(departures):
     assert "release" in [kind for _, _, kind, _ in departures]
 
 
-def test_repeated_outcomes_do_no_amplitude_arithmetic(monkeypatch):
-    # The first shot records the log and the second copies the state at its
-    # first draw; no later shot calls a kernel, a weight or the collapse.
-    entry = compile_entry(QFT_ROUND_TRIP)
-    run_shots(HANDLERS, entry, 2, 1, RunOptions())
+@pytest.fixture
+def simulator_calls(monkeypatch):
+    """The names of the simulator's kernels, weights, entry points and checks,
+    in the order they are called, nested calls included."""
     calls = []
 
     def counted(owner, name):
@@ -547,19 +553,85 @@ def test_repeated_outcomes_do_no_amplitude_arithmetic(monkeypatch):
     for name in ("_weight", "_small_weight"):
         counted(qdsl.simulator, name)
     for name in ("_apply_at", "_apply_small", "_target_slices", "measure",
-                 "release", "allocate", "load", "probe_zero_probability"):
+                 "release", "allocate", "apply", "load", "probe_zero_probability",
+                 "_check_measurement_args", "_position_of", "_check_limits"):
         counted(StateVectorSimulator, name)
+    return calls
+
+
+def test_repeated_outcomes_do_no_amplitude_arithmetic(simulator_calls):
+    # From the second shot on, a shot that follows the whole log runs only
+    # the checks that its matched calls leave open, once per allocation.
+    entry = compile_entry(QFT_ROUND_TRIP)
+    run_shots(HANDLERS, entry, 1, 3, RunOptions())
+    simulator_calls.clear()
     results = run_shots(HANDLERS, entry, 10, 3, RunOptions())
     assert {r.value for r in results} == {0b01001}
-    assert calls == []
+    assert simulator_calls == ["_check_limits"] * 5 * 10
     reference = shot_by_shot(fresh_entries(QFT_ROUND_TRIP), 3, RunOptions())[0]
     assert [r.stats for r in results] == [stats for _, _, stats, _ in reference[:10]]
-    # A dump leaves the log after the measurements: the shot loads the
-    # snapshot and replays only what came after the first draw.
+    assert entry.shot_prefix.snapshot is None  # no shot left the log
+
+
+@pytest.mark.parametrize("fits", [True, False], ids=["snapshot", "over_budget"])
+def test_departures_after_the_first_draw_share_one_snapshot(
+    monkeypatch, simulator_calls, fits
+):
+    # Five qubits are live at the first draw; holding a snapshot next to
+    # their state needs 3 x 16 x 2^5 bytes.
+    if not fits:
+        monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 3 * 16 * (1 << 5) - 1)
+    entry = compile_entry(QFT_ROUND_TRIP)
+    run_shots(HANDLERS, entry, 1, 3, RunOptions())
     log, first = entry.shot_prefix.log, entry.shot_prefix.first_draw
-    calls.clear()
-    run_shots(HANDLERS, entry, 1, 3, RunOptions(dump_state=True))
-    after = [key[0] for key, _ in log[first:]]
-    assert calls.count("load") == 1
-    assert calls.count("measure") == after.count("measure") == 5
-    assert calls.count("_apply_at") == after.count("apply") == 2
+    # A dump, after the measurements and before the releases, leaves the log.
+    at = [key[0] for key, _ in log].index("release")
+    applies = [key[0] for key, _ in log[:at]].count("apply")
+    after = [key[0] for key, _ in log[first:at]]
+    for shot in range(3):
+        simulator_calls.clear()
+        run_shots(HANDLERS, entry, 1, 3, RunOptions(dump_state=True))
+        snapshot = entry.shot_prefix.snapshot
+        if not fits:  # every departure replays the log from |0...0>
+            assert snapshot is None
+            assert "load" not in simulator_calls
+            assert simulator_calls.count("apply") == applies
+        elif shot == 0:  # the first departure replays and copies
+            assert len(snapshot[0]) == 1 << 5 and not snapshot[0].flags.writeable
+            assert "load" not in simulator_calls
+            assert simulator_calls.count("apply") == applies
+        else:  # later ones load it and replay only what follows
+            assert entry.shot_prefix.snapshot is snapshot
+            assert simulator_calls.count("load") == 1
+            assert simulator_calls.count("apply") == after.count("apply") == 2
+            assert simulator_calls.count("measure") == after.count("measure") == 5
+            assert simulator_calls.count("allocate") == 0
+        assert simulator_calls.count("release") == 5
+    expected = shot_by_shot(fresh_entries(QFT_ROUND_TRIP), 3, RunOptions(dump_state=True))
+    assert shot_by_shot([entry] * SHOTS, 3, RunOptions(dump_state=True)) == expected
+
+
+def trace_lines(entries, seed: int, options: RunOptions) -> list:
+    """The trace lines of one-shot calls, shot i on the i-th entry."""
+    lines = []
+    for shot, entry in zip(range(SHOTS), entries):
+        run_shots(HANDLERS, entry, 1, seed ^ shot, options,
+                  trace=lambda _, line: lines.append((shot, line)))
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted([*PROGRAMS, "rus_coin"]))
+def test_cached_shots_trace_as_uncached(name):
+    if name == "rus_coin":
+        text, exclude, extra = RUS_COIN, (), []
+    else:
+        path, extra = PROGRAMS[name]
+        text, exclude = _source(path)
+    entry_name = extra[extra.index("--entry") + 1] if "--entry" in extra else None
+    strict = "--permissive-release" not in extra
+    for seed in SEEDS:
+        for dump in (False, True):
+            options = RunOptions(strict_release=strict, dump_state=dump)
+            expected = trace_lines(fresh_entries(text, exclude, entry_name), seed, options)
+            entry = compile_entry(text, exclude, entry_name)
+            assert trace_lines([entry] * SHOTS, seed, options) == expected, (dump, seed)

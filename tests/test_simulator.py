@@ -370,23 +370,6 @@ def test_pauli_measurement_matches_projector_oracle(n, letters, draw, seed, data
     check_pauli_measurement(n, letters, draw, seed, data)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(2, 4),
-    letters=st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=4),
-    draw=st.floats(0.0, 0.999999),
-    seed=st.integers(0, 2**31),
-    data=st.data(),
-)
-def test_list_storage_of_several_qubits_matches_projector_oracle(
-    n, letters, draw, seed, data
-):
-    # The list kernels are written for any threshold; run them past one qubit.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qdsl.simulator, "SMALL_QUBITS", 4)
-        check_pauli_measurement(n, letters, draw, seed, data)
-
-
 def check_pauli_measurement(n, letters, draw, seed, data):
     letters = letters[:n]
     positions = data.draw(st.permutations(range(n)))[: len(letters)]
@@ -591,6 +574,23 @@ def test_measurement_argument_validation():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("basis", ["PauliZ", "", "XY"], ids=["PauliZ", "empty", "XY"])
+def test_unknown_pauli_basis_is_rejected_before_any_draw(n, basis):
+    sim = make_sim(n)
+    sim.apply(FROZEN["H"], 0)
+    state = sim.amplitudes()[1]
+    rng = random.Random(0)
+    drawn = rng.getstate()
+    bases, ids = ["Z"] * (n - 1) + [basis], list(range(n))
+    with pytest.raises(SimulationError, match=f"unknown Pauli basis {basis!r}"):
+        sim.measure(bases, ids, rng)
+    with pytest.raises(SimulationError, match=f"unknown Pauli basis {basis!r}"):
+        sim.probe_zero_probability(bases, ids)
+    assert rng.getstate() == drawn
+    assert np.array_equal(sim.amplitudes()[1], state)
+
+
 def test_duplicate_identity_slots_are_fine():
     # I entries do not touch their qubit, so repeats are harmless
     sim = make_sim(2)
@@ -754,16 +754,13 @@ def _crossing_programs(draw, threshold: int):
     return steps
 
 
-@pytest.mark.parametrize("threshold", [SMALL_QUBITS, 3])
+@pytest.mark.parametrize("threshold", [SMALL_QUBITS])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_allocations_and_releases_across_the_threshold_match_the_oracle(
     threshold, data
 ):
-    # A threshold above the module's runs the list kernels with controls.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qdsl.simulator, "SMALL_QUBITS", threshold)
-        check_crossing_program(data.draw(_crossing_programs(threshold)), threshold)
+    check_crossing_program(data.draw(_crossing_programs(threshold)), threshold)
 
 
 def check_crossing_program(steps, threshold: int) -> None:
