@@ -10,6 +10,7 @@ runtime dispatches on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
@@ -102,6 +103,11 @@ class CallableSymbol:
     @property
     def qualified(self) -> str:
         return f"{self.namespace}.{self.name}" if self.namespace else self.name
+
+    @functools.cached_property
+    def is_diagnostic(self) -> bool:
+        """A function returning (): `--elide-diagnostics` skips its calls."""
+        return not self.is_operation and ty.normalize(self.output) == ty.UNIT
 
     def reference_type(self) -> tuple[ty.Type, dict[str, ty.Param]]:
         """Type of a reference to this callable, with fresh variables."""

@@ -109,9 +109,9 @@ def _r1frac_handler(r1frac_matrix):
         if adjoint:
             numerator = -numerator
         matrix = r1frac_matrix(numerator, power)
-        interp.apply_gate(
-            f"R1Frac({numerator},{power})", matrix, target, False, controls
-        )
+        # The display text goes only into a trace line.
+        display = "R1Frac" if interp.trace is None else f"R1Frac({numerator},{power})"
+        interp.apply_gate(display, matrix, target, False, controls)
         return UNIT
 
     return r1frac

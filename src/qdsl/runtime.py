@@ -11,8 +11,11 @@ to the matching specialization body (or intrinsic handler).
 A specialization body is compiled on its first invocation into closures
 ``(interp, frame) -> value`` (Feeley & Lapalme 1987) cached on its
 ``SpecEntry``. Locals live in one frame slot per binding site. A statement
-returns None to fall through, or the value of a ``return``. Compiled code
-reads ``interp.options`` at run time and calls through ``interp.invoke``.
+returns None to fall through, or the value of a ``return``. What the AST
+settles is bound then: a global callee under any functors is one constant
+``Closure``, and an operator or index reads a local operand from its slot in
+place. Compiled code reads ``interp.options`` at run time, and every call
+still enters through ``interp.invoke``.
 
 Failures raised by programs (fail statements, assertion violations, runtime
 errors such as out-of-range indexing) surface as QdslFailure and carry a
@@ -21,6 +24,7 @@ source span when one is known.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import operator
 import random
@@ -28,11 +32,12 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from . import types as ty
 from .ast_nodes import (
     Block,
     Expr,
+    FunctorExpr,
     Hole,
+    Name,
     NamePattern,
     ParamLeaf,
     ParamTuple,
@@ -169,13 +174,9 @@ class Interpreter:
                 else:
                     arg = fill_shape(wrapper[1], arg)
             base = closure.base
-            if isinstance(base, UdtSymbol):
+            if base.__class__ is UdtSymbol:
                 return arg  # newtype values are represented by their base value
-            if (
-                self.options.elide_diagnostics
-                and not base.is_operation
-                and ty.normalize(base.output) == ty.UNIT
-            ):
+            if self.options.elide_diagnostics and base.is_diagnostic:
                 return UNIT
             if base.intrinsic is not None:
                 return self.intrinsics[base.intrinsic](self, arg, adjoint, controls)
@@ -319,6 +320,8 @@ def _collect_qubits(value: Any, out: set[int]) -> None:
 # ── Closure compiler ─────────────────────────────────────────────────────────
 
 Code = Callable[[Interpreter, list], Any]
+Operand = int | Code  # a local's frame slot, read in place, or an expression's code
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
 def _const(value: Any) -> Code:
@@ -326,7 +329,39 @@ def _const(value: Any) -> Code:
 
 
 def _tuple(items: list[Code]) -> Code:
+    if len(items) == 2:
+        a, b = items
+        return lambda interp, frame: (a(interp, frame), b(interp, frame))
+    if len(items) == 3:
+        a, b, c = items
+        return lambda i, frame: (a(i, frame), b(i, frame), c(i, frame))
     return lambda interp, frame: tuple([item(interp, frame) for item in items])
+
+
+def _binary(op: Callable, left: Operand, right: Operand) -> Code:
+    """`op` on two operands, with an Int result wrapped to 64 bits.
+
+    The checker allows `+`, `-` and `*` only on Int with Int, Double with
+    Double or array with array, so an `int` result is an Int, and only one
+    outside 64 bits needs `wrap64`. A comparison gives a `bool`.
+    """
+    if left.__class__ is int and right.__class__ is int:
+        def binary(interp, frame):
+            v = op(frame[left], frame[right])
+            return v if v.__class__ is not int or v in _INT64 else wrap64(v)
+    elif left.__class__ is int:
+        def binary(interp, frame):
+            v = op(frame[left], right(interp, frame))
+            return v if v.__class__ is not int or v in _INT64 else wrap64(v)
+    elif right.__class__ is int:
+        def binary(interp, frame):
+            v = op(left(interp, frame), frame[right])
+            return v if v.__class__ is not int or v in _INT64 else wrap64(v)
+    else:
+        def binary(interp, frame):
+            v = op(left(interp, frame), right(interp, frame))
+            return v if v.__class__ is not int or v in _INT64 else wrap64(v)
+    return binary
 
 
 def _store(slot: int, value: Code) -> Code:
@@ -519,6 +554,21 @@ class _Compiler:
 
     # ── Expressions ──────────────────────────────────────────────────────
 
+    def _operand(self, expr: Expr) -> Operand:
+        if isinstance(expr, Name) and expr.binding and expr.binding[0] == "local":
+            return self._lookup(expr.binding[1])
+        return self._compile(expr)
+
+    def _static(self, expr: Expr) -> Optional[Closure]:
+        """The one value of a global name under any stack of functors."""
+        if isinstance(expr, FunctorExpr):
+            operand = self._static(expr.operand)
+            if operand is not None:
+                return operand.adjoint() if expr.functor == "Adjoint" else operand.controlled()
+        elif isinstance(expr, Name) and expr.binding and expr.binding[0] != "local":
+            return Closure(expr.binding[1])
+        return None
+
     def _literal(self, expr) -> Code:
         return _const(expr.value)
 
@@ -553,6 +603,9 @@ class _Compiler:
 
     def _ArrayExpr(self, expr) -> Code:
         items = [self._compile(item) for item in expr.items]
+        if len(items) == 1:
+            item = items[0]
+            return lambda interp, frame: [item(interp, frame)]
         return lambda interp, frame: [item(interp, frame) for item in items]
 
     def _RangeExpr(self, expr) -> Code:
@@ -567,13 +620,24 @@ class _Compiler:
         return range_
 
     def _IndexExpr(self, expr) -> Code:
-        base, index, span = self._compile(expr.base), self._compile(expr.index), expr.span
-
-        def index_(interp, frame):
-            array, at = base(interp, frame), index(interp, frame)
-            if isinstance(at, RangeValue):
-                return [_index_into(array, i, span) for i in at]
-            return _index_into(array, at, span)
+        base, span = self._operand(expr.base), expr.span
+        if base.__class__ is not int:
+            index = self._compile(expr.index)
+            return lambda interp, frame: _index(base(interp, frame), index(interp, frame), span)
+        # The array is a local: an Int index in range is read in place.
+        index = self._operand(expr.index)
+        if index.__class__ is int:
+            def index_(interp, frame):
+                array, at = frame[base], frame[index]
+                if at.__class__ is int and 0 <= at < len(array):
+                    return array[at]
+                return _index(array, at, span)
+        else:
+            def index_(interp, frame):
+                array, at = frame[base], index(interp, frame)
+                if at.__class__ is int and 0 <= at < len(array):
+                    return array[at]
+                return _index(array, at, span)
         return index_
 
     def _CallExpr(self, expr) -> Code:
@@ -583,18 +647,14 @@ class _Compiler:
             shape = self._shape(args[0] if len(args) == 1 else TupleExpr(span, items=args))
 
             def partial(interp, frame):
-                target = callee(interp, frame)
-                if not isinstance(target, Closure):
-                    raise QdslFailure("value is not callable", span)
-                return target.partial(shape(interp, frame))
+                return _callable(callee(interp, frame), span).partial(shape(interp, frame))
             return partial
         args = [self._compile(a) for a in expr.args]
         arg = _tuple(args) if len(args) > 1 else args[0] if args else _const(UNIT)
+        static = self._static(expr.callee)
 
         def call(interp, frame):
-            target = callee(interp, frame)
-            if not isinstance(target, Closure):
-                raise QdslFailure("value is not callable", span)
+            target = static or _callable(callee(interp, frame), span)
             value = arg(interp, frame)
             try:
                 return interp.invoke(target, value)
@@ -615,6 +675,9 @@ class _Compiler:
         return lambda interp, frame: ("given", value(interp, frame))
 
     def _FunctorExpr(self, expr) -> Code:
+        static = self._static(expr)
+        if static is not None:
+            return _const(static)
         operand = self._compile(expr.operand)
         if expr.functor == "Adjoint":
             return lambda interp, frame: operand(interp, frame).adjoint()
@@ -625,35 +688,34 @@ class _Compiler:
         return lambda interp, frame: apply(operand(interp, frame))
 
     def _BinaryExpr(self, expr) -> Code:
-        op, left, right = expr.op, self._compile(expr.left), self._compile(expr.right)
-        if op == "&&":
-            return lambda interp, frame: left(interp, frame) and right(interp, frame)
-        if op == "||":
+        op = expr.op
+        if op in ("&&", "||"):
+            left, right = self._compile(expr.left), self._compile(expr.right)
+            if op == "&&":
+                return lambda interp, frame: left(interp, frame) and right(interp, frame)
             return lambda interp, frame: left(interp, frame) or right(interp, frame)
-        if op in _COMPARISONS:
-            compare = _COMPARISONS[op]
-            return lambda interp, frame: compare(left(interp, frame), right(interp, frame))
-        apply, span = _ARITHMETIC[op], expr.span
-        return lambda interp, frame: apply(left(interp, frame), right(interp, frame), span)
+        apply = _OPERATORS.get(op) or functools.partial(_CHECKED[op], span=expr.span)
+        return _binary(apply, self._operand(expr.left), self._operand(expr.right))
 
 
-def _index_into(array: list, index: int, span: Span) -> Any:
-    if not 0 <= index < len(array):
+def _callable(value: Any, span: Span) -> Closure:
+    if not isinstance(value, Closure):
+        raise QdslFailure("value is not callable", span)
+    return value
+
+
+def _index(array: list, at: Any, span: Span) -> Any:
+    """`array[at]` for an Int or a Range `at`, failing on an index out of range."""
+    if isinstance(at, RangeValue):
+        return [_index(array, i, span) for i in at]
+    if not 0 <= at < len(array):
         raise QdslFailure(
-            f"index {index} is out of range for an array of length {len(array)}",
-            span,
+            f"index {at} is out of range for an array of length {len(array)}", span
         )
-    return array[index]
+    return array[at]
 
 
 # ── Operators ────────────────────────────────────────────────────────────────
-
-
-def _num(left, right, value):
-    """Double arithmetic stays as it is; Int arithmetic wraps to 64 bits."""
-    if isinstance(left, float) or isinstance(right, float):
-        return value
-    return wrap64(value)
 
 
 def _int_div(a: int, b: int, span: Span) -> int:
@@ -684,12 +746,10 @@ _UNARY = {
     "!": operator.not_,
     "~": lambda v: wrap64(~v),
 }
-_COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_ARITHMETIC = {
-    "+": lambda a, b, span: a + b if isinstance(a, list) else _num(a, b, a + b),
-    "-": lambda a, b, span: _num(a, b, a - b),
-    "*": lambda a, b, span: _num(a, b, a * b),
+_OPERATORS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+              "+": operator.add, "-": operator.sub, "*": operator.mul}
+_CHECKED = {  # operators that can fail, at the expression's span
     "/": _divide,
     "%": lambda a, b, span: wrap64(a - b * _int_div(a, b, span)),
     "<<": lambda a, b, span: 0 if _shift(b, span) >= 64 else wrap64(a << b),

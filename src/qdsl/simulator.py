@@ -204,8 +204,9 @@ class StateVectorSimulator:
         """Remove a qubit; returns True when it had to be reset first.
 
         In strict mode the qubit must already be in |0> up to
-        RELEASE_EPSILON; otherwise it is measured (consuming randomness)
-        and the surviving slice, |0> or |1>, becomes the new state.
+        RELEASE_EPSILON; otherwise it is measured with a draw from `rng`,
+        which such a release needs, and the surviving slice, |0> or |1>,
+        becomes the new state.
         """
         pos = self._position_of(qubit_id)
         small = self.num_qubits <= SMALL_QUBITS
@@ -222,6 +223,11 @@ class StateVectorSimulator:
                     f"qubit q{qubit_id} was released with probability "
                     f"{p_one:.3g} of being |1>; qubits must be returned "
                     "to |0> before release"
+                )
+            if rng is None:
+                raise SimulationError(
+                    f"releasing q{qubit_id} with probability {p_one:.3g} of "
+                    "being |1> measures it, and no random generator was given"
                 )
             keep_one = self._draw(rng, p_one)
         probability = p_one if keep_one else 1.0 - p_one
@@ -399,7 +405,7 @@ class StateVectorSimulator:
     def _draw(self, rng, p: float) -> bool:
         """Whether a number drawn from `rng` falls below `p`. Keeps both in
         `drawn`, as (p, number), for a caller that records the draw."""
-        r = rng.random() if rng is not None else 0.5
+        r = rng.random()
         self.drawn = (p, r)
         return r < p
 
@@ -565,10 +571,10 @@ class _PrefixStandIn:
             if self.log[self.at][1] is None:  # clean, in the log and here
                 self.at += 1
                 return False
-            if strict:
+            if strict or rng is None:
                 self._leave()  # so that the real release raises its error
             else:
-                r = rng.random() if rng is not None else 0.5
+                r = rng.random()
                 if self._redraw(r) is not None:
                     return True
                 rng = _Drawn(r)

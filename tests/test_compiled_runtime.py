@@ -8,14 +8,19 @@ captured by partial application, and the number of `Interpreter.invoke`
 calls, which the benchmark's tracer counts by patching that method.
 """
 
+import functools
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdsl.compiler import resolve_entry
 from qdsl.prelude import intrinsic_handlers
 from qdsl.runtime import Interpreter, QdslFailure, RunOptions, run_shots
-from conftest import compile_ok, run_main
+from qdsl.values import Closure, RangeValue, wrap64
+from conftest import compile_ok, fresh_interpreter, get_symbol, run_main
 
 DEFAULT_LIMIT = RunOptions().recursion_limit
 
@@ -284,3 +289,274 @@ def test_invoke_count_seen_by_a_class_level_wrapper(monkeypatch):
     shots = run_main(SEAM_PROGRAM, shots=3, seed=11)
     assert [shot.value for shot in shots] == [3, 3, 4]
     assert calls == 272
+
+
+# ── Fused operands and static callees ────────────────────────────────────────
+#
+# A binary operator or index reads a local operand from its frame slot in
+# place, and a global callee under functors is bound when the body is
+# compiled. These tests run each shape of those closures against a plain
+# Python reference.
+
+INT_MIN, INT_MAX = -(1 << 63), (1 << 63) - 1
+ARITHMETIC = ["+", "-", "*"]
+COMPARISONS = ["<", "<=", "==", "!="]
+# Each shape of a binary expression: a local or a call on either side.
+SHAPES = ["a {op} b", "a {op} Id(b)", "Id(a) {op} b", "Id(a) {op} Id(b)"]
+
+
+def operator_program(type_name: str) -> str:
+    arithmetic = [shape.format(op=op) for op in ARITHMETIC for shape in SHAPES]
+    comparisons = [shape.format(op=op) for op in COMPARISONS for shape in SHAPES]
+    return f"""
+namespace T {{
+    function Id (x : {type_name}) : {type_name} {{ return x; }}
+    function Ops (a : {type_name}, b : {type_name}) : ({type_name}[], Bool[]) {{
+        return ([{"; ".join(arithmetic)}], [{"; ".join(comparisons)}]);
+    }}
+}}"""
+
+
+@functools.cache
+def operator_symbol(type_name: str):
+    return get_symbol(compile_ok(operator_program(type_name)), "T.Ops")
+
+
+def python_reference(a, b) -> tuple[list, list]:
+    fit = wrap64 if type(a) is int else (lambda value: value)
+    arithmetic = [fit(a + b), fit(a - b), fit(a * b)]
+    comparisons = [a < b, a <= b, a == b, a != b]
+    return (
+        [value for value in arithmetic for _ in SHAPES],
+        [value for value in comparisons for _ in SHAPES],
+    )
+
+
+def same_values(actual: list, expected: list) -> bool:
+    return len(actual) == len(expected) and all(
+        type(x) is type(y) and (x == y or x != x and y != y)  # NaN is NaN
+        for x, y in zip(actual, expected)
+    )
+
+
+EDGE_INTS = [INT_MIN, -INT_MAX, -1, 0, 1, INT_MAX - 1, INT_MAX]
+ints = st.one_of(st.sampled_from(EDGE_INTS), st.integers(INT_MIN, INT_MAX))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=ints, b=ints)
+def test_int_operators_in_every_shape_match_wrap64(a, b):
+    arithmetic, comparisons = fresh_interpreter().invoke(
+        Closure(operator_symbol("Int")), (a, b)
+    )
+    expected = python_reference(a, b)
+    assert same_values(arithmetic, expected[0]), (a, b, arithmetic)
+    assert same_values(comparisons, expected[1]), (a, b, comparisons)
+    assert all(INT_MIN <= value <= INT_MAX for value in arithmetic)
+
+
+def test_int_operators_wrap_at_the_64_bit_edges():
+    # The results 2^63 and -2^63 - 1 wrap; -2^63 and 2^63 - 1 stay.
+    def on_locals(a: int, b: int) -> tuple[int, int, int]:
+        arithmetic, _ = fresh_interpreter().invoke(Closure(operator_symbol("Int")), (a, b))
+        return arithmetic[0], arithmetic[4], arithmetic[8]  # a + b, a - b, a * b
+
+    assert on_locals(INT_MAX, 1)[0] == INT_MIN
+    assert on_locals(INT_MIN, 1)[1] == INT_MAX
+    assert on_locals(INT_MIN, -1) == (INT_MAX, INT_MIN + 1, INT_MIN)
+    assert on_locals(INT_MAX, -1) == (INT_MAX - 1, INT_MIN, -INT_MAX)
+    assert on_locals(INT_MAX, 0) == (INT_MAX, INT_MAX, 0)
+    assert on_locals(INT_MIN, 0) == (INT_MIN, INT_MIN, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(allow_nan=True, allow_infinity=True),
+    b=st.floats(allow_nan=True, allow_infinity=True),
+)
+def test_double_operators_in_every_shape_match_python(a, b):
+    arithmetic, comparisons = fresh_interpreter().invoke(
+        Closure(operator_symbol("Double")), (a, b)
+    )
+    expected = python_reference(a, b)
+    assert same_values(arithmetic, expected[0]), (a, b, arithmetic)
+    assert same_values(comparisons, expected[1]), (a, b, comparisons)
+
+
+def test_array_concatenation_in_every_shape():
+    text = """
+namespace T {
+    function Id (x : Int[]) : Int[] { return x; }
+    function Join (a : Int[], b : Int[]) : Int[][] {
+        return [a + b; a + Id(b); Id(a) + b; Id(a) + Id(b); a + [7]; [7] + b];
+    }
+}"""
+    join = Closure(get_symbol(compile_ok(text), "T.Join"))
+    a, b = [1, INT_MAX], [INT_MIN]
+    joined = fresh_interpreter().invoke(join, (a, b))
+    assert joined == [a + b] * 4 + [a + [7], [7] + b]
+    assert a == [1, INT_MAX] and b == [INT_MIN]  # the operands are not changed
+
+
+INDEXING = """
+namespace T {
+    function Id (x : Int[]) : Int[] { return x; }
+    function At (xs : Int[], i : Int) : Int { return xs[i]; }
+    function AtSum (xs : Int[], i : Int) : Int { return xs[i + 0]; }
+    function AtCall (xs : Int[], i : Int) : Int { return Id(xs)[i]; }
+    function Slice (xs : Int[], r : Range) : Int[] { return xs[r]; }
+    function SliceCall (xs : Int[], r : Range) : Int[] { return Id(xs)[r]; }
+}"""
+
+
+@functools.cache
+def indexing():
+    return compile_ok(INDEXING)
+
+
+@pytest.mark.parametrize(
+    "name, index_text",
+    [("At", "xs[i]"), ("AtSum", "xs[i + 0]"), ("AtCall", "Id(xs)[i]")],
+)
+@pytest.mark.parametrize("index", [-1, -3, 3, 4, INT_MIN, INT_MAX])
+def test_index_out_of_range_on_the_fused_path(name, index_text, index):
+    sym = get_symbol(indexing(), f"T.{name}")
+    with pytest.raises(QdslFailure) as info:
+        fresh_interpreter().invoke(Closure(sym), ([10, 20, 30], index))
+    assert info.value.message == (
+        f"index {index} is out of range for an array of length 3"
+    )
+    span = info.value.span
+    assert INDEXING[span.start : span.end] == index_text
+
+
+@pytest.mark.parametrize("name", ["At", "AtSum", "AtCall"])
+def test_index_in_range_on_the_fused_path(name):
+    sym = Closure(get_symbol(indexing(), f"T.{name}"))
+    values = [10, 20, 30]
+    assert [fresh_interpreter().invoke(sym, (values, i)) for i in range(3)] == values
+
+
+@pytest.mark.parametrize("name, index_text", [("Slice", "xs[r]"), ("SliceCall", "Id(xs)[r]")])
+def test_range_index_on_the_fused_path(name, index_text):
+    sym = Closure(get_symbol(indexing(), f"T.{name}"))
+    values = [10, 20, 30, 40]
+    run = fresh_interpreter().invoke
+    assert run(sym, (values, RangeValue(0, 2, 3))) == [10, 30]
+    assert run(sym, (values, RangeValue(3, -1, 1))) == [40, 30, 20]
+    assert run(sym, (values, RangeValue(2, 1, 1))) == []
+    with pytest.raises(QdslFailure) as info:
+        run(sym, (values, RangeValue(2, 1, 4)))
+    assert info.value.message == "index 4 is out of range for an array of length 4"
+    span = info.value.span
+    assert INDEXING[span.start : span.end] == index_text
+
+
+STATIC_CALLEES = """
+namespace T {
+    open Microsoft.Quantum.Primitive;
+
+    operation Rot (q : Qubit) : () {
+        body { T(q); R1Frac(1, 3, q); H(q); }
+        adjoint auto
+        controlled auto
+        controlled adjoint auto
+    }
+
+    operation Static (q : Qubit, c : Qubit) : () {
+        body {
+            (Adjoint T)(q);
+            (Controlled T)([c], q);
+            (Adjoint Controlled T)([c], q);
+            (Controlled Adjoint T)([c], q);
+            (Adjoint Adjoint R1Frac)(1, 2, q);
+            (Adjoint Controlled R1Frac)([c], (3, 2, q));
+            (Adjoint Rot)(q);
+            (Controlled Rot)([c], q);
+            (Adjoint Controlled Rot)([c], q);
+        }
+    }
+
+    operation ThroughLocals (q : Qubit, c : Qubit) : () {
+        body {
+            let t = T;
+            let r1 = R1Frac;
+            let rot = Rot;
+            (Adjoint t)(q);
+            (Controlled t)([c], q);
+            (Adjoint Controlled t)([c], q);
+            (Controlled Adjoint t)([c], q);
+            (Adjoint Adjoint r1)(1, 2, q);
+            (Adjoint Controlled r1)([c], (3, 2, q));
+            (Adjoint rot)(q);
+            (Controlled rot)([c], q);
+            (Adjoint Controlled rot)([c], q);
+        }
+    }
+
+    operation Main (useLocals : Bool) : () {
+        body {
+            using (qs = Qubit[2]) {
+                X(qs[1]);
+                if (useLocals) { ThroughLocals(qs[0], qs[1]); }
+                else { Static(qs[0], qs[1]); }
+                ResetAll(qs);
+            }
+        }
+    }
+}"""
+
+
+def test_static_callees_trace_as_the_same_callables_through_locals():
+    main = get_symbol(compile_ok(STATIC_CALLEES), "T.Main")
+
+    def trace(use_locals: bool) -> list[str]:
+        lines = []
+        interp = Interpreter(
+            intrinsic_handlers(), RunOptions(), random.Random(3), lines.append
+        )
+        interp.invoke(Closure(main), use_locals)
+        return lines
+
+    static = trace(False)
+    assert static == trace(True)
+    assert static[2:18] == [
+        "gate Adjoint T q0",
+        "gate T q0 ctl[q1]",
+        "gate Adjoint T q0 ctl[q1]",
+        "gate Adjoint T q0 ctl[q1]",
+        "gate R1Frac(1,2) q0",
+        "gate R1Frac(-3,2) q0 ctl[q1]",
+        # Adjoint Rot: its body reversed, each gate inverted.
+        "gate Adjoint H q0",
+        "gate R1Frac(-1,3) q0",
+        "gate Adjoint T q0",
+        "gate T q0 ctl[q1]",
+        "gate R1Frac(1,3) q0 ctl[q1]",
+        "gate H q0 ctl[q1]",
+        "gate Adjoint H q0 ctl[q1]",
+        "gate R1Frac(-1,3) q0 ctl[q1]",
+        "gate Adjoint T q0 ctl[q1]",
+        "measure [Z] [q0] -> Zero",
+    ]
+
+
+def test_failure_of_a_static_call_under_functors_has_its_span():
+    text = """
+namespace T {
+    open Microsoft.Quantum.Primitive;
+    operation Main () : () {
+        body {
+            using (q = Qubit()) {
+                (Adjoint Controlled X)([q], q);
+            }
+        }
+    }
+}"""
+    with pytest.raises(QdslFailure) as info:
+        run_main(text)
+    span = info.value.span
+    assert span is not None
+    call = "(Adjoint Controlled X)([q], q)"
+    assert span.end == text.index(call) + len(call)  # the call's span, not its body's
+    assert text[span.start : span.end] in call

@@ -21,6 +21,7 @@ from qdsl.simulator import (
     GATE_ADJOINTS,
     GATE_MATRICES,
     SMALL_QUBITS,
+    ShotPrefix,
     SimulationError,
     StateVectorSimulator,
     r1frac_matrix,
@@ -685,6 +686,49 @@ def test_permissive_release_measures_and_resets():
     assert was_reset is True
     assert sim.num_qubits == 0
     assert abs(norm(sim) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_dirty_permissive_release_needs_a_generator(n):
+    # Without a generator there is no draw to take: the release fails and
+    # leaves the state and the bit positions as they were.
+    sim = make_sim(n)
+    sim.apply(FROZEN["H"], 0)
+    before = np.array(sim.state, dtype=complex)
+    positions = dict(sim.position)
+    with pytest.raises(SimulationError, match="no random generator was given"):
+        sim.release(0, strict=False)
+    assert np.array_equal(np.array(sim.state, dtype=complex), before)
+    assert sim.position == positions
+    assert sim.num_qubits == n
+
+
+def test_dirty_permissive_release_needs_a_generator_on_the_shot_log():
+    # A shot that follows the log hands the release to its own simulator,
+    # with the state brought up to date, and that release fails.
+    class Owner:
+        def __init__(self) -> None:
+            self.simulator = make_sim(0)
+
+    def start_shot():
+        owner = Owner()
+        stand_in = prefix.stand_in(owner)
+        owner.simulator.allocate(0)
+        owner.simulator.apply(FROZEN["H"], 0)
+        return owner, stand_in
+
+    prefix = ShotPrefix()
+    owner, stand_in = start_shot()
+    owner.simulator.release(0, strict=False, rng=random.Random(1))
+    stand_in.commit()
+    owner, _ = start_shot()
+    assert type(owner.simulator) is not StateVectorSimulator  # it follows the log
+    with pytest.raises(SimulationError, match="no random generator was given"):
+        owner.simulator.release(0, strict=False)
+    sim = owner.simulator
+    assert type(sim) is StateVectorSimulator
+    assert sim.position == {0: 0}
+    assert np.allclose(np.array(sim.state, dtype=complex), [SQ2, SQ2], atol=1e-15)
 
 
 def test_permissive_release_collapses_partner_consistently():
