@@ -22,7 +22,7 @@ from .diagnostics import Diagnostic, Severity
 # (PEP 562), so importing the package to compile or check never loads them.
 _LAZY = {
     "Interpreter": "runtime",
-    "QdslFailure": "runtime",
+    "QdslFailure": "values",
     "RunOptions": "runtime",
     "RunStats": "runtime",
     "ShotResult": "runtime",

@@ -176,14 +176,14 @@ def _emit_specializations(result: CompileResult) -> None:
 
 
 def _run_options(args):
-    max_qubits = args.max_qubits
-    if max_qubits is None:
-        max_qubits = _env_int("MAX_QUBITS", 24)
-    max_iterations = args.max_iterations
-    if max_iterations is None:
-        max_iterations = _env_int("MAX_ITERATIONS", 1_000_000)
     from .runtime import RunOptions
 
+    max_qubits = args.max_qubits
+    if max_qubits is None:
+        max_qubits = _env_int("MAX_QUBITS", RunOptions.max_qubits)
+    max_iterations = args.max_iterations
+    if max_iterations is None:
+        max_iterations = _env_int("MAX_ITERATIONS", RunOptions.max_iterations)
     return RunOptions(
         strict_release=args.strict_release,
         elide_diagnostics=args.elide_diagnostics,

@@ -701,6 +701,7 @@ class Parser:
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
+        start = self._current().span  # a parenthesized primary starts at its "("
         expr = self._parse_primary()
         while True:
             if self._at_symbol("("):
@@ -714,12 +715,12 @@ class Parser:
                             continue
                         break
                 end = self._expect_symbol(")").span
-                expr = CallExpr(expr.span.union(end), callee=expr, args=args)
+                expr = CallExpr(start.union(end), callee=expr, args=args)
             elif self._at_symbol("["):
                 self._advance()
                 index = self.parse_expression()
                 end = self._expect_symbol("]").span
-                expr = IndexExpr(expr.span.union(end), base=expr, index=index)
+                expr = IndexExpr(start.union(end), base=expr, index=index)
             else:
                 return expr
 

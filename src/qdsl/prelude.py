@@ -117,23 +117,11 @@ def _r1frac_handler(r1frac_matrix):
     return r1frac
 
 
-def _measurement_args(interp, bases, qubits):
-    if len(bases) != len(qubits):
-        interp.fail(
-            f"Measure needs one Pauli basis per qubit, got {len(bases)} "
-            f"bases for {len(qubits)} qubits"
-        )
-    return [p.name for p in bases], [q.id for q in qubits]
-
-
 def _measure(interp, arg, adjoint, controls):
     bases, qubits = arg
-    letters, ids = _measurement_args(interp, bases, qubits)
-    if all(letter == "I" for letter in letters):
-        # The identity has the whole space as its +1 eigenspace.
-        outcome = Result.Zero
-    else:
-        outcome = Result.One if interp.measure(letters, ids) else Result.Zero
+    letters, ids = [p.name for p in bases], [q.id for q in qubits]
+    one = interp.simulator.measure(letters, ids, interp.rng)
+    outcome = Result.One if one else Result.Zero
     interp.stats.measurements += 1
     if interp.trace is not None:
         basis_text = " ".join(letters) or "-"
@@ -143,10 +131,8 @@ def _measure(interp, arg, adjoint, controls):
 
 
 def _probe(interp, bases, qubits) -> float:
-    letters, ids = _measurement_args(interp, bases, qubits)
-    if all(letter == "I" for letter in letters):
-        return 1.0
-    return interp.probe(letters, ids)
+    letters, ids = [p.name for p in bases], [q.id for q in qubits]
+    return interp.simulator.probe_zero_probability(letters, ids)
 
 
 def _snap(probability: float) -> float:

@@ -1,9 +1,10 @@
 """Closure-compiled runtime with qubit ledger and simulator backend.
 
 Each shot runs on a fresh interpreter: a qubit ledger handing out the lowest
-free qubit id, a state-vector simulator, and a per-shot RNG. The entry
-point's shots share a `ShotPrefix`, so a shot skips the simulator work of
-an earlier shot for as long as its outcomes are that shot's. Invoking a
+free qubit id, a state-vector simulator, and a per-shot RNG. `run_shots`
+wraps the simulator in a stand-in from the entry point's `ShotPrefix`, which
+skips an earlier shot's simulator work while the outcomes are that shot's.
+The handlers call it directly, and it checks their arguments. Invoking a
 callable value peels its wrapper stack outermost-first, accumulating flattened
 control registers and an adjoint parity bit, then dispatches the base symbol
 to the matching specialization body (or intrinsic handler).
@@ -18,8 +19,8 @@ place. Compiled code reads ``interp.options`` at run time, and every call
 still enters through ``interp.invoke``.
 
 Failures raised by programs (fail statements, assertion violations, runtime
-errors such as out-of-range indexing) surface as QdslFailure and carry a
-source span when one is known.
+errors such as out-of-range indexing, simulator checks) surface as QdslFailure
+with their own span, or else that of the call or qubit block they leave.
 """
 
 from __future__ import annotations
@@ -46,11 +47,12 @@ from .ast_nodes import (
     TupleExpr,
 )
 from .checker import CallableSymbol, UdtSymbol, shape_has_hole
-from .simulator import ShotPrefix, SimulationError, StateVectorSimulator
+from .simulator import DEFAULT_CAPACITY, ShotPrefix, StateVectorSimulator
 from .source import Span
 from .values import (
     Closure,
     Pauli,
+    QdslFailure,
     QubitRef,
     RangeValue,
     Result,
@@ -61,19 +63,11 @@ from .values import (
 )
 
 
-class QdslFailure(Exception):
-    def __init__(self, message: str, span: Optional[Span] = None, file: str = ""):
-        super().__init__(message)
-        self.message = message
-        self.span = span
-        self.file = file
-
-
 @dataclass
 class RunOptions:
     strict_release: bool = True
     elide_diagnostics: bool = False
-    max_qubits: int = 24
+    max_qubits: int = DEFAULT_CAPACITY
     max_iterations: int = 1_000_000  # per repeat or for loop
     recursion_limit: int = 1000  # qdsl call depth
     dump_state: bool = False  # snapshot before each outermost release
@@ -188,15 +182,13 @@ class Interpreter:
 
     # ── Qubit blocks ─────────────────────────────────────────────────────
 
-    def _borrow(
-        self, n: int, visible: list, span: Span
-    ) -> tuple[list[QubitRef], list[QubitRef]]:
+    def _borrow(self, n: int, visible: list) -> tuple[list[QubitRef], list[QubitRef]]:
         """Live qubits no visible binding reaches, topped up with fresh ones."""
         reachable: set[int] = set()
         for value in visible:
             _collect_qubits(value, reachable)
         candidates = sorted(self.ledger.live - reachable)[:n]
-        fresh = [self._allocate_one(span) for _ in range(n - len(candidates))]
+        fresh = [self._allocate_one() for _ in range(n - len(candidates))]
         self.stats.borrowed_existing += len(candidates)
         self.stats.borrowed_fresh += len(fresh)
         if self.trace is not None and (candidates or fresh):
@@ -205,7 +197,7 @@ class Interpreter:
             self.trace(f"borrow {borrowed}{extra}")
         return [QubitRef(q) for q in candidates] + fresh, fresh
 
-    def _hold(self, fresh: list[QubitRef], body: Callable, frame: list, span: Span):
+    def _hold(self, fresh: list[QubitRef], body: Callable, frame: list):
         """Run a qubit block's body, then release the qubits it allocated."""
         self._alloc_depth += 1
         try:
@@ -214,34 +206,26 @@ class Interpreter:
                 self.state_dumps.append(self.simulator.amplitudes())
         except BaseException:
             self._alloc_depth -= 1
-            self._release(fresh, span, strict=False)
+            self._release(fresh, strict=False)
             raise
         self._alloc_depth -= 1
-        self._release(fresh, span, strict=True)
+        self._release(fresh, strict=True)
         return value
 
-    def _allocate_one(self, span: Span) -> QubitRef:
+    def _allocate_one(self) -> QubitRef:
         qid = self.ledger.allocate()
-        try:
-            self.simulator.allocate(qid)
-        except SimulationError as exc:
-            self.ledger.release(qid)
-            raise QdslFailure(str(exc), span) from None
+        self.simulator.allocate(qid)
         self.stats.allocations += 1
         self.stats.peak_live = max(self.stats.peak_live, len(self.ledger.live))
         return QubitRef(qid)
 
-    def _release(self, refs: list[QubitRef], span: Span, strict: bool) -> None:
+    def _release(self, refs: list[QubitRef], strict: bool) -> None:
         for ref in refs:
-            try:
-                was_reset = self.simulator.release(
-                    ref.id,
-                    strict=strict and self.options.strict_release,
-                    rng=self.rng,
-                )
-            except SimulationError as exc:
-                self.ledger.release(ref.id)
-                raise QdslFailure(str(exc), span) from None
+            was_reset = self.simulator.release(
+                ref.id,
+                strict=strict and self.options.strict_release,
+                rng=self.rng,
+            )
             if was_reset:
                 self.stats.resets_on_release += 1
             self.ledger.release(ref.id)
@@ -260,30 +244,13 @@ class Interpreter:
         controls: list[QubitRef],
     ) -> None:
         """Apply `matrix` as given; `adjoint` only labels the trace line."""
-        try:
-            self.simulator.apply(matrix, target.id, [c.id for c in controls])
-        except SimulationError as exc:
-            raise QdslFailure(str(exc)) from None
+        self.simulator.apply(matrix, target.id, [c.id for c in controls])
         self.stats.gates += 1
         if self.trace is not None:
             ctl = " ".join(f"q{c.id}" for c in controls)
             suffix = f" ctl[{ctl}]" if controls else ""
             prefix = "Adjoint " if adjoint else ""
             self.trace(f"gate {prefix}{display} q{target.id}{suffix}")
-
-    def measure(self, bases: list[str], ids: list[int]) -> int:
-        """Measure the Pauli product; a simulator error becomes a failure."""
-        try:
-            return self.simulator.measure(bases, ids, self.rng)
-        except SimulationError as exc:
-            raise QdslFailure(str(exc)) from None
-
-    def probe(self, bases: list[str], ids: list[int]) -> float:
-        """The probability that measuring the Pauli product gives Zero."""
-        try:
-            return self.simulator.probe_zero_probability(bases, ids)
-        except SimulationError as exc:
-            raise QdslFailure(str(exc)) from None
 
 
 _SPEC_KINDS = (
@@ -542,14 +509,19 @@ class _Compiler:
                 n = count(interp, frame)
                 if n < 0:
                     raise QdslFailure(f"cannot allocate {n} qubits", count_span)
-            if borrowing:
-                refs, fresh = interp._borrow(n, [frame[s] for s in visible], span)
-            else:
-                refs = fresh = [interp._allocate_one(span) for _ in range(n)]
-                if fresh and interp.trace is not None:
-                    interp.trace("allocate " + " ".join(f"q{r.id}" for r in fresh))
-            frame[slot] = refs if count is not None else refs[0]
-            return interp._hold(fresh, body, frame, span)
+            try:
+                if borrowing:
+                    refs, fresh = interp._borrow(n, [frame[s] for s in visible])
+                else:
+                    refs = fresh = [interp._allocate_one() for _ in range(n)]
+                    if fresh and interp.trace is not None:
+                        interp.trace("allocate " + " ".join(f"q{r.id}" for r in fresh))
+                frame[slot] = refs if count is not None else refs[0]
+                return interp._hold(fresh, body, frame)
+            except QdslFailure as failure:  # from an allocation or a release
+                if failure.span is None:
+                    failure.span = span
+                raise
         return allocate
 
     # ── Expressions ──────────────────────────────────────────────────────
@@ -789,7 +761,7 @@ def run_shots(
             rng = random.Random(seed ^ shot) if seed is not None else random.Random()
             shot_trace = (lambda line, s=shot: trace(s, line)) if trace else None
             interp = Interpreter(intrinsics, options, rng, shot_trace)
-            prefix = entry.shot_prefix.stand_in(interp)
+            interp.simulator = prefix = entry.shot_prefix.stand_in(interp.simulator)
             value = interp.run(entry)
             prefix.commit()
             results.append(

@@ -36,10 +36,11 @@ threads the BLAS library runs.
 Assertions probe the same probability on a copy of the state, which a
 state-vector backend can do because it is not bound by no-cloning.
 
-`ShotPrefix` lets the shots of one entry point share the simulator work
-they have in common: after the first shot records its calls, a later shot
-computes no amplitude for as long as its calls and outcomes are the logged
-ones.
+The interpreter makes six calls: allocate, apply, release,
+probe_zero_probability, measure and amplitudes. Each checks its arguments,
+and a SimulationError is a QdslFailure. A `ShotPrefix` stand-in wraps a
+shot's simulator and takes the same calls: after a first shot records them,
+a later one computes no amplitude for as long as it repeats them exactly.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ import os
 from typing import Sequence
 
 import numpy as np
+
+from .values import QdslFailure
 
 DEFAULT_CAPACITY = 24
 RELEASE_EPSILON = 1e-9
@@ -116,8 +119,8 @@ def r1frac_matrix(numerator: int, power: int) -> np.ndarray:
     return _frozen([[1, 0], [0, phase]])
 
 
-class SimulationError(Exception):
-    pass
+class SimulationError(QdslFailure):
+    """A simulator check failed: a program failure with no span of its own."""
 
 
 def _mix(out: np.ndarray, x: complex, other: np.ndarray, y: complex) -> None:
@@ -318,12 +321,12 @@ class StateVectorSimulator:
 
     def _to_z_basis(
         self, bases: Sequence[str], qubit_ids: Sequence[int], apply_at
-    ) -> tuple[int | None, list]:
-        """Conjugate P into Z on one pivot qubit, in place (see module doc),
-        with the storage's gate kernel `apply_at`.
+    ) -> tuple[int, list]:
+        """Conjugate P, not the identity, into Z on one pivot qubit, in place
+        (see module doc), with the storage's gate kernel `apply_at`.
 
-        Returns the pivot's bit position, None when P is the identity, and
-        the gates applied as (matrix, inverse, target, controls).
+        Returns the pivot's bit position and the gates applied as (matrix,
+        inverse, target, controls).
         """
         x_factors, z_factors, gates = [], [], []
         for basis, qid in zip(bases, qubit_ids):
@@ -335,23 +338,20 @@ class StateVectorSimulator:
             elif basis == "Z":
                 z_factors.append(pos)
         x, z, h = GATE_MATRICES["X"], GATE_MATRICES["Z"], GATE_MATRICES["H"]
-        pivot = None
         if x_factors:
             pivot = x_factors[0]
             gates += [(x, x, q, (pivot,)) for q in x_factors[1:]]
             gates += [(z, z, q, (pivot,)) for q in z_factors]
             gates.append((h, h, pivot, ()))
-        elif z_factors:
+        else:
             pivot = z_factors[0]
             gates += [(x, x, pivot, (q,)) for q in z_factors[1:]]
         for matrix, _, target, controls in gates:
             apply_at(matrix, target, controls)
         return pivot, gates
 
-    def _zero_probability(self, pivot: int | None, small: bool) -> float:
+    def _zero_probability(self, pivot: int, small: bool) -> float:
         """Probability of Zero once `_to_z_basis` has chosen `pivot`."""
-        if pivot is None:
-            return 1.0  # the identity has the whole space as +1 eigenspace
         if small:
             p_one = _small_weight(self.state)
         else:
@@ -362,7 +362,8 @@ class StateVectorSimulator:
         self, bases: Sequence[str], qubit_ids: Sequence[int]
     ) -> float:
         """Probability of the +1 (Zero) outcome, without collapsing."""
-        self._check_measurement_args(bases, qubit_ids)
+        if self._check_measurement_args(bases, qubit_ids):
+            return 1.0  # the identity has the whole space as +1 eigenspace
         small = self.num_qubits <= SMALL_QUBITS
         apply_at = self._apply_small if small else self._apply_at
         state = self.state
@@ -377,7 +378,9 @@ class StateVectorSimulator:
         self, bases: Sequence[str], qubit_ids: Sequence[int], rng
     ) -> int:
         """Projective Pauli-product measurement; returns 0 for Zero, 1 for One."""
-        self._check_measurement_args(bases, qubit_ids)
+        if self._check_measurement_args(bases, qubit_ids):
+            self.drawn = None  # the identity gives Zero with no draw
+            return 0
         small = self.num_qubits <= SMALL_QUBITS
         apply_at = self._apply_small if small else self._apply_at
         pivot, gates = self._to_z_basis(bases, qubit_ids, apply_at)
@@ -389,10 +392,10 @@ class StateVectorSimulator:
                 raise SimulationError(
                     "measurement collapsed onto an outcome of probability zero"
                 )
-            if pivot is not None and small:
+            if small:
                 kept = _divided(self.state[outcome], 1.0 / math.sqrt(probability))
                 self.state = [0j, kept] if outcome else [kept, 0j]
-            elif pivot is not None:
+            else:
                 lo, hi = self._target_slices(pivot)
                 kept, rejected = (lo, hi) if outcome == 0 else (hi, lo)
                 rejected[...] = 0.0
@@ -411,7 +414,8 @@ class StateVectorSimulator:
 
     def _check_measurement_args(
         self, bases: Sequence[str], qubit_ids: Sequence[int]
-    ) -> None:
+    ) -> bool:
+        """Check a measurement's arguments; returns whether P is the identity."""
         if len(bases) != len(qubit_ids):
             raise SimulationError(
                 f"measurement needs one Pauli basis per qubit, got "
@@ -424,7 +428,7 @@ class StateVectorSimulator:
                 )
         if len(qubit_ids) == 1:  # one qubit appears once
             self._position_of(qubit_ids[0])
-            return
+            return bases[0] == "I"
         active = [q for b, q in zip(bases, qubit_ids) if b != "I"]
         if len(set(active)) != len(active):
             raise SimulationError(
@@ -432,6 +436,7 @@ class StateVectorSimulator:
             )
         for q in qubit_ids:
             self._position_of(q)
+        return not active
 
     # ── Inspection ───────────────────────────────────────────────────────
 
@@ -476,8 +481,8 @@ class ShotPrefix:
     outcomes. The first shot that succeeds records its calls (the log), up
     to _MAX_LOG of them: allocations with the qubits live before them, gates
     keyed by their matrix's bytes, releases, probes with their results, and
-    each measurement and dirty permissive release with the probability it
-    drew against and the number it drew. Every later shot follows the log as
+    each measurement and dirty permissive release that draws with the
+    probability and the number it drew. Every later shot follows the log as
     a cursor and computes no amplitude. A matched key fixes every qubit id
     and the order of every allocation and release, so of the checks only the
     qubit limit and the memory budget are run again. At a logged draw the
@@ -498,9 +503,9 @@ class ShotPrefix:
         self.first_draw = 0  # index of the log's first draw, or its length
         self.snapshot: tuple[np.ndarray, dict[int, int]] | None = None
 
-    def stand_in(self, owner) -> _PrefixStandIn:
-        """Point `owner.simulator` at a stand-in that records or follows the log."""
-        return _PrefixStandIn(self, owner)
+    def stand_in(self, sim: StateVectorSimulator) -> _PrefixStandIn:
+        """A stand-in for a shot's fresh `sim` that records or follows the log."""
+        return _PrefixStandIn(self, sim)
 
 
 class _Drawn:
@@ -519,19 +524,17 @@ class _PrefixStandIn:
     While the entry has no log it records: each call goes to the shot's
     simulator and into `ops` as (key, value), where the value is a gate's
     matrix, an allocation's live-qubit count, a probe's result, or a draw's
-    (probability, number). Otherwise it follows the log, and `at` counts the
-    operations matched. On leaving it points `owner.simulator` back at the
-    shot's simulator, so every later call costs what it would cost with no
-    log at all.
+    (probability, number), or None for a measurement that did not draw.
+    Otherwise it follows the log, and `at` counts the operations matched. On
+    leaving it binds the shot's simulator's methods onto itself, so every
+    later call costs what it would cost with no log at all.
     """
 
-    def __init__(self, prefix: ShotPrefix, owner) -> None:
-        self.prefix, self.owner = prefix, owner
-        self.sim: StateVectorSimulator = owner.simulator
+    def __init__(self, prefix: ShotPrefix, sim: StateVectorSimulator) -> None:
+        self.prefix, self.sim = prefix, sim
         self.log = prefix.log  # None while this shot records
         self.ops: list = []
         self.at = 0
-        owner.simulator = self
 
     def commit(self) -> None:
         """Store a recorded log; call it once the shot has succeeded."""
@@ -539,7 +542,7 @@ class _PrefixStandIn:
             self.prefix.log = self.ops
             self.prefix.first_draw = next(
                 (i for i, (key, value) in enumerate(self.ops)
-                 if key[0] == "measure" or key[0] == "release" and value is not None),
+                 if key[0] in ("measure", "release") and value is not None),
                 len(self.ops),
             )
 
@@ -596,6 +599,9 @@ class _PrefixStandIn:
     def measure(self, bases: Sequence[str], qubit_ids: Sequence[int], rng) -> int:
         key = ("measure", tuple(bases), tuple(qubit_ids))
         if self._follows(key):
+            if self.log[self.at][1] is None:  # the identity, in the log and here
+                self.at += 1
+                return 0
             r = rng.random()
             below = self._redraw(r)
             if below is not None:
@@ -641,9 +647,10 @@ class _PrefixStandIn:
         return r < p
 
     def _leave(self) -> None:
-        """Hand the shot's simulator back, with its state brought up to date."""
+        """Bring the shot's simulator up to date and pass it every later call."""
+        sim = self.sim
         if self.log is not None:
-            prefix, sim, start = self.prefix, self.sim, 0
+            prefix, start = self.prefix, 0
             if self.at >= prefix.first_draw:
                 start = prefix.first_draw
                 if prefix.snapshot is None:
@@ -657,7 +664,9 @@ class _PrefixStandIn:
                     sim.position = dict(positions)
                     sim.load(state)
             self._replay(start, self.at)
-        self.owner.simulator = self.sim
+        self.allocate, self.apply, self.release = sim.allocate, sim.apply, sim.release
+        self.probe_zero_probability, self.measure, self.amplitudes = (
+            sim.probe_zero_probability, sim.measure, sim.amplitudes)
 
     def _replay(self, start: int, stop: int) -> None:
         """Make the logged calls start to stop on the shot's simulator."""
@@ -671,4 +680,4 @@ class _PrefixStandIn:
                 sim.release(key[1], strict=value is None,
                             rng=value and _Drawn(value[1]))
             elif key[0] == "measure":
-                sim.measure(key[1], key[2], _Drawn(value[1]))
+                sim.measure(key[1], key[2], value and _Drawn(value[1]))

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
+
+from .source import Span
 
 _MASK64 = (1 << 64) - 1
 
@@ -29,6 +31,16 @@ def wrap64(value: int) -> int:
     if value >= 1 << 63:
         value -= 1 << 64
     return value
+
+
+class QdslFailure(Exception):
+    """A program failure, with its source span when one is known."""
+
+    def __init__(self, message: str, span: Optional[Span] = None, file: str = ""):
+        super().__init__(message)
+        self.message = message
+        self.span = span
+        self.file = file
 
 
 class Result(enum.Enum):

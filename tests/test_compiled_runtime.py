@@ -557,6 +557,52 @@ namespace T {
         run_main(text)
     span = info.value.span
     assert span is not None
-    call = "(Adjoint Controlled X)([q], q)"
-    assert span.end == text.index(call) + len(call)  # the call's span, not its body's
-    assert text[span.start : span.end] in call
+    assert text[span.start : span.end] == "(Adjoint Controlled X)([q], q)"
+
+
+def failure_of(statements: str, **options) -> tuple[QdslFailure, str]:
+    """The failure of Main with these body statements, and the span's text."""
+    text = f"""
+namespace T {{
+    open Microsoft.Quantum.Primitive;
+    operation Main () : () {{
+        body {{
+            {statements}
+        }}
+    }}
+}}"""
+    with pytest.raises(QdslFailure) as info:
+        run_main(text, **options)
+    span = info.value.span
+    assert span is not None
+    return info.value, text[span.start : span.end]
+
+
+@pytest.mark.parametrize("keyword", ["using", "borrowing"])
+def test_allocation_past_the_qubit_limit_fails_at_its_block(keyword):
+    block = f"{keyword} (qs = Qubit[2]) {{ H(qs[0]); }}"
+    failure, text = failure_of(f"using (q = Qubit()) {{ {block} }}", max_qubits=2)
+    assert "cannot allocate more than 2 qubits" in failure.message
+    assert text == block
+
+
+def test_strict_release_of_a_dirty_qubit_fails_at_its_block():
+    block = "using (q = Qubit()) { X(q); }"
+    failure, text = failure_of(block)
+    assert "released with probability 1 of being |1>" in failure.message
+    assert text == block
+
+
+def test_gate_with_a_repeated_qubit_fails_at_its_call():
+    call = "(Controlled X)([q], q)"
+    failure, text = failure_of(f"using (q = Qubit()) {{ {call}; }}")
+    assert "a qubit may appear only once" in failure.message
+    assert text == call
+
+
+@pytest.mark.parametrize("bases", ["[PauliZ; PauliZ]", "[PauliI; PauliI]"])
+def test_measurement_with_a_basis_per_qubit_mismatch_fails_at_its_call(bases):
+    call = f"Measure({bases}, [q])"
+    failure, text = failure_of(f"using (q = Qubit()) {{ let r = {call}; }}")
+    assert "one Pauli basis per qubit" in failure.message
+    assert text == call

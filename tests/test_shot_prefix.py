@@ -193,8 +193,8 @@ def test_later_shots_leave_a_small_snapshot_unchanged():
 
     def spy(interp, arg, adjoint, controls):
         outcome = HANDLERS["Measure"](interp, arg, adjoint, controls)
-        if isinstance(interp.simulator, StateVectorSimulator):
-            storages.append(type(interp.simulator.state))
+        if interp.simulator.measure == interp.simulator.sim.measure:  # it left
+            storages.append(type(interp.simulator.sim.state))
         return outcome
 
     entry = compile_entry(RUS_COIN)
@@ -333,12 +333,12 @@ def test_lower_memory_budget_fails_as_uncached(monkeypatch):
 
 
 def test_simulator_is_handed_back_after_the_prefix():
-    """Once a shot leaves the log the interpreter calls the simulator itself."""
+    """Once a shot leaves the log its calls go to the simulator itself."""
     seen: list[list[bool]] = []  # per shot, per measurement: the real simulator?
 
     def spy(interp, arg, adjoint, controls):
         outcome = HANDLERS["Measure"](interp, arg, adjoint, controls)
-        seen[-1].append(isinstance(interp.simulator, StateVectorSimulator))
+        seen[-1].append(interp.simulator.measure == interp.simulator.sim.measure)
         return outcome
 
     entry = compile_entry(PREFIXED)
@@ -635,3 +635,53 @@ def test_cached_shots_trace_as_uncached(name):
             expected = trace_lines(fresh_entries(text, exclude, entry_name), seed, options)
             entry = compile_entry(text, exclude, entry_name)
             assert trace_lines([entry] * SHOTS, seed, options) == expected, (dump, seed)
+
+
+# Identity measurements, which give Zero with no draw, before and between
+# p = 1/2 measurements.
+IDENTITIES = """
+namespace Demo {
+    open Microsoft.Quantum.Primitive;
+
+    operation Main () : Int {
+        body {
+            mutable value = 0;
+            using (qs = Qubit[2]) {
+                if (Measure([PauliI], [qs[0]]) == One) {
+                    set value = 100;
+                }
+                H(qs[0]);
+                if (Measure([PauliZ], [qs[0]]) == One) {
+                    set value = value + 1;
+                    X(qs[0]);
+                }
+                if (Measure([PauliI; PauliI], [qs[0]; qs[1]]) == One) {
+                    set value = value + 100;
+                }
+                H(qs[1]);
+                if (Measure([PauliZ], [qs[1]]) == One) {
+                    set value = value + 2;
+                    X(qs[1]);
+                }
+            }
+            return value;
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["plain", "dump"])
+def test_identity_measurements_match_uncached_reference(dump):
+    assert_matches_reference(IDENTITIES, RunOptions(dump_state=dump))
+
+
+def test_identity_measurements_are_logged_without_a_draw():
+    entry = compile_entry(IDENTITIES)
+    run_shots(HANDLERS, entry, 1, 1, RunOptions())
+    log, first = entry.shot_prefix.log, entry.shot_prefix.first_draw
+    measured = [(key[1], value is None) for key, value in log if key[0] == "measure"]
+    assert measured == [
+        (("I",), True), (("Z",), False), (("I", "I"), True), (("Z",), False)
+    ]
+    assert log[first][0] == ("measure", ("Z",), (0,))

@@ -390,7 +390,7 @@ def check_pauli_measurement(n, letters, draw, seed, data):
     assert np.array_equal(sim.state, psi)
     rng = _CountingRng(draw)
     assert sim.measure(letters, positions, rng) == outcome
-    assert rng.draws == 1
+    assert rng.draws == (0 if set(letters) == {"I"} else 1)  # the identity: no draw
     assert np.max(np.abs(sim.state - collapsed)) <= 1e-10
     assert_storage(sim)
 
@@ -706,27 +706,22 @@ def test_dirty_permissive_release_needs_a_generator(n):
 def test_dirty_permissive_release_needs_a_generator_on_the_shot_log():
     # A shot that follows the log hands the release to its own simulator,
     # with the state brought up to date, and that release fails.
-    class Owner:
-        def __init__(self) -> None:
-            self.simulator = make_sim(0)
-
     def start_shot():
-        owner = Owner()
-        stand_in = prefix.stand_in(owner)
-        owner.simulator.allocate(0)
-        owner.simulator.apply(FROZEN["H"], 0)
-        return owner, stand_in
+        stand_in = prefix.stand_in(make_sim(0))
+        stand_in.allocate(0)
+        stand_in.apply(FROZEN["H"], 0)
+        return stand_in
 
     prefix = ShotPrefix()
-    owner, stand_in = start_shot()
-    owner.simulator.release(0, strict=False, rng=random.Random(1))
+    stand_in = start_shot()
+    stand_in.release(0, strict=False, rng=random.Random(1))
     stand_in.commit()
-    owner, _ = start_shot()
-    assert type(owner.simulator) is not StateVectorSimulator  # it follows the log
+    stand_in = start_shot()
+    assert stand_in.release != stand_in.sim.release  # it follows the log
     with pytest.raises(SimulationError, match="no random generator was given"):
-        owner.simulator.release(0, strict=False)
-    sim = owner.simulator
-    assert type(sim) is StateVectorSimulator
+        stand_in.release(0, strict=False)
+    sim = stand_in.sim
+    assert stand_in.release == sim.release  # it left the log
     assert sim.position == {0: 0}
     assert np.allclose(np.array(sim.state, dtype=complex), [SQ2, SQ2], atol=1e-15)
 
@@ -958,3 +953,15 @@ def test_empty_register_amplitudes():
     assert ids == []
     assert amps.shape == (1,)
     assert abs(amps[0] - 1.0) <= 1e-12
+
+
+def test_simulation_error_is_a_program_failure():
+    import qdsl
+    import qdsl.runtime
+
+    assert qdsl.QdslFailure is qdsl.runtime.QdslFailure
+    with pytest.raises(SimulationError) as info:
+        make_sim(0).release(0, strict=True)
+    failure = info.value
+    assert isinstance(failure, qdsl.QdslFailure)
+    assert failure.message == "qubit q0 is not allocated" and failure.span is None
