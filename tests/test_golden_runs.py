@@ -21,6 +21,11 @@ diagnostics byte for byte: every generated block (with its callable, kind and
 control register name) of the prelude and of each accept-corpus file, then
 the rendered diagnostics of each reject-corpus file.
 
+`tests/golden/types.txt` pins the checker's output: the signature of every
+callable, then the span, node class and checked type of every expression of
+the source and of each generated block, of the prelude and of each accept
+and reject file.
+
 `tests/golden/tokens.txt` pins the lexer: the span, kind and lexeme of every
 token, then the span, code and message of every lexer diagnostic, of each
 `.qds` file of the corpus, of `tests/golden/programs/` and of the prelude.
@@ -46,6 +51,8 @@ import pytest
 
 import qdsl
 from qdsl import cli
+from qdsl import types as ty
+from qdsl.ast_nodes import Expr, walk
 from qdsl.compiler import compile_units, wrap_statement_snippet
 from qdsl.lexer import tokenize
 from qdsl.pretty import pretty_print
@@ -60,6 +67,7 @@ PROGRAMS = os.path.join(GOLDEN, "programs")
 PRELUDE = os.path.join(os.path.dirname(os.path.abspath(qdsl.__file__)), "prelude")
 SPECIALIZATIONS = "specializations.txt"
 TOKENS = "tokens.txt"
+TYPES = "types.txt"
 
 SEEDS = (1, 2, 3)
 SHOTS = 20
@@ -212,6 +220,47 @@ def test_specializations_and_diagnostics_match_golden():
     assert specialization_text() == expected
 
 
+def types_text() -> str:
+    """Every callable signature and every checked expression type of the
+    prelude and of each accept and reject file, generated blocks included."""
+    lines: list[str] = []
+
+    def annotated(label: str, programs, callables) -> None:
+        lines.append(f"== {label}")
+        for sym in callables:
+            signature = ty.Callable(sym.is_operation, sym.input, sym.output, sym.variants)
+            name = " ".join([sym.qualified, *sym.type_params])
+            lines.append(f"-- {name} : {ty.render(signature)}")
+        generated = [
+            entry.block
+            for sym in callables
+            for entry in sym.specializations.values()
+            if entry.generated
+        ]
+        for node in walk([*programs, *generated]):
+            if isinstance(node, Expr):
+                span = f"{node.span.start}:{node.span.end}"
+                lines.append(f"{span} {type(node).__name__} {ty.render(node.ty)}")
+
+    result = compile_units([])
+    annotated("prelude", [p for _, p in result.units], result.table.all_callables())
+    for name in sorted(os.listdir(ACCEPT)):
+        text, exclude = load_accept(name)
+        result = compile_units([(name, text)], prelude_exclude=exclude)
+        annotated(name, [result.units[-1][1]], result.user_callables())
+    for name in sorted(os.listdir(REJECT)):
+        with open(os.path.join(REJECT, name), encoding="utf-8") as handle:
+            result = compile_units([(name, handle.read())])
+        annotated(name, [result.units[-1][1]], result.user_callables())
+    return "\n".join(lines) + "\n"
+
+
+def test_checker_annotations_match_golden():
+    with open(os.path.join(GOLDEN, TYPES), encoding="utf-8") as handle:
+        expected = handle.read()
+    assert types_text() == expected
+
+
 def token_text() -> str:
     """Every token and lexer diagnostic of each source file, one a line."""
     lines: list[str] = []
@@ -263,6 +312,7 @@ def golden_files() -> dict:
         files[f"traces/{name}.txt"] = functools.partial(run_trace, name)
     files[SPECIALIZATIONS] = specialization_text
     files[TOKENS] = token_text
+    files[TYPES] = types_text
     return files
 
 
