@@ -12,6 +12,7 @@ from enum import Enum
 from typing import Any, Optional, Union
 
 from .source import Span
+from .values import Pauli
 
 
 @dataclass
@@ -92,16 +93,9 @@ class InterpString(Expr):
     parts: list[Union[str, "Expr"]] = field(default_factory=list)
 
 
-class PauliKind(Enum):
-    I = "PauliI"
-    X = "PauliX"
-    Y = "PauliY"
-    Z = "PauliZ"
-
-
 @dataclass
 class PauliLit(Expr):
-    kind: PauliKind = PauliKind.I
+    kind: Pauli = Pauli.I
 
 
 @dataclass

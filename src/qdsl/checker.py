@@ -107,7 +107,7 @@ class CallableSymbol:
     @functools.cached_property
     def is_diagnostic(self) -> bool:
         """A function returning (): `--elide-diagnostics` skips its calls."""
-        return not self.is_operation and ty.normalize(self.output) == ty.UNIT
+        return not self.is_operation and self.output == ty.UNIT
 
     def reference_type(self) -> tuple[ty.Type, dict[str, ty.Param]]:
         """Type of a reference to this callable, with fresh variables."""
@@ -421,8 +421,8 @@ class Checker:
             self.diagnostics,
             rigid_params=frozenset(decl.type_params),
         )
-        sym.input = ty.normalize(self._param_tuple_type(decl.params, ctx))
-        sym.output = ty.normalize(self.resolve_type(decl.output, ctx))
+        sym.input = self._param_tuple_type(decl.params, ctx)
+        sym.output = self.resolve_type(decl.output, ctx)
 
     def _param_tuple_type(self, params: ParamTuple, ctx: _Context) -> ty.Type:
         items: list[ty.Type] = []
@@ -431,7 +431,7 @@ class Checker:
                 items.append(self.resolve_type(item.type, ctx))
             else:
                 items.append(self._param_tuple_type(item, ctx))
-        return ty.Tuple(tuple(items))
+        return ty.tuple_of(items)
 
     # ── Type expression resolution ───────────────────────────────────────
 
@@ -461,16 +461,14 @@ class Checker:
                 return ERROR
             return ty.Param(node.name, None)
         if isinstance(node, TupleTypeNode):
-            return ty.normalize(
-                ty.Tuple(tuple(self.resolve_type(i, ctx) for i in node.items))
-            )
+            return ty.tuple_of(self.resolve_type(i, ctx) for i in node.items)
         if isinstance(node, ArrayTypeNode):
             return ty.Array(self.resolve_type(node.element, ctx))
         if isinstance(node, CallableTypeNode):
             return ty.Callable(
                 node.is_operation,
-                ty.normalize(self.resolve_type(node.input, ctx)),
-                ty.normalize(self.resolve_type(node.output, ctx)),
+                self.resolve_type(node.input, ctx),
+                self.resolve_type(node.output, ctx),
                 frozenset(node.functors),
             )
         raise TypeError(f"unknown type node {type(node).__name__}")
@@ -523,7 +521,7 @@ class Checker:
             return
         body = next(s.block for s in decl.specs if s.kind is SpecKind.BODY)
         if (
-            ty.normalize(sym.output) != ty.UNIT
+            sym.output != ty.UNIT
             and not _is_error(sym.output)
             and body is not None
             and not _block_returns(body)
@@ -585,7 +583,7 @@ class Checker:
                         item.span,
                     )
             elif len(item.items) == 1:
-                bind(item.items[0], t)  # a one-item tuple normalizes to its item
+                bind(item.items[0], t)  # a one-item tuple type is its item
             else:
                 for sub, sub_t in zip(item.items, t.items):
                     bind(sub, sub_t)
@@ -651,7 +649,7 @@ class Checker:
             self._check_allocate(stmt, scope, ctx)
         elif isinstance(stmt, ExprStmt):
             t = self.check_expr(stmt.expr, scope, ctx)
-            if not _is_error(t) and ty.normalize(t) != ty.UNIT:
+            if not _is_error(t) and t != ty.UNIT:
                 ctx.error(
                     diag.TYPE_MISMATCH,
                     f"expression statement has type {ty.render(t)}; only () "
@@ -678,17 +676,15 @@ class Checker:
         t = self.check_expr(stmt.value, scope, ctx, expected=binding.type)
         if _is_error(t) or _is_error(binding.type):
             return
-        declared = ty.normalize(binding.type)
-        actual = ty.normalize(t)
-        if isinstance(declared, ty.Array) or isinstance(actual, ty.Array):
-            ok = declared == actual
+        if isinstance(binding.type, ty.Array) or isinstance(t, ty.Array):
+            ok = binding.type == t
         else:
-            ok = ty.subtype(actual, declared)
+            ok = ty.subtype(t, binding.type)
         if not ok:
             ctx.error(
                 diag.SET_TYPE_CHANGE,
                 f"cannot change the type of '{stmt.name}' from "
-                f"{ty.render(declared)} to {ty.render(actual)}",
+                f"{ty.render(binding.type)} to {ty.render(t)}",
                 stmt.span,
             )
 
@@ -727,7 +723,7 @@ class Checker:
                 )
             return
         assert isinstance(pattern, TuplePattern)
-        resolved = _strip_udt(ty.normalize(t))
+        resolved = _strip_udt(t)
         if _is_error(resolved):
             for p in pattern.items:
                 self._bind_pattern(p, ERROR, scope, ctx)
@@ -837,7 +833,7 @@ class Checker:
         if isinstance(sym, UdtSymbol):
             expr.binding = ("udt", sym)
             base = sym.base if sym.base is not None else ERROR
-            return ty.Callable(False, ty.normalize(base), sym.type())
+            return ty.Callable(False, base, sym.type())
         expr.binding = ("callable", sym)
         ref_type, _ = sym.reference_type()
         return ref_type
@@ -847,23 +843,23 @@ class Checker:
     ) -> ty.Type:
         expectations: list[ty.Type | None] = [None] * len(expr.items)
         if expected is not None:
-            norm = _strip_udt(ty.normalize(expected))
-            if isinstance(norm, ty.Tuple) and len(norm.items) == len(expr.items):
-                expectations = list(norm.items)
+            shape = _strip_udt(expected)
+            if isinstance(shape, ty.Tuple) and len(shape.items) == len(expr.items):
+                expectations = list(shape.items)
         items = tuple(
             self.check_expr(e, scope, ctx, expected=exp)
             for e, exp in zip(expr.items, expectations)
         )
-        return ty.normalize(ty.Tuple(items))
+        return ty.tuple_of(items)
 
     def _check_array(
         self, expr: ArrayExpr, scope: Scope, ctx: _Context, expected: ty.Type | None
     ) -> ty.Type:
         elem_expected: ty.Type | None = None
         if expected is not None:
-            norm = _strip_udt(ty.normalize(expected))
-            if isinstance(norm, ty.Array):
-                elem_expected = norm.element
+            shape = _strip_udt(expected)
+            if isinstance(shape, ty.Array):
+                elem_expected = shape.element
         if not expr.items:
             if elem_expected is not None:
                 return ty.Array(elem_expected)
@@ -899,7 +895,7 @@ class Checker:
         index = self.check_expr(expr.index, scope, ctx)
         if _is_error(base):
             return ERROR
-        resolved = _strip_udt(ty.normalize(base))
+        resolved = _strip_udt(base)
         if not isinstance(resolved, ty.Array):
             ctx.error(
                 diag.TYPE_MISMATCH,
@@ -929,8 +925,7 @@ class Checker:
                 if not shape_has_hole(arg):
                     self.check_expr(arg, scope, ctx)
             return ERROR
-        callee_n = ty.normalize(callee)
-        if not isinstance(callee_n, ty.Callable):
+        if not isinstance(callee, ty.Callable):
             ctx.error(
                 diag.NOT_CALLABLE,
                 f"value of type {ty.render(callee)} is not callable",
@@ -940,27 +935,26 @@ class Checker:
         has_holes = any(shape_has_hole(a) for a in expr.args)
         expr.is_partial = has_holes
         if has_holes:
-            return self._check_partial(expr, callee_n, scope, ctx)
-        if ctx.in_function and callee_n.operation:
+            return self._check_partial(expr, callee, scope, ctx)
+        if ctx.in_function and callee.operation:
             ctx.error(
                 diag.FUNCTION_CALLS_OPERATION,
                 "functions cannot call operations",
                 expr.span,
             )
-        input_t = ty.normalize(callee_n.input)
-        arg_t = self._check_args(expr.args, input_t, scope, ctx)
+        arg_t = self._check_args(expr.args, callee.input, scope, ctx)
         try:
-            ty.unify(input_t, arg_t, ctx.bindings)
+            ty.unify(callee.input, arg_t, ctx.bindings)
         except ty.UnifyError as exc:
             code = (
                 diag.CALL_SHAPE_MISMATCH
-                if "arity" in str(exc)
+                if isinstance(exc, ty.ArityError)
                 else diag.TYPE_MISMATCH
             )
             if not _is_error(arg_t):
                 ctx.error(code, str(exc), expr.span)
             return ERROR
-        result = ty.substitute(callee_n.output, ctx.bindings)
+        result = ty.substitute(callee.output, ctx.bindings)
         if ty.contains_var(result):
             ctx.error(
                 diag.UNRESOLVED_TYPE_PARAM,
@@ -973,7 +967,7 @@ class Checker:
     def _check_args(
         self, args: list[Expr], input_t: ty.Type, scope: Scope, ctx: _Context
     ) -> ty.Type:
-        """Type the argument list against the (normalized) input type."""
+        """Type the argument list against the input type."""
         expectations: list[ty.Type | None] = [None] * len(args)
         if len(args) == 1:
             expectations = [input_t]
@@ -985,24 +979,23 @@ class Checker:
         )
         if any(_is_error(t) for t in types):
             return ERROR
-        return ty.normalize(ty.Tuple(types))
+        return ty.tuple_of(types)
 
     def _check_partial(
         self, expr: CallExpr, callee: ty.Callable, scope: Scope, ctx: _Context
     ) -> ty.Type:
-        input_t = ty.normalize(callee.input)
         if len(expr.args) == 1:
-            missing = self._missing_type(input_t, expr.args[0], scope, ctx)
+            missing = self._missing_type(callee.input, expr.args[0], scope, ctx)
         else:
-            missing = self._missing_tuple(input_t, expr.args, expr.span, scope, ctx)
+            missing = self._missing_tuple(
+                callee.input, expr.args, expr.span, scope, ctx
+            )
         if missing is _BAD_SHAPE:
             return ERROR
-        result_input = ty.substitute(
-            ty.normalize(missing if missing is not None else ty.UNIT), ctx.bindings
-        )
+        assert missing is not None  # every call with a hole leaves a part missing
         result = ty.Callable(
             callee.operation,
-            result_input,
+            ty.substitute(missing, ctx.bindings),
             ty.substitute(callee.output, ctx.bindings),
             callee.variants,
         )
@@ -1023,7 +1016,7 @@ class Checker:
         span: Span,
         scope: Scope,
         ctx: _Context,
-    ) -> ty.Type | None:
+    ) -> ty.Type:
         resolved = _strip_udt(ty.substitute(input_t, ctx.bindings))
         if not isinstance(resolved, ty.Tuple) or len(resolved.items) != len(shapes):
             ctx.error(
@@ -1040,9 +1033,7 @@ class Checker:
                 return _BAD_SHAPE
             if m is not None:
                 parts.append(m)
-        if not parts:
-            return None
-        return ty.Tuple(tuple(parts))
+        return ty.tuple_of(parts)
 
     def _missing_type(
         self, comp: ty.Type, shape: Expr, scope: Scope, ctx: _Context
@@ -1066,8 +1057,7 @@ class Checker:
         operand = self.check_expr(expr.operand, scope, ctx)
         if _is_error(operand):
             return ERROR
-        resolved = ty.normalize(operand)
-        if not isinstance(resolved, ty.Callable) or not resolved.operation:
+        if not isinstance(operand, ty.Callable) or not operand.operation:
             ctx.error(
                 diag.MISSING_VARIANT,
                 f"the {expr.functor} functor applies to operations, "
@@ -1076,7 +1066,7 @@ class Checker:
             )
             return ERROR
         needed = ty.ADJOINT if expr.functor == "Adjoint" else ty.CONTROLLED
-        if needed not in resolved.variants:
+        if needed not in operand.variants:
             ctx.error(
                 diag.MISSING_VARIANT,
                 f"this operation does not support the {expr.functor} functor",
@@ -1084,19 +1074,19 @@ class Checker:
             )
             return ERROR
         if expr.functor == "Adjoint":
-            return resolved
+            return operand
         return ty.Callable(
             True,
-            ty.Tuple((ty.Array(ty.QUBIT), resolved.input)),
-            resolved.output,
-            resolved.variants,
+            ty.Tuple((ty.Array(ty.QUBIT), operand.input)),
+            operand.output,
+            operand.variants,
         )
 
     def _check_unary(self, expr: UnaryExpr, scope: Scope, ctx: _Context) -> ty.Type:
         t = self.check_expr(expr.operand, scope, ctx)
         if _is_error(t):
             return ERROR
-        resolved = _strip_udt(ty.normalize(t))
+        resolved = _strip_udt(t)
         if expr.op == "-" and resolved in (ty.INT, ty.DOUBLE):
             return resolved
         if expr.op == "!" and resolved == ty.BOOL:
@@ -1117,8 +1107,8 @@ class Checker:
         rt = self.check_expr(expr.right, scope, ctx)
         if _is_error(lt) or _is_error(rt):
             return ERROR
-        left = _strip_udt(ty.normalize(lt))
-        right = _strip_udt(ty.normalize(rt))
+        left = _strip_udt(lt)
+        right = _strip_udt(rt)
         op = expr.op
 
         def fail() -> ty.Type:
@@ -1179,10 +1169,8 @@ def shape_has_hole(expr: Expr) -> bool:
 
 
 def _strip_udt(t: ty.Type) -> ty.Type:
-    seen = set()
-    while isinstance(t, ty.Udt) and t.name not in seen:
-        seen.add(t.name)
-        t = ty.normalize(t.base)
+    while isinstance(t, ty.Udt):
+        t = t.base
     return t
 
 

@@ -183,7 +183,7 @@ def resolve_entry(
         places = ", ".join(sorted(c.qualified for c in candidates))
         return None, f"entry point '{wanted}' is ambiguous: {places}"
     entry = candidates[0]
-    if ty.normalize(entry.input) != ty.UNIT:
+    if entry.input != ty.UNIT:
         return None, (
             f"entry point '{entry.qualified}' must take no arguments, "
             f"its input type is {ty.render(entry.input)}"

@@ -58,7 +58,6 @@ from .ast_nodes import (
     ParamLeaf,
     ParamTuple,
     Pattern,
-    PauliKind,
     PauliLit,
     Program,
     RangeExpr,
@@ -82,6 +81,7 @@ from .diagnostics import Diagnostic
 from .lexer import lex, scan_interp_string, tokenize
 from .source import Span
 from .tokens import Token, TokenKind
+from .values import Pauli
 
 # Name of the implicit namespace wrapping bare top-level declarations.
 SNIPPET_NAMESPACE = "Snippet"
@@ -724,12 +724,7 @@ class Parser:
             else:
                 return expr
 
-    _PAULI_NAMES = {
-        "PauliI": PauliKind.I,
-        "PauliX": PauliKind.X,
-        "PauliY": PauliKind.Y,
-        "PauliZ": PauliKind.Z,
-    }
+    _PAULI_NAMES = {p.value: p for p in Pauli}
 
     def _parse_primary(self) -> Expr:
         tok = self._current()

@@ -51,7 +51,6 @@ from .simulator import DEFAULT_CAPACITY, ShotPrefix, StateVectorSimulator
 from .source import Span
 from .values import (
     Closure,
-    Pauli,
     QdslFailure,
     QubitRef,
     RangeValue,
@@ -547,7 +546,7 @@ class _Compiler:
     _IntLit = _DoubleLit = _BoolLit = _StringLit = _literal
 
     def _PauliLit(self, expr) -> Code:
-        return _const(Pauli[expr.kind.name])
+        return _const(expr.kind)
 
     def _ResultLit(self, expr) -> Code:
         return _const(Result.One if expr.one else Result.Zero)

@@ -1,9 +1,12 @@
-"""The type algebra: representation, normalization, subtyping, unification.
+"""The type algebra: representation, subtyping, unification.
 
 Representation notes:
 
-* Unit is the empty tuple type; ``normalize`` collapses singleton tuples, so
-  a well-formed ``Tuple`` never has exactly one element.
+* Unit is the empty tuple type. A one-item tuple type is its item, as the
+  language treats ``(T)`` and ``T`` alike. This is enforced where a tuple
+  type is built: ``tuple_of`` returns the item itself when there is one, and
+  ``Tuple`` raises on one item. Every other type is built from parts that
+  already hold it, so no consumer re-checks it.
 * User-defined types carry their (fully-qualified) name and resolved base;
   a UDT is a strict subtype of its base and of nothing else.
 * ``Param`` covers both rigid type parameters (``uid is None``, bound by an
@@ -14,6 +17,7 @@ Representation notes:
 from __future__ import annotations
 
 import itertools
+from collections import abc
 from dataclasses import dataclass, field
 
 
@@ -56,6 +60,16 @@ PRIMITIVES = {
 class Tuple(Type):
     items: tuple[Type, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.items) == 1:
+            raise ValueError("a one-item tuple type is its item; use tuple_of")
+
+
+def tuple_of(items: abc.Iterable[Type]) -> Type:
+    """The tuple type of ``items``: the item itself when there is one."""
+    items = tuple(items)
+    return items[0] if len(items) == 1 else Tuple(items)
+
 
 UNIT = Tuple(())
 
@@ -95,23 +109,6 @@ def fresh_param(name: str) -> Param:
     return Param(name, next(_uid_counter))
 
 
-# ── Normalization ────────────────────────────────────────────────────────────
-
-
-def normalize(t: Type) -> Type:
-    """Collapse singleton tuples recursively; idempotent."""
-    if isinstance(t, Tuple):
-        items = tuple(normalize(i) for i in t.items)
-        if len(items) == 1:
-            return items[0]
-        return Tuple(items)
-    if isinstance(t, Array):
-        return Array(normalize(t.element))
-    if isinstance(t, Callable):
-        return Callable(t.operation, normalize(t.input), normalize(t.output), t.variants)
-    return t
-
-
 # ── Rendering ────────────────────────────────────────────────────────────────
 
 
@@ -140,8 +137,6 @@ def render(t: Type) -> str:
 
 def subtype(a: Type, b: Type) -> bool:
     """True when a value of type ``a`` is usable where ``b`` is expected."""
-    a = normalize(a)
-    b = normalize(b)
     if a == b:
         return True
     if isinstance(a, Udt):
@@ -163,8 +158,6 @@ def subtype(a: Type, b: Type) -> bool:
 
 def join(a: Type, b: Type) -> Type | None:
     """Least common supertype, or None when the types are unrelated."""
-    a = normalize(a)
-    b = normalize(b)
     if subtype(a, b):
         return b
     if subtype(b, a):
@@ -200,6 +193,10 @@ class UnifyError(Exception):
         super().__init__(msg)
 
 
+class ArityError(UnifyError):
+    """Two tuple types with different numbers of items."""
+
+
 def _is_var(t: Type) -> bool:
     return isinstance(t, Param) and t.uid is not None
 
@@ -213,23 +210,10 @@ def _resolve(t: Type, bindings: Bindings) -> Type:
     return t
 
 
-def occurs(var: Param, t: Type, bindings: Bindings) -> bool:
-    t = _resolve(t, bindings)
-    if isinstance(t, Param):
-        return t == var
-    if isinstance(t, Tuple):
-        return any(occurs(var, i, bindings) for i in t.items)
-    if isinstance(t, Array):
-        return occurs(var, t.element, bindings)
-    if isinstance(t, Callable):
-        return occurs(var, t.input, bindings) or occurs(var, t.output, bindings)
-    return False
-
-
 def _bind(var: Param, t: Type, bindings: Bindings) -> None:
-    if occurs(var, t, bindings):
+    if var in params(substitute(t, bindings)):
         raise UnifyError(var, t, "occurs check failed")
-    bindings[(var.name, var.uid)] = normalize(t)
+    bindings[(var.name, var.uid)] = t
 
 
 def _rep_var(var: Param, bindings: Bindings) -> Param:
@@ -252,8 +236,6 @@ def unify(spec: Type, actual: Type, bindings: Bindings) -> None:
     to the least common supertype (a named type against its base resolves to
     the base).
     """
-    spec = normalize(spec)
-    actual = normalize(actual)
     spec_var = spec if _is_var(spec) else None
     actual_var = actual if _is_var(actual) else None
     spec = _resolve(spec, bindings)
@@ -283,7 +265,7 @@ def _unify_ground(spec: Type, actual: Type, bindings: Bindings) -> None:
         return
     if isinstance(spec, Tuple) and isinstance(actual, Tuple):
         if len(spec.items) != len(actual.items):
-            raise UnifyError(spec, actual, "tuple arity differs")
+            raise ArityError(spec, actual, "tuple arity differs")
         for s, a in zip(spec.items, actual.items):
             unify(s, a, bindings)
         return
@@ -309,50 +291,58 @@ def _unify_ground(spec: Type, actual: Type, bindings: Bindings) -> None:
     raise UnifyError(spec, actual)
 
 
-def substitute(t: Type, bindings: Bindings) -> Type:
-    t = _resolve(t, bindings)
+# ── Type parameters ──────────────────────────────────────────────────────────
+
+
+def _map_params(t: Type, leaf: abc.Callable[[Param], Type]) -> Type:
+    """``t`` with each ``Param`` in it replaced by ``leaf(param)``."""
+    if isinstance(t, Param):
+        return leaf(t)
     if isinstance(t, Tuple):
-        return normalize(Tuple(tuple(substitute(i, bindings) for i in t.items)))
+        return Tuple(tuple(_map_params(i, leaf) for i in t.items))
     if isinstance(t, Array):
-        return Array(substitute(t.element, bindings))
+        return Array(_map_params(t.element, leaf))
     if isinstance(t, Callable):
         return Callable(
             t.operation,
-            substitute(t.input, bindings),
-            substitute(t.output, bindings),
+            _map_params(t.input, leaf),
+            _map_params(t.output, leaf),
             t.variants,
         )
     return t
 
 
+def params(t: Type) -> abc.Iterator[Param]:
+    """Every ``Param`` in ``t``, left to right."""
+    if isinstance(t, Param):
+        yield t
+    elif isinstance(t, Tuple):
+        for i in t.items:
+            yield from params(i)
+    elif isinstance(t, Array):
+        yield from params(t.element)
+    elif isinstance(t, Callable):
+        yield from params(t.input)
+        yield from params(t.output)
+
+
+def substitute(t: Type, bindings: Bindings) -> Type:
+    """Replace each bound variable in ``t`` with its binding, transitively."""
+
+    def leaf(p: Param) -> Type:
+        bound = bindings.get((p.name, p.uid))  # type: ignore[arg-type]
+        return p if bound is None else substitute(bound, bindings)
+
+    return _map_params(t, leaf)
+
+
 def contains_var(t: Type) -> bool:
-    if _is_var(t):
-        return True
-    if isinstance(t, Tuple):
-        return any(contains_var(i) for i in t.items)
-    if isinstance(t, Array):
-        return contains_var(t.element)
-    if isinstance(t, Callable):
-        return contains_var(t.input) or contains_var(t.output)
-    return False
+    return any(p.uid is not None for p in params(t))
 
 
 def instantiate(t: Type, mapping: dict[str, Param]) -> Type:
     """Replace rigid parameters named in ``mapping`` with fresh variables."""
-    if isinstance(t, Param) and t.uid is None and t.name in mapping:
-        return mapping[t.name]
-    if isinstance(t, Tuple):
-        return Tuple(tuple(instantiate(i, mapping) for i in t.items))
-    if isinstance(t, Array):
-        return Array(instantiate(t.element, mapping))
-    if isinstance(t, Callable):
-        return Callable(
-            t.operation,
-            instantiate(t.input, mapping),
-            instantiate(t.output, mapping),
-            t.variants,
-        )
-    return t
+    return _map_params(t, lambda p: mapping.get(p.name, p) if p.uid is None else p)
 
 
 ADJOINT = "Adjoint"

@@ -385,6 +385,16 @@ namespace T {
     assert "type-mismatch" in codes
 
 
+@pytest.mark.parametrize("name", ["Sign", "Parity"])
+def test_argument_type_mismatch_code_does_not_depend_on_type_names(name):
+    # "Parity" contains "arity": the code must not depend on the message text
+    codes = compile_errors(f"""
+newtype {name} = Bool;
+function Flip (p : {name}) : Bool {{ return true; }}
+function Main () : Bool {{ return Flip(3); }}""")
+    assert codes == ["type-mismatch"]
+
+
 def test_boolean_alias_accepted_in_signatures():
     compile_ok("""
 namespace T { function F (b : Boolean) : Bool { return b; } }""")

@@ -1,10 +1,10 @@
-"""Type algebra: normalization, subtyping, joins, unification.
+"""Type algebra: one-item tuples, subtyping, joins, unification.
 
 Property tests generate random ground types and check the lattice laws;
 directed tests pin the behaviors the checker depends on (singleton tuple
 collapse, named-type upcasts, contravariant callable inputs, variable
-widening along a named type's base chain, the "arity" marker in tuple
-mismatch messages).
+widening along a named type's base chain, the ``ArityError`` raised for a
+tuple arity mismatch).
 """
 
 import pytest
@@ -30,8 +30,7 @@ def ground_types():
         prims(),
         lambda inner: st.one_of(
             st.builds(ty.Array, inner),
-            st.builds(lambda items: ty.Tuple(tuple(items)),
-                      st.lists(inner, min_size=1, max_size=3)),
+            st.builds(ty.tuple_of, st.lists(inner, min_size=1, max_size=3)),
             st.builds(
                 lambda i, o, op, v: ty.Callable(op, i, o, frozenset(v)),
                 inner,
@@ -44,24 +43,23 @@ def ground_types():
     )
 
 
-# ── Normalization ────────────────────────────────────────────────────────────
-
-
-@given(ground_types())
-def test_normalize_is_idempotent(t):
-    once = ty.normalize(t)
-    assert ty.normalize(once) == once
+# ── One-item tuples ──────────────────────────────────────────────────────────
 
 
 @given(ground_types())
 def test_singleton_tuple_collapses(t):
-    assert ty.normalize(ty.Tuple((t,))) == ty.normalize(t)
-    assert ty.normalize(ty.Tuple((ty.Tuple((t,)),))) == ty.normalize(t)
+    assert ty.tuple_of([t]) == t
+    assert ty.tuple_of([ty.tuple_of([t])]) == t
+
+
+def test_a_one_item_tuple_type_cannot_be_built():
+    with pytest.raises(ValueError):
+        ty.Tuple((ty.INT,))
 
 
 def test_unit_is_the_empty_tuple():
     assert ty.UNIT == ty.Tuple(())
-    assert ty.normalize(ty.UNIT) == ty.UNIT
+    assert ty.tuple_of([]) == ty.UNIT
 
 
 # ── Subtyping ────────────────────────────────────────────────────────────────
@@ -75,7 +73,7 @@ def test_subtype_is_reflexive(t):
 @given(ground_types(), ground_types())
 def test_subtype_is_antisymmetric_up_to_normalization(a, b):
     if ty.subtype(a, b) and ty.subtype(b, a):
-        assert ty.normalize(a) == ty.normalize(b)
+        assert a == b
 
 
 def test_named_type_upcasts_along_its_base_chain():
@@ -94,8 +92,8 @@ def test_sibling_named_types_are_unrelated():
 
 
 def test_singleton_tuple_equivalence_in_subtyping():
-    assert ty.subtype(ty.Tuple((ty.INT,)), ty.INT)
-    assert ty.subtype(ty.INT, ty.Tuple((ty.INT,)))
+    assert ty.subtype(ty.tuple_of([ty.INT]), ty.INT)
+    assert ty.subtype(ty.INT, ty.tuple_of([ty.INT]))
 
 
 def test_callable_input_is_contravariant():
@@ -125,7 +123,7 @@ def test_function_never_matches_operation():
 
 @given(ground_types())
 def test_join_with_self_is_identity(t):
-    assert ty.join(t, t) == ty.normalize(t)
+    assert ty.join(t, t) == t
 
 
 @given(ground_types(), ground_types())
@@ -183,8 +181,8 @@ def test_occurs_check_rejects_infinite_types():
 
 
 def test_tuple_arity_error_message_mentions_arity():
-    # the checker keys call-shape-mismatch off this marker
-    with pytest.raises(ty.UnifyError, match="arity"):
+    # the checker reports an ArityError as call-shape-mismatch
+    with pytest.raises(ty.ArityError, match="arity"):
         ty.unify(
             ty.Tuple((ty.INT, ty.INT)),
             ty.Tuple((ty.INT, ty.INT, ty.INT)),
@@ -207,8 +205,8 @@ def test_rigid_parameters_do_not_unify_with_ground_types():
 
 
 def test_singleton_tuples_unify_transparently():
-    ty.unify(ty.Tuple((ty.INT,)), ty.INT, {})
-    ty.unify(ty.INT, ty.Tuple((ty.INT,)), {})
+    ty.unify(ty.tuple_of([ty.INT]), ty.INT, {})
+    ty.unify(ty.INT, ty.tuple_of([ty.INT]), {})
 
 
 def test_instantiate_produces_independent_fresh_variables():
@@ -231,4 +229,4 @@ def test_unify_accepts_any_type_against_itself(t):
 
 @given(ground_types())
 def test_substitute_on_ground_types_is_normalization(t):
-    assert ty.substitute(t, {}) == ty.normalize(t)
+    assert ty.substitute(t, {}) == t
