@@ -59,7 +59,6 @@ from .ast_nodes import (
     Stmt,
     StringLit,
     TupleExpr,
-    TuplePattern,
     TupleTypeNode,
     TypeNode,
     TypeParamNode,
@@ -565,42 +564,62 @@ class Checker:
             scope.define(
                 LocalBinding(ctl_param, ty.Array(ty.QUBIT), False, block.span)
             )
-        self._bind_params(sym, scope, ctx)
+        if sym.decl is not None:
+            self._bind(sym.decl.params, sym.input, scope, ctx)
         self._check_block(block, scope, ctx)
         return self.diagnostics[before:]
 
-    def _bind_params(self, sym: CallableSymbol, scope: Scope, ctx: _Context) -> None:
-        """Bind each parameter to its part of the resolved input type."""
-        if sym.decl is None:
+    def _bind(
+        self,
+        node: Pattern | ParamLeaf | ParamTuple,
+        t: ty.Type,
+        scope: Scope,
+        ctx: _Context,
+    ) -> None:
+        """Bind the names of a let pattern or a parameter tuple to the parts of t."""
+        if isinstance(node, (NamePattern, ParamLeaf)):
+            if not scope.define(LocalBinding(node.name, t, False, node.span)):
+                ctx.error(
+                    diag.DUPLICATE_BINDING,
+                    f"parameter '{node.name}' is declared twice"
+                    if isinstance(node, ParamLeaf)
+                    else f"'{node.name}' is already bound in this scope",
+                    node.span,
+                )
             return
-
-        def bind(item, t: ty.Type) -> None:
-            if isinstance(item, ParamLeaf):
-                if not scope.define(LocalBinding(item.name, t, False, item.span)):
-                    ctx.error(
-                        diag.DUPLICATE_BINDING,
-                        f"parameter '{item.name}' is declared twice",
-                        item.span,
-                    )
-            elif len(item.items) == 1:
-                bind(item.items[0], t)  # a one-item tuple type is its item
-            else:
-                for sub, sub_t in zip(item.items, t.items):
-                    bind(sub, sub_t)
-
-        bind(sym.decl.params, sym.input)
+        if len(node.items) == 1:  # a one-item tuple type is its item
+            self._bind(node.items[0], t, scope, ctx)
+            return
+        resolved = _strip_udt(t)
+        fits = isinstance(resolved, ty.Tuple) and len(resolved.items) == len(node.items)
+        if not fits and not _is_error(resolved):
+            ctx.error(
+                diag.PATTERN_MISMATCH,
+                f"cannot destructure a value of type {ty.render(t)} into "
+                f"{len(node.items)} parts",
+                node.span,
+            )
+        items = resolved.items if fits else [ERROR] * len(node.items)
+        for sub, sub_t in zip(node.items, items):
+            self._bind(sub, sub_t, scope, ctx)
 
     # ── Statements ───────────────────────────────────────────────────────
 
-    def _check_block(self, block: Block, scope: Scope, ctx: _Context) -> None:
+    def _check_block(
+        self, block: Block, scope: Scope, ctx: _Context, *bound: LocalBinding
+    ) -> Scope:
+        """Check the block in a new scope that holds ``bound``; returns that scope."""
         inner = Scope(scope)
+        for binding in bound:
+            inner.define(binding)
         for stmt in block.stmts:
             self._check_stmt(stmt, inner, ctx)
+        return inner
 
     def _check_stmt(self, stmt: Stmt, scope: Scope, ctx: _Context) -> None:
         if isinstance(stmt, LetStmt):
             t = self.check_expr(stmt.value, scope, ctx)
-            self._bind_pattern(stmt.pattern, t, scope, ctx)
+            self._bind(stmt.pattern, t, scope, ctx)
         elif isinstance(stmt, MutableStmt):
             t = self.check_expr(stmt.value, scope, ctx)
             if not scope.define(LocalBinding(stmt.name, t, True, stmt.span)):
@@ -621,15 +640,11 @@ class Checker:
         elif isinstance(stmt, ForStmt):
             t = self.check_expr(stmt.iterable, scope, ctx)
             self._require(t, ty.RANGE, stmt.iterable.span, ctx, "a for iterable")
-            inner = Scope(scope)
-            inner.define(LocalBinding(stmt.var, ty.INT, False, stmt.var_span))
-            for s in stmt.body.stmts:
-                self._check_stmt(s, inner, ctx)
+            var = LocalBinding(stmt.var, ty.INT, False, stmt.var_span)
+            self._check_block(stmt.body, scope, ctx, var)
         elif isinstance(stmt, RepeatStmt):
             # The until-condition and fixup see bindings made in the body.
-            inner = Scope(scope)
-            for s in stmt.body.stmts:
-                self._check_stmt(s, inner, ctx)
+            inner = self._check_block(stmt.body, scope, ctx)
             t = self.check_expr(stmt.condition, inner, ctx)
             self._require(t, ty.BOOL, stmt.condition.span, ctx, "an until condition")
             self._check_block(stmt.fixup, inner, ctx)
@@ -699,49 +714,15 @@ class Checker:
         if stmt.count is not None:
             t = self.check_expr(stmt.count, scope, ctx)
             self._require(t, ty.INT, stmt.count.span, ctx, "a qubit count")
-            bound: ty.Type = ty.Array(ty.QUBIT)
+            qubits: ty.Type = ty.Array(ty.QUBIT)
         else:
-            bound = ty.QUBIT
-        inner = Scope(scope)
-        inner.define(LocalBinding(stmt.name, bound, False, stmt.name_span))
+            qubits = ty.QUBIT
+        bound = LocalBinding(stmt.name, qubits, False, stmt.name_span)
         ctx.alloc_depth += 1
         try:
-            for s in stmt.body.stmts:
-                self._check_stmt(s, inner, ctx)
+            self._check_block(stmt.body, scope, ctx, bound)
         finally:
             ctx.alloc_depth -= 1
-
-    def _bind_pattern(
-        self, pattern: Pattern, t: ty.Type, scope: Scope, ctx: _Context
-    ) -> None:
-        if isinstance(pattern, NamePattern):
-            if not scope.define(LocalBinding(pattern.name, t, False, pattern.span)):
-                ctx.error(
-                    diag.DUPLICATE_BINDING,
-                    f"'{pattern.name}' is already bound in this scope",
-                    pattern.span,
-                )
-            return
-        assert isinstance(pattern, TuplePattern)
-        resolved = _strip_udt(t)
-        if _is_error(resolved):
-            for p in pattern.items:
-                self._bind_pattern(p, ERROR, scope, ctx)
-            return
-        if not isinstance(resolved, ty.Tuple) or len(resolved.items) != len(
-            pattern.items
-        ):
-            ctx.error(
-                diag.PATTERN_MISMATCH,
-                f"cannot destructure a value of type {ty.render(t)} into "
-                f"{len(pattern.items)} parts",
-                pattern.span,
-            )
-            for p in pattern.items:
-                self._bind_pattern(p, ERROR, scope, ctx)
-            return
-        for p, item in zip(pattern.items, resolved.items):
-            self._bind_pattern(p, item, scope, ctx)
 
     def _require(
         self, actual: ty.Type, expected: ty.Type, span: Span, ctx: _Context, what: str
@@ -932,126 +913,90 @@ class Checker:
                 expr.callee.span,
             )
             return ERROR
-        has_holes = any(shape_has_hole(a) for a in expr.args)
-        expr.is_partial = has_holes
-        if has_holes:
-            return self._check_partial(expr, callee, scope, ctx)
-        if ctx.in_function and callee.operation:
+        expr.is_partial = any(shape_has_hole(a) for a in expr.args)
+        if ctx.in_function and callee.operation and not expr.is_partial:
             ctx.error(
                 diag.FUNCTION_CALLS_OPERATION,
                 "functions cannot call operations",
                 expr.span,
             )
-        arg_t = self._check_args(expr.args, callee.input, scope, ctx)
-        try:
-            ty.unify(callee.input, arg_t, ctx.bindings)
-        except ty.UnifyError as exc:
-            code = (
-                diag.CALL_SHAPE_MISMATCH
-                if isinstance(exc, ty.ArityError)
-                else diag.TYPE_MISMATCH
-            )
-            if not _is_error(arg_t):
-                ctx.error(code, str(exc), expr.span)
-            return ERROR
-        result = ty.substitute(callee.output, ctx.bindings)
-        if ty.contains_var(result):
-            ctx.error(
-                diag.UNRESOLVED_TYPE_PARAM,
-                "the type parameters of this call cannot be fully inferred",
-                expr.span,
-            )
-            return ERROR
-        return result
-
-    def _check_args(
-        self, args: list[Expr], input_t: ty.Type, scope: Scope, ctx: _Context
-    ) -> ty.Type:
-        """Type the argument list against the input type."""
-        expectations: list[ty.Type | None] = [None] * len(args)
-        if len(args) == 1:
-            expectations = [input_t]
-        elif isinstance(input_t, ty.Tuple) and len(input_t.items) == len(args):
-            expectations = list(input_t.items)
-        types = tuple(
-            self.check_expr(a, scope, ctx, expected=_concrete_or_none(e))
-            for a, e in zip(args, expectations)
-        )
-        if any(_is_error(t) for t in types):
-            return ERROR
-        return ty.tuple_of(types)
-
-    def _check_partial(
-        self, expr: CallExpr, callee: ty.Callable, scope: Scope, ctx: _Context
-    ) -> ty.Type:
-        if len(expr.args) == 1:
-            missing = self._missing_type(callee.input, expr.args[0], scope, ctx)
-        else:
-            missing = self._missing_tuple(
-                callee.input, expr.args, expr.span, scope, ctx
-            )
+        missing = self._missing(callee.input, expr.args, expr.span, scope, ctx)
         if missing is _BAD_SHAPE:
             return ERROR
-        assert missing is not None  # every call with a hole leaves a part missing
-        result = ty.Callable(
-            callee.operation,
-            ty.substitute(missing, ctx.bindings),
-            ty.substitute(callee.output, ctx.bindings),
-            callee.variants,
-        )
+        result = ty.substitute(callee.output, ctx.bindings)
+        what = "call"
+        if expr.is_partial:
+            missing = ty.substitute(missing, ctx.bindings)
+            result = ty.Callable(callee.operation, missing, result, callee.variants)
+            what = "partial application"
         if ty.contains_var(result):
             ctx.error(
                 diag.UNRESOLVED_TYPE_PARAM,
-                "the type parameters of this partial application cannot be "
-                "fully inferred",
+                f"the type parameters of this {what} cannot be fully inferred",
                 expr.span,
             )
             return ERROR
         return result
 
-    def _missing_tuple(
+    def _missing(
         self,
         input_t: ty.Type,
-        shapes: list[Expr],
+        args: list[Expr],
         span: Span,
         scope: Scope,
         ctx: _Context,
     ) -> ty.Type:
-        resolved = _strip_udt(ty.substitute(input_t, ctx.bindings))
-        if not isinstance(resolved, ty.Tuple) or len(resolved.items) != len(shapes):
+        """Type of the parts of ``input_t`` that ``args`` leave to holes.
+
+        That is ``ty.UNIT`` when there is no hole, and ``_BAD_SHAPE`` after a
+        reported mismatch or an argument with an error. Hole-free arguments
+        are unified as a whole; a list holding a hole is split item by item,
+        and a newtype is one value that a hole cannot split.
+        """
+        if not any(shape_has_hole(a) for a in args):
+            expectations: list[ty.Type | None] = [None] * len(args)
+            if len(args) == 1:
+                expectations = [input_t]
+            elif isinstance(input_t, ty.Tuple) and len(input_t.items) == len(args):
+                expectations = list(input_t.items)
+            types = [
+                self.check_expr(a, scope, ctx, expected=_concrete_or_none(e))
+                for a, e in zip(args, expectations)
+            ]
+            if any(_is_error(t) for t in types):
+                return _BAD_SHAPE
+            try:
+                ty.unify(input_t, ty.tuple_of(types), ctx.bindings)
+            except ty.UnifyError as exc:
+                code = (
+                    diag.CALL_SHAPE_MISMATCH
+                    if isinstance(exc, ty.ArityError)
+                    else diag.TYPE_MISMATCH
+                )
+                ctx.error(code, str(exc), span)
+                return _BAD_SHAPE
+            return ty.UNIT
+        if len(args) == 1:
+            if isinstance(args[0], Hole):
+                return input_t
+            return self._missing(input_t, args[0].items, args[0].span, scope, ctx)
+        resolved = ty.substitute(input_t, ctx.bindings)
+        if not isinstance(resolved, ty.Tuple) or len(resolved.items) != len(args):
             ctx.error(
                 diag.PARTIAL_SHAPE_MISMATCH,
-                f"this partial application supplies {len(shapes)} components "
+                f"this partial application supplies {len(args)} components "
                 f"but the input type is {ty.render(input_t)}",
                 span,
             )
             return _BAD_SHAPE
         parts: list[ty.Type] = []
-        for comp, shape in zip(resolved.items, shapes):
-            m = self._missing_type(comp, shape, scope, ctx)
-            if m is _BAD_SHAPE:
+        for item, arg in zip(resolved.items, args):
+            part = self._missing(item, [arg], arg.span, scope, ctx)
+            if part is _BAD_SHAPE:
                 return _BAD_SHAPE
-            if m is not None:
-                parts.append(m)
+            if shape_has_hole(arg):
+                parts.append(part)
         return ty.tuple_of(parts)
-
-    def _missing_type(
-        self, comp: ty.Type, shape: Expr, scope: Scope, ctx: _Context
-    ) -> ty.Type | None:
-        """Missing-parts type of one argument shape, or None if fully given."""
-        if isinstance(shape, Hole):
-            return comp
-        if isinstance(shape, TupleExpr) and shape_has_hole(shape):
-            return self._missing_tuple(comp, shape.items, shape.span, scope, ctx)
-        t = self.check_expr(shape, scope, ctx, expected=_concrete_or_none(comp))
-        if _is_error(t):
-            return _BAD_SHAPE
-        try:
-            ty.unify(comp, t, ctx.bindings)
-        except ty.UnifyError as exc:
-            ctx.error(diag.TYPE_MISMATCH, str(exc), shape.span)
-            return _BAD_SHAPE
-        return None
 
     def _check_functor(self, expr: FunctorExpr, scope: Scope, ctx: _Context) -> ty.Type:
         operand = self.check_expr(expr.operand, scope, ctx)

@@ -178,18 +178,20 @@ def _emit_specializations(result: CompileResult) -> None:
 def _run_options(args):
     from .runtime import RunOptions
 
-    max_qubits = args.max_qubits
-    if max_qubits is None:
-        max_qubits = _env_int("MAX_QUBITS", RunOptions.max_qubits)
-    max_iterations = args.max_iterations
-    if max_iterations is None:
-        max_iterations = _env_int("MAX_ITERATIONS", RunOptions.max_iterations)
+    limits = {}
+    for name in ("max_qubits", "max_iterations"):
+        value = getattr(args, name)
+        if value is None:
+            value = _env_int(name.upper(), getattr(RunOptions, name))
+        if value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must not be negative, got {value}")
+        limits[name] = value
     return RunOptions(
         strict_release=args.strict_release,
         elide_diagnostics=args.elide_diagnostics,
-        max_qubits=max_qubits,
-        max_iterations=max_iterations,
         dump_state=args.dump_state,
+        **limits,
     )
 
 

@@ -108,7 +108,3 @@ class Diagnostic:
 
 def error(code: str, message: str, span: Span, file: str = "<input>") -> Diagnostic:
     return Diagnostic(Severity.ERROR, code, message, span, file)
-
-
-def warning(code: str, message: str, span: Span, file: str = "<input>") -> Diagnostic:
-    return Diagnostic(Severity.WARNING, code, message, span, file)

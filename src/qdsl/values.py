@@ -100,16 +100,10 @@ class RangeValue:
 UNIT: tuple = ()
 
 
-# Partial-application shapes: ("hole",) | ("given", value) | ("tuple", [shapes])
+# Partial-application shapes: ("hole",) | ("given", value) | ("tuple", [shapes]).
+# The runtime builds a "tuple" shape only around a hole, so every shape but a
+# "given" one holds a hole.
 Shape = tuple
-
-
-def shape_has_hole(shape: Shape) -> bool:
-    if shape[0] == "hole":
-        return True
-    if shape[0] == "tuple":
-        return any(shape_has_hole(c) for c in shape[1])
-    return False
 
 
 def fill_shape(shape: Shape, supply: Any) -> Any:
@@ -126,7 +120,7 @@ def fill_shape(shape: Shape, supply: Any) -> Any:
     if kind == "hole":
         return supply
     children = shape[1]
-    holey = [i for i, c in enumerate(children) if shape_has_hole(c)]
+    holey = [i for i, c in enumerate(children) if c[0] != "given"]
     supplies: dict[int, Any] = {}
     if len(holey) == 1:
         supplies[holey[0]] = supply

@@ -173,6 +173,59 @@ namespace T {
     assert "type-mismatch" in codes
 
 
+def test_a_hole_cannot_split_a_newtype_argument():
+    # First(7, 2) is rejected, so First(_, 2) must be too: a Pair is one value
+    codes = compile_errors("""
+newtype Pair = (Int, Int);
+function First (p : Pair) : Int { return 0; }
+function Main () : Int { let g = First(_, 2); return g(7); }""")
+    assert codes == ["partial-shape-mismatch"]
+
+
+def test_wrong_arity_given_tuple_has_one_code_in_calls_and_partials():
+    program = """
+function F (a : (Int, Int), b : Int) : Int {{ return b; }}
+function Main () : Int {{ let x = {call}; return 0; }}"""
+    for call in ("F((1, 2, 3), 4)", "F((1, 2, 3), _)"):
+        assert compile_errors(program.format(call=call)) == ["call-shape-mismatch"]
+
+
+_SIGNATURES = [
+    "(p : Pair)",
+    "(a : Pair, b : Int)",
+    "(a : Double, (b : Int, c : Bool))",
+    "(a : Int)",
+    "(a : Int, b : Int)",
+    "(a : (Int, Int), b : Int)",
+    "(a : Bool, b : Double)",
+]
+_ATOMS = ["7", "2.5", "true", "(1, 2)", "Pair(3, 4)", "(5, false)", "(1, 2, 3)"]
+
+
+@pytest.mark.parametrize("signature", _SIGNATURES)
+def test_a_partial_application_accepts_exactly_what_the_call_accepts(signature):
+    # For every argument list and every non-empty choice of holes in it,
+    # `F(<args with holes>)` applied to the held-out values compiles clean
+    # exactly when `F(<args>)` does.
+    program = f"""
+newtype Pair = (Int, Int);
+function F {signature} : Int {{{{ return 0; }}}}
+function Main () : Int {{{{ {{body}} }}}}"""
+
+    def clean(body):
+        return compile_errors(program.format(body=body)) == []
+
+    lists = [[a] for a in _ATOMS] + [[a, b] for a in _ATOMS for b in _ATOMS]
+    for args in lists:
+        full = clean(f"return F({', '.join(args)});")
+        for mask in range(1, 2 ** len(args)):
+            holes = [i for i in range(len(args)) if mask >> i & 1]
+            given = ["_" if i in holes else a for i, a in enumerate(args)]
+            held = ", ".join(args[i] for i in holes)
+            partial = clean(f"let g = F({', '.join(given)}); return g({held});")
+            assert partial == full, (given, held)
+
+
 # ── Scoping ──────────────────────────────────────────────────────────────────
 
 

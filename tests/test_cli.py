@@ -356,6 +356,18 @@ def test_zero_shots_rejected(good_file):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("limit", ["max-qubits", "max-iterations"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_run_limit_is_usage_error(good_file, limit, source):
+    if source == "flag":
+        proc = qdsl("run", f"--{limit}", "-1", good_file)
+    else:
+        env = "QDSL_" + limit.replace("-", "_").upper()
+        proc = qdsl("run", good_file, env_extra={env: "-1"})
+    assert proc.returncode == 2
+    assert f"--{limit} must not be negative" in proc.stderr
+
+
 def test_dump_state_text(tmp_path):
     path = tmp_path / "bell.qds"
     path.write_text("""
