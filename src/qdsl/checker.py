@@ -901,17 +901,14 @@ class Checker:
 
     def _check_call(self, expr: CallExpr, scope: Scope, ctx: _Context) -> ty.Type:
         callee = self.check_expr(expr.callee, scope, ctx)
-        if _is_error(callee):
-            for arg in expr.args:
-                if not shape_has_hole(arg):
-                    self.check_expr(arg, scope, ctx)
-            return ERROR
         if not isinstance(callee, ty.Callable):
-            ctx.error(
-                diag.NOT_CALLABLE,
-                f"value of type {ty.render(callee)} is not callable",
-                expr.callee.span,
-            )
+            if not _is_error(callee):
+                ctx.error(
+                    diag.NOT_CALLABLE,
+                    f"value of type {ty.render(callee)} is not callable",
+                    expr.callee.span,
+                )
+            self._check_unchecked(expr.args, scope, ctx)
             return ERROR
         expr.is_partial = any(shape_has_hole(a) for a in expr.args)
         if ctx.in_function and callee.operation and not expr.is_partial:
@@ -922,6 +919,7 @@ class Checker:
             )
         missing = self._missing(callee.input, expr.args, expr.span, scope, ctx)
         if missing is _BAD_SHAPE:
+            self._check_unchecked(expr.args, scope, ctx)
             return ERROR
         result = ty.substitute(callee.output, ctx.bindings)
         what = "call"
@@ -997,6 +995,15 @@ class Checker:
             if shape_has_hole(arg):
                 parts.append(part)
         return ty.tuple_of(parts)
+
+    def _check_unchecked(self, args: list[Expr], scope: Scope, ctx: _Context) -> None:
+        """Check, with no expected type, each given argument of a failed call
+        that the call left unchecked, inside hole-bearing tuples too."""
+        for arg in args:
+            if isinstance(arg, TupleExpr) and shape_has_hole(arg):
+                self._check_unchecked(arg.items, scope, ctx)
+            elif arg.ty is None and not isinstance(arg, Hole):
+                self.check_expr(arg, scope, ctx)
 
     def _check_functor(self, expr: FunctorExpr, scope: Scope, ctx: _Context) -> ty.Type:
         operand = self.check_expr(expr.operand, scope, ctx)

@@ -20,8 +20,9 @@ from . import prelude, transform
 from . import types as ty
 from .ast_nodes import Program
 from .checker import CallableSymbol, Checker, SymbolTable
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import NESTING_TOO_DEEP, Diagnostic, Severity, error
 from .parser import parse_program
+from .source import Span
 
 
 @dataclass
@@ -98,36 +99,46 @@ def _check_layer(
     The layer's declarations go into the copy, so `base` is left as it was.
     Only the layer's programs are checked and only its callables get
     specialization tables; `base` symbols are shared, already finished.
+    Each pass recurses once per level of nesting, so a program nested past
+    Python's recursion limit gets one `nesting-too-deep` error on its file.
     """
-    diagnostics: list[Diagnostic] = []
+    result = CompileResult(base.table.copy(), [*base.units], [], user_files)
     programs: list[tuple[str, Program]] = []
-    for file, text in units:
-        program, diags = parse_program(text, file)
-        diagnostics.extend(diags)
-        programs.append((file, program))
+    file = ""
+    try:
+        for file, text in units:
+            program, diags = parse_program(text, file)
+            result.diagnostics.extend(diags)
+            programs.append((file, program))
+        result.units += programs
+        if result.errors:
+            return result
 
-    table = base.table.copy()
-    result = CompileResult(table, [*base.units, *programs], diagnostics, user_files)
-    if result.errors:
-        return result
+        checker = Checker(result.table)
+        for check in (checker.collect, checker.resolve_signatures, checker.check_bodies):
+            for file, program in programs:
+                check(program, file)
+        result.diagnostics.extend(checker.diagnostics)
+        if result.errors:
+            return result
 
-    checker = Checker(table)
-    for file, program in programs:
-        checker.collect(program, file)
-    for file, program in programs:
-        checker.resolve_signatures(program, file)
-    for file, program in programs:
-        checker.check_bodies(program, file)
-    diagnostics.extend(checker.diagnostics)
-    if result.errors:
-        return result
-
-    layer = [
-        sym
-        for sym in table.all_callables()
-        if base.table.lookup_qualified(sym.qualified) is not sym
-    ]
-    diagnostics.extend(transform.generate_all(layer, checker))
+        layer = [
+            sym
+            for sym in result.table.all_callables()
+            if base.table.lookup_qualified(sym.qualified) is not sym
+        ]
+        for file, _ in programs:
+            own = [sym for sym in layer if sym.file == file]
+            result.diagnostics.extend(transform.generate_all(own, checker))
+    except RecursionError:
+        result.diagnostics.append(
+            error(
+                NESTING_TOO_DEEP,
+                "expressions or blocks are nested too deeply to compile",
+                Span(0, 0),
+                file,
+            )
+        )
     return result
 
 

@@ -63,6 +63,9 @@ HOLE_OUTSIDE_CALL = "hole-outside-call"
 ADJOINT_INELIGIBLE = "adjoint-ineligible"
 CONTROLLED_INELIGIBLE = "controlled-ineligible"
 
+# Any front-end pass: nesting past Python's recursion limit
+NESTING_TOO_DEEP = "nesting-too-deep"
+
 ALL_CODES = frozenset(
     v
     for k, v in list(globals().items())

@@ -112,20 +112,10 @@ UNARY_BP = 110
 FUNCTOR_BP = 120
 POSTFIX_BP = 130
 
-_STMT_KEYWORDS = frozenset(
-    {
-        "let",
-        "mutable",
-        "set",
-        "if",
-        "for",
-        "repeat",
-        "return",
-        "fail",
-        "using",
-        "borrowing",
-    }
-)
+_FUNCTORS = ("Adjoint", "Controlled")
+
+# Where recovery resumes after an error outside a block.
+_DECLARATION_KEYWORDS = frozenset({"namespace", "operation", "function", "newtype", "open"})
 
 
 class _ParseError(Exception):
@@ -189,6 +179,39 @@ class Parser:
             return "end of input"
         return repr(tok.lexeme)
 
+    def _list(self, item, close: str, sep: str = ",", first=None) -> tuple[list, Span]:
+        """``item``s separated by ``sep`` up to the ``close`` symbol, which is
+        consumed; returns the items and the span of ``close``. ``first`` is an
+        item the caller has already parsed; without one the list may be empty."""
+        if first is None:
+            if self._at_symbol(close):
+                return [], self._advance().span
+            first = item()
+        items = [first]
+        while self._at_symbol(sep):
+            self._advance()
+            items.append(item())
+        return items, self._expect_symbol(close).span
+
+    def _skip(self, stops: frozenset[str], nested: bool = True) -> None:
+        """Skip to the next token whose lexeme is in ``stops`` (past it, for a
+        ``;``) or to the end of input. When ``nested``, a braced group is
+        skipped whole and a ``}`` that closes the enclosing one stops too."""
+        depth = 0
+        while not self._at_eof():
+            tok = self._current()
+            if depth == 0 and tok.lexeme in stops:
+                if tok.lexeme == ";":
+                    self._advance()
+                return
+            if nested and tok.is_symbol("{"):
+                depth += 1
+            elif nested and tok.is_symbol("}"):
+                if depth == 0:
+                    return
+                depth -= 1
+            self._advance()
+
     # ── Program structure ────────────────────────────────────────────────
 
     def parse_program(self) -> Program:
@@ -200,15 +223,9 @@ class Parser:
             try:
                 if self._at_keyword("namespace"):
                     namespaces.append(self._parse_namespace())
-                elif (
-                    self._at_keyword("operation")
-                    or self._at_keyword("function")
-                    or self._at_keyword("newtype")
-                ):
-                    snippet_decls.append(self._parse_declaration())
                 elif self._at_keyword("open"):
                     snippet_opens.append(self._parse_open())
-                elif self._current().lexeme in _STMT_KEYWORDS or self._looks_like_expr():
+                elif self._current().lexeme in self._STATEMENTS or self._looks_like_expr():
                     self.diagnostics.append(
                         diag.error(
                             diag.STRAY_STATEMENT,
@@ -217,13 +234,13 @@ class Parser:
                             self.file,
                         )
                     )
-                    self._parse_statement_quietly()
+                    reported = len(self.diagnostics)
+                    self._parse_statement()
+                    del self.diagnostics[reported:]
                 else:
-                    raise self._error(
-                        f"expected a declaration, found {self._describe()}"
-                    )
+                    snippet_decls.append(self._parse_declaration())
             except _ParseError:
-                self._sync_top_level()
+                self._skip(_DECLARATION_KEYWORDS, nested=False)
         end = self._current().span
         if snippet_decls or snippet_opens:
             span = snippet_decls[0].span if snippet_decls else snippet_opens[0].span
@@ -244,58 +261,26 @@ class Parser:
             TokenKind.INTERP_STRING,
         ) or tok.lexeme in ("(", "[", "-", "!", "~", "true", "false")
 
-    def _parse_statement_quietly(self) -> None:
-        """Consume one statement during top-level recovery, ignoring errors."""
-        depth = len(self.diagnostics)
-        try:
-            self._parse_statement()
-        except _ParseError:
-            self._sync_statement()
-        del self.diagnostics[depth:]
-
-    def _sync_top_level(self) -> None:
-        while not self._at_eof():
-            tok = self._current()
-            if tok.lexeme in ("namespace", "operation", "function", "newtype", "open"):
-                return
-            self._advance()
-
     def _parse_namespace(self) -> Namespace:
         start = self._expect_keyword("namespace").span
         name = self._parse_dotted_name("namespace name")
         self._expect_symbol("{")
         opens: list[OpenDirective] = []
         decls: list = []
-        while not self._at_symbol("}") and not self._at_eof():
+        # A `namespace` keyword ends this namespace with "expected '}'"; the
+        # top level then parses the namespace it starts.
+        while not (
+            self._at_symbol("}") or self._at_eof() or self._at_keyword("namespace")
+        ):
             try:
                 if self._at_keyword("open"):
                     opens.append(self._parse_open())
                 else:
                     decls.append(self._parse_declaration())
             except _ParseError:
-                self._sync_declaration()
+                self._skip(_DECLARATION_KEYWORDS)
         end = self._expect_symbol("}").span
         return Namespace(start.union(end), name, opens, decls)
-
-    def _sync_declaration(self) -> None:
-        depth = 0
-        while not self._at_eof():
-            tok = self._current()
-            if depth == 0 and tok.lexeme in (
-                "operation",
-                "function",
-                "newtype",
-                "open",
-                "namespace",
-            ):
-                return
-            if tok.is_symbol("{"):
-                depth += 1
-            elif tok.is_symbol("}"):
-                if depth == 0:
-                    return
-                depth -= 1
-            self._advance()
 
     def _parse_dotted_name(self, what: str) -> str:
         parts = [self._expect_ident(what).lexeme]
@@ -334,16 +319,8 @@ class Parser:
         type_params: list[str] = []
         if self._at_symbol("<"):
             self._advance()
-            while True:
-                tok = self._current()
-                if tok.kind is not TokenKind.TYPE_PARAM:
-                    raise self._error("expected a type parameter like `T")
-                type_params.append(self._advance().lexeme)
-                if self._at_symbol(","):
-                    self._advance()
-                    continue
-                break
-            self._expect_symbol(">")
+            first = self._parse_type_param()
+            type_params, _ = self._list(self._parse_type_param, ">", first=first)
         params = self._parse_param_tuple()
         self._expect_symbol(":")
         output = self._parse_type()
@@ -364,17 +341,14 @@ class Parser:
             specs,
         )
 
+    def _parse_type_param(self) -> str:
+        if self._current().kind is not TokenKind.TYPE_PARAM:
+            raise self._error("expected a type parameter like `T")
+        return self._advance().lexeme
+
     def _parse_param_tuple(self) -> ParamTuple:
         start = self._expect_symbol("(").span
-        items: list = []
-        if not self._at_symbol(")"):
-            while True:
-                items.append(self._parse_param_item())
-                if self._at_symbol(","):
-                    self._advance()
-                    continue
-                break
-        end = self._expect_symbol(")").span
+        items, end = self._list(self._parse_param_item, ")")
         return ParamTuple(start.union(end), items)
 
     def _parse_param_item(self):
@@ -420,24 +394,17 @@ class Parser:
             start = self._advance().span
             block = self._parse_block()
             return SpecDecl(start.union(block.span), SpecKind.BODY, SpecImpl.PROVIDED, block)
-        if tok.is_keyword("adjoint"):
-            start = self._advance().span
-            if self._at_keyword("controlled"):
-                self._advance()
-                return self._parse_spec_tail(SpecKind.CONTROLLED_ADJOINT, start, ctl=True)
-            return self._parse_spec_tail(SpecKind.ADJOINT, start, ctl=False)
-        if tok.is_keyword("controlled"):
-            start = self._advance().span
-            if self._at_keyword("adjoint"):
-                self._advance()
-                return self._parse_spec_tail(SpecKind.CONTROLLED_ADJOINT, start, ctl=True)
-            return self._parse_spec_tail(SpecKind.CONTROLLED, start, ctl=True)
-        raise self._error(
-            f"expected a specialization (body/adjoint/controlled), found {self._describe()}",
-            diag.MISSING_SPECIALIZATION_BODY,
-        )
-
-    def _parse_spec_tail(self, kind: SpecKind, start: Span, ctl: bool) -> SpecDecl:
+        if not (tok.is_keyword("adjoint") or tok.is_keyword("controlled")):
+            raise self._error(
+                f"expected a specialization (body/adjoint/controlled), found {self._describe()}",
+                diag.MISSING_SPECIALIZATION_BODY,
+            )
+        start = self._advance().span
+        kind = SpecKind(tok.lexeme)
+        if self._at_keyword("controlled" if kind is SpecKind.ADJOINT else "adjoint"):
+            self._advance()
+            kind = SpecKind.CONTROLLED_ADJOINT
+        ctl = kind is not SpecKind.ADJOINT
         if self._at_keyword("auto"):
             end = self._advance().span
             return SpecDecl(start.union(end), kind, SpecImpl.AUTO)
@@ -475,51 +442,25 @@ class Parser:
         start = self._expect_symbol("{").span
         stmts: list[Stmt] = []
         while not self._at_symbol("}") and not self._at_eof():
-            try:
-                stmts.append(self._parse_statement())
-            except _ParseError:
-                self._sync_statement()
+            stmt = self._parse_statement()
+            if stmt is not None:
+                stmts.append(stmt)
         end = self._expect_symbol("}").span
         return Block(start.union(end), stmts)
 
-    def _sync_statement(self) -> None:
-        depth = 0
-        while not self._at_eof():
-            tok = self._current()
-            if tok.is_symbol(";") and depth == 0:
-                self._advance()
-                return
-            if tok.is_symbol("{"):
-                depth += 1
-            elif tok.is_symbol("}"):
-                if depth == 0:
-                    return
-                depth -= 1
-            self._advance()
-
-    def _parse_statement(self) -> Stmt:
-        tok = self._current()
-        if tok.is_keyword("let"):
-            return self._parse_let()
-        if tok.is_keyword("mutable"):
-            return self._parse_mutable()
-        if tok.is_keyword("set"):
-            return self._parse_set()
-        if tok.is_keyword("if"):
-            return self._parse_if()
-        if tok.is_keyword("for"):
-            return self._parse_for()
-        if tok.is_keyword("repeat"):
-            return self._parse_repeat()
-        if tok.is_keyword("return"):
-            return self._parse_return()
-        if tok.is_keyword("fail"):
-            return self._parse_fail()
-        if tok.is_keyword("using") or tok.is_keyword("borrowing"):
-            return self._parse_allocate()
-        expr = self.parse_expression()
-        end = self._expect_symbol(";").span
-        return ExprStmt(expr.span.union(end), expr)
+    def _parse_statement(self) -> Stmt | None:
+        """One statement; None after an error, with the input skipped past
+        the statement's ``;``."""
+        try:
+            parse = self._STATEMENTS.get(self._current().lexeme)
+            if parse is not None:
+                return parse(self)
+            expr = self.parse_expression()
+            end = self._expect_symbol(";").span
+            return ExprStmt(expr.span.union(end), expr)
+        except _ParseError:
+            self._skip(frozenset({";"}))
+            return None
 
     def _parse_let(self) -> LetStmt:
         start = self._expect_keyword("let").span
@@ -532,55 +473,34 @@ class Parser:
     def _parse_pattern(self) -> Pattern:
         if self._at_symbol("("):
             start = self._advance().span
-            items: list[Pattern] = []
-            if not self._at_symbol(")"):
-                while True:
-                    items.append(self._parse_pattern())
-                    if self._at_symbol(","):
-                        self._advance()
-                        continue
-                    break
-            end = self._expect_symbol(")").span
+            items, end = self._list(self._parse_pattern, ")")
             if len(items) == 1:
                 return items[0]
             return TuplePattern(start.union(end), items)
         tok = self._expect_ident("binding name")
         return NamePattern(tok.span, tok.lexeme)
 
-    def _parse_mutable(self) -> MutableStmt:
-        start = self._expect_keyword("mutable").span
+    def _parse_mutable_or_set(self) -> MutableStmt | SetStmt:
+        kw = self._advance()
         name_tok = self._expect_ident("binding name")
         self._expect_symbol("=")
         value = self.parse_expression()
         end = self._expect_symbol(";").span
-        return MutableStmt(start.union(end), name_tok.lexeme, value)
-
-    def _parse_set(self) -> SetStmt:
-        start = self._expect_keyword("set").span
-        name_tok = self._expect_ident("binding name")
-        self._expect_symbol("=")
-        value = self.parse_expression()
-        end = self._expect_symbol(";").span
-        return SetStmt(start.union(end), name_tok.lexeme, value)
+        node = MutableStmt if kw.lexeme == "mutable" else SetStmt
+        return node(kw.span.union(end), name_tok.lexeme, value)
 
     def _parse_if(self) -> IfStmt:
-        start = self._expect_keyword("if").span
+        start = self._current().span
         branches: list[tuple[Expr, Block]] = []
-        self._expect_symbol("(")
-        cond = self.parse_expression()
-        self._expect_symbol(")")
-        block = self._parse_block()
-        branches.append((cond, block))
-        end = block.span
-        else_block = None
-        while self._at_keyword("elif"):
-            self._advance()
+        while not branches or self._at_keyword("elif"):
+            self._advance()  # `if`, then each `elif`
             self._expect_symbol("(")
             cond = self.parse_expression()
             self._expect_symbol(")")
             block = self._parse_block()
             branches.append((cond, block))
-            end = block.span
+        end = block.span
+        else_block = None
         if self._at_keyword("else"):
             self._advance()
             else_block = self._parse_block()
@@ -608,17 +528,12 @@ class Parser:
         fixup = self._parse_block()
         return RepeatStmt(start.union(fixup.span), body, condition, fixup)
 
-    def _parse_return(self) -> ReturnStmt:
-        start = self._expect_keyword("return").span
+    def _parse_return_or_fail(self) -> ReturnStmt | FailStmt:
+        kw = self._advance()
         value = self.parse_expression()
         end = self._expect_symbol(";").span
-        return ReturnStmt(start.union(end), value)
-
-    def _parse_fail(self) -> FailStmt:
-        start = self._expect_keyword("fail").span
-        message = self.parse_expression()
-        end = self._expect_symbol(";").span
-        return FailStmt(start.union(end), message)
+        node = ReturnStmt if kw.lexeme == "return" else FailStmt
+        return node(kw.span.union(end), value)
 
     def _parse_allocate(self) -> AllocateStmt:
         kw = self._advance()
@@ -646,6 +561,19 @@ class Parser:
             kw.span.union(body.span), name_tok.lexeme, name_tok.span, count, body, borrowing
         )
 
+    _STATEMENTS = {
+        "let": _parse_let,
+        "mutable": _parse_mutable_or_set,
+        "set": _parse_mutable_or_set,
+        "if": _parse_if,
+        "for": _parse_for,
+        "repeat": _parse_repeat,
+        "return": _parse_return_or_fail,
+        "fail": _parse_return_or_fail,
+        "using": _parse_allocate,
+        "borrowing": _parse_allocate,
+    }
+
     # ── Expressions ──────────────────────────────────────────────────────
 
     def parse_expression(self) -> Expr:
@@ -668,7 +596,7 @@ class Parser:
         return RangeExpr(first.span.union(second.span), start=first, step=None, end=second)
 
     def _parse_binary(self, min_bp: int) -> Expr:
-        left = self._parse_unary()
+        left = self._parse_prefixed()
         while True:
             tok = self._current()
             if tok.kind is not TokenKind.SYMBOL:
@@ -682,23 +610,22 @@ class Parser:
                 left.span.union(right.span), op=tok.lexeme, left=left, right=right
             )
 
-    def _parse_unary(self) -> Expr:
-        tok = self._current()
-        if tok.kind is TokenKind.SYMBOL and tok.lexeme in ("-", "!", "~"):
-            self._advance()
-            operand = self._parse_unary()
-            return UnaryExpr(tok.span.union(operand.span), op=tok.lexeme, operand=operand)
-        return self._parse_functor()
-
-    def _parse_functor(self) -> Expr:
-        tok = self._current()
-        if tok.kind is TokenKind.IDENT and tok.lexeme in ("Adjoint", "Controlled"):
-            self._advance()
-            operand = self._parse_functor()
-            return FunctorExpr(
-                tok.span.union(operand.span), functor=tok.lexeme, operand=operand
-            )
-        return self._parse_postfix()
+    def _parse_prefixed(self) -> Expr:
+        """Unary operators, then functors, then a postfix expression; the
+        prefixes are collected in a loop, so they cost no recursion."""
+        prefixes: list[Token] = []
+        while self._current().lexeme in ("-", "!", "~"):
+            prefixes.append(self._advance())
+        while self._current().lexeme in _FUNCTORS:
+            prefixes.append(self._advance())
+        expr = self._parse_postfix()
+        for tok in reversed(prefixes):
+            span = tok.span.union(expr.span)
+            if tok.lexeme in _FUNCTORS:
+                expr = FunctorExpr(span, functor=tok.lexeme, operand=expr)
+            else:
+                expr = UnaryExpr(span, op=tok.lexeme, operand=expr)
+        return expr
 
     def _parse_postfix(self) -> Expr:
         start = self._current().span  # a parenthesized primary starts at its "("
@@ -706,15 +633,7 @@ class Parser:
         while True:
             if self._at_symbol("("):
                 self._advance()
-                args: list[Expr] = []
-                if not self._at_symbol(")"):
-                    while True:
-                        args.append(self.parse_expression())
-                        if self._at_symbol(","):
-                            self._advance()
-                            continue
-                        break
-                end = self._expect_symbol(")").span
+                args, end = self._list(self.parse_expression, ")")
                 expr = CallExpr(start.union(end), callee=expr, args=args)
             elif self._at_symbol("["):
                 self._advance()
@@ -746,10 +665,16 @@ class Parser:
         if tok.is_symbol("_"):
             self._advance()
             return Hole(tok.span)
-        if tok.is_symbol("("):
-            return self._parse_paren()
         if tok.is_symbol("["):
-            return self._parse_array()
+            self._advance()
+            items, end = self._list(self.parse_expression, "]", sep=";")
+            return ArrayExpr(tok.span.union(end), items=items)
+        if tok.is_symbol("("):
+            self._advance()
+            items, end = self._list(self.parse_expression, ")")
+            if len(items) == 1:
+                return items[0]  # a parenthesized expression: no 1-tuples
+            return TupleExpr(tok.span.union(end), items=items)
         if tok.kind is TokenKind.IDENT:
             if tok.lexeme in self._PAULI_NAMES:
                 self._advance()
@@ -762,34 +687,6 @@ class Parser:
             end = self.tokens[self.pos - 1].span
             return Name(start.union(end), name=name)
         raise self._error(f"expected an expression, found {self._describe()}")
-
-    def _parse_paren(self) -> Expr:
-        start = self._expect_symbol("(").span
-        if self._at_symbol(")"):
-            end = self._advance().span
-            return TupleExpr(start.union(end), items=[])
-        items = [self.parse_expression()]
-        while self._at_symbol(","):
-            self._advance()
-            items.append(self.parse_expression())
-        end = self._expect_symbol(")").span
-        if len(items) == 1:
-            # Parenthesized expression: singleton tuples do not exist.
-            return items[0]
-        return TupleExpr(start.union(end), items=items)
-
-    def _parse_array(self) -> Expr:
-        start = self._expect_symbol("[").span
-        items: list[Expr] = []
-        if not self._at_symbol("]"):
-            while True:
-                items.append(self.parse_expression())
-                if self._at_symbol(";"):
-                    self._advance()
-                    continue
-                break
-        end = self._expect_symbol("]").span
-        return ArrayExpr(start.union(end), items=items)
 
     def _parse_interpolation(self, tok: Token) -> InterpString:
         """Split a ``$"..."`` token at the holes the lexer's scan finds and
@@ -811,24 +708,18 @@ class Parser:
                     )
                 )
                 return InterpString(tok.span, parts=parts)
-            parts.append(self._parse_embedded(body[start + 1 : end], base + start + 1))
+            expr, diags = _parse_whole_expression(
+                body[start + 1 : end],
+                self.file,
+                base + start + 1,
+                "unexpected trailing tokens in interpolation hole",
+            )
+            self.diagnostics.extend(diags)
+            parts.append(expr)
             at = end + 1
         if at < len(body):
             parts.append(_unescape(body[at:]))
         return InterpString(tok.span, parts=parts)
-
-    def _parse_embedded(self, text: str, offset: int) -> Expr:
-        tokens, lex_diags = lex(text, self.file, offset)
-        self.diagnostics.extend(lex_diags)
-        sub = Parser(tokens, self.file)
-        try:
-            expr = sub.parse_expression()
-            if not sub._at_eof():
-                sub._error("unexpected trailing tokens in interpolation hole")
-        except _ParseError:
-            expr = TupleExpr(Span(offset, offset + len(text)), items=[])
-        self.diagnostics.extend(sub.diagnostics)
-        return expr
 
     # ── Types ────────────────────────────────────────────────────────────
 
@@ -868,36 +759,32 @@ class Parser:
             functors: list[str] = []
             if is_operation and self._at_symbol(":"):
                 self._advance()
-                while True:
-                    f = self._expect_ident("functor name")
-                    if f.lexeme not in ("Adjoint", "Controlled"):
-                        self.diagnostics.append(
-                            diag.error(
-                                diag.UNEXPECTED_TOKEN,
-                                f"unknown functor {f.lexeme!r}",
-                                f.span,
-                                self.file,
-                            )
-                        )
-                    else:
-                        functors.append(f.lexeme)
-                    if self._at_symbol(","):
-                        self._advance()
-                        continue
-                    break
-            end = self._expect_symbol(")").span
+                name = self._parse_functor_name()
+                names, end = self._list(self._parse_functor_name, ")", first=name)
+                functors = [f.lexeme for f in names if f.lexeme in _FUNCTORS]
+            else:
+                end = self._expect_symbol(")").span
             return CallableTypeNode(
                 start.union(end), is_operation, first, output, functors
             )
-        if self._at_symbol(","):
-            items = [first]
-            while self._at_symbol(","):
-                self._advance()
-                items.append(self._parse_type())
-            end = self._expect_symbol(")").span
-            return TupleTypeNode(start.union(end), items)
-        self._expect_symbol(")")
-        return first  # parenthesized type: (T) is T
+        items, end = self._list(self._parse_type, ")", first=first)
+        if len(items) == 1:
+            return first  # parenthesized type: (T) is T
+        return TupleTypeNode(start.union(end), items)
+
+    def _parse_functor_name(self) -> Token:
+        """A name in an operation type's functor list; an unknown one is reported."""
+        f = self._expect_ident("functor name")
+        if f.lexeme not in _FUNCTORS:
+            self.diagnostics.append(
+                diag.error(
+                    diag.UNEXPECTED_TOKEN,
+                    f"unknown functor {f.lexeme!r}",
+                    f.span,
+                    self.file,
+                )
+            )
+        return f
 
 
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
@@ -919,12 +806,20 @@ def parse_program(text: str, file: str = "<input>") -> tuple[Program, list[Diagn
 
 
 def parse_expression(text: str, file: str = "<input>") -> tuple[Expr, list[Diagnostic]]:
-    tokens, lex_diags = tokenize(text, file)
+    return _parse_whole_expression(text, file, 0, "unexpected trailing tokens")
+
+
+def _parse_whole_expression(
+    text: str, file: str, offset: int, trailing: str
+) -> tuple[Expr, list[Diagnostic]]:
+    """Parse ``text``, the part of ``file`` at ``offset``, as one expression;
+    anything after it is reported with the message ``trailing``."""
+    tokens, diagnostics = lex(text, file, offset)
     parser = Parser(tokens, file)
     try:
         expr = parser.parse_expression()
         if not parser._at_eof():
-            parser._error("unexpected trailing tokens")
+            parser._error(trailing)
     except _ParseError:
-        expr = TupleExpr(Span(0, len(text)), items=[])
-    return expr, lex_diags + parser.diagnostics
+        expr = TupleExpr(Span(offset, offset + len(text)), items=[])
+    return expr, diagnostics + parser.diagnostics

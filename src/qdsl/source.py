@@ -16,10 +16,6 @@ class Span:
     def union(self, other: Span) -> Span:
         return Span(min(self.start, other.start), max(self.end, other.end))
 
-    @property
-    def empty(self) -> bool:
-        return self.end <= self.start
-
 
 class SourceFile:
     """One compilation unit: a name plus its full text.
@@ -48,6 +44,3 @@ class SourceFile:
         offset = max(0, min(offset, len(self.text)))
         line = bisect.bisect_right(starts, offset) - 1
         return line + 1, offset - starts[line] + 1
-
-    def snippet(self, span: Span) -> str:
-        return self.text[span.start : span.end]

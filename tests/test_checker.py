@@ -8,7 +8,8 @@ type an expression is given, and how scopes interact.
 import pytest
 
 from qdsl import types as ty
-from qdsl.ast_nodes import FunctorExpr, walk
+from qdsl.ast_nodes import FunctorExpr, IntLit, walk
+from qdsl.compiler import compile_snippet
 from conftest import compile_errors, compile_ok, get_symbol
 
 
@@ -180,6 +181,22 @@ newtype Pair = (Int, Int);
 function First (p : Pair) : Int { return 0; }
 function Main () : Int { let g = First(_, 2); return g(7); }""")
     assert codes == ["partial-shape-mismatch"]
+
+
+def test_a_failed_partial_application_still_checks_its_given_arguments():
+    codes = compile_errors("""
+function F (a : Int) : Int { return a; }
+function Main () : Int { let g = F(nope, _); return 0; }""")
+    assert codes == ["partial-shape-mismatch", "name-not-found"]
+
+
+def test_an_unknown_callee_still_types_the_items_of_a_hole_bearing_tuple():
+    result = compile_snippet(
+        "function Main () : Int { let g = G(nope, (1, _)); return 0; }"
+    )
+    assert [d.code for d in result.errors] == ["name-not-found", "name-not-found"]
+    program = result.units[-1][1]
+    assert [n.ty for n in walk(program) if isinstance(n, IntLit)] == [ty.INT, ty.INT]
 
 
 def test_wrong_arity_given_tuple_has_one_code_in_calls_and_partials():

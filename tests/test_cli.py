@@ -50,7 +50,7 @@ namespace Demo {
 """
 
 
-def qdsl(*argv, env_extra=None, cwd=None):
+def qdsl(*argv, env_extra=None, cwd=None, timeout=None):
     env = {k: v for k, v in os.environ.items() if not k.startswith("QDSL_")}
     if env_extra:
         env.update(env_extra)
@@ -60,6 +60,7 @@ def qdsl(*argv, env_extra=None, cwd=None):
         text=True,
         env=env,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -564,6 +565,62 @@ namespace Demo {{
     assert proc.returncode == 3
     assert "call depth exceeded the limit of 1000" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+NAMESPACE_IN_A_NAMESPACE = {
+    "nested": (
+        "namespace A {\n    namespace B {\n    }\n}\n",
+        [
+            "2:5: error: expected '}', found 'namespace' [unexpected-token]",
+            "4:1: error: expected a declaration, found '}' [unexpected-token]",
+        ],
+    ),
+    "unclosed": (
+        "namespace A {\n    function F () : Int {\n        return 1;\n    }\n\n"
+        "namespace B {\n    function G () : Int { return 2; }\n}\n",
+        ["6:1: error: expected '}', found 'namespace' [unexpected-token]"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMESPACE_IN_A_NAMESPACE))
+def test_a_namespace_keyword_ends_the_open_namespace(tmp_path, case):
+    # The declaration loop used to stop at the keyword without consuming it,
+    # so `qdsl check` looped forever, adding one diagnostic per turn.
+    source, lines = NAMESPACE_IN_A_NAMESPACE[case]
+    path = tmp_path / f"{case}.qds"
+    path.write_text(source)
+    proc = qdsl("check", str(path), timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"{path}:{line}" for line in lines]
+
+
+DEEP_PROGRAMS = {
+    "parentheses": "return " + "(" * 400 + "1" + ")" * 400 + ";",
+    "sum": "return " + " + ".join(["1"] * 1000) + ";",
+    "ifs": "if (true) { " * 250 + "}" * 250 + " return 1;",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_PROGRAMS))
+def test_nesting_past_the_recursion_limit_is_a_diagnostic(tmp_path, name):
+    path = tmp_path / f"{name}.qds"
+    path.write_text(
+        "namespace Deep { operation Main () : Int { body { "
+        + DEEP_PROGRAMS[name]
+        + " } } }"
+    )
+    proc = qdsl("check", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"{path}:1:1: error: expressions or blocks are nested too deeply "
+        "to compile [nesting-too-deep]\n"
+    )
+    proc = qdsl("run", "--json", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [found] = json.loads(proc.stdout)["diagnostics"]
+    assert found["code"] == "nesting-too-deep"
 
 
 def test_elide_diagnostics_flag(tmp_path):

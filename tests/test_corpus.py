@@ -21,6 +21,16 @@ CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 ACCEPT = sorted(os.listdir(os.path.join(CORPUS, "accept")))
 REJECT = sorted(os.listdir(os.path.join(CORPUS, "reject")))
 
+# Rejections built here rather than stored in the corpus, whose files are also
+# the compile_corpus benchmark's input: code -> program.
+GENERATED_REJECT = {
+    diag.NESTING_TOO_DEEP: "namespace Deep { function F () : Int { return "
+    + "(" * 400
+    + "1"
+    + ")" * 400
+    + "; } }",
+}
+
 
 def load_accept(name: str) -> tuple[str, tuple[str, ...]]:
     with open(os.path.join(CORPUS, "accept", name), encoding="utf-8") as handle:
@@ -62,7 +72,13 @@ def test_reject_corpus_covers_every_error_code():
         with open(os.path.join(CORPUS, "reject", name), encoding="utf-8") as handle:
             first = handle.read().splitlines()[0]
         expected.add(first.split("// expect:")[1].strip())
-    assert expected == set(diag.ALL_CODES)
+    assert expected | set(GENERATED_REJECT) == set(diag.ALL_CODES)
+
+
+@pytest.mark.parametrize("code", sorted(GENERATED_REJECT))
+def test_generated_reject_produces_its_code(code):
+    result = compile_units([("generated.qds", GENERATED_REJECT[code])])
+    assert [d.code for d in result.errors] == [code]
 
 
 @pytest.mark.parametrize("name", ACCEPT)

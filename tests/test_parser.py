@@ -30,6 +30,7 @@ from qdsl.ast_nodes import (
 from qdsl.lexer import scan_interp_string, tokenize
 from qdsl.parser import parse_expression, parse_program
 from qdsl.pretty import pretty_print
+import parser_sweep
 
 
 def expr(text):
@@ -338,3 +339,20 @@ def test_expression_round_trip(text):
     printed = pretty_print(node)
     reparsed = expr(printed)
     assert structurally_equal(node, reparsed), printed
+
+
+# ── Token-mutation sample ────────────────────────────────────────────────────
+
+
+def test_token_mutation_sample_terminates_cleanly():
+    # A sample of `tests/parser_sweep.py`, each parse under a 1 s timer: every
+    # input that adds a `namespace` keyword or mutates the file with two
+    # namespaces (the declaration loop used to hang on those), and every 10th
+    # of the rest.
+    found = [
+        problem
+        for i, (label, text) in enumerate(parser_sweep.inputs())
+        if "'namespace'" in label or "ambiguous_name" in label or i % 10 == 0
+        for problem in parser_sweep.problems(label, text)
+    ]
+    assert found == []
