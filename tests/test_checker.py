@@ -135,6 +135,37 @@ namespace T {
     assert "missing-variant" in codes
 
 
+@pytest.mark.parametrize(
+    "specs, message",
+    [
+        (
+            "adjoint auto controlled auto",
+            "an operation with both adjoint and controlled specializations "
+            "must also declare controlled adjoint",
+        ),
+        (
+            "adjoint auto controlled adjoint auto",
+            "a controlled adjoint specialization requires both adjoint and "
+            "controlled specializations",
+        ),
+        (
+            "controlled auto controlled adjoint auto",
+            "a controlled adjoint specialization requires both adjoint and "
+            "controlled specializations",
+        ),
+    ],
+)
+def test_specialization_combination_is_reported_at_the_name(specs, message):
+    text = (
+        "namespace T { open Microsoft.Quantum.Primitive;\n"
+        "operation Op (q : Qubit) : () { body { X(q); } " + specs + " } }"
+    )
+    result = compile_snippet(text)
+    assert [
+        (d.code, d.message, text[d.span.start : d.span.end]) for d in result.errors
+    ] == [("specialization-mismatch", message, "Op")]
+
+
 # ── Partial application ──────────────────────────────────────────────────────
 
 

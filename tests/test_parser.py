@@ -5,6 +5,7 @@ Expected trees were derived by hand from the grammar's precedence table
 loosest; `&&`/`||` sit below comparisons, which sit below arithmetic).
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -339,6 +340,48 @@ def test_expression_round_trip(text):
     printed = pretty_print(node)
     reparsed = expr(printed)
     assert structurally_equal(node, reparsed), printed
+
+
+# ── Specializations ──────────────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (
+            "controlled self",
+            ("a controlled specialization cannot be 'self'", "self"),
+        ),
+        (
+            "controlled { X(q); }",
+            (
+                "expected 'auto', 'self', or a specialization body after 'controlled'",
+                "{",
+            ),
+        ),
+        (
+            "adjoint (c) { X(q); }",
+            (
+                "expected 'auto', 'self', or a specialization body after 'adjoint'",
+                "(",
+            ),
+        ),
+    ],
+)
+def test_malformed_specialization_is_reported_at_its_token(spec, expected):
+    text = (
+        "namespace N { operation O (q : Qubit) : () { body { X(q); } "
+        + spec
+        + " } }"
+    )
+    _, diags = parse_program(text)
+    message, at = expected
+    first = diags[0]  # recovery may report more after it
+    assert (first.code, first.message, text[first.span.start : first.span.end]) == (
+        diag.MISSING_SPECIALIZATION_BODY,
+        message,
+        at,
+    )
 
 
 # ── Token-mutation sample ────────────────────────────────────────────────────

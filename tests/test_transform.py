@@ -207,6 +207,57 @@ namespace T {
     assert "(Controlled X)(ctls2, q);" in text
 
 
+# Each case takes `ctls` (and the last also `ctls1`) in a different way:
+# (parameters before `q`, statements before `X(q);` in the body, the
+# specializations after the body, the generated register name).
+_AUTO = "controlled auto"
+_ADJOINT_USING = (
+    "adjoint {{ {} (ctls = Qubit()) {{ }} X(q); }} controlled auto "
+    "controlled adjoint (cs) {{ (Controlled X)(cs, q); }}"
+)
+
+
+@pytest.mark.parametrize(
+    "params, stmts, specs, name",
+    [
+        ("(a : Int, (b : Int, ctls : Int)), ", "", _AUTO, "ctls1"),
+        ("", "let (a, ctls) = (1, 2);", _AUTO, "ctls1"),
+        ("", "mutable ctls = 0;", _AUTO, "ctls1"),
+        ("", "for (ctls in 0 .. 1) { }", _AUTO, "ctls1"),
+        ("", "", _ADJOINT_USING.format("using"), "ctls1"),
+        ("", "", _ADJOINT_USING.format("borrowing"), "ctls1"),
+        (
+            "",
+            "",
+            "adjoint auto controlled (ctls) { X(q); } "
+            "controlled adjoint auto",
+            "ctls1",
+        ),
+        ("", "let a = ctls();", _AUTO, "ctls1"),
+        ("", "mutable ctls = 0; for (ctls1 in 0 .. 1) { }", _AUTO, "ctls2"),
+    ],
+)
+def test_control_register_name_skips_every_name_the_callable_uses(
+    params, stmts, specs, name
+):
+    result = compile_ok(f"""
+namespace T {{
+    open Microsoft.Quantum.Primitive;
+    function ctls () : Int {{ return 0; }}
+    operation Op ({params}q : Qubit) : () {{
+        body {{
+            {stmts}
+            X(q);
+        }}
+        {specs}
+    }}
+}}""")
+    sym = get_symbol(result, "T.Op")
+    [entry] = [e for e in sym.specializations.values() if e.generated and e.ctl_param]
+    assert entry.ctl_param == name
+    assert f"X)({name}, q);" in pretty_print(entry.block)
+
+
 def test_controlled_adjoint_controls_the_reversed_body():
     result = compile_ok("""
 namespace T {
