@@ -282,6 +282,14 @@ class SpecKind(Enum):
     CONTROLLED = "controlled"
     CONTROLLED_ADJOINT = "controlled adjoint"
 
+    @property
+    def adjoint(self) -> bool:
+        return self.value.endswith("adjoint")
+
+    @property
+    def controlled(self) -> bool:
+        return self.value.startswith("controlled")
+
 
 class SpecImpl(Enum):
     PROVIDED = "provided"

@@ -54,7 +54,6 @@ from .ast_nodes import (
     ResultLit,
     ReturnStmt,
     SetStmt,
-    SpecImpl,
     SpecKind,
     Stmt,
     StringLit,
@@ -288,38 +287,27 @@ class Checker:
 
     @staticmethod
     def _declared_variants(decl: CallableDecl) -> frozenset[str]:
-        if not decl.is_operation:
-            return frozenset()
-        variants = set()
-        for spec in decl.specs:
-            if spec.kind in (SpecKind.ADJOINT, SpecKind.CONTROLLED_ADJOINT):
-                variants.add(ty.ADJOINT)
-            if spec.kind in (SpecKind.CONTROLLED, SpecKind.CONTROLLED_ADJOINT):
-                variants.add(ty.CONTROLLED)
-        return frozenset(variants)
+        return frozenset(
+            variant
+            for s in decl.specs
+            for variant, has in (
+                (ty.ADJOINT, s.kind.adjoint),
+                (ty.CONTROLLED, s.kind.controlled),
+            )
+            if has
+        )
 
     def _validate_spec_combination(self, decl: CallableDecl, file: str) -> None:
-        if not decl.is_operation:
-            return
         kinds = {s.kind for s in decl.specs}
-        has_a = SpecKind.ADJOINT in kinds
-        has_c = SpecKind.CONTROLLED in kinds
         has_ca = SpecKind.CONTROLLED_ADJOINT in kinds
-        if has_ca and not (has_a and has_c):
+        if has_ca != (SpecKind.ADJOINT in kinds and SpecKind.CONTROLLED in kinds):
             self.diagnostics.append(
                 diag.error(
                     diag.SPECIALIZATION_MISMATCH,
                     "a controlled adjoint specialization requires both adjoint "
-                    "and controlled specializations",
-                    decl.name_span,
-                    file,
-                )
-            )
-        elif has_a and has_c and not has_ca:
-            self.diagnostics.append(
-                diag.error(
-                    diag.SPECIALIZATION_MISMATCH,
-                    "an operation with both adjoint and controlled "
+                    "and controlled specializations"
+                    if has_ca
+                    else "an operation with both adjoint and controlled "
                     "specializations must also declare controlled adjoint",
                     decl.name_span,
                     file,
@@ -508,17 +496,9 @@ class Checker:
         if not isinstance(sym, CallableSymbol) or sym.decl is not decl:
             return
         for spec in decl.specs:
-            if spec.impl is not SpecImpl.PROVIDED or spec.block is None:
-                continue
-            needs_ctl = spec.kind in (SpecKind.CONTROLLED, SpecKind.CONTROLLED_ADJOINT)
-            self.check_specialization_block(
-                sym, spec.block, spec.ctl_param if needs_ctl else None, file
-            )
-        if not any(
-            s.kind is SpecKind.BODY and s.impl is SpecImpl.PROVIDED for s in decl.specs
-        ):
-            return
-        body = next(s.block for s in decl.specs if s.kind is SpecKind.BODY)
+            if spec.block is not None:
+                self.check_specialization_block(sym, spec.block, spec.ctl_param, file)
+        body = next((s.block for s in decl.specs if s.kind is SpecKind.BODY), None)
         if (
             sym.output != ty.UNIT
             and not _is_error(sym.output)
@@ -541,7 +521,6 @@ class Checker:
         block: Block,
         ctl_param: str | None,
         file: str,
-        output: ty.Type | None = None,
     ) -> list[Diagnostic]:
         """Type-check one specialization body in the callable's scope.
 
@@ -556,7 +535,7 @@ class Checker:
             file,
             self.diagnostics,
             rigid_params=frozenset(sym.type_params),
-            output=output if output is not None else sym.output,
+            output=sym.output,
             in_function=not sym.is_operation,
         )
         scope = Scope()

@@ -404,33 +404,25 @@ class Parser:
         if self._at_keyword("controlled" if kind is SpecKind.ADJOINT else "adjoint"):
             self._advance()
             kind = SpecKind.CONTROLLED_ADJOINT
-        ctl = kind is not SpecKind.ADJOINT
-        if self._at_keyword("auto"):
-            end = self._advance().span
-            return SpecDecl(start.union(end), kind, SpecImpl.AUTO)
-        if self._at_keyword("self"):
-            end = self._advance().span
-            if kind is SpecKind.CONTROLLED:
-                self.diagnostics.append(
-                    diag.error(
-                        diag.MISSING_SPECIALIZATION_BODY,
+        for impl in (SpecImpl.AUTO, SpecImpl.SELF):
+            if self._at_keyword(impl.value):
+                if impl is SpecImpl.SELF and kind is SpecKind.CONTROLLED:
+                    self._error(
                         "a controlled specialization cannot be 'self'",
-                        end,
-                        self.file,
+                        diag.MISSING_SPECIALIZATION_BODY,
                     )
-                )
-            return SpecDecl(start.union(end), kind, SpecImpl.SELF)
-        if ctl and self._at_symbol("("):
-            self._advance()
-            name_tok = self._expect_ident("control register name")
-            self._expect_symbol(")")
+                end = self._advance().span
+                return SpecDecl(start.union(end), kind, impl)
+        if self._at_symbol("(" if kind.controlled else "{"):
+            ctl_param = None
+            if kind.controlled:
+                self._advance()
+                ctl_param = self._expect_ident("control register name").lexeme
+                self._expect_symbol(")")
             block = self._parse_block()
             return SpecDecl(
-                start.union(block.span), kind, SpecImpl.PROVIDED, block, name_tok.lexeme
+                start.union(block.span), kind, SpecImpl.PROVIDED, block, ctl_param
             )
-        if not ctl and self._at_symbol("{"):
-            block = self._parse_block()
-            return SpecDecl(start.union(block.span), kind, SpecImpl.PROVIDED, block)
         raise self._error(
             f"expected 'auto', 'self', or a specialization body after '{kind.value}'",
             diag.MISSING_SPECIALIZATION_BODY,

@@ -239,15 +239,11 @@ def _render_stmt(w: _Writer, stmt: Stmt) -> None:
 
 
 def _render_spec(w: _Writer, spec: SpecDecl) -> None:
-    kind = spec.kind.value  # "body", "adjoint", "controlled", "controlled adjoint"
-    if spec.impl is SpecImpl.AUTO:
-        w.line(f"{kind} auto")
-    elif spec.impl is SpecImpl.SELF:
-        w.line(f"{kind} self")
-    elif spec.ctl_param is not None:
-        _render_block(w, spec.block, f"{kind} ({spec.ctl_param}) {{")
+    if spec.impl is not SpecImpl.PROVIDED:
+        w.line(f"{spec.kind.value} {spec.impl.value}")
     else:
-        _render_block(w, spec.block, f"{kind} {{")
+        ctl = "" if spec.ctl_param is None else f" ({spec.ctl_param})"
+        _render_block(w, spec.block, f"{spec.kind.value}{ctl} {{")
 
 
 def _render_decl(w: _Writer, decl) -> None:

@@ -33,6 +33,7 @@ the runtime and the CLI look a variant up and never see `self` or `auto`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Optional
 
 from . import diagnostics as diag
@@ -52,9 +53,11 @@ from .ast_nodes import (
     MutableStmt,
     Name,
     NamePattern,
+    ParamLeaf,
     RepeatStmt,
     ReturnStmt,
     SetStmt,
+    SpecDecl,
     SpecImpl,
     SpecKind,
     Stmt,
@@ -167,6 +170,18 @@ def _if_stmt(stmt: IfStmt, code: str, rewrite: Callable[[Block], Block]) -> IfSt
     return IfStmt(stmt.span, branches, else_block)
 
 
+def _for_stmt(
+    stmt: ForStmt, code: str, rewrite: Callable[[Block], Block], reverse: bool = False
+) -> ForStmt:
+    """Rewrite a loop's body; the inverse also walks its range backwards."""
+    _require_classical(stmt.iterable, code, "a loop range here")
+    iterable = stmt.iterable
+    if reverse:
+        callee = Name(iterable.span, name=REVERSED_RANGE)
+        iterable = CallExpr(iterable.span, callee=callee, args=[iterable])
+    return ForStmt(stmt.span, stmt.var, stmt.var_span, iterable, rewrite(stmt.body))
+
+
 # ── Adjoint generation ───────────────────────────────────────────────────────
 
 
@@ -192,15 +207,7 @@ def _adjoint_stmt(stmt: Stmt) -> Stmt:
     if isinstance(stmt, IfStmt):
         return _if_stmt(stmt, code, adjoint_block)
     if isinstance(stmt, ForStmt):
-        _require_classical(stmt.iterable, code, "a loop range here")
-        reversed_range = CallExpr(
-            stmt.iterable.span,
-            callee=Name(stmt.iterable.span, name=REVERSED_RANGE),
-            args=[stmt.iterable],
-        )
-        return ForStmt(
-            stmt.span, stmt.var, stmt.var_span, reversed_range, adjoint_block(stmt.body)
-        )
+        return _for_stmt(stmt, code, adjoint_block, reverse=True)
     raise _ineligible(stmt, code, "adjoint")
 
 
@@ -232,14 +239,7 @@ def _controlled_stmt(stmt: Stmt, ctl: str) -> Stmt:
     if isinstance(stmt, IfStmt):
         return _if_stmt(stmt, code, lambda block: controlled_block(block, ctl))
     if isinstance(stmt, ForStmt):
-        _require_classical(stmt.iterable, code, "a loop range here")
-        return ForStmt(
-            stmt.span,
-            stmt.var,
-            stmt.var_span,
-            stmt.iterable,
-            controlled_block(stmt.body, ctl),
-        )
+        return _for_stmt(stmt, code, lambda block: controlled_block(block, ctl))
     if isinstance(stmt, FailStmt):
         _require_classical(stmt.message, code, "a fail message here")
         return stmt
@@ -260,33 +260,18 @@ def _controlled_call(call: CallExpr, ctl: str) -> CallExpr:
 
 
 def fresh_control_name(decl: CallableDecl) -> str:
-    taken: set[str] = set()
-
-    def collect_params(item) -> None:
-        if hasattr(item, "name"):
-            taken.add(item.name)
-        if hasattr(item, "items"):
-            for sub in item.items:
-                collect_params(sub)
-
-    collect_params(decl.params)
-    for spec in decl.specs:
-        if spec.ctl_param:
-            taken.add(spec.ctl_param)
-        if spec.block is not None:
-            for node in walk(spec.block):
-                if isinstance(node, Name):
-                    taken.add(node.name)
-                elif isinstance(node, (NamePattern, ForStmt, MutableStmt)):
-                    taken.add(node.var if isinstance(node, ForStmt) else node.name)
-                elif isinstance(node, AllocateStmt):
-                    taken.add(node.name)
-    name = "ctls"
-    counter = 1
-    while name in taken:
-        name = f"ctls{counter}"
-        counter += 1
-    return name
+    """`ctls`, else the first of `ctls1`, `ctls2`, ... that the callable
+    does not use as a parameter, binding, register or referenced name."""
+    taken: set[Optional[str]] = set()
+    for node in walk([decl.params, decl.specs]):
+        if isinstance(node, (Name, ParamLeaf, NamePattern, MutableStmt, AllocateStmt)):
+            taken.add(node.name)
+        elif isinstance(node, ForStmt):
+            taken.add(node.var)
+        elif isinstance(node, SpecDecl):
+            taken.add(node.ctl_param)
+    names = (f"ctls{i or ''}" for i in count())
+    return next(name for name in names if name not in taken)
 
 
 # ── Table construction ───────────────────────────────────────────────────────
@@ -331,12 +316,11 @@ def build_specializations(
         if spec.impl is SpecImpl.SELF:
             table[kind] = source
             continue
-        ctl = None if kind is SpecKind.ADJOINT else ctl_name
+        ctl = ctl_name if kind.controlled else None
         try:
-            if ctl is None:
-                block = adjoint_block(source.block)
-            else:
-                block = controlled_block(source.block, ctl)
+            block = (
+                controlled_block(source.block, ctl) if ctl else adjoint_block(source.block)
+            )
         except TransformError as err:
             problems.append(
                 diag.error(
