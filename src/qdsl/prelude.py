@@ -119,7 +119,7 @@ def _r1frac_handler(r1frac_matrix):
 
 def _measure(interp, arg, adjoint, controls):
     bases, qubits = arg
-    letters, ids = [p.name for p in bases], [q.id for q in qubits]
+    letters, ids = [p.name for p in bases], interp.ledger.ids(qubits)
     one = interp.simulator.measure(letters, ids, interp.rng)
     outcome = Result.One if one else Result.Zero
     interp.stats.measurements += 1
@@ -131,7 +131,7 @@ def _measure(interp, arg, adjoint, controls):
 
 
 def _probe(interp, bases, qubits) -> float:
-    letters, ids = [p.name for p in bases], [q.id for q in qubits]
+    letters, ids = [p.name for p in bases], interp.ledger.ids(qubits)
     return interp.simulator.probe_zero_probability(letters, ids)
 
 

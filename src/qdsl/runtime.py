@@ -1,7 +1,8 @@
 """Closure-compiled runtime with qubit ledger and simulator backend.
 
 Each shot runs on a fresh interpreter: a qubit ledger handing out the lowest
-free qubit id, a state-vector simulator, and a per-shot RNG. `run_shots`
+free qubit id and failing the use of a released qubit's reference, a
+state-vector simulator, and a per-shot RNG. `run_shots`
 wraps the simulator in a stand-in from the entry point's `ShotPrefix`, which
 skips an earlier shot's simulator work while the outcomes are that shot's.
 The handlers call it directly, and it checks their arguments. Invoking a
@@ -93,26 +94,31 @@ class ShotResult:
 
 
 class QubitLedger:
-    """Hands out qubit ids, lowest free id first, and tracks live qubits."""
+    """Hands out qubit ids, lowest free id first, and owns the one reference
+    to each live qubit. A reference kept past its qubit's release is stale,
+    even once its id is handed out again."""
 
     def __init__(self) -> None:
         self._free: list[int] = []
-        self._next = 0
-        self.live: set[int] = set()
+        self.live: dict[int, QubitRef] = {}
 
     def allocate(self) -> int:
-        qid = heapq.heappop(self._free) if self._free else self._bump()
-        self.live.add(qid)
-        return qid
-
-    def _bump(self) -> int:
-        qid = self._next
-        self._next += 1
+        # With no id free, the ids below len(live) are all live.
+        qid = heapq.heappop(self._free) if self._free else len(self.live)
+        self.live[qid] = QubitRef(qid)
         return qid
 
     def release(self, qid: int) -> None:
-        self.live.discard(qid)
+        del self.live[qid]
         heapq.heappush(self._free, qid)
+
+    def ids(self, refs) -> list[int]:
+        """The ids of `refs`, failing on a reference to a released qubit."""
+        live = self.live
+        for ref in refs:
+            if live.get(ref.id) is not ref:
+                raise QdslFailure(f"qubit {ref!r} was used after its release")
+        return [ref.id for ref in refs]
 
 
 class Interpreter:
@@ -185,8 +191,8 @@ class Interpreter:
         """Live qubits no visible binding reaches, topped up with fresh ones."""
         reachable: set[int] = set()
         for value in visible:
-            _collect_qubits(value, reachable)
-        candidates = sorted(self.ledger.live - reachable)[:n]
+            _collect_qubits(value, reachable, self.ledger.live)
+        candidates = sorted(self.ledger.live.keys() - reachable)[:n]
         fresh = [self._allocate_one() for _ in range(n - len(candidates))]
         self.stats.borrowed_existing += len(candidates)
         self.stats.borrowed_fresh += len(fresh)
@@ -194,7 +200,7 @@ class Interpreter:
             borrowed = " ".join(f"q{q}" for q in candidates) or "-"
             extra = "".join(f" +q{r.id}" for r in fresh)
             self.trace(f"borrow {borrowed}{extra}")
-        return [QubitRef(q) for q in candidates] + fresh, fresh
+        return [self.ledger.live[q] for q in candidates] + fresh, fresh
 
     def _hold(self, fresh: list[QubitRef], body: Callable, frame: list):
         """Run a qubit block's body, then release the qubits it allocated."""
@@ -216,7 +222,7 @@ class Interpreter:
         self.simulator.allocate(qid)
         self.stats.allocations += 1
         self.stats.peak_live = max(self.stats.peak_live, len(self.ledger.live))
-        return QubitRef(qid)
+        return self.ledger.live[qid]
 
     def _release(self, refs: list[QubitRef], strict: bool) -> None:
         for ref in refs:
@@ -243,7 +249,8 @@ class Interpreter:
         controls: list[QubitRef],
     ) -> None:
         """Apply `matrix` as given; `adjoint` only labels the trace line."""
-        self.simulator.apply(matrix, target.id, [c.id for c in controls])
+        target_id, *control_ids = self.ledger.ids((target, *controls))
+        self.simulator.apply(matrix, target_id, control_ids)
         self.stats.gates += 1
         if self.trace is not None:
             ctl = " ".join(f"q{c.id}" for c in controls)
@@ -273,14 +280,17 @@ def _specialization(
     return entry.compiled
 
 
-def _collect_qubits(value: Any, out: set[int]) -> None:
+def _collect_qubits(value: Any, out: set[int], live: dict[int, QubitRef]) -> None:
+    """Add the ids of the live qubits `value` reaches; a stale reference reaches none."""
     if isinstance(value, QubitRef):
-        out.add(value.id)
+        if live.get(value.id) is value:
+            out.add(value.id)
     elif isinstance(value, (list, tuple)):
         for item in value:
-            _collect_qubits(item, out)
+            _collect_qubits(item, out, live)
     elif isinstance(value, Closure):
-        _collect_qubits(value.wrappers, out)  # values given to partial applications
+        # values given to partial applications
+        _collect_qubits(value.wrappers, out, live)
 
 
 # ── Closure compiler ─────────────────────────────────────────────────────────

@@ -85,7 +85,7 @@ def allocate_register(interp: Interpreter, n: int) -> list[QubitRef]:
     for _ in range(n):
         qid = interp.ledger.allocate()
         interp.simulator.allocate(qid)
-        refs.append(QubitRef(qid))
+        refs.append(interp.ledger.live[qid])
     return refs
 
 

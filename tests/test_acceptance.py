@@ -457,7 +457,7 @@ def test_criterion_8_qubit_hygiene_and_borrowing():
             continue
         interp = fresh_interpreter(seed=3, strict_release=False)
         interp.run(entry)
-        assert interp.ledger.live == set(), f"{name} leaked qubits"
+        assert interp.ledger.live == {}, f"{name} leaked qubits"
         assert interp.stats.allocations == interp.stats.releases, name
         executed += 1
     assert executed >= 4

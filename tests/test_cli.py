@@ -13,6 +13,8 @@ import sys
 
 import pytest
 
+from test_runtime import STALE_QUBIT_ESCAPES, stale_qubit_program
+
 GOOD_PROGRAM = """
 namespace Demo {
     open Microsoft.Quantum.Primitive;
@@ -262,6 +264,17 @@ namespace Demo {
     }
 }
 """
+
+
+def test_run_fails_on_a_released_qubit(tmp_path):
+    # The stale `saved[0]` is q1; without the check it flips `fresh`, which
+    # also gets q1, and every shot prints One with exit 0.
+    path = tmp_path / "stale.qds"
+    path.write_text(stale_qubit_program(STALE_QUBIT_ESCAPES["mutable array"][0]))
+    proc = qdsl("run", "--shots", "3", "--seed", "1", str(path))
+    assert proc.stdout == ""
+    assert proc.returncode == 3
+    assert proc.stderr == "runtime error: qubit q1 was used after its release\n"
 
 
 def test_run_output_does_not_depend_on_the_blas_thread_count(tmp_path):

@@ -452,7 +452,7 @@ namespace T {
 
     interp = fresh_interpreter(seed=5)
     interp.run(sym)
-    assert interp.ledger.live == set()
+    assert interp.ledger.live == {}
     assert interp.simulator.num_qubits == 0
 
 
@@ -495,6 +495,96 @@ def test_zero_count_allocation_is_empty():
 def test_max_qubits_enforced():
     with pytest.raises(QdslFailure, match="max-qubits"):
         run_statements("using (qs = Qubit[5]) { }", max_qubits=4)
+
+
+# A released qubit's id goes to the next allocation; a reference that
+# escaped its block must fail at its use, not act on the new qubit. Each case:
+# (statements of `Main` between `mutable r = Zero;` and `return r;`, the
+# failing use, the stale qubit).
+STALE_QUBIT_ESCAPES = {
+    "mutable array": (
+        """
+            using (outer = Qubit()) {
+                mutable saved = [outer];
+                using (inner = Qubit()) { set saved = [inner]; }
+                using (fresh = Qubit()) {
+                    X(saved[0]);
+                    set r = Measure([PauliZ], [fresh]);
+                    if (r == One) { X(fresh); }
+                }
+            }
+        """,
+        "X(saved[0])",
+        "q1",
+    ),
+    "returned value": (
+        """
+            using (outer = Qubit()) {
+                let stale = Leak(outer);
+                using (fresh = Qubit()) { H(stale); H(fresh); }
+            }
+        """,
+        "H(stale)",
+        "q1",
+    ),
+    "tuple": (
+        """
+            using (outer = Qubit()) {
+                mutable pair = (0, outer);
+                using (inner = Qubit()) { set pair = (1, inner); }
+                using (fresh = Qubit()) {
+                    let (n, q) = pair;
+                    Y(q);
+                }
+            }
+        """,
+        "Y(q)",
+        "q1",
+    ),
+    "partial application": (
+        """
+            using (outer = Qubit()) {
+                mutable m = Measure(_, [outer]);
+                using (inner = Qubit()) { set m = Measure(_, [inner]); }
+                using (fresh = Qubit()) { set r = m([PauliZ]); }
+            }
+        """,
+        "m([PauliZ])",
+        "q1",
+    ),
+}
+
+
+def stale_qubit_program(stmts: str) -> str:
+    return f"""
+namespace T {{
+    open Microsoft.Quantum.Primitive;
+    operation Leak (q : Qubit) : Qubit {{
+        body {{
+            mutable kept = q;
+            using (a = Qubit()) {{ set kept = a; }}
+            return kept;
+        }}
+    }}
+    operation Main () : Result {{
+        body {{
+            mutable r = Zero;
+            {stmts}
+            return r;
+        }}
+    }}
+}}"""
+
+
+@pytest.mark.parametrize("case", sorted(STALE_QUBIT_ESCAPES))
+def test_a_released_qubit_fails_at_its_use(case):
+    stmts, use, stale = STALE_QUBIT_ESCAPES[case]
+    text = stale_qubit_program(stmts)
+    with pytest.raises(QdslFailure) as info:
+        run_main(text, shots=3)
+    assert info.value.message == f"qubit {stale} was used after its release"
+    span = info.value.span
+    assert span is not None and text[span.start : span.end] == use
 
 
 # ── Borrowing ────────────────────────────────────────────────────────────────
@@ -540,6 +630,42 @@ namespace T {
     assert shot.stats.borrowed_existing == 2
     assert shot.stats.borrowed_fresh == 0
     assert shot.stats.allocations == 3  # only the outer register was created
+
+
+def test_borrowing_does_not_count_a_stale_reference_as_reachable():
+    text = """
+namespace T {
+    open Microsoft.Quantum.Primitive;
+    operation Leak (qs : Qubit[]) : Qubit[] {
+        body {
+            mutable kept = qs;
+            using (a = Qubit[1]) { set kept = a; }
+            return kept;
+        }
+    }
+    operation Inner (stale : Qubit[]) : () {
+        body {
+            borrowing (b = Qubit()) {
+                Message($"{b}");
+            }
+        }
+    }
+    operation Main () : () {
+        body {
+            using (none = Qubit[0]) {
+                let stale = Leak(none);
+                using (fresh = Qubit()) {
+                    Inner(stale);
+                }
+            }
+        }
+    }
+}"""
+    [shot] = run_main(text)
+    # `stale` names the released q0, not `fresh`, which now has its id.
+    assert shot.messages == ["q0"]
+    assert shot.stats.borrowed_existing == 1
+    assert shot.stats.borrowed_fresh == 0
 
 
 def test_borrowing_tops_up_with_fresh_when_short():
