@@ -143,6 +143,8 @@ def _load(files: list[str]) -> tuple[CompileResult, Sources]:
 
 def _cmd_check(args) -> int:
     result, sources = _load(args.files)
+    emit = result.ok and args.emit_specializations
+    emitted = _specializations(result) if emit else []
     if args.json:
         payload = {
             "version": JSON_VERSION,
@@ -150,17 +152,22 @@ def _cmd_check(args) -> int:
             "ok": result.ok,
             "diagnostics": _diagnostics_json(result, sources),
         }
+        if args.emit_specializations:
+            payload["specializations"] = emitted
         print(json.dumps(payload, indent=2))
     else:
         _print_diagnostics(result, sources)
         if result.ok:
             print(f"ok: {len(args.files)} file(s) checked")
-    if result.ok and args.emit_specializations:
-        _emit_specializations(result)
+        for spec in emitted:
+            print(f"// {spec['callable']}")
+            print(spec["source"])
     return EXIT_OK if result.ok else EXIT_DIAGNOSTICS
 
 
-def _emit_specializations(result: CompileResult) -> None:
+def _specializations(result: CompileResult) -> list[dict]:
+    """Each generated specialization block, as source text."""
+    out = []
     for sym in result.user_callables():
         printed: set[int] = set()  # `controlled adjoint self` repeats an entry
         for kind, entry in sym.specializations.items():
@@ -171,8 +178,11 @@ def _emit_specializations(result: CompileResult) -> None:
             decl = SpecDecl(
                 entry.block.span, kind, block=entry.block, ctl_param=entry.ctl_param
             )
-            print(f"// {sym.qualified}")
-            print(pretty_print(decl))
+            source = pretty_print(decl)
+            out.append(
+                {"callable": sym.qualified, "kind": kind.value, "source": source}
+            )
+    return out
 
 
 def _run_options(args):

@@ -169,6 +169,46 @@ namespace Demo {
     assert "(Controlled H)(ctls, a);" in proc.stdout
 
 
+def test_check_json_emit_specializations_is_one_json_document(tmp_path):
+    path = tmp_path / "spec.qds"
+    path.write_text("""
+namespace Demo {
+    open Microsoft.Quantum.Primitive;
+    operation Prep (a : Qubit, b : Qubit) : () {
+        body {
+            H(a);
+            CNOT(a, b);
+        }
+        adjoint auto
+        controlled auto
+        controlled adjoint auto
+    }
+    operation Flip (q : Qubit) : () {
+        body { X(q); }
+        adjoint self
+        controlled auto
+        controlled adjoint self
+    }
+}""")
+    proc = qdsl("check", "--json", "--emit-specializations", str(path))
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["version"] == 1 and payload["ok"] is True
+    specs = payload["specializations"]
+    assert [(s["callable"], s["kind"]) for s in specs] == [
+        ("Demo.Prep", "adjoint"),
+        ("Demo.Prep", "controlled"),
+        ("Demo.Prep", "controlled adjoint"),
+        ("Demo.Flip", "controlled"),
+    ]
+    text = qdsl("check", "--emit-specializations", str(path)).stdout
+    blocks = "".join(f"// {s['callable']}\n{s['source']}\n" for s in specs)
+    assert text == "ok: 1 file(s) checked\n" + blocks
+    # Without the flag the envelope has no such field.
+    plain = json.loads(qdsl("check", "--json", str(path)).stdout)
+    assert "specializations" not in plain
+
+
 def test_emit_specializations_prints_a_self_variant_once(tmp_path):
     # `controlled adjoint self` runs the generated controlled block; that
     # block is printed once, as the controlled specialization.
