@@ -254,8 +254,8 @@ class Interpreter:
         controls: list[QubitRef],
     ) -> None:
         """Apply `matrix` as given; `adjoint` only labels the trace line."""
-        # The target is checked here rather than passed to `ids` with the
-        # controls: packing and unpacking it would cost a gate about 6%.
+        # The target is checked inline: packing it with the controls for `ids`
+        # cost about 6% of a cached 16-qubit QFT shot.
         if self.ledger.live.get(target.id) is not target:
             raise _released(target)
         self.simulator.apply(matrix, target.id, self.ledger.ids(controls))
@@ -289,7 +289,7 @@ def _specialization(
 
 
 def _collect_qubits(value: Any, out: set[int], live: dict[int, QubitRef]) -> None:
-    """Add the ids of the live qubits `value` reaches; a stale reference reaches none."""
+    """Add the ids of the qubits `value` reaches; a stale reference reaches none."""
     if isinstance(value, QubitRef):
         if live.get(value.id) is value:
             out.add(value.id)

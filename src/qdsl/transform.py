@@ -318,9 +318,10 @@ def build_specializations(
             continue
         ctl = ctl_name if kind.controlled else None
         try:
-            block = (
-                controlled_block(source.block, ctl) if ctl else adjoint_block(source.block)
-            )
+            if ctl is None:
+                block = adjoint_block(source.block)
+            else:
+                block = controlled_block(source.block, ctl)
         except TransformError as err:
             problems.append(
                 diag.error(
