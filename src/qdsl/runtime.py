@@ -254,8 +254,8 @@ class Interpreter:
         controls: list[QubitRef],
     ) -> None:
         """Apply `matrix` as given; `adjoint` only labels the trace line."""
-        # The target is checked inline: packing it with the controls for `ids`
-        # cost about 6% of a cached 16-qubit QFT shot.
+        # The target is checked inline, not packed with the controls for `ids`:
+        # a gate is the hot path of a cached shot, and the packing showed.
         if self.ledger.live.get(target.id) is not target:
             raise _released(target)
         self.simulator.apply(matrix, target.id, self.ledger.ids(controls))
