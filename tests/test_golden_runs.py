@@ -30,6 +30,10 @@ and reject file.
 token, then the span, code and message of every lexer diagnostic, of each
 `.qds` file of the corpus, of `tests/golden/programs/` and of the prelude.
 
+`tests/golden/generated_runs.txt` pins the runtime on the seeded programs
+of `tests/program_generator.py`: the trace lines and the value or failure
+of each shot; `tests/test_generated_programs.py` checks it.
+
 Regenerate a golden file only when its output change is intended, and name
 each file to rewrite by its path under `tests/golden/`; files not named are
 left alone, and no name prints the list of known files:
@@ -58,6 +62,7 @@ from qdsl.lexer import tokenize
 from qdsl.pretty import pretty_print
 from qdsl.source import SourceFile
 from test_corpus import load_accept
+import program_generator
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -68,6 +73,7 @@ PRELUDE = os.path.join(os.path.dirname(os.path.abspath(qdsl.__file__)), "prelude
 SPECIALIZATIONS = "specializations.txt"
 TOKENS = "tokens.txt"
 TYPES = "types.txt"
+GENERATED = "generated_runs.txt"
 
 SEEDS = (1, 2, 3)
 SHOTS = 20
@@ -313,6 +319,7 @@ def golden_files() -> dict:
     files[SPECIALIZATIONS] = specialization_text
     files[TOKENS] = token_text
     files[TYPES] = types_text
+    files[GENERATED] = program_generator.golden_text
     return files
 
 
