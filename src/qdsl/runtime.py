@@ -1,4 +1,4 @@
-"""Closure-compiled runtime with qubit ledger and simulator backend.
+"""Compiled runtime with qubit ledger and simulator backend.
 
 Each shot runs on a fresh interpreter: a qubit ledger handing out the lowest
 free qubit id and failing the use of a released qubit's reference, a
@@ -10,14 +10,17 @@ callable value peels its wrapper stack outermost-first, accumulating flattened
 control registers and an adjoint parity bit, then dispatches the base symbol
 to the matching specialization body (or intrinsic handler).
 
-A specialization body is compiled on its first invocation into closures
-``(interp, frame) -> value`` (Feeley & Lapalme 1987) cached on its
-``SpecEntry``. Locals live in one frame slot per binding site. A statement
-returns None to fall through, or the value of a ``return``. What the AST
-settles is bound then: a global callee under any functors is one constant
-``Closure``, and an operator or index reads a local operand from its slot in
-place. Compiled code reads ``interp.options`` at run time, and every call
-still enters through ``interp.invoke``.
+A specialization body is compiled on its first invocation to Python source
+with one function per block, run once and cached on its ``SpecEntry``.
+Locals live in one frame slot per binding site, and the block functions of
+one call share its frame. A block function returns None to fall through, or
+the value of a ``return``. Every operand is a constant, a slot or a
+temporary, so a deeper program does not nest its source deeper, and Python's
+limits on nested blocks, indentation and parentheses are never qdsl's. A
+global callee under any functors is one constant ``Closure``. Program values
+and text reach the source only as names of its namespace. Compiled code
+reads ``interp.options`` at run time, and every call still enters through
+``interp.invoke``.
 
 Failures raised by programs (fail statements, assertion violations, runtime
 errors such as out-of-range indexing, simulator checks) surface as QdslFailure
@@ -26,27 +29,24 @@ with their own span, or else that of the call or qubit block they leave.
 
 from __future__ import annotations
 
-import functools
 import heapq
-import operator
 import random
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .ast_nodes import (
-    Block,
     Expr,
     FunctorExpr,
     Hole,
     Name,
     NamePattern,
     ParamLeaf,
-    ParamTuple,
     SpecKind,
     Stmt,
     TupleExpr,
 )
+from . import types as ty
 from .checker import CallableSymbol, UdtSymbol, shape_has_hole
 from .simulator import DEFAULT_CAPACITY, ShotPrefix, StateVectorSimulator
 from .source import Span
@@ -222,6 +222,12 @@ class Interpreter:
         self._release(fresh, strict=True)
         return value
 
+    def _allocate(self, n: int) -> list[QubitRef]:
+        fresh = [self._allocate_one() for _ in range(n)]
+        if fresh and self.trace is not None:
+            self.trace("allocate " + " ".join(f"q{r.id}" for r in fresh))
+        return fresh
+
     def _allocate_one(self) -> QubitRef:
         qid = self.ledger.allocate()
         self.simulator.allocate(qid)
@@ -301,87 +307,81 @@ def _collect_qubits(value: Any, out: set[int], live: dict[int, QubitRef]) -> Non
         _collect_qubits(value.wrappers, out, live)
 
 
-# ── Closure compiler ─────────────────────────────────────────────────────────
+# ── Compiler to Python source ────────────────────────────────────────────────
 
-Code = Callable[[Interpreter, list], Any]
-Operand = int | Code  # a local's frame slot, read in place, or an expression's code
-_INT64 = range(-(1 << 63), 1 << 63)
-
-
-def _const(value: Any) -> Code:
-    return lambda interp, frame: value
-
-
-def _tuple(items: list[Code]) -> Code:
-    if len(items) == 2:
-        a, b = items
-        return lambda interp, frame: (a(interp, frame), b(interp, frame))
-    if len(items) == 3:
-        a, b, c = items
-        return lambda i, frame: (a(i, frame), b(i, frame), c(i, frame))
-    return lambda interp, frame: tuple([item(interp, frame) for item in items])
-
-
-def _binary(op: Callable, left: Operand, right: Operand) -> Code:
-    """`op` on two operands, with an Int result wrapped to 64 bits.
-
-    The checker allows `+`, `-` and `*` only on Int with Int, Double with
-    Double or array with array, so an `int` result is an Int, and only one
-    outside 64 bits needs `wrap64`. A comparison gives a `bool`.
-    """
-    if left.__class__ is int and right.__class__ is int:
-        def binary(interp, frame):
-            v = op(frame[left], frame[right])
-            return v if v.__class__ is not int or v in _INT64 else wrap64(v)
-    elif left.__class__ is int:
-        def binary(interp, frame):
-            v = op(frame[left], right(interp, frame))
-            return v if v.__class__ is not int or v in _INT64 else wrap64(v)
-    elif right.__class__ is int:
-        def binary(interp, frame):
-            v = op(left(interp, frame), frame[right])
-            return v if v.__class__ is not int or v in _INT64 else wrap64(v)
-    else:
-        def binary(interp, frame):
-            v = op(left(interp, frame), right(interp, frame))
-            return v if v.__class__ is not int or v in _INT64 else wrap64(v)
-    return binary
-
-
-def _store(slot: int, value: Code) -> Code:
-    def store(interp, frame):
-        frame[slot] = value(interp, frame)
-    return store
+# Operators Python evaluates as qdsl does. The checker allows the arithmetic
+# ones on Int, Double and (`+`) arrays, so an `int` result is an Int, which
+# _WRAP wraps to 64 bits; a Double or array result needs no line of it.
+_ARITHMETIC = frozenset(["+", "-", "*", "&", "|", "^"])
+_COMPARISONS = frozenset(["==", "!=", "<", "<=", ">", ">="])
+_WRAP = "if {0}.__class__ is int and not -0x8000000000000000 <= {0} <= 0x7fffffffffffffff: {0} = wrap64({0})"
 
 
 class _Compiler:
-    """Compiles one specialization body into closures over a slot frame.
+    """Compiles one specialization body into one Python function per block.
 
-    There is one method per AST node class, named after it. Every binding
-    site gets its own frame slot, and the scope stack maps the names in scope
-    to their slots the way the checker scopes them, so a slot of a finished
-    block is never read.
+    There is one method per AST node class, named after it. A statement
+    method emits lines; an expression method emits the lines that compute
+    its operands and returns a constant's name, a slot read or a temporary.
+    Every binding site gets its own frame slot, and the scope stack maps the
+    names in scope to their slots the way the checker scopes them, so a slot
+    of a finished block is never read.
+
+    Each block (the body, an `if` branch, a loop body or fixup, a qubit
+    block, the right operand of `&&` or `||`) is a function `(interp, frame)`
+    that returns None to fall through or the value of a `return`, so the
+    source nests a few levels deep however deep the program nests. Program
+    values, program text and spans reach the source only as names of the
+    module's namespace. A failure with no span takes that of the line it
+    leaves (a call, an allocation, a borrow or a release), which the
+    module's line table holds.
     """
 
     def __init__(self) -> None:
         self.scopes: list[dict[str, int]] = [{}]
         self.size = 0
+        self.names: dict[str, Any] = {
+            "Closure": Closure, "QdslFailure": QdslFailure, "RangeValue": RangeValue,
+            "UNIT": UNIT, "render_value": render_value, "wrap64": wrap64, "_index": _index,
+        }
+        self.functions: list[tuple[str, str, list]] = []  # name, parameters, lines
+        self.lines: list[tuple[int, str, Optional[Span]]] = []  # indent, text, span
+        self.indent = 0
+        self.count = 0
 
     def specialization(self, sym: CallableSymbol, entry) -> Callable:
-        ctl_slot = None if entry.ctl_param is None else self._define(entry.ctl_param)
-        bind = None if sym.decl is None else self._binder(sym.decl.params)
-        body = self._sequence(entry.block.stmts)
-        size = self.size
+        self._line("")  # the frame, once its size is known
+        if entry.ctl_param is not None:
+            self._line(f"frame[{self._define(entry.ctl_param)}] = list(controls)")
+        if sym.decl is not None:
+            self._bind(sym.decl.params, "arg")
+        self._statements(entry.block.stmts)
+        self._line("return UNIT")
+        self.lines[0] = (0, f"frame = [None] * {self.size}", None)
+        self.functions.append(("f0", "interp, arg, controls", self.lines))
+        return self._module()["f0"]
 
-        def run(interp: Interpreter, arg: Any, controls: list[QubitRef]) -> Any:
-            frame = [None] * size
-            if ctl_slot is not None:
-                frame[ctl_slot] = list(controls)
-            if bind is not None:
-                bind(frame, arg)
-            value = body(interp, frame)
-            return UNIT if value is None else value
-        return run
+    def _module(self) -> dict:
+        """Runs the emitted functions' source and returns its namespace."""
+        source, spans = [], {}
+        for name, params, lines in self.functions:
+            guarded = any(span is not None for _, _, span in lines)
+            source += [f"def {name}({params}):"] + ["    try:"] * guarded
+            for indent, text, span in lines or [(0, "pass", None)]:
+                source.append("    " * (1 + guarded + indent) + text)
+                if span is not None:
+                    spans[len(source)] = span
+            source += [
+                "    except QdslFailure as failure:",
+                "        if failure.span is None:",
+                "            failure.span = SPANS.get(failure.__traceback__.tb_lineno)",
+                "        raise",
+            ] * guarded
+        namespace = dict(self.names, SPANS=spans)
+        exec(compile("\n".join(source), "<qdsl>", "exec"), namespace)
+        return namespace
+
+    # ── Names, lines and blocks ──────────────────────────────────────────
 
     def _define(self, name: str) -> int:
         slot = self.size
@@ -392,161 +392,168 @@ class _Compiler:
     def _lookup(self, name: str) -> int:
         return next(scope[name] for scope in reversed(self.scopes) if name in scope)
 
-    def _binder(self, node) -> Callable[[list, Any], None]:
-        """Stores a value into the slots of a pattern or parameter tuple."""
-        if isinstance(node, (NamePattern, ParamLeaf)):
-            slot = self._define(node.name)
-            return lambda frame, value: operator.setitem(frame, slot, value)
-        if isinstance(node, ParamTuple) and len(node.items) == 1:
-            return self._binder(node.items[0])  # takes the whole argument
-        parts = [self._binder(item) for item in node.items]
+    def _fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
 
-        def bind_all(frame, value):
-            for part, item in zip(parts, value):
-                part(frame, item)
-        return bind_all
+    def _const(self, value: Any) -> str:
+        name = self._fresh("k")
+        self.names[name] = value
+        return name
+
+    def _temp(self, text: str, span: Optional[Span] = None) -> str:
+        """A temporary assigned `text`, on a line with `span` if given."""
+        temp = self._fresh("t")
+        self._line(f"{temp} = {text}", span)
+        return temp
+
+    def _line(self, text: str, span: Optional[Span] = None) -> None:
+        self.lines.append((self.indent, text, span))
+
+    def _function(self, emit: Callable[[], Any], scoped: bool = True) -> str:
+        """A new block function of the lines `emit` adds; `emit` may return
+        the text of a value for the function to return."""
+        outer = self.lines, self.indent
+        self.lines, self.indent = [], 0
+        if scoped:
+            self.scopes.append({})
+        value = emit()
+        if value is not None:
+            self._line(f"return {value}")
+        if scoped:
+            self.scopes.pop()
+        name = self._fresh("f")
+        self.functions.append((name, "interp, frame", self.lines))
+        self.lines, self.indent = outer
+        return name
+
+    def _statements(self, stmts: list[Stmt]) -> None:
+        for stmt in stmts:
+            self._compile(stmt)
+
+    def _block(self, stmts: list[Stmt], scoped: bool = True) -> None:
+        """Runs `stmts` as a block function and returns what it returns."""
+        if stmts:
+            name, value = self._function(lambda: self._statements(stmts), scoped), self._fresh("t")
+            self._line(f"if ({value} := {name}(interp, frame)) is not None: return {value}")
+
+    def _suite(self, header: str, stmts: list[Stmt], scoped: bool = True) -> None:
+        """A compound statement whose suite runs `stmts` as a block."""
+        self._line(header + ("" if stmts else " pass"))
+        self.indent += 1
+        self._block(stmts, scoped)
+        self.indent -= 1
+
+    def _bind(self, node, value: str) -> None:
+        """Stores `value` into the slots of a pattern or parameter tuple."""
+        if isinstance(node, (NamePattern, ParamLeaf)):
+            self._line(f"frame[{self._define(node.name)}] = {value}")
+        elif len(node.items) == 1:
+            self._bind(node.items[0], value)  # takes the whole value
+        elif node.items:
+            # A nested tuple is unpacked from a temporary of its own, so the
+            # target nests no parentheses.
+            parts = [None if isinstance(item, (NamePattern, ParamLeaf)) else self._fresh("t")
+                     for item in node.items]
+            targets = [part or f"frame[{self._define(item.name)}]" for item, part in zip(node.items, parts)]
+            self._line(f"{', '.join(targets)}, = {value}")
+            for item, part in zip(node.items, parts):
+                if part is not None:
+                    self._bind(item, part)
 
     # ── Statements ───────────────────────────────────────────────────────
 
-    def _compile(self, node) -> Code:
+    def _compile(self, node):
         return getattr(self, "_" + type(node).__name__)(node)
 
-    def _block(self, block: Block) -> Code:
-        self.scopes.append({})
-        code = self._sequence(block.stmts)
-        self.scopes.pop()
-        return code
+    def _LetStmt(self, stmt) -> None:
+        self._bind(stmt.pattern, self._compile(stmt.value))
 
-    def _sequence(self, stmts: list[Stmt]) -> Code:
-        codes = [self._compile(stmt) for stmt in stmts]
-        if len(codes) == 1:
-            return codes[0]
-
-        def sequence(interp, frame):
-            for code in codes:
-                if (value := code(interp, frame)) is not None:
-                    return value
-        return sequence
-
-    def _LetStmt(self, stmt) -> Code:
+    def _MutableStmt(self, stmt) -> None:
         value = self._compile(stmt.value)
-        if isinstance(stmt.pattern, NamePattern):
-            return _store(self._define(stmt.pattern.name), value)
-        bind = self._binder(stmt.pattern)
-        return lambda interp, frame: bind(frame, value(interp, frame))
+        self._line(f"frame[{self._define(stmt.name)}] = {value}")
 
-    def _MutableStmt(self, stmt) -> Code:
-        value = self._compile(stmt.value)
-        return _store(self._define(stmt.name), value)
+    def _SetStmt(self, stmt) -> None:
+        self._line(f"frame[{self._lookup(stmt.name)}] = {self._compile(stmt.value)}")
 
-    def _SetStmt(self, stmt) -> Code:
-        return _store(self._lookup(stmt.name), self._compile(stmt.value))
+    def _IfStmt(self, stmt) -> None:
+        # `taken` holds the last condition evaluated, so an `elif` chain
+        # does not nest.
+        if len(stmt.branches) == 1 and not (stmt.else_block and stmt.else_block.stmts):
+            [(condition, block)] = stmt.branches
+            self._suite(f"if {self._compile(condition)}:", block.stmts)
+            return
+        taken = self._fresh("t")
+        for i, (condition, block) in enumerate(stmt.branches):
+            if i:
+                self._line(f"if not {taken}:")
+                self.indent += 1
+            self._line(f"{taken} = {self._compile(condition)}")
+            self._suite(f"if {taken}:", block.stmts)
+            self.indent -= bool(i)
+        if stmt.else_block is not None and stmt.else_block.stmts:
+            self._suite(f"if not {taken}:", stmt.else_block.stmts)
 
-    def _IfStmt(self, stmt) -> Code:
-        branches = [(self._compile(c), self._block(b)) for c, b in stmt.branches]
-        orelse = None if stmt.else_block is None else self._block(stmt.else_block)
-
-        def if_(interp, frame):
-            for condition, block in branches:
-                if condition(interp, frame):
-                    return block(interp, frame)
-            if orelse is not None:
-                return orelse(interp, frame)
-        return if_
-
-    def _ForStmt(self, stmt) -> Code:
-        iterable = self._compile(stmt.iterable)
+    def _ForStmt(self, stmt) -> None:
+        items, limit = self._fresh("t"), self._fresh("t")
+        self._line(f"{items} = iter({self._compile(stmt.iterable)})")
+        self._line(f"{limit} = interp.options.max_iterations")
         self.scopes.append({})
         slot = self._define(stmt.var)
-        body = self._sequence(stmt.body.stmts)
+        self._suite(f"for _, frame[{slot}] in zip(range({limit}), {items}):", stmt.body.stmts, False)
         self.scopes.pop()
-        span = stmt.span
+        span = self._const(stmt.span)
+        self._line(f"if next({items}, None) is not None: "
+                   f"raise QdslFailure(f'for loop exceeded {{{limit}}} iterations', {span})")
 
-        def for_(interp, frame):
-            limit = interp.options.max_iterations
-            items = iter(iterable(interp, frame))
-            for _, item in zip(range(limit), items):
-                frame[slot] = item
-                if (value := body(interp, frame)) is not None:
-                    return value
-            if next(items, None) is not None:
-                raise QdslFailure(f"for loop exceeded {limit} iterations", span)
-        return for_
-
-    def _RepeatStmt(self, stmt) -> Code:
+    def _RepeatStmt(self, stmt) -> None:
         # Bindings made in the body stay visible to the condition and fixup.
+        limit = self._temp("interp.options.max_iterations")
+        self._line(f"for _ in range({limit}):")
+        self.indent += 1
         self.scopes.append({})
-        body = self._sequence(stmt.body.stmts)
-        condition = self._compile(stmt.condition)
-        fixup = self._block(stmt.fixup)
+        self._block(stmt.body.stmts, scoped=False)
+        self._line(f"if {self._compile(stmt.condition)}: break")
+        self._block(stmt.fixup.stmts)
         self.scopes.pop()
+        self.indent -= 1
+        span = self._const(stmt.span)
+        self._line(f"else: raise QdslFailure(f'repeat block exceeded {{{limit}}} iterations', {span})")
+
+    def _ReturnStmt(self, stmt) -> None:
+        self._line(f"return {self._compile(stmt.value)}")
+
+    def _FailStmt(self, stmt) -> None:
+        message, span = self._compile(stmt.message), self._const(stmt.span)
+        self._line(f"raise QdslFailure(str({message}), {span})")
+
+    def _ExprStmt(self, stmt) -> None:
+        self._compile(stmt.expr)
+
+    def _AllocateStmt(self, stmt) -> None:
         span = stmt.span
-
-        def repeat(interp, frame):
-            limit = interp.options.max_iterations
-            for _ in range(limit):
-                if (value := body(interp, frame)) is not None:
-                    return value
-                if condition(interp, frame):
-                    return None
-                if (value := fixup(interp, frame)) is not None:
-                    return value
-            raise QdslFailure(f"repeat block exceeded {limit} iterations", span)
-        return repeat
-
-    def _ReturnStmt(self, stmt) -> Code:
-        # An expression never evaluates to None, so it is its own return.
-        return self._compile(stmt.value)
-
-    def _FailStmt(self, stmt) -> Code:
-        message, span = self._compile(stmt.message), stmt.span
-        return lambda interp, frame: interp.fail(str(message(interp, frame)), span)
-
-    def _ExprStmt(self, stmt) -> Code:
-        expr = self._compile(stmt.expr)
-
-        def discard(interp, frame):
-            expr(interp, frame)
-        return discard
-
-    def _AllocateStmt(self, stmt) -> Code:
-        count = None if stmt.count is None else self._compile(stmt.count)
-        # Borrowing skips the qubits reachable from the bindings in scope here.
-        visible = [slot for scope in self.scopes for slot in scope.values()]
+        if stmt.count is None:
+            count = "1"
+        else:
+            count = self._compile(stmt.count)
+            count_span = self._const(stmt.count.span)
+            self._line(f"if {count} < 0: raise QdslFailure(f'cannot allocate {{{count}}} qubits', {count_span})")
+        if stmt.borrowing:
+            # Borrowing skips the qubits reachable from the bindings in scope here.
+            visible = ", ".join(f"frame[{s}]" for scope in self.scopes for s in scope.values())
+            refs, fresh = self._fresh("t"), self._fresh("t")
+            self._line(f"{refs}, {fresh} = interp._borrow({count}, [{visible}])", span)
+        else:
+            refs = fresh = self._temp(f"interp._allocate({count})", span)
         self.scopes.append({})
         slot = self._define(stmt.name)
-        body = self._sequence(stmt.body.stmts)
+        self._line(f"frame[{slot}] = {refs}" + ("[0]" if stmt.count is None else ""))
+        body = self._function(lambda: self._statements(stmt.body.stmts), scoped=False)
         self.scopes.pop()
-        span, borrowing = stmt.span, stmt.borrowing
-        count_span = None if stmt.count is None else stmt.count.span
-
-        def allocate(interp, frame):
-            n = 1
-            if count is not None:
-                n = count(interp, frame)
-                if n < 0:
-                    raise QdslFailure(f"cannot allocate {n} qubits", count_span)
-            try:
-                if borrowing:
-                    refs, fresh = interp._borrow(n, [frame[s] for s in visible])
-                else:
-                    refs = fresh = [interp._allocate_one() for _ in range(n)]
-                    if fresh and interp.trace is not None:
-                        interp.trace("allocate " + " ".join(f"q{r.id}" for r in fresh))
-                frame[slot] = refs if count is not None else refs[0]
-                return interp._hold(fresh, body, frame)
-            except QdslFailure as failure:  # from an allocation or a release
-                if failure.span is None:
-                    failure.span = span
-                raise
-        return allocate
+        value = self._fresh("t")
+        self._line(f"if ({value} := interp._hold({fresh}, {body}, frame)) is not None: return {value}", span)
 
     # ── Expressions ──────────────────────────────────────────────────────
-
-    def _operand(self, expr: Expr) -> Operand:
-        if isinstance(expr, Name) and expr.binding and expr.binding[0] == "local":
-            return self._lookup(expr.binding[1])
-        return self._compile(expr)
 
     def _static(self, expr: Expr) -> Optional[Closure]:
         """The one value of a global name under any stack of functors."""
@@ -558,139 +565,119 @@ class _Compiler:
             return Closure(expr.binding[1])
         return None
 
-    def _literal(self, expr) -> Code:
-        return _const(expr.value)
+    def _literal(self, expr) -> str:
+        return self._const(expr.value)
 
     _IntLit = _DoubleLit = _BoolLit = _StringLit = _literal
 
-    def _PauliLit(self, expr) -> Code:
-        return _const(expr.kind)
+    def _PauliLit(self, expr) -> str:
+        return self._const(expr.kind)
 
-    def _ResultLit(self, expr) -> Code:
-        return _const(Result.One if expr.one else Result.Zero)
+    def _ResultLit(self, expr) -> str:
+        return self._const(Result.One if expr.one else Result.Zero)
 
-    def _InterpString(self, expr) -> Code:
-        parts = [_const(p) if isinstance(p, str) else self._compile(p) for p in expr.parts]
-        return lambda interp, frame: "".join([render_value(p(interp, frame)) for p in parts])
+    def _InterpString(self, expr) -> str:
+        parts = [
+            self._const(p) if isinstance(p, str) else f"render_value({self._compile(p)})"
+            for p in expr.parts
+        ]
+        return self._temp(f"''.join([{', '.join(parts)}])")
 
-    def _Name(self, expr) -> Code:
+    def _Name(self, expr) -> str:
         binding = expr.binding
         if binding is None:
-            message, span = f"unresolved name '{expr.name}'", expr.span
-            return lambda interp, frame: interp.fail(message, span)
+            message = self._const(f"unresolved name '{expr.name}'")
+            self._line(f"raise QdslFailure({message}, {self._const(expr.span)})")
+            return "None"
         if binding[0] == "local":
-            slot = self._lookup(binding[1])
-            return lambda interp, frame: frame[slot]
-        return _const(Closure(binding[1]))
+            return f"frame[{self._lookup(binding[1])}]"
+        return self._const(Closure(binding[1]))
 
-    def _Hole(self, expr) -> Code:
-        span = expr.span
-        return lambda interp, frame: interp.fail("'_' cannot be evaluated", span)
+    def _Hole(self, expr) -> str:
+        self._line(f"raise QdslFailure(\"'_' cannot be evaluated\", {self._const(expr.span)})")
+        return "None"
 
-    def _TupleExpr(self, expr) -> Code:
-        return _tuple([self._compile(item) for item in expr.items])
-
-    def _ArrayExpr(self, expr) -> Code:
+    def _TupleExpr(self, expr) -> str:
         items = [self._compile(item) for item in expr.items]
-        if len(items) == 1:
-            item = items[0]
-            return lambda interp, frame: [item(interp, frame)]
-        return lambda interp, frame: [item(interp, frame) for item in items]
+        return self._temp(f"({', '.join(items)})")  # never exactly one item
 
-    def _RangeExpr(self, expr) -> Code:
-        start, end, span = self._compile(expr.start), self._compile(expr.end), expr.span
-        step = _const(1) if expr.step is None else self._compile(expr.step)
+    def _ArrayExpr(self, expr) -> str:
+        return self._temp(f"[{', '.join(self._compile(item) for item in expr.items)}]")
 
-        def range_(interp, frame):
-            first, by, last = start(interp, frame), step(interp, frame), end(interp, frame)
-            if by == 0:
-                raise QdslFailure("a range step cannot be zero", span)
-            return RangeValue(first, by, last)
-        return range_
+    def _RangeExpr(self, expr) -> str:
+        start = self._compile(expr.start)
+        step = "1" if expr.step is None else self._compile(expr.step)
+        end = self._compile(expr.end)
+        if expr.step is not None:
+            span = self._const(expr.span)
+            self._line(f"if {step} == 0: raise QdslFailure('a range step cannot be zero', {span})")
+        return self._temp(f"RangeValue({start}, {step}, {end})")
 
-    def _IndexExpr(self, expr) -> Code:
-        base, span = self._operand(expr.base), expr.span
-        if base.__class__ is not int:
-            index = self._compile(expr.index)
-            return lambda interp, frame: _index(base(interp, frame), index(interp, frame), span)
-        # The array is a local: an Int index in range is read in place.
-        index = self._operand(expr.index)
-        if index.__class__ is int:
-            def index_(interp, frame):
-                array, at = frame[base], frame[index]
-                if at.__class__ is int and 0 <= at < len(array):
-                    return array[at]
-                return _index(array, at, span)
-        else:
-            def index_(interp, frame):
-                array, at = frame[base], index(interp, frame)
-                if at.__class__ is int and 0 <= at < len(array):
-                    return array[at]
-                return _index(array, at, span)
-        return index_
+    def _IndexExpr(self, expr) -> str:
+        array, at, span = self._compile(expr.base), self._compile(expr.index), self._const(expr.span)
+        in_range = f"{at}.__class__ is int and 0 <= {at} < len({array})"
+        return self._temp(f"{array}[{at}] if {in_range} else _index({array}, {at}, {span})")
 
-    def _CallExpr(self, expr) -> Code:
-        callee, span = self._compile(expr.callee), expr.span
-        if expr.is_partial:
-            args = expr.args
-            shape = self._shape(args[0] if len(args) == 1 else TupleExpr(span, items=args))
-
-            def partial(interp, frame):
-                return _callable(callee(interp, frame), span).partial(shape(interp, frame))
-            return partial
-        args = [self._compile(a) for a in expr.args]
-        arg = _tuple(args) if len(args) > 1 else args[0] if args else _const(UNIT)
+    def _CallExpr(self, expr) -> str:
         static = self._static(expr.callee)
+        if static is not None:
+            callee = self._const(static)
+        else:
+            callee = self._compile(expr.callee)
+            span = self._const(expr.span)
+            self._line(f"if {callee}.__class__ is not Closure: "
+                       f"raise QdslFailure('value is not callable', {span})")
+        args = expr.args
+        if expr.is_partial:
+            shape = self._shape(args[0] if len(args) == 1 else TupleExpr(expr.span, items=args))
+            return self._temp(f"{callee}.partial({shape})")
+        items = [self._compile(a) for a in args]
+        arg = items[0] if len(items) == 1 else f"({', '.join(items)})" if items else "UNIT"
+        return self._temp(f"interp.invoke({callee}, {arg})", expr.span)
 
-        def call(interp, frame):
-            target = static or _callable(callee(interp, frame), span)
-            value = arg(interp, frame)
-            try:
-                return interp.invoke(target, value)
-            except QdslFailure as failure:
-                if failure.span is None:
-                    failure.span = span
-                raise
-        return call
-
-    def _shape(self, expr: Expr) -> Code:
+    def _shape(self, expr: Expr) -> str:
         """Partial-application shape of an argument, with given values evaluated."""
         if isinstance(expr, Hole):
-            return _const(("hole",))
+            return self._const(("hole",))
         if isinstance(expr, TupleExpr) and shape_has_hole(expr):
             items = [self._shape(item) for item in expr.items]
-            return lambda interp, frame: ("tuple", [i(interp, frame) for i in items])
-        value = self._compile(expr)
-        return lambda interp, frame: ("given", value(interp, frame))
+            return self._temp(f"('tuple', [{', '.join(items)}])")
+        return self._temp(f"('given', {self._compile(expr)})")
 
-    def _FunctorExpr(self, expr) -> Code:
+    def _FunctorExpr(self, expr) -> str:
         static = self._static(expr)
         if static is not None:
-            return _const(static)
+            return self._const(static)
         operand = self._compile(expr.operand)
-        if expr.functor == "Adjoint":
-            return lambda interp, frame: operand(interp, frame).adjoint()
-        return lambda interp, frame: operand(interp, frame).controlled()
+        method = "adjoint" if expr.functor == "Adjoint" else "controlled"
+        return self._temp(f"{operand}.{method}()")
 
-    def _UnaryExpr(self, expr) -> Code:
-        operand, apply = self._compile(expr.operand), _UNARY[expr.op]
-        return lambda interp, frame: apply(operand(interp, frame))
+    def _UnaryExpr(self, expr) -> str:
+        operand = self._compile(expr.operand)
+        if expr.op == "!":
+            return self._temp(f"not {operand}")
+        assert expr.op in ("-", "~")
+        return self._wrap(expr, self._temp(f"{expr.op}{operand}"))
 
-    def _BinaryExpr(self, expr) -> Code:
-        op = expr.op
+    def _BinaryExpr(self, expr) -> str:
+        op, left = expr.op, self._compile(expr.left)
         if op in ("&&", "||"):
-            left, right = self._compile(expr.left), self._compile(expr.right)
-            if op == "&&":
-                return lambda interp, frame: left(interp, frame) and right(interp, frame)
-            return lambda interp, frame: left(interp, frame) or right(interp, frame)
-        apply = _OPERATORS.get(op) or functools.partial(_CHECKED[op], span=expr.span)
-        return _binary(apply, self._operand(expr.left), self._operand(expr.right))
+            value = self._temp(left)
+            right = self._function(lambda: self._compile(expr.right))
+            test = "" if op == "&&" else "not "
+            self._line(f"if {test}{value}: {value} = {right}(interp, frame)")
+            return value
+        right = self._compile(expr.right)
+        if op in _CHECKED:
+            return self._temp(f"{self._const(_CHECKED[op])}({left}, {right}, {self._const(expr.span)})")
+        assert op in _ARITHMETIC or op in _COMPARISONS
+        value = self._temp(f"{left} {op} {right}")
+        return self._wrap(expr, value) if op in _ARITHMETIC else value
 
-
-def _callable(value: Any, span: Span) -> Closure:
-    if not isinstance(value, Closure):
-        raise QdslFailure("value is not callable", span)
-    return value
+    def _wrap(self, expr: Expr, value: str) -> str:
+        if expr.ty != ty.DOUBLE and not isinstance(expr.ty, ty.Array):
+            self._line(_WRAP.format(value))
+        return value
 
 
 def _index(array: list, at: Any, span: Span) -> Any:
@@ -730,30 +717,22 @@ def _shift(count: int, span: Span) -> int:
     return count
 
 
-_UNARY = {
-    "-": lambda v: -v if isinstance(v, float) else wrap64(-v),
-    "!": operator.not_,
-    "~": lambda v: wrap64(~v),
-}
-_OPERATORS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-              "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-              "+": operator.add, "-": operator.sub, "*": operator.mul}
 _CHECKED = {  # operators that can fail, at the expression's span
     "/": _divide,
     "%": lambda a, b, span: wrap64(a - b * _int_div(a, b, span)),
     "<<": lambda a, b, span: 0 if _shift(b, span) >= 64 else wrap64(a << b),
     ">>": lambda a, b, span: wrap64(a >> min(_shift(b, span), 63)),
-    "&": lambda a, b, span: wrap64(a & b),
-    "|": lambda a, b, span: wrap64(a | b),
-    "^": lambda a, b, span: wrap64(a ^ b),
 }
 
 
 # ── Shot driver ──────────────────────────────────────────────────────────────
 
-# Python frames one qdsl call may use (call, invoke, body, statements and the
-# expressions around it), and a ceiling for Python's recursion limit.
-_FRAMES_PER_CALL = 16
+# Python frames one qdsl call may use, and a ceiling for Python's recursion
+# limit. A call made k blocks deep in its caller's body takes k + 2 frames:
+# `invoke`, the callee's body and one function per block (a qubit block adds
+# `_hold` too). Counted between two nested `invoke`s of a recursive call
+# inside 10 nested `for` loops (tests/test_runtime_limits.py), it takes 12.
+_FRAMES_PER_CALL = 12
 _MAX_PYTHON_DEPTH = 200_000
 
 

@@ -78,7 +78,8 @@ class SpecEntry:
     block: Block
     ctl_param: Optional[str] = None
     generated: bool = False
-    # The runtime's closure-compiled body, built on the first invocation.
+    # The runtime's compiled body, `(interp, arg, controls) -> value`: Python
+    # source emitted and run on the first invocation.
     compiled: Optional[Callable] = field(default=None, repr=False, compare=False)
 
 
