@@ -46,7 +46,6 @@ from .ast_nodes import (
     Stmt,
     TupleExpr,
 )
-from . import types as ty
 from .checker import CallableSymbol, UdtSymbol, shape_has_hole
 from .simulator import DEFAULT_CAPACITY, ShotPrefix, StateVectorSimulator
 from .source import Span
@@ -311,10 +310,13 @@ def _collect_qubits(value: Any, out: set[int], live: dict[int, QubitRef]) -> Non
 
 # Operators Python evaluates as qdsl does. The checker allows the arithmetic
 # ones on Int, Double and (`+`) arrays, so an `int` result is an Int, which
-# _WRAP wraps to 64 bits; a Double or array result needs no line of it.
+# _WRAP wraps to 64 bits.
 _ARITHMETIC = frozenset(["+", "-", "*", "&", "|", "^"])
 _COMPARISONS = frozenset(["==", "!=", "<", "<=", ">", ">="])
-_WRAP = "if {0}.__class__ is int and not -0x8000000000000000 <= {0} <= 0x7fffffffffffffff: {0} = wrap64({0})"
+_WRAP = (
+    "if {0}.__class__ is int and not -0x8000000000000000 <= {0} <= 0x7fffffffffffffff: "
+    "{0} = wrap64({0})"
+)
 
 
 class _Compiler:
@@ -365,10 +367,9 @@ class _Compiler:
         """Runs the emitted functions' source and returns its namespace."""
         source, spans = [], {}
         for name, params, lines in self.functions:
-            guarded = any(span is not None for _, _, span in lines)
-            source += [f"def {name}({params}):"] + ["    try:"] * guarded
+            source += [f"def {name}({params}):", "    try:"]
             for indent, text, span in lines or [(0, "pass", None)]:
-                source.append("    " * (1 + guarded + indent) + text)
+                source.append("    " * (2 + indent) + text)
                 if span is not None:
                     spans[len(source)] = span
             source += [
@@ -376,7 +377,7 @@ class _Compiler:
                 "        if failure.span is None:",
                 "            failure.span = SPANS.get(failure.__traceback__.tb_lineno)",
                 "        raise",
-            ] * guarded
+            ]
         namespace = dict(self.names, SPANS=spans)
         exec(compile("\n".join(source), "<qdsl>", "exec"), namespace)
         return namespace
@@ -455,7 +456,8 @@ class _Compiler:
             # target nests no parentheses.
             parts = [None if isinstance(item, (NamePattern, ParamLeaf)) else self._fresh("t")
                      for item in node.items]
-            targets = [part or f"frame[{self._define(item.name)}]" for item, part in zip(node.items, parts)]
+            targets = [part or f"frame[{self._define(item.name)}]"
+                       for item, part in zip(node.items, parts)]
             self._line(f"{', '.join(targets)}, = {value}")
             for item, part in zip(node.items, parts):
                 if part is not None:
@@ -479,10 +481,6 @@ class _Compiler:
     def _IfStmt(self, stmt) -> None:
         # `taken` holds the last condition evaluated, so an `elif` chain
         # does not nest.
-        if len(stmt.branches) == 1 and not (stmt.else_block and stmt.else_block.stmts):
-            [(condition, block)] = stmt.branches
-            self._suite(f"if {self._compile(condition)}:", block.stmts)
-            return
         taken = self._fresh("t")
         for i, (condition, block) in enumerate(stmt.branches):
             if i:
@@ -500,7 +498,8 @@ class _Compiler:
         self._line(f"{limit} = interp.options.max_iterations")
         self.scopes.append({})
         slot = self._define(stmt.var)
-        self._suite(f"for _, frame[{slot}] in zip(range({limit}), {items}):", stmt.body.stmts, False)
+        header = f"for _, frame[{slot}] in zip(range({limit}), {items}):"
+        self._suite(header, stmt.body.stmts, scoped=False)
         self.scopes.pop()
         span = self._const(stmt.span)
         self._line(f"if next({items}, None) is not None: "
@@ -518,7 +517,8 @@ class _Compiler:
         self.scopes.pop()
         self.indent -= 1
         span = self._const(stmt.span)
-        self._line(f"else: raise QdslFailure(f'repeat block exceeded {{{limit}}} iterations', {span})")
+        self._line(f"else: raise QdslFailure("
+                   f"f'repeat block exceeded {{{limit}}} iterations', {span})")
 
     def _ReturnStmt(self, stmt) -> None:
         self._line(f"return {self._compile(stmt.value)}")
@@ -537,7 +537,8 @@ class _Compiler:
         else:
             count = self._compile(stmt.count)
             count_span = self._const(stmt.count.span)
-            self._line(f"if {count} < 0: raise QdslFailure(f'cannot allocate {{{count}}} qubits', {count_span})")
+            self._line(f"if {count} < 0: "
+                       f"raise QdslFailure(f'cannot allocate {{{count}}} qubits', {count_span})")
         if stmt.borrowing:
             # Borrowing skips the qubits reachable from the bindings in scope here.
             visible = ", ".join(f"frame[{s}]" for scope in self.scopes for s in scope.values())
@@ -551,7 +552,8 @@ class _Compiler:
         body = self._function(lambda: self._statements(stmt.body.stmts), scoped=False)
         self.scopes.pop()
         value = self._fresh("t")
-        self._line(f"if ({value} := interp._hold({fresh}, {body}, frame)) is not None: return {value}", span)
+        held = f"interp._hold({fresh}, {body}, frame)"
+        self._line(f"if ({value} := {held}) is not None: return {value}", span)
 
     # ── Expressions ──────────────────────────────────────────────────────
 
@@ -614,7 +616,8 @@ class _Compiler:
         return self._temp(f"RangeValue({start}, {step}, {end})")
 
     def _IndexExpr(self, expr) -> str:
-        array, at, span = self._compile(expr.base), self._compile(expr.index), self._const(expr.span)
+        array, at = self._compile(expr.base), self._compile(expr.index)
+        span = self._const(expr.span)
         in_range = f"{at}.__class__ is int and 0 <= {at} < len({array})"
         return self._temp(f"{array}[{at}] if {in_range} else _index({array}, {at}, {span})")
 
@@ -657,7 +660,9 @@ class _Compiler:
         if expr.op == "!":
             return self._temp(f"not {operand}")
         assert expr.op in ("-", "~")
-        return self._wrap(expr, self._temp(f"{expr.op}{operand}"))
+        value = self._temp(f"{expr.op}{operand}")
+        self._line(_WRAP.format(value))
+        return value
 
     def _BinaryExpr(self, expr) -> str:
         op, left = expr.op, self._compile(expr.left)
@@ -669,13 +674,11 @@ class _Compiler:
             return value
         right = self._compile(expr.right)
         if op in _CHECKED:
-            return self._temp(f"{self._const(_CHECKED[op])}({left}, {right}, {self._const(expr.span)})")
+            checked, span = self._const(_CHECKED[op]), self._const(expr.span)
+            return self._temp(f"{checked}({left}, {right}, {span})")
         assert op in _ARITHMETIC or op in _COMPARISONS
         value = self._temp(f"{left} {op} {right}")
-        return self._wrap(expr, value) if op in _ARITHMETIC else value
-
-    def _wrap(self, expr: Expr, value: str) -> str:
-        if expr.ty != ty.DOUBLE and not isinstance(expr.ty, ty.Array):
+        if op in _ARITHMETIC:
             self._line(_WRAP.format(value))
         return value
 
