@@ -222,7 +222,7 @@ class _Generator:
     # ── Expressions ──────────────────────────────────────────────────────
 
     def expr(self, type_: str, depth: int = 2) -> Expr:
-        return getattr(self, "_" + type_.replace("[]", "_array").replace(" ", ""))(depth)
+        return getattr(self, "_" + type_.replace("[]", "_array"))(depth)
 
     def _Int(self, depth: int) -> Expr:
         rng = self.rng
