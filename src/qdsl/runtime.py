@@ -329,10 +329,11 @@ class _Compiler:
     names in scope to their slots the way the checker scopes them, so a slot
     of a finished block is never read.
 
-    Each block (the body, an `if` branch, a loop body or fixup, a qubit
-    block, the right operand of `&&` or `||`) is a function `(interp, frame)`
-    that returns None to fall through or the value of a `return`, so the
-    source nests a few levels deep however deep the program nests. Program
+    Each block (an `if` branch, a loop body or fixup, a qubit block, the
+    right operand of `&&` or `||`) is a function `(interp, frame)` that
+    returns None to fall through or the value of a `return`, so the source
+    nests a few levels deep however deep the program nests. The body is the
+    entry function `(interp, arg, controls)`, which makes the frame. Program
     values, program text and spans reach the source only as names of the
     module's namespace. A failure with no span takes that of the line it
     leaves (a call, an allocation, a borrow or a release), which the
