@@ -756,11 +756,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--programs", type=int, default=GOLDEN_PROGRAMS)
     parser.add_argument("--seed", type=int, default=0, help="the first program's seed")
-    parser.add_argument("--print-program", type=int, metavar="SEED", help="print one program and exit")
     args = parser.parse_args(argv)
-    if args.print_program is not None:
-        sys.stdout.write(generate(args.print_program))
-        return 0
     for seed in range(args.seed, args.seed + args.programs):
         text = generate(seed)
         entry = compile_entry(text)
