@@ -204,3 +204,89 @@ def test_recursion_inside_nested_loops_meets_the_call_depth_limit():
     with pytest.raises(QdslFailure) as info:
         run_main(recursion_in_loops(1000))
     assert info.value.message == "call depth exceeded the limit of 1000"
+
+
+# ── Blocks at the emitter's inline depth ────────────────────────────────────
+
+# qdsl nesting from below to above the depth at which the emitted source
+# stops indenting a block in place and makes it a function. An `elif` branch
+# indents its suite two levels, the others one.
+BOUNDARY_DEPTHS = range(2, 10)
+
+NESTINGS = {
+    "if": (lambda k: f"if (n >= {k}) {{ set n = n + 1; ", " }"),
+    "elif": (lambda k: f"if (n < 0) {{ }} elif (n >= {k}) {{ set n = n + 1; ", " }"),
+    "for": (lambda k: f"for (i{k} in 0 .. 0) {{ set n = n + 1 + i{k}; ", " }"),
+    "repeat": (lambda k: "repeat { set n = n + 1; ", " } until (true) fixup { }"),
+}
+
+# Statements run at the innermost level, where `n` is the nesting depth.
+INNERMOST = {
+    "return": "return n;",
+    "fail": 'fail $"deep {n}";',
+    "index": "let a = [1; 2]; set n = n + a[n];",
+    "released target": "H(s);",
+    "released control": "using (t = Qubit()) { (Controlled X)([s], t); }",
+    "and": "let b = n > 100 || Pred(n) && n > 1; if (b) { return 1000 + n; } return -n;",
+    "empty suite": "let u = (); if (true) { u; } return n;",
+}
+
+
+def nested_at(kind: str, depth: int, innermost: str) -> str:
+    """`Deep` nests `depth` blocks of `kind` around `innermost`, with `s` a
+    reference to a released qubit."""
+    opens, close = NESTINGS[kind]
+    heads = "".join(opens(k) for k in range(depth))
+    return f"""
+namespace T {{
+    open Microsoft.Quantum.Primitive;
+{PRED}
+    operation Deep (q : Qubit) : Int {{
+        body {{
+            mutable s = q;
+            using (b = Qubit()) {{ set s = b; }}
+            mutable n = 0;
+            {heads}{innermost}{close * depth}
+            return -1;
+        }}
+    }}
+    operation Main () : Int {{
+        body {{
+            mutable r = 0;
+            using (q = Qubit()) {{ set r = Deep(q); }}
+            return r;
+        }}
+    }}
+}}"""
+
+
+def boundary_outcome(depth: int, case: str):
+    """The value and messages, or the failure's message and span text, of
+    the program `nested_at` builds with INNERMOST[case], whatever the kind."""
+    if case in ("return", "empty suite"):
+        return ("value", depth, [])
+    if case == "and":
+        return ("value", 1000 + depth if depth % 2 == 0 else -depth, [f"Pred {depth}"])
+    if case == "fail":
+        return ("failure", f"deep {depth}", 'fail $"deep {n}";')
+    if case == "index":
+        return ("failure", f"index {depth} is out of range for an array of length 2", "a[n]")
+    use = "H(s)" if case == "released target" else "(Controlled X)([s], t)"
+    return ("failure", "qubit q1 was used after its release", use)
+
+
+@pytest.mark.parametrize("case", sorted(INNERMOST))
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_blocks_around_the_inline_depth_run_as_any_block(kind, case):
+    for depth in BOUNDARY_DEPTHS:
+        text = nested_at(kind, depth, INNERMOST[case])
+        expected = boundary_outcome(depth, case)
+        try:
+            [shot] = run_main(text)
+        except QdslFailure as failure:
+            span = failure.span
+            assert span is not None, (depth, failure.message)
+            assert span.start == text.index(expected[2]), depth
+            assert ("failure", failure.message, text[span.start : span.end]) == expected
+        else:
+            assert ("value", shot.value, shot.messages) == expected, depth
