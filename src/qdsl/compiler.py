@@ -13,6 +13,8 @@ so later passes can rely on the annotations of the earlier ones.
 from __future__ import annotations
 
 import functools
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,6 +66,13 @@ def compile_units(
 
 _PRIMITIVE = "primitive.qds"
 
+# Python frames the passes of one layer may use, counted from the stack depth
+# at which it is checked, so that how deeply a program may nest does not
+# depend on the caller's stack. Each level of nesting takes a few frames, so
+# this sets the nesting limits that README documents.
+_FRONT_END_FRAMES = 1100
+_RECURSION_LIMIT_LOCK = threading.Lock()
+
 
 @functools.cache
 def _checked_prelude(
@@ -92,6 +101,21 @@ def _checked_prelude(
 
 
 def _check_layer(
+    base: CompileResult, units: list[tuple[str, str]], user_files: list[str]
+) -> CompileResult:
+    """`_layer_passes`, with Python's recursion limit _FRONT_END_FRAMES above
+    this call's depth. The limit is the process's, so one thread at a time
+    holds the lock that guards it."""
+    with _RECURSION_LIMIT_LOCK:
+        previous = sys.getrecursionlimit()
+        try:
+            _set_recursion_budget(_FRONT_END_FRAMES)
+            return _layer_passes(base, units, user_files)
+        finally:
+            sys.setrecursionlimit(previous)
+
+
+def _layer_passes(
     base: CompileResult, units: list[tuple[str, str]], user_files: list[str]
 ) -> CompileResult:
     """Parse, check and generate `units` over a copy of `base`'s table.
@@ -140,6 +164,26 @@ def _check_layer(
             )
         )
     return result
+
+
+def _set_recursion_budget(frames: int) -> None:
+    """Set Python's recursion limit `frames` above the caller's depth.
+
+    Python counts one per frame on the stack, and one more for each pending
+    call that it counts twice, such as a call through a class's `__call__`.
+    So the frames bound the depth from below, and the lowest limit Python
+    accepts, one above the depth, finds the rest.
+    """
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    while True:
+        try:
+            sys.setrecursionlimit(depth + 2)  # this call's frame is one more
+            break
+        except RecursionError:
+            depth += 1
+    sys.setrecursionlimit(depth + frames)
 
 
 def compile_files(paths: list[str], **kwargs) -> CompileResult:

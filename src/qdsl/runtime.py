@@ -10,12 +10,14 @@ callable value peels its wrapper stack outermost-first, accumulating flattened
 control registers and an adjoint parity bit, then dispatches the base symbol
 to the matching specialization body (or intrinsic handler).
 
-A specialization body is compiled on its first invocation to Python source
-with one function per block, run once and cached on its ``SpecEntry``.
-Locals live in one frame slot per binding site, and the block functions of
-one call share its frame. A block function returns None to fall through, or
-the value of a ``return``. Every operand is a constant, a slot or a
-temporary, so a deeper program does not nest its source deeper, and Python's
+A specialization body is compiled on its first invocation to Python source,
+run once and cached on its ``SpecEntry``. A block is emitted in place, as
+an indented suite, while the source is at most six levels deep; a deeper
+block, a qubit block and the right operand of ``&&``/``||`` are functions of
+their own, which return None to fall through or the value of a ``return``.
+Locals live in one frame slot per binding site, and the functions of one
+call share its frame. Every operand is a constant, a slot or a temporary,
+so no function of the source nests deeper than a few levels, and Python's
 limits on nested blocks, indentation and parentheses are never qdsl's. A
 global callee under any functors is one constant ``Closure``. Program values
 and text reach the source only as names of its namespace. Compiled code
@@ -259,11 +261,19 @@ class Interpreter:
         controls: list[QubitRef],
     ) -> None:
         """Apply `matrix` as given; `adjoint` only labels the trace line."""
-        # The target is checked inline, not packed with the controls for `ids`:
-        # a gate is the hot path of a cached shot, and the packing showed.
-        if self.ledger.live.get(target.id) is not target:
+        # The qubits are checked inline, not by `ledger.ids`: a gate is the
+        # hot path of a cached shot, and the call showed.
+        live = self.ledger.live
+        if live.get(target.id) is not target:
             raise _released(target)
-        self.simulator.apply(matrix, target.id, self.ledger.ids(controls))
+        control_ids = ()
+        if controls:
+            control_ids = []
+            for ref in controls:
+                if live.get(ref.id) is not ref:
+                    raise _released(ref)
+                control_ids.append(ref.id)
+        self.simulator.apply(matrix, target.id, control_ids)
         self.stats.gates += 1
         if self.trace is not None:
             ctl = " ".join(f"q{c.id}" for c in controls)
@@ -317,10 +327,14 @@ _WRAP = (
     "if {0}.__class__ is int and not -0x8000000000000000 <= {0} <= 0x7fffffffffffffff: "
     "{0} = wrap64({0})"
 )
+# The deepest indentation at which a block's statements are emitted in place.
+# A deeper block is a function whose source starts again at indentation 0,
+# so no function comes near Python's limits on nested blocks and indentation.
+_INLINE_INDENT = 6
 
 
 class _Compiler:
-    """Compiles one specialization body into one Python function per block.
+    """Compiles one specialization body into Python functions.
 
     There is one method per AST node class, named after it. A statement
     method emits lines; an expression method emits the lines that compute
@@ -329,11 +343,13 @@ class _Compiler:
     names in scope to their slots the way the checker scopes them, so a slot
     of a finished block is never read.
 
-    Each block (an `if` branch, a loop body or fixup, a qubit block, the
-    right operand of `&&` or `||`) is a function `(interp, frame)` that
+    The body is the entry function `(interp, arg, controls)`, which makes
+    the frame. An `if` branch and a loop body or fixup are emitted in place
+    while their indentation is at most _INLINE_INDENT. A deeper one, a qubit
+    block (run by `_hold`) and the right operand of `&&` or `||` are each a
+    function `(interp, frame)` that starts again at indentation 0 and
     returns None to fall through or the value of a `return`, so the source
-    nests a few levels deep however deep the program nests. The body is the
-    entry function `(interp, arg, controls)`, which makes the frame. Program
+    nests a few levels deep however deep the program nests. Program
     values, program text and spans reach the source only as names of the
     module's namespace. A failure with no span takes that of the line it
     leaves (a call, an allocation, a borrow or a release), which the
@@ -434,16 +450,26 @@ class _Compiler:
             self._compile(stmt)
 
     def _block(self, stmts: list[Stmt], scoped: bool = True) -> None:
-        """Runs `stmts` as a block function and returns what it returns."""
-        if stmts:
+        """Runs `stmts` in place while the source is shallow, else as a
+        block function, returning what it returns unless that is None."""
+        if self.indent <= _INLINE_INDENT:
+            if scoped:
+                self.scopes.append({})
+            self._statements(stmts)
+            if scoped:
+                self.scopes.pop()
+        elif stmts:
             name, value = self._function(lambda: self._statements(stmts), scoped), self._fresh("t")
             self._line(f"if ({value} := {name}(interp, frame)) is not None: return {value}")
 
     def _suite(self, header: str, stmts: list[Stmt], scoped: bool = True) -> None:
         """A compound statement whose suite runs `stmts` as a block."""
-        self._line(header + ("" if stmts else " pass"))
+        self._line(header)
+        size = len(self.lines)
         self.indent += 1
         self._block(stmts, scoped)
+        if len(self.lines) == size:
+            self._line("pass")  # the statements emitted no line
         self.indent -= 1
 
     def _bind(self, node, value: str) -> None:
@@ -732,10 +758,12 @@ _CHECKED = {  # operators that can fail, at the expression's span
 # ── Shot driver ──────────────────────────────────────────────────────────────
 
 # Python frames one qdsl call may use, and a ceiling for Python's recursion
-# limit. A call made k blocks deep in its caller's body takes k + 2 frames:
-# `invoke`, the callee's body and one function per block (a qubit block adds
-# `_hold` too). Counted between two nested `invoke`s of a recursive call
-# inside 10 nested `for` loops (tests/test_runtime_limits.py), it takes 12.
+# limit. A call takes `invoke`, the callee's body, and each block function
+# of its caller that it is made in: one per qubit block (with `_hold`) and
+# one per block emitted past _INLINE_INDENT, which is about one per 7 levels
+# of nesting. Counted between two nested `invoke`s of a recursive call
+# inside 10 nested `for` loops (tests/test_runtime_limits.py), it takes 3;
+# 12 covers a call inside five nested qubit blocks.
 _FRAMES_PER_CALL = 12
 _MAX_PYTHON_DEPTH = 200_000
 

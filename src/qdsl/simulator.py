@@ -480,17 +480,21 @@ class ShotPrefix:
     results as an earlier shot for as long as its draws give the earlier
     outcomes. The first shot that succeeds records its calls (the log), up
     to _MAX_LOG of them: allocations with the qubits live before them, gates
-    keyed by their matrix's bytes, releases, probes with their results, and
+    with their matrix object, releases, probes with their results, and
     each measurement and dirty permissive release that draws with the
     probability and the number it drew. Every later shot follows the log as
-    a cursor and computes no amplitude. A matched key fixes every qubit id
-    and the order of every allocation and release, so of the checks only the
-    qubit limit and the memory budget are run again. At a logged draw the
-    shot draws as the real call would and goes on while the outcome is the
-    logged one. A shot that leaves the log (another call or outcome, a dump,
-    a strict release logged as dirty, or the end of the log) brings its
-    state up to date and goes on from there without the log. Before the
-    first draw it replays what it matched from |0...0>. At or after it, it
+    a cursor and computes no amplitude. A gate matches only the matrix
+    object logged, which must not change while the log lives: the gate
+    matrices are shared read-only objects, so every shot passes the same
+    ones, and another array with the same entries leaves the log. A matched
+    call fixes every qubit id and the order of every allocation and
+    release, so of the checks only the qubit limit and the memory budget
+    are run again. At a logged draw the shot draws as the real call would
+    and goes on while the outcome is the logged one. A shot that leaves the
+    log (another call or outcome, a dump, a strict release logged as dirty,
+    or the end of the log) brings its state up to date and goes on from
+    there without the log. Before the first draw it replays what it matched
+    from |0...0>. At or after it, it
     loads the snapshot, the state and the qubit positions at the first draw,
     and replays the rest with the logged numbers, which give the logged
     outcomes and so the same state. The first such shot takes the snapshot
@@ -561,12 +565,19 @@ class _PrefixStandIn:
     def apply(
         self, matrix: np.ndarray, target_id: int, control_ids: Sequence[int] = ()
     ) -> None:
-        key = ("apply", matrix.tobytes(), target_id, tuple(control_ids))
-        if self._follows(key):
-            self.at += 1
-            return
+        log = self.log
+        if log is not None:
+            # A logged gate is matched by its matrix's identity: the log holds
+            # every matrix it names, so no other array takes its address.
+            at = self.at
+            if at < len(log):
+                key, logged = log[at]
+                if logged is matrix and key[1] == target_id and key[2] == control_ids:
+                    self.at = at + 1
+                    return
+            self._leave()
         self.sim.apply(matrix, target_id, control_ids)
-        self._record(key, matrix)
+        self._record(("apply", target_id, list(control_ids) if control_ids else ()), matrix)
 
     def release(self, qubit_id: int, strict: bool, rng=None) -> bool:
         key = ("release", qubit_id)
@@ -675,7 +686,7 @@ class _PrefixStandIn:
             if key[0] == "allocate":
                 sim.allocate(key[1])
             elif key[0] == "apply":
-                sim.apply(value, key[2], key[3])
+                sim.apply(value, key[1], key[2])
             elif key[0] == "release":
                 sim.release(key[1], strict=value is None,
                             rng=value and _Drawn(value[1]))

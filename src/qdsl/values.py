@@ -70,15 +70,7 @@ class RangeValue:
     end: int
 
     def __iter__(self):
-        value = self.start
-        if self.step > 0:
-            while value <= self.end:
-                yield value
-                value += self.step
-        else:
-            while value >= self.end:
-                yield value
-                value += self.step
+        return iter(range(self.start, self.end + (1 if self.step > 0 else -1), self.step))
 
     @property
     def is_empty(self) -> bool:

@@ -24,6 +24,12 @@ cached run differs from its run with no shot log:
 
     PYTHONPATH=src python tests/program_generator.py --programs 2000 --seed 7
 
+`--depth N` nests statement blocks up to N deep (3 by default, which the
+golden file uses). Deeper programs reach the blocks that the runtime emits
+as functions of their own, not in place. They can also double an array in
+nested loops until memory runs out, as qdsl bounds no array's length:
+`--programs 200 --seed 1000 --depth 8` is a range that does not.
+
 The golden file is rewritten as the others are, by
 `tests/test_golden_runs.py generated_runs.txt`.
 """
@@ -90,6 +96,7 @@ from qdsl.values import Pauli, render_value
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden", "generated_runs.txt")
 GOLDEN_PROGRAMS = 60
+DEPTH = 3  # how deeply statement blocks nest, unless --depth says otherwise
 SHOTS = 3
 FILE = "generated.qds"
 
@@ -181,8 +188,9 @@ class _Generator:
     """Builds one program. `scopes` maps the names in scope to their types;
     a name in `mutables` may be the target of a `set`."""
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, depth: int = DEPTH) -> None:
         self.rng = random.Random(seed)
+        self.max_depth = depth  # the deepest statement nesting
         self.scopes: list[dict[str, str]] = []
         self.mutables: set[str] = set()
         self.counter = 0
@@ -360,7 +368,7 @@ class _Generator:
     def statement(self) -> list:
         rng = self.rng
         kinds = ["let", "let", "mutable", "set", "set", "message", "tuple", "partial"]
-        if self.depth < 3:
+        if self.depth < self.max_depth:
             kinds += ["if", "for", "repeat"]
         kind = rng.choice(kinds)
         if kind in ("let", "mutable"):
@@ -480,7 +488,7 @@ class _Generator:
         rng = self.rng
         kinds = ["gate", "gate", "r1", "cnot", "unitary", "unitary", "dynamic", "measure",
                  "classical", "borrow"]
-        if self.depth < 3:
+        if self.depth < self.max_depth:
             kinds += ["if", "for", "using"]
         kind = rng.choice(kinds)
         if kind == "gate":
@@ -595,7 +603,8 @@ class _Generator:
         rng = self.rng
         stmts: list = []
         for _ in range(count):
-            kind = rng.choice(["gate", "gate", "r1", "call", "let"] + (["if", "for"] if self.depth < 2 else []))
+            nested = ["if", "for"] if self.depth < self.max_depth - 1 else []
+            kind = rng.choice(["gate", "gate", "r1", "call", "let"] + nested)
             if kind == "gate":
                 stmts.append(expr_stmt(call(rng.choice(GATES), name("q"))))
             elif kind == "r1":
@@ -697,9 +706,9 @@ def _args(arg: Expr) -> list[Expr]:
     return list(arg.items) if isinstance(arg, TupleExpr) else [arg]
 
 
-def generate(seed: int) -> str:
-    """The text of program `seed`."""
-    return pretty_print(_Generator(seed).program())
+def generate(seed: int, depth: int = DEPTH) -> str:
+    """The text of program `seed`, with blocks nested up to `depth` deep."""
+    return pretty_print(_Generator(seed, depth).program())
 
 
 # ── Runs ─────────────────────────────────────────────────────────────────────
@@ -756,9 +765,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--programs", type=int, default=GOLDEN_PROGRAMS)
     parser.add_argument("--seed", type=int, default=0, help="the first program's seed")
+    parser.add_argument("--depth", type=int, default=DEPTH,
+                        help="how deeply statement blocks nest (unitaries one less)")
     args = parser.parse_args(argv)
     for seed in range(args.seed, args.seed + args.programs):
-        text = generate(seed)
+        text = generate(seed, args.depth)
         entry = compile_entry(text)
         lines = run(text, seed, entry=entry)
         # Each shot again with the shot log dropped, as on a fresh entry.

@@ -157,6 +157,28 @@ def test_range_value_iteration():
     assert list(RangeValue(4, 1, 4)) == [4]
 
 
+def counted_range(start: int, step: int, end: int):
+    """Each value from `start` by `step` that has not passed `end`."""
+    value = start
+    while (value <= end) if step > 0 else (value >= end):
+        yield value
+        value += step
+
+
+INT_MIN, INT_MAX = -(1 << 63), (1 << 63) - 1
+
+
+@pytest.mark.parametrize("start, step, end", [
+    (INT_MAX - 4, 1, INT_MAX), (INT_MAX - 7, 3, INT_MAX), (INT_MAX, 1, INT_MAX),
+    (INT_MIN + 4, -1, INT_MIN), (INT_MIN + 7, -3, INT_MIN), (INT_MIN, -1, INT_MIN),
+    (INT_MIN, INT_MAX, INT_MAX), (INT_MAX, INT_MIN, INT_MIN), (INT_MIN, 1 << 62, INT_MAX),
+    (INT_MAX, 1, INT_MIN), (INT_MIN, -1, INT_MAX), (0, -1, 1), (1, 1, 0),
+    (10, -3, 0), (0, 4, 10), (-5, 2, 5), (7, -7, -7), (3, 5, 4),
+])
+def test_range_value_iterates_as_counting_does(start, step, end):
+    assert list(RangeValue(start, step, end)) == list(counted_range(start, step, end))
+
+
 def test_range_reversed_visits_same_values_backwards():
     for start, step, end in [(1, 1, 4), (0, 2, 5), (5, -2, 0), (3, 1, 2), (7, 3, 7)]:
         r = RangeValue(start, step, end)

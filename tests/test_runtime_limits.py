@@ -3,21 +3,22 @@
 Deep nesting, long chains and odd names must run as any other program does:
 a limit of the Python that runs the runtime (nested blocks, indentation,
 parentheses, frames) must never become a limit of qdsl. Program text, names
-included, must never change what the runtime does. And a recursive call
+included, must never change what the runtime does. A recursive call
 inside nested loops meets the qdsl call-depth limit, not Python's recursion
-limit.
+limit. And how deeply a program may nest does not depend on the stack of
+whoever compiles it.
 """
 
 from __future__ import annotations
 
-import sys
+import threading
 
 import pytest
 
-from qdsl.compiler import resolve_entry
-from qdsl.prelude import intrinsic_handlers
-from qdsl.runtime import QdslFailure, RunOptions, run_shots
-from conftest import compile_ok, run_main
+from qdsl.compiler import compile_snippet
+from qdsl.diagnostics import NESTING_TOO_DEEP
+from qdsl.runtime import QdslFailure
+from conftest import run_main
 
 
 def main_program(body: str, output: str = "Int", decls: str = "") -> str:
@@ -31,26 +32,6 @@ namespace T {{
         }}
     }}
 }}"""
-
-
-def run_compiled_with_headroom(text: str):
-    """The shot of `text`, compiled with Python's recursion limit raised.
-
-    The front end reports nesting deeper than Python's recursion limit
-    allows as `nesting-too-deep`, counted from wherever the stack already
-    is. These programs are at that edge, so they are compiled with
-    headroom; the run itself gets none.
-    """
-    previous = sys.getrecursionlimit()
-    sys.setrecursionlimit(previous + 2000)
-    try:
-        result = compile_ok(text)
-    finally:
-        sys.setrecursionlimit(previous)
-    entry, error = resolve_entry(result, None)
-    assert error is None, error
-    [shot] = run_shots(intrinsic_handlers(), entry, 1, 1, RunOptions())
-    return shot
 
 
 PRED = """
@@ -122,9 +103,49 @@ def nested_repeat(depth: int) -> str:
     ids=["for-324", "if-196", "elif-300", "and-140", "or-140", "using-24", "sum-328", "repeat-40"],
 )
 def test_deep_nesting_runs_as_any_program(text, value, messages):
-    shot = run_compiled_with_headroom(text)
+    [shot] = run_main(text)
     assert shot.value == value
     assert shot.messages == ["Pred 4"] * messages
+
+
+# ── The front end's nesting limit ───────────────────────────────────────────
+
+# The deepest nesting of each shape in a function body that README and
+# docs/grammar.md document.
+FRONT_END_LIMITS = {"parentheses": 181, "terms": 364, "ifs": 218}
+
+
+def front_end_shape(shape: str, depth: int) -> str:
+    body = {
+        "parentheses": "return " + "(" * depth + "1" + ")" * depth + ";",
+        "terms": "return " + " + ".join(["1"] * depth) + ";",
+        "ifs": "if (true) { " * depth + "}" * depth + " return 1;",
+    }[shape]
+    return f"namespace T {{ function F () : Int {{ {body} }} }}"
+
+
+def verdicts(text: str) -> list[bool]:
+    """Whether `text` compiles without `nesting-too-deep`: called from this
+    thread, from a new thread and from 200 frames deeper."""
+    def compiles() -> bool:
+        return all(d.code != NESTING_TOO_DEEP for d in compile_snippet(text).diagnostics)
+
+    def deeper(frames: int) -> bool:
+        return compiles() if frames == 0 else deeper(frames - 1)
+
+    found: list[bool] = []
+    thread = threading.Thread(target=lambda: found.append(compiles()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return [compiles(), *found, deeper(200)]
+
+
+@pytest.mark.parametrize("shape", sorted(FRONT_END_LIMITS))
+def test_the_nesting_limit_does_not_depend_on_the_callers_stack(shape):
+    limit = FRONT_END_LIMITS[shape]
+    assert verdicts(front_end_shape(shape, limit)) == [True] * 3
+    assert verdicts(front_end_shape(shape, limit + 1)) == [False] * 3
 
 
 # ── Program text never reaches the runtime's code ───────────────────────────

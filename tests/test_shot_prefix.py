@@ -18,9 +18,15 @@ import pytest
 
 import qdsl.simulator
 from qdsl.compiler import compile_units, resolve_entry
-from qdsl.prelude import intrinsic_handlers
+from qdsl.prelude import _gate_handler, intrinsic_handlers
 from qdsl.runtime import QdslFailure, RunOptions, run_shots
-from qdsl.simulator import GATE_MATRICES, StateVectorSimulator, _PrefixStandIn
+from qdsl.simulator import (
+    GATE_ADJOINTS,
+    GATE_MATRICES,
+    StateVectorSimulator,
+    _PrefixStandIn,
+    r1frac_matrix,
+)
 from test_corpus import load_accept
 from test_golden_runs import CASES, SEEDS, SHOTS, TRACE_CASES
 
@@ -350,7 +356,7 @@ def test_simulator_is_handed_back_after_the_prefix():
         assert flags == sorted(flags)  # never taken back once handed back
     assert [] != [f for f in seen[1:] if f[0] is False and f[-1] is True]
     assert [] != [f for f in seen[1:] if not any(f)]
-    assert GATE_MATRICES["H"].tobytes() in {key[1] for key, _ in entry.shot_prefix.log}
+    assert any(value is GATE_MATRICES["H"] for _, value in entry.shot_prefix.log)
 
 
 @pytest.fixture
@@ -490,6 +496,35 @@ def test_dump_after_the_first_draw(departures, text):
     options = RunOptions(strict_release=False, dump_state=True)
     assert_matches_reference(text, options)
     assert any(dump and at > first for at, first, _, dump in departures)
+
+
+def test_gate_matrix_with_the_logged_entries_leaves_the_log(departures):
+    """A logged gate matches only its own matrix object."""
+    entry = compile_entry(PREFIXED)
+    run_shots(HANDLERS, entry, 1, 1, RunOptions())
+    first_h = next(at for at, (_, value) in enumerate(entry.shot_prefix.log)
+                   if value is GATE_MATRICES["H"])
+    copied = {**HANDLERS, "H": _gate_handler(
+        "H", GATE_MATRICES["H"].copy(), GATE_ADJOINTS["H"].copy())}
+    for seed in SEEDS:
+        expected = shot_by_shot(fresh_entries(PREFIXED), seed, RunOptions(), copied)
+        assert expected == shot_by_shot(fresh_entries(PREFIXED), seed, RunOptions())
+        departures.clear()
+        assert shot_by_shot([entry] * SHOTS, seed, RunOptions(), copied) == expected
+        assert {(at, kind) for at, _, kind, _ in departures} == {(first_h, "apply")}
+
+
+def test_clearing_the_r1frac_cache_between_shots_changes_no_output(departures):
+    for seed in SEEDS:
+        expected = shot_by_shot(fresh_entries(QFT_ROUND_TRIP), seed, RunOptions())
+        entry, found = compile_entry(QFT_ROUND_TRIP), []
+        for shot in range(SHOTS):
+            r1frac_matrix.cache_clear()
+            [result] = run_shots(HANDLERS, entry, 1, seed ^ shot, RunOptions())
+            found.append(summary(result))
+        assert (found, None) == expected
+    # Each shot after the first passed new R1Frac matrices and left the log.
+    assert departures and all(kind == "apply" for _, _, kind, _ in departures)
 
 
 # A strict release after a measurement, clean only when the outcome is Zero.
