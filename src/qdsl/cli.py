@@ -119,13 +119,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
 Sources = dict[str, SourceFile]
 
 
-def _print_diagnostics(result: CompileResult, sources: Sources) -> None:
-    for d in result.diagnostics:
-        print(d.render(sources.get(d.file)), file=sys.stderr)
-
-
-def _diagnostics_json(result: CompileResult, sources: Sources) -> list[dict]:
-    return [d.to_json(sources.get(d.file)) for d in result.diagnostics]
+def _print_diagnostics(
+    result: CompileResult, sources: Sources, command: str, as_json: bool, **extra
+) -> None:
+    """The diagnostics as text on stderr, or as a JSON envelope with `extra`."""
+    if not as_json:
+        for d in result.diagnostics:
+            print(d.render(sources.get(d.file)), file=sys.stderr)
+        return
+    payload = {
+        "version": JSON_VERSION,
+        "command": command,
+        "ok": result.ok,
+        "diagnostics": [d.to_json(sources.get(d.file)) for d in result.diagnostics],
+        **extra,
+    }
+    print(json.dumps(payload, indent=2))
 
 
 def _load(files: list[str]) -> tuple[CompileResult, Sources]:
@@ -143,20 +152,10 @@ def _load(files: list[str]) -> tuple[CompileResult, Sources]:
 
 def _cmd_check(args) -> int:
     result, sources = _load(args.files)
-    emit = result.ok and args.emit_specializations
-    emitted = _specializations(result) if emit else []
-    if args.json:
-        payload = {
-            "version": JSON_VERSION,
-            "command": "check",
-            "ok": result.ok,
-            "diagnostics": _diagnostics_json(result, sources),
-        }
-        if args.emit_specializations:
-            payload["specializations"] = emitted
-        print(json.dumps(payload, indent=2))
-    else:
-        _print_diagnostics(result, sources)
+    emitted = _specializations(result) if result.ok and args.emit_specializations else []
+    extra = {"specializations": emitted} if args.emit_specializations else {}
+    _print_diagnostics(result, sources, "check", args.json, **extra)
+    if not args.json:
         if result.ok:
             print(f"ok: {len(args.files)} file(s) checked")
         for spec in emitted:
@@ -227,16 +226,7 @@ def _dump_payload(dumps) -> list:
 def _cmd_run(args, tracing: bool) -> int:
     result, sources = _load(args.files)
     if not result.ok:
-        if args.json:
-            payload = {
-                "version": JSON_VERSION,
-                "command": "run",
-                "ok": False,
-                "diagnostics": _diagnostics_json(result, sources),
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            _print_diagnostics(result, sources)
+        _print_diagnostics(result, sources, "run", args.json)
         return EXIT_DIAGNOSTICS
 
     entry, err = resolve_entry(result, args.entry)

@@ -12,11 +12,12 @@ so later passes can rely on the annotations of the earlier ones.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import prelude, transform
 from . import types as ty
@@ -61,7 +62,7 @@ def compile_units(
     """
     excluded = frozenset(prelude_exclude).intersection(prelude.prelude_files())
     base, open_units = _checked_prelude(excluded)
-    return _check_layer(base, [*open_units, *units], [f for f, _ in units])
+    return _layer_passes(base, [*open_units, *units], [f for f, _ in units])
 
 
 _PRIMITIVE = "primitive.qds"
@@ -71,7 +72,39 @@ _PRIMITIVE = "primitive.qds"
 # depend on the caller's stack. Each level of nesting takes a few frames, so
 # this sets the nesting limits that README documents.
 _FRONT_END_FRAMES = 1100
-_RECURSION_LIMIT_LOCK = threading.Lock()
+_RECURSION_LIMIT_LOCK = threading.RLock()
+
+
+@contextlib.contextmanager
+def recursion_budget(frames: int) -> Iterator[None]:
+    """Run the `with` body, or the function it decorates, with Python's
+    recursion limit `frames` above the depth that enters it, and restore
+    the limit after. The limit is the process's, so compiling and running
+    hold one reentrant lock.
+
+    Python counts one per frame, and one more for each pending call that it
+    counts twice, such as a call through a class's `__call__`. So the frames
+    bound the depth from below, and the lowest limit Python accepts, one
+    above the depth, finds the rest. This generator's frame counts twice,
+    because `with` resumes it from C, so the depth found here is three above
+    the entering frame's, counting `__enter__`.
+    """
+    with _RECURSION_LIMIT_LOCK:
+        previous = sys.getrecursionlimit()
+        frame, depth = sys._getframe(), 1
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        while True:
+            try:
+                sys.setrecursionlimit(depth + 1)
+                break
+            except RecursionError:
+                depth += 1
+        sys.setrecursionlimit(depth - 3 + frames)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(previous)
 
 
 @functools.cache
@@ -94,27 +127,13 @@ def _checked_prelude(
         base, units = _checked_prelude(primitive_only)
         excluded |= {_PRIMITIVE}
     units = units + prelude.prelude_units(tuple(excluded))
-    checked = _check_layer(base, units, [])
+    checked = _layer_passes(base, units, [])
     if checked.diagnostics:
         return base, units
     return checked, []
 
 
-def _check_layer(
-    base: CompileResult, units: list[tuple[str, str]], user_files: list[str]
-) -> CompileResult:
-    """`_layer_passes`, with Python's recursion limit _FRONT_END_FRAMES above
-    this call's depth. The limit is the process's, so one thread at a time
-    holds the lock that guards it."""
-    with _RECURSION_LIMIT_LOCK:
-        previous = sys.getrecursionlimit()
-        try:
-            _set_recursion_budget(_FRONT_END_FRAMES)
-            return _layer_passes(base, units, user_files)
-        finally:
-            sys.setrecursionlimit(previous)
-
-
+@recursion_budget(_FRONT_END_FRAMES)
 def _layer_passes(
     base: CompileResult, units: list[tuple[str, str]], user_files: list[str]
 ) -> CompileResult:
@@ -164,26 +183,6 @@ def _layer_passes(
             )
         )
     return result
-
-
-def _set_recursion_budget(frames: int) -> None:
-    """Set Python's recursion limit `frames` above the caller's depth.
-
-    Python counts one per frame on the stack, and one more for each pending
-    call that it counts twice, such as a call through a class's `__call__`.
-    So the frames bound the depth from below, and the lowest limit Python
-    accepts, one above the depth, finds the rest.
-    """
-    frame, depth = sys._getframe(1), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    while True:
-        try:
-            sys.setrecursionlimit(depth + 2)  # this call's frame is one more
-            break
-        except RecursionError:
-            depth += 1
-    sys.setrecursionlimit(depth + frames)
 
 
 def compile_files(paths: list[str], **kwargs) -> CompileResult:

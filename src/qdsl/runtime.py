@@ -24,6 +24,10 @@ and text reach the source only as names of its namespace. Compiled code
 reads ``interp.options`` at run time, and every call still enters through
 ``interp.invoke``.
 
+A run may use 200,000 Python frames (`compiler.recursion_budget`), so a
+recursive program meets the qdsl call-depth limit. An array `+` or a string
+interpolation fails before it builds a value too long for the memory budget.
+
 Failures raised by programs (fail statements, assertion violations, runtime
 errors such as out-of-range indexing, simulator checks) surface as QdslFailure
 with their own span, or else that of the call or qubit block they leave.
@@ -33,10 +37,11 @@ from __future__ import annotations
 
 import heapq
 import random
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from . import simulator
+from . import types as ty
 from .ast_nodes import (
     Expr,
     FunctorExpr,
@@ -49,6 +54,7 @@ from .ast_nodes import (
     TupleExpr,
 )
 from .checker import CallableSymbol, UdtSymbol, shape_has_hole
+from .compiler import recursion_budget
 from .simulator import DEFAULT_CAPACITY, ShotPrefix, StateVectorSimulator
 from .source import Span
 from .values import (
@@ -336,12 +342,14 @@ _INLINE_INDENT = 6
 class _Compiler:
     """Compiles one specialization body into Python functions.
 
-    There is one method per AST node class, named after it. A statement
-    method emits lines; an expression method emits the lines that compute
-    its operands and returns a constant's name, a slot read or a temporary.
-    Every binding site gets its own frame slot, and the scope stack maps the
-    names in scope to their slots the way the checker scopes them, so a slot
-    of a finished block is never read.
+    Only a fully checked layer has specialization tables, so every name in
+    a body is resolved, a hole appears only in a partial application and a
+    callee is a `Closure`. There is one method per AST node class, named
+    after it. A statement method emits lines; an expression method emits the
+    lines that compute its operands and returns a constant's name, a slot
+    read or a temporary. Every binding site gets its own frame slot, and the
+    scope stack maps the names in scope to their slots the way the checker
+    scopes them, so a slot of a finished block is never read.
 
     The body is the entry function `(interp, arg, controls)`, which makes
     the frame. An `if` branch and a loop body or fixup are emitted in place
@@ -610,21 +618,14 @@ class _Compiler:
             self._const(p) if isinstance(p, str) else f"render_value({self._compile(p)})"
             for p in expr.parts
         ]
-        return self._temp(f"''.join([{', '.join(parts)}])")
+        joined, span = self._const(_join), self._const(expr.span)
+        return self._temp(f"{joined}([{', '.join(parts)}], {span})")
 
     def _Name(self, expr) -> str:
         binding = expr.binding
-        if binding is None:
-            message = self._const(f"unresolved name '{expr.name}'")
-            self._line(f"raise QdslFailure({message}, {self._const(expr.span)})")
-            return "None"
         if binding[0] == "local":
             return f"frame[{self._lookup(binding[1])}]"
         return self._const(Closure(binding[1]))
-
-    def _Hole(self, expr) -> str:
-        self._line(f"raise QdslFailure(\"'_' cannot be evaluated\", {self._const(expr.span)})")
-        return "None"
 
     def _TupleExpr(self, expr) -> str:
         items = [self._compile(item) for item in expr.items]
@@ -650,13 +651,7 @@ class _Compiler:
 
     def _CallExpr(self, expr) -> str:
         static = self._static(expr.callee)
-        if static is not None:
-            callee = self._const(static)
-        else:
-            callee = self._compile(expr.callee)
-            span = self._const(expr.span)
-            self._line(f"if {callee}.__class__ is not Closure: "
-                       f"raise QdslFailure('value is not callable', {span})")
+        callee = self._compile(expr.callee) if static is None else self._const(static)
         args = expr.args
         if expr.is_partial:
             shape = self._shape(args[0] if len(args) == 1 else TupleExpr(expr.span, items=args))
@@ -700,8 +695,9 @@ class _Compiler:
             self._line(f"if {test}{value}: {value} = {right}(interp, frame)")
             return value
         right = self._compile(expr.right)
-        if op in _CHECKED:
-            checked, span = self._const(_CHECKED[op]), self._const(expr.span)
+        checked = _concat if op == "+" and isinstance(expr.ty, ty.Array) else _CHECKED.get(op)
+        if checked is not None:
+            checked, span = self._const(checked), self._const(expr.span)
             return self._temp(f"{checked}({left}, {right}, {span})")
         assert op in _ARITHMETIC or op in _COMPARISONS
         value = self._temp(f"{left} {op} {right}")
@@ -747,6 +743,31 @@ def _shift(count: int, span: Span) -> int:
     return count
 
 
+# Bytes per item of a new array or string: its slot, the operands' slots and
+# most of an object, so a doubling loop stops within half the memory budget.
+_ITEM_BYTES = 32
+
+
+def _sized(what: str, length: int, span: Span) -> None:
+    if length * _ITEM_BYTES > simulator.MEMORY_BUDGET:
+        most = int(simulator.MEMORY_BUDGET // _ITEM_BYTES)
+        raise QdslFailure(
+            f"a new {what} of length {length} is longer than the {most} "
+            "that fit in the memory budget",
+            span,
+        )
+
+
+def _concat(left: list, right: list, span: Span) -> list:
+    _sized("array", len(left) + len(right), span)
+    return left + right
+
+
+def _join(parts: list, span: Span) -> str:
+    _sized("string", sum(map(len, parts)), span)
+    return "".join(parts)
+
+
 _CHECKED = {  # operators that can fail, at the expression's span
     "/": _divide,
     "%": lambda a, b, span: wrap64(a - b * _int_div(a, b, span)),
@@ -757,17 +778,12 @@ _CHECKED = {  # operators that can fail, at the expression's span
 
 # ── Shot driver ──────────────────────────────────────────────────────────────
 
-# Python frames one qdsl call may use, and a ceiling for Python's recursion
-# limit. A call takes `invoke`, the callee's body, and each block function
-# of its caller that it is made in: one per qubit block (with `_hold`) and
-# one per block emitted past _INLINE_INDENT, which is about one per 7 levels
-# of nesting. Counted between two nested `invoke`s of a recursive call
-# inside 10 nested `for` loops (tests/test_runtime_limits.py), it takes 3;
-# 12 covers a call inside five nested qubit blocks.
-_FRAMES_PER_CALL = 12
+# Python frames a run may use. A qdsl call takes a few, more inside qubit
+# blocks and deep blocks, so this bounds any useful `recursion_limit`.
 _MAX_PYTHON_DEPTH = 200_000
 
 
+@recursion_budget(_MAX_PYTHON_DEPTH)
 def run_shots(
     intrinsics: dict[str, Callable],
     entry: CallableSymbol,
@@ -776,25 +792,17 @@ def run_shots(
     options: RunOptions,
     trace: Optional[Callable[[int, str], None]] = None,
 ) -> list[ShotResult]:
-    # Python's recursion limit is raised for the run so that the qdsl call
-    # depth limit, not Python's, is the one a recursive program meets.
-    previous = sys.getrecursionlimit()
-    needed = previous + options.recursion_limit * _FRAMES_PER_CALL
-    sys.setrecursionlimit(max(previous, min(needed, _MAX_PYTHON_DEPTH)))
     if entry.shot_prefix is None:
         entry.shot_prefix = ShotPrefix()
-    try:
-        results = []
-        for shot in range(shots):
-            rng = random.Random(seed ^ shot) if seed is not None else random.Random()
-            shot_trace = (lambda line, s=shot: trace(s, line)) if trace else None
-            interp = Interpreter(intrinsics, options, rng, shot_trace)
-            interp.simulator = prefix = entry.shot_prefix.stand_in(interp.simulator)
-            value = interp.run(entry)
-            prefix.commit()
-            results.append(
-                ShotResult(value, interp.messages, interp.stats, interp.state_dumps)
-            )
-        return results
-    finally:
-        sys.setrecursionlimit(previous)
+    results = []
+    for shot in range(shots):
+        rng = random.Random(seed ^ shot) if seed is not None else random.Random()
+        shot_trace = (lambda line, s=shot: trace(s, line)) if trace else None
+        interp = Interpreter(intrinsics, options, rng, shot_trace)
+        interp.simulator = prefix = entry.shot_prefix.stand_in(interp.simulator)
+        value = interp.run(entry)
+        prefix.commit()
+        results.append(
+            ShotResult(value, interp.messages, interp.stats, interp.state_dumps)
+        )
+    return results

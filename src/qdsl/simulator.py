@@ -67,15 +67,21 @@ SMALL_QUBITS = 1
 
 
 def _physical_memory() -> float:
-    """Bytes of physical memory; unbounded where the platform cannot say."""
+    """Bytes of physical memory, or of the process's address-space limit
+    where that is lower; unbounded where the platform cannot say."""
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
+        import resource
+
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    except (ImportError, AttributeError, ValueError, OSError):
         return math.inf
+    return memory if limit == resource.RLIM_INFINITY else min(memory, limit)
 
 
 # An allocation that doubles the state vector to 2^n amplitudes must leave
-# room for the new vector and one kernel temporary of the same size.
+# room for the new vector and one kernel temporary of the same size. The
+# runtime bounds a new array or string by the same budget.
 MEMORY_BUDGET = _physical_memory()
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)

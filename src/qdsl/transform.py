@@ -195,6 +195,14 @@ def adjoint_block(block: Block) -> Block:
             _require_classical(
                 stmt.value, diag.ADJOINT_INELIGIBLE, "a let binding here"
             )
+            # It moves in front of `tail`, so it must not capture a use there.
+            bound = {p.name for p in walk(stmt.pattern) if isinstance(p, NamePattern)}
+            if any(isinstance(n, Name) and n.name in bound for n in walk(tail)):
+                raise TransformError(
+                    diag.ADJOINT_INELIGIBLE,
+                    "a let binding here must not shadow a name used before it",
+                    stmt.span,
+                )
             lets.append(stmt)
         else:
             tail.append(_adjoint_stmt(stmt))

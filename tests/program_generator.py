@@ -27,8 +27,8 @@ cached run differs from its run with no shot log:
 `--depth N` nests statement blocks up to N deep (3 by default, which the
 golden file uses). Deeper programs reach the blocks that the runtime emits
 as functions of their own, not in place. They can also double an array in
-nested loops until memory runs out, as qdsl bounds no array's length:
-`--programs 200 --seed 1000 --depth 8` is a range that does not.
+nested loops until its length meets the memory budget, which fails the
+shot: `--programs 100 --seed 3600 --depth 8` holds one such program.
 
 The golden file is rewritten as the others are, by
 `tests/test_golden_runs.py generated_runs.txt`.

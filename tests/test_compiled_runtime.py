@@ -56,6 +56,41 @@ def test_call_depth_one_above_the_limit_fails(limit):
         run_main(countdown_program(limit + 1), recursion_limit=limit)
 
 
+def countdown_in_using(depth: int, blocks: int) -> str:
+    """`countdown_program` with each recursive call inside `blocks` nested
+    `using` blocks of no qubits."""
+    heads = "".join(f"using (q{k} = Qubit[0]) {{ " for k in range(blocks))
+    return f"""
+namespace T {{
+    operation Down (n : Int) : Int {{
+        body {{
+            mutable r = 0;
+            {heads}if (n > 0) {{ set r = 1 + Down(n - 1); }}{" }" * blocks}
+            return r;
+        }}
+    }}
+    operation Main () : Int {{
+        body {{ return Down({depth - 2}); }}
+    }}
+}}"""
+
+
+@pytest.mark.parametrize("blocks", [6, 8])
+@pytest.mark.parametrize("limit", [DEFAULT_LIMIT, 7])
+def test_call_depth_inside_qubit_blocks_one_below_the_limit_runs(limit, blocks):
+    [shot] = run_main(countdown_in_using(limit - 1, blocks), recursion_limit=limit)
+    assert shot.value == limit - 3
+
+
+@pytest.mark.parametrize("blocks", [6, 8])
+@pytest.mark.parametrize("limit", [DEFAULT_LIMIT, 7])
+def test_call_depth_inside_qubit_blocks_one_above_the_limit_fails(limit, blocks):
+    with pytest.raises(
+        QdslFailure, match=f"call depth exceeded the limit of {limit}$"
+    ):
+        run_main(countdown_in_using(limit + 1, blocks), recursion_limit=limit)
+
+
 def test_python_recursion_limit_is_restored_after_a_failing_run():
     before = sys.getrecursionlimit()
     with pytest.raises(QdslFailure, match="call depth exceeded"):

@@ -6,11 +6,14 @@ parentheses, frames) must never become a limit of qdsl. Program text, names
 included, must never change what the runtime does. A recursive call
 inside nested loops meets the qdsl call-depth limit, not Python's recursion
 limit. And how deeply a program may nest does not depend on the stack of
-whoever compiles it.
+whoever compiles it. Compiling and running on several threads at once never
+changes Python's recursion limit under a thread that is deep in a run.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -311,3 +314,127 @@ def test_blocks_around_the_inline_depth_run_as_any_block(kind, case):
             assert ("failure", failure.message, text[span.start : span.end]) == expected
         else:
             assert ("value", shot.value, shot.messages) == expected, depth
+
+
+# ── One recursion budget for compiling and running ──────────────────────────
+
+# Python's recursion limit is one setting of the process. Each case runs in a
+# fresh interpreter, so that an abort for a stack overflow fails the test
+# instead of killing the test process. `Down(900)` is 902 nested qdsl calls.
+THREADED = '''
+import sys, threading
+from qdsl.compiler import compile_snippet, resolve_entry
+from qdsl.prelude import intrinsic_handlers
+from qdsl.runtime import RunOptions, run_shots
+
+DOWN = """
+namespace T {
+    function Down (n : Int) : Int {
+        if (n == 0) { return 0; }
+        return 1 + Down(n - 1);
+    }
+    operation Main () : Int { body { return Down(900); } }
+}"""
+entry, _ = resolve_entry(compile_snippet(DOWN), None)
+limit = sys.getrecursionlimit()
+failures = []
+
+def guarded(work):
+    def run(*args):
+        try:
+            work(*args)
+        except BaseException as error:
+            failures.append(repr(error))
+    return run
+
+@guarded
+def shots(count):
+    for shot in range(count):
+        [result] = run_shots(intrinsic_handlers(), entry, 1, shot, RunOptions())
+        if result.value != 900:
+            failures.append(result.value)
+
+@guarded
+def compile_until(done):
+    while not done.is_set():
+        result = compile_snippet("namespace U { function F () : Int { return 1; } }")
+        if not result.ok:
+            failures.append(str(result.diagnostics))
+
+CASE
+print(failures, sys.getrecursionlimit() == limit)
+'''
+
+THREAD_CASES = {
+    "compile while running": """
+done = threading.Event()
+compiling = threading.Thread(target=compile_until, args=(done,))
+compiling.start()
+shots(30)
+done.set()
+compiling.join()
+""",
+    "two runs": """
+for _ in range(10):  # rounds, so that some shots of the two threads overlap
+    runs = [threading.Thread(target=shots, args=(20,)) for _ in range(2)]
+    for run in runs:
+        run.start()
+    for run in runs:
+        run.join()
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(THREAD_CASES))
+def test_threads_that_compile_and_run_share_one_recursion_limit(case):
+    script = THREADED.replace("CASE", THREAD_CASES[case])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[] True"
+
+
+# ── Runaway arrays and strings ──────────────────────────────────────────────
+
+# A new array or string is refused before it is built when its length times
+# 32 bytes exceeds the memory budget that also bounds the state vector.
+DOUBLING = {
+    "array": ("mutable m = [1; 2; 3];", "m + m", "Length(m)"),
+    "string": ('mutable m = "abc";', '$"{m}{m}"', "0"),
+}
+
+
+def doubling(kind: str, times: int) -> str:
+    start, doubled, length = DOUBLING[kind]
+    return main_program(
+        f"{start} for (i in 1 .. {times}) {{ set m = {doubled}; }} "
+        f"return ({length} + 1 + 2, 1.5 + 2.0);",
+        "(Int, Double)",
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(DOUBLING))
+def test_a_runaway_array_or_string_fails_at_its_expression(kind, monkeypatch):
+    import qdsl.simulator
+
+    monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 32 * 3 * 2**10)
+    [shot] = run_main(doubling(kind, 10))  # 3 * 2**10 items fit
+    assert shot.value == ((3 * 2**10 if kind == "array" else 0) + 3, 3.5)
+    text = doubling(kind, 11)
+    with pytest.raises(QdslFailure) as info:
+        run_main(text)
+    assert info.value.message == (
+        f"a new {kind} of length {3 * 2**11} is longer than the {3 * 2**10} "
+        "that fit in the memory budget"
+    )
+    span = info.value.span
+    assert text[span.start : span.end] == DOUBLING[kind][1]
+
+
+def test_int_and_double_sums_are_not_bounded_by_the_memory_budget(monkeypatch):
+    import qdsl.simulator
+
+    monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 0)
+    [shot] = run_main(main_program("return (1 + 2, 1.5 + 2.0);", "(Int, Double)"))
+    assert shot.value == (3, 3.5)

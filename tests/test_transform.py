@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qdsl.ast_nodes import SpecKind
+from qdsl.compiler import compile_snippet
 from qdsl.pretty import pretty_print
 from conftest import (
     assert_unitaries_close,
@@ -301,6 +302,49 @@ namespace T {{
     }}
 }}""")
     assert "adjoint-ineligible" in codes
+
+
+# The adjoint moves every `let` to the front of its block, where it would
+# capture the uses of the name it shadows that came before it.
+SHADOWING_LETS = {  # the body, and the `let` that shadows an earlier use
+    "parameter": ("R1Frac(x, 3, q); let x = 1; R1Frac(x, 3, q);", "let x"),
+    "tuple pattern": ("R1Frac(x, 3, q); let (y, x) = (1, 2); R1Frac(y, x, q);", "let (y"),
+    "nested use": ("if (x > 0) { for (i in 1 .. x) { R1Frac(i, 3, q); } } let x = 1;", "let x"),
+    "enclosing let": (
+        "let y = x; if (y > 0) { R1Frac(y, 3, q); let y = 1; R1Frac(y, 3, q); }",
+        "let y = 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHADOWING_LETS))
+def test_adjoint_auto_rejects_a_let_that_shadows_an_earlier_use(case):
+    body, shadowing = SHADOWING_LETS[case]
+    text = f"""
+namespace T {{
+    open Microsoft.Quantum.Primitive;
+    operation Rot (x : Int, q : Qubit) : () {{
+        body {{ {body} }}
+        adjoint auto
+    }}
+}}"""
+    [error] = compile_snippet(text).errors
+    assert error.code == "adjoint-ineligible"
+    assert error.message.endswith("a let binding here must not shadow a name used before it")
+    assert error.span.start == text.index(shadowing)
+
+
+def test_adjoint_auto_keeps_a_let_that_shadows_only_later_uses():
+    result = compile_ok("""
+namespace T {
+    open Microsoft.Quantum.Primitive;
+    operation Rot (x : Int, q : Qubit) : () {
+        body { let y = x; let x = 1; R1Frac(x, y, q); }
+        adjoint auto
+    }
+}""")
+    text = generated_block_text(result, "T.Rot", SpecKind.ADJOINT)
+    assert text.index("let y = x;") < text.index("let x = 1;") < text.index("R1Frac")
 
 
 INELIGIBLE_CONTROLLED = [
