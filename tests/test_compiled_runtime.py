@@ -641,3 +641,36 @@ def test_measurement_with_a_basis_per_qubit_mismatch_fails_at_its_call(bases):
     failure, text = failure_of(f"using (q = Qubit()) {{ let r = {call}; }}")
     assert "one Pauli basis per qubit" in failure.message
     assert text == call
+
+
+@pytest.mark.parametrize(
+    "statements, options, message, expected",
+    [
+        (
+            "repeat { } until (false) fixup { }",
+            {"max_iterations": 3},
+            "repeat block exceeded 3 iterations",
+            "repeat { } until (false) fixup { }",
+        ),
+        (
+            "using (qs = Qubit[0 - 2]) { }",
+            {},
+            "cannot allocate -2 qubits",
+            "0 - 2",
+        ),
+        ("let z = 0; let r = 5 % z;", {}, "division by zero", "5 % z"),
+        ("let z = 0.0; let r = 1.0 / z;", {}, "division by zero", "1.0 / z"),
+        ("let n = 0 - 1; let r = 1 << n;", {}, "negative shift count", "1 << n"),
+        (
+            "let n = Length([1]);",
+            {"recursion_limit": 1},
+            "call depth exceeded the limit of 1",
+            "Length([1])",
+        ),
+    ],
+    ids=["repeat", "qubit-count", "modulo", "double-divide", "shift-left", "call-depth"],
+)
+def test_each_kind_of_failure_takes_the_span_of_its_node(statements, options, message, expected):
+    failure, text = failure_of(statements, **options)
+    assert (failure.message, text) == (message, expected)
+
