@@ -314,7 +314,6 @@ class CallableDecl(Node):
     params: ParamTuple
     output: TypeNode
     specs: list[SpecDecl]  # functions carry a single synthesized BODY spec
-    doc: str = ""
 
 
 @dataclass
@@ -364,7 +363,7 @@ def structurally_equal(a: Any, b: Any) -> bool:
         if type(a) is not type(b):
             return False
         for f in a.__dataclass_fields__.values():
-            if f.name in ("span", "name_span", "var_span", "ty", "binding", "doc"):
+            if f.name in ("span", "name_span", "var_span", "ty", "binding"):
                 continue
             if not f.compare:
                 continue

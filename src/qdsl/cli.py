@@ -16,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import sys
@@ -26,7 +27,6 @@ from .compiler import CompileResult, compile_units, resolve_entry
 from .prelude import intrinsic_handlers
 from .pretty import pretty_print
 from .source import SourceFile
-from .values import render_value
 
 JSON_VERSION = 1
 DEFAULT_SHOTS = 1
@@ -244,7 +244,7 @@ def _cmd_run(args, tracing: bool) -> int:
 
     options = _run_options(args)
     # The runtime, and numpy with it, loads only once a program is ready to run.
-    from .runtime import QdslFailure, run_shots
+    from .runtime import QdslFailure, render, run_shots
 
     trace_cb = None
     if tracing:
@@ -252,14 +252,13 @@ def _cmd_run(args, tracing: bool) -> int:
 
     try:
         outcomes = run_shots(intrinsic_handlers(), entry, shots, seed, options, trace_cb)
+        # A value whose text would not fit the memory budget fails the run.
+        rendered = [render([s.value]) for s in outcomes]
     except QdslFailure as failure:
         print(f"runtime error: {failure.message}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    rendered = [render_value(s.value) for s in outcomes]
-    histogram: dict[str, int] = {}
-    for text in sorted(set(rendered)):
-        histogram[text] = rendered.count(text)
+    histogram = dict(sorted(collections.Counter(rendered).items()))
 
     if args.json:
         payload = {

@@ -94,10 +94,11 @@ def seed_table(table: SymbolTable) -> None:
 
 
 def _gate_handler(name: str, matrix, adjoint_matrix):
+    forms = ((name, matrix), (f"Adjoint {name}", adjoint_matrix))
+
     def handler(interp, arg, adjoint, controls):
-        interp.apply_gate(
-            name, adjoint_matrix if adjoint else matrix, arg, adjoint, controls
-        )
+        label, gate = forms[adjoint]
+        interp.apply_gate(label, gate, arg, controls)
         return UNIT
 
     return handler
@@ -109,9 +110,9 @@ def _r1frac_handler(r1frac_matrix):
         if adjoint:
             numerator = -numerator
         matrix = r1frac_matrix(numerator, power)
-        # The display text goes only into a trace line.
-        display = "R1Frac" if interp.trace is None else f"R1Frac({numerator},{power})"
-        interp.apply_gate(display, matrix, target, False, controls)
+        # The label goes only into a trace line.
+        label = "R1Frac" if interp.trace is None else f"R1Frac({numerator},{power})"
+        interp.apply_gate(label, matrix, target, controls)
         return UNIT
 
     return r1frac

@@ -29,13 +29,14 @@ recursive program meets the qdsl call-depth limit. An array `+` or a string
 interpolation fails before it builds a value too long for the memory budget.
 
 Failures raised by programs (fail statements, assertion violations, runtime
-errors such as out-of-range indexing, simulator checks) surface as QdslFailure
-with their own span, or else that of the call or qubit block they leave.
+errors such as out-of-range indexing, simulator checks) surface as QdslFailure,
+with the span of the innermost emitted line they leave and that body's file.
 """
 
 from __future__ import annotations
 
 import heapq
+import io
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -48,6 +49,7 @@ from .ast_nodes import (
     Hole,
     Name,
     NamePattern,
+    Node,
     ParamLeaf,
     SpecKind,
     Stmt,
@@ -56,7 +58,6 @@ from .ast_nodes import (
 from .checker import CallableSymbol, UdtSymbol, shape_has_hole
 from .compiler import recursion_budget
 from .simulator import DEFAULT_CAPACITY, ShotPrefix, StateVectorSimulator
-from .source import Span
 from .values import (
     Closure,
     QdslFailure,
@@ -65,7 +66,7 @@ from .values import (
     Result,
     UNIT,
     fill_shape,
-    render_value,
+    render_pieces,
     wrap64,
 )
 
@@ -162,8 +163,8 @@ class Interpreter:
             raise QdslFailure(f"qubits leaked after the entry point: {leaked}")
         return value
 
-    def fail(self, message: str, span: Optional[Span] = None, file: str = "") -> None:
-        raise QdslFailure(message, span, file)
+    def fail(self, message: str) -> None:
+        raise QdslFailure(message)
 
     # ── Invocation ───────────────────────────────────────────────────────
 
@@ -258,15 +259,8 @@ class Interpreter:
 
     # ── Helpers used by intrinsic handlers ───────────────────────────────
 
-    def apply_gate(
-        self,
-        display: str,
-        matrix,
-        target: QubitRef,
-        adjoint: bool,
-        controls: list[QubitRef],
-    ) -> None:
-        """Apply `matrix` as given; `adjoint` only labels the trace line."""
+    def apply_gate(self, label: str, matrix, target: QubitRef, controls: list[QubitRef]) -> None:
+        """Apply `matrix` as given; `label` names the gate in a trace line."""
         # The qubits are checked inline, not by `ledger.ids`: a gate is the
         # hot path of a cached shot, and the call showed.
         live = self.ledger.live
@@ -284,8 +278,7 @@ class Interpreter:
         if self.trace is not None:
             ctl = " ".join(f"q{c.id}" for c in controls)
             suffix = f" ctl[{ctl}]" if controls else ""
-            prefix = "Adjoint " if adjoint else ""
-            self.trace(f"gate {prefix}{display} q{target.id}{suffix}")
+            self.trace(f"gate {label} q{target.id}{suffix}")
 
 
 _SPEC_KINDS = (
@@ -359,9 +352,9 @@ class _Compiler:
     returns None to fall through or the value of a `return`, so the source
     nests a few levels deep however deep the program nests. Program
     values, program text and spans reach the source only as names of the
-    module's namespace. A failure with no span takes that of the line it
-    leaves (a call, an allocation, a borrow or a release), which the
-    module's line table holds.
+    module's namespace. Each line that can raise has its node's span in the
+    line table, and each function's handler gives a failure with no span yet
+    the span of the line it leaves and the body's `sym.file`.
     """
 
     def __init__(self) -> None:
@@ -369,10 +362,10 @@ class _Compiler:
         self.size = 0
         self.names: dict[str, Any] = {
             "Closure": Closure, "QdslFailure": QdslFailure, "RangeValue": RangeValue,
-            "UNIT": UNIT, "render_value": render_value, "wrap64": wrap64, "_index": _index,
+            "UNIT": UNIT, "wrap64": wrap64, "_index": _index, "render": render,
         }
         self.functions: list[tuple[str, str, list]] = []  # name, parameters, lines
-        self.lines: list[tuple[int, str, Optional[Span]]] = []  # indent, text, span
+        self.lines: list[tuple[int, str, Optional[Node]]] = []  # indent, text, node
         self.indent = 0
         self.count = 0
 
@@ -386,24 +379,25 @@ class _Compiler:
         self._line("return UNIT")
         self.lines[0] = (0, f"frame = [None] * {self.size}", None)
         self.functions.append(("f0", "interp, arg, controls", self.lines))
-        return self._module()["f0"]
+        return self._module(sym.file)["f0"]
 
-    def _module(self) -> dict:
+    def _module(self, file: str) -> dict:
         """Runs the emitted functions' source and returns its namespace."""
         source, spans = [], {}
         for name, params, lines in self.functions:
             source += [f"def {name}({params}):", "    try:"]
-            for indent, text, span in lines or [(0, "pass", None)]:
+            for indent, text, node in lines or [(0, "pass", None)]:
                 source.append("    " * (2 + indent) + text)
-                if span is not None:
-                    spans[len(source)] = span
+                if node is not None:
+                    spans[len(source)] = node.span
             source += [
                 "    except QdslFailure as failure:",
                 "        if failure.span is None:",
                 "            failure.span = SPANS.get(failure.__traceback__.tb_lineno)",
+                "            failure.file = FILE",
                 "        raise",
             ]
-        namespace = dict(self.names, SPANS=spans)
+        namespace = dict(self.names, SPANS=spans, FILE=file)
         exec(compile("\n".join(source), "<qdsl>", "exec"), namespace)
         return namespace
 
@@ -427,14 +421,14 @@ class _Compiler:
         self.names[name] = value
         return name
 
-    def _temp(self, text: str, span: Optional[Span] = None) -> str:
-        """A temporary assigned `text`, on a line with `span` if given."""
+    def _temp(self, text: str, node: Optional[Node] = None) -> str:
+        """A temporary assigned `text`, on a line of `node` if given."""
         temp = self._fresh("t")
-        self._line(f"{temp} = {text}", span)
+        self._line(f"{temp} = {text}", node)
         return temp
 
-    def _line(self, text: str, span: Optional[Span] = None) -> None:
-        self.lines.append((self.indent, text, span))
+    def _line(self, text: str, node: Optional[Node] = None) -> None:
+        self.lines.append((self.indent, text, node))
 
     def _function(self, emit: Callable[[], Any], scoped: bool = True) -> str:
         """A new block function of the lines `emit` adds; `emit` may return
@@ -536,9 +530,8 @@ class _Compiler:
         header = f"for _, frame[{slot}] in zip(range({limit}), {items}):"
         self._suite(header, stmt.body.stmts, scoped=False)
         self.scopes.pop()
-        span = self._const(stmt.span)
         self._line(f"if next({items}, None) is not None: "
-                   f"raise QdslFailure(f'for loop exceeded {{{limit}}} iterations', {span})")
+                   f"raise QdslFailure(f'for loop exceeded {{{limit}}} iterations')", stmt)
 
     def _RepeatStmt(self, stmt) -> None:
         # Bindings made in the body stay visible to the condition and fixup.
@@ -551,36 +544,32 @@ class _Compiler:
         self._block(stmt.fixup.stmts)
         self.scopes.pop()
         self.indent -= 1
-        span = self._const(stmt.span)
-        self._line(f"else: raise QdslFailure("
-                   f"f'repeat block exceeded {{{limit}}} iterations', {span})")
+        self._line(f"else: raise QdslFailure(f'repeat block exceeded {{{limit}}} iterations')",
+                   stmt)
 
     def _ReturnStmt(self, stmt) -> None:
         self._line(f"return {self._compile(stmt.value)}")
 
     def _FailStmt(self, stmt) -> None:
-        message, span = self._compile(stmt.message), self._const(stmt.span)
-        self._line(f"raise QdslFailure(str({message}), {span})")
+        self._line(f"raise QdslFailure(str({self._compile(stmt.message)}))", stmt)
 
     def _ExprStmt(self, stmt) -> None:
         self._compile(stmt.expr)
 
     def _AllocateStmt(self, stmt) -> None:
-        span = stmt.span
         if stmt.count is None:
             count = "1"
         else:
             count = self._compile(stmt.count)
-            count_span = self._const(stmt.count.span)
-            self._line(f"if {count} < 0: "
-                       f"raise QdslFailure(f'cannot allocate {{{count}}} qubits', {count_span})")
+            self._line(f"if {count} < 0: raise QdslFailure(f'cannot allocate {{{count}}} qubits')",
+                       stmt.count)
         if stmt.borrowing:
             # Borrowing skips the qubits reachable from the bindings in scope here.
             visible = ", ".join(f"frame[{s}]" for scope in self.scopes for s in scope.values())
             refs, fresh = self._fresh("t"), self._fresh("t")
-            self._line(f"{refs}, {fresh} = interp._borrow({count}, [{visible}])", span)
+            self._line(f"{refs}, {fresh} = interp._borrow({count}, [{visible}])", stmt)
         else:
-            refs = fresh = self._temp(f"interp._allocate({count})", span)
+            refs = fresh = self._temp(f"interp._allocate({count})", stmt)
         self.scopes.append({})
         slot = self._define(stmt.name)
         self._line(f"frame[{slot}] = {refs}" + ("[0]" if stmt.count is None else ""))
@@ -588,7 +577,7 @@ class _Compiler:
         self.scopes.pop()
         value = self._fresh("t")
         held = f"interp._hold({fresh}, {body}, frame)"
-        self._line(f"if ({value} := {held}) is not None: return {value}", span)
+        self._line(f"if ({value} := {held}) is not None: return {value}", stmt)
 
     # ── Expressions ──────────────────────────────────────────────────────
 
@@ -614,12 +603,8 @@ class _Compiler:
         return self._const(Result.One if expr.one else Result.Zero)
 
     def _InterpString(self, expr) -> str:
-        parts = [
-            self._const(p) if isinstance(p, str) else f"render_value({self._compile(p)})"
-            for p in expr.parts
-        ]
-        joined, span = self._const(_join), self._const(expr.span)
-        return self._temp(f"{joined}([{', '.join(parts)}], {span})")
+        parts = [self._const(p) if isinstance(p, str) else self._compile(p) for p in expr.parts]
+        return self._temp(f"render([{', '.join(parts)}])", expr)
 
     def _Name(self, expr) -> str:
         binding = expr.binding
@@ -639,15 +624,13 @@ class _Compiler:
         step = "1" if expr.step is None else self._compile(expr.step)
         end = self._compile(expr.end)
         if expr.step is not None:
-            span = self._const(expr.span)
-            self._line(f"if {step} == 0: raise QdslFailure('a range step cannot be zero', {span})")
+            self._line(f"if {step} == 0: raise QdslFailure('a range step cannot be zero')", expr)
         return self._temp(f"RangeValue({start}, {step}, {end})")
 
     def _IndexExpr(self, expr) -> str:
         array, at = self._compile(expr.base), self._compile(expr.index)
-        span = self._const(expr.span)
         in_range = f"{at}.__class__ is int and 0 <= {at} < len({array})"
-        return self._temp(f"{array}[{at}] if {in_range} else _index({array}, {at}, {span})")
+        return self._temp(f"{array}[{at}] if {in_range} else _index({array}, {at})", expr)
 
     def _CallExpr(self, expr) -> str:
         static = self._static(expr.callee)
@@ -658,7 +641,7 @@ class _Compiler:
             return self._temp(f"{callee}.partial({shape})")
         items = [self._compile(a) for a in args]
         arg = items[0] if len(items) == 1 else f"({', '.join(items)})" if items else "UNIT"
-        return self._temp(f"interp.invoke({callee}, {arg})", expr.span)
+        return self._temp(f"interp.invoke({callee}, {arg})", expr)
 
     def _shape(self, expr: Expr) -> str:
         """Partial-application shape of an argument, with given values evaluated."""
@@ -697,8 +680,7 @@ class _Compiler:
         right = self._compile(expr.right)
         checked = _concat if op == "+" and isinstance(expr.ty, ty.Array) else _CHECKED.get(op)
         if checked is not None:
-            checked, span = self._const(checked), self._const(expr.span)
-            return self._temp(f"{checked}({left}, {right}, {span})")
+            return self._temp(f"{self._const(checked)}({left}, {right})", expr)
         assert op in _ARITHMETIC or op in _COMPARISONS
         value = self._temp(f"{left} {op} {right}")
         if op in _ARITHMETIC:
@@ -706,40 +688,38 @@ class _Compiler:
         return value
 
 
-def _index(array: list, at: Any, span: Span) -> Any:
+def _index(array: list, at: Any) -> Any:
     """`array[at]` for an Int or a Range `at`, failing on an index out of range."""
     if isinstance(at, RangeValue):
-        return [_index(array, i, span) for i in at]
+        return [_index(array, i) for i in at]
     if not 0 <= at < len(array):
-        raise QdslFailure(
-            f"index {at} is out of range for an array of length {len(array)}", span
-        )
+        raise QdslFailure(f"index {at} is out of range for an array of length {len(array)}")
     return array[at]
 
 
 # ── Operators ────────────────────────────────────────────────────────────────
 
 
-def _int_div(a: int, b: int, span: Span) -> int:
+def _int_div(a: int, b: int) -> int:
     if b == 0:
-        raise QdslFailure("division by zero", span)
+        raise QdslFailure("division by zero")
     q = abs(a) // abs(b)
     if (a < 0) != (b < 0):
         q = -q
     return wrap64(q)
 
 
-def _divide(left, right, span):
+def _divide(left, right):
     if isinstance(left, float) or isinstance(right, float):
         if right == 0.0:
-            raise QdslFailure("division by zero", span)
+            raise QdslFailure("division by zero")
         return left / right
-    return _int_div(left, right, span)
+    return _int_div(left, right)
 
 
-def _shift(count: int, span: Span) -> int:
+def _shift(count: int) -> int:
     if count < 0:
-        raise QdslFailure("negative shift count", span)
+        raise QdslFailure("negative shift count")
     return count
 
 
@@ -748,31 +728,36 @@ def _shift(count: int, span: Span) -> int:
 _ITEM_BYTES = 32
 
 
-def _sized(what: str, length: int, span: Span) -> None:
+def _sized(what: str, length: int) -> None:
     if length * _ITEM_BYTES > simulator.MEMORY_BUDGET:
         most = int(simulator.MEMORY_BUDGET // _ITEM_BYTES)
         raise QdslFailure(
             f"a new {what} of length {length} is longer than the {most} "
-            "that fit in the memory budget",
-            span,
+            "that fit in the memory budget"
         )
 
 
-def _concat(left: list, right: list, span: Span) -> list:
-    _sized("array", len(left) + len(right), span)
+def _concat(left: list, right: list) -> list:
+    _sized("array", len(left) + len(right))
     return left + right
 
 
-def _join(parts: list, span: Span) -> str:
-    _sized("string", sum(map(len, parts)), span)
-    return "".join(parts)
+def render(parts: list) -> str:
+    """The rendered `parts` run together: an interpolation, or a run's value.
+    It fails once the text would pass the memory budget, before later items."""
+    out = io.StringIO()
+    for part in parts:
+        for piece in render_pieces(part):
+            _sized("string", out.tell() + len(piece))
+            out.write(piece)
+    return out.getvalue()
 
 
-_CHECKED = {  # operators that can fail, at the expression's span
+_CHECKED = {  # operators that can fail
     "/": _divide,
-    "%": lambda a, b, span: wrap64(a - b * _int_div(a, b, span)),
-    "<<": lambda a, b, span: 0 if _shift(b, span) >= 64 else wrap64(a << b),
-    ">>": lambda a, b, span: wrap64(a >> min(_shift(b, span), 63)),
+    "%": lambda a, b: wrap64(a - b * _int_div(a, b)),
+    "<<": lambda a, b: 0 if _shift(b) >= 64 else wrap64(a << b),
+    ">>": lambda a, b: wrap64(a >> min(_shift(b), 63)),
 }
 
 

@@ -126,7 +126,7 @@ def r1frac_matrix(numerator: int, power: int) -> np.ndarray:
 
 
 class SimulationError(QdslFailure):
-    """A simulator check failed: a program failure with no span of its own."""
+    """A simulator check failed: a QdslFailure at the call or block it leaves."""
 
 
 def _mix(out: np.ndarray, x: complex, other: np.ndarray, y: complex) -> None:

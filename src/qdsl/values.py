@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .source import Span
 
@@ -34,13 +34,14 @@ def wrap64(value: int) -> int:
 
 
 class QdslFailure(Exception):
-    """A program failure, with its source span when one is known."""
+    """A program failure, raised with its message alone. It takes the span of the
+    innermost emitted line it leaves, and the file of that line's body."""
 
-    def __init__(self, message: str, span: Optional[Span] = None, file: str = ""):
+    def __init__(self, message: str):
         super().__init__(message)
         self.message = message
-        self.span = span
-        self.file = file
+        self.span: Optional[Span] = None
+        self.file = ""
 
 
 class Result(enum.Enum):
@@ -174,10 +175,22 @@ def render_value(value: Any) -> str:
         return repr(value)
     if isinstance(value, RangeValue):
         return f"{value.start}..{value.step}..{value.end}"
-    if isinstance(value, list):
-        return "[" + "; ".join(render_value(v) for v in value) + "]"
-    if isinstance(value, tuple):
-        return "(" + ", ".join(render_value(v) for v in value) + ")"
+    if isinstance(value, (list, tuple)):
+        return "".join(render_pieces(value))
     if isinstance(value, Closure):
         return value.describe()
     return str(value)
+
+
+def render_pieces(value: Any) -> Iterator[str]:
+    """`render_value`'s text in pieces, so a caller can stop before later items."""
+    if not isinstance(value, (list, tuple)):
+        yield render_value(value)
+        return
+    opening, separator, closing = ("[", "; ", "]") if isinstance(value, list) else ("(", ", ", ")")
+    yield opening
+    for i, item in enumerate(value):
+        if i:
+            yield separator
+        yield from render_pieces(item)
+    yield closing

@@ -533,6 +533,30 @@ namespace Demo {
     assert "Traceback" not in err
 
 
+
+def test_a_returned_value_too_long_to_render_fails_the_run(tmp_path, monkeypatch, capsys):
+    import qdsl.simulator
+    from qdsl import cli
+
+    path = tmp_path / "long.qds"
+    path.write_text("""
+namespace Demo {
+    operation Main () : Int[] {
+        body {
+            mutable m = [1];
+            for (i in 1 .. 10) { set m = m + m; }
+            return m;
+        }
+    }
+}""")
+    # 1,024 items fit the array ceiling of 1,536, but their 3,072 characters do not.
+    monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 32 * 3 * 2**9)
+    assert cli.main(["run", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("runtime error: a new string of length 1537 is longer")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
 def test_max_iterations_flag(tmp_path):
     path = tmp_path / "spin.qds"
     path.write_text("""

@@ -674,3 +674,16 @@ def test_each_kind_of_failure_takes_the_span_of_its_node(statements, options, me
     failure, text = failure_of(statements, **options)
     assert (failure.message, text) == (message, expected)
 
+
+
+def test_a_failure_names_the_file_of_the_body_it_leaves():
+    from qdsl.prelude import prelude_units
+
+    failure, _ = failure_of("using (q = Qubit()) { CNOT(q, q); }")
+    assert "a qubit may appear only once" in failure.message
+    assert failure.file == "prelude/primitive.qds"
+    source = dict(prelude_units())[failure.file]
+    assert source[failure.span.start : failure.span.end] == "(Controlled X)([control], target)"
+
+    failure, text = failure_of("let r = [1][2];")
+    assert (failure.file, text) == ("<test>", "[1][2]")

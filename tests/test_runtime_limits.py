@@ -438,3 +438,35 @@ def test_int_and_double_sums_are_not_bounded_by_the_memory_budget(monkeypatch):
     monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 0)
     [shot] = run_main(main_program("return (1 + 2, 1.5 + 2.0);", "(Int, Double)"))
     assert shot.value == (3, 3.5)
+
+
+def test_rendering_stops_at_the_memory_budget_before_later_items(monkeypatch):
+    import qdsl.simulator
+    from qdsl.runtime import render
+
+    class Unrenderable:
+        def __str__(self):
+            raise AssertionError("rendered an item past the memory budget")
+
+    monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 32 * 8)
+    assert render(["ab", [1, 2]]) == "ab[1; 2]"  # 8 characters fit
+    with pytest.raises(QdslFailure) as info:
+        render(["abc", ["defgh", Unrenderable()]])
+    assert info.value.message == (
+        "a new string of length 9 is longer than the 8 that fit in the memory budget"
+    )
+
+
+def test_an_interpolated_array_past_the_memory_budget_fails_at_its_span(monkeypatch):
+    import qdsl.simulator
+
+    monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 32 * 3 * 2**10)
+    text = main_program(
+        'mutable m = [1]; for (i in 1 .. 10) { set m = m + m; } Message($"m: {m}");',
+        "()",
+    )
+    with pytest.raises(QdslFailure) as info:
+        run_main(text)
+    assert info.value.message.startswith("a new string of length 3073 is longer than the 3072")
+    span = info.value.span
+    assert (info.value.file, text[span.start : span.end]) == ("<test>", '$"m: {m}"')
