@@ -533,7 +533,6 @@ namespace Demo {
     assert "Traceback" not in err
 
 
-
 def test_a_returned_value_too_long_to_render_fails_the_run(tmp_path, monkeypatch, capsys):
     import qdsl.simulator
     from qdsl import cli
@@ -556,6 +555,7 @@ namespace Demo {
     assert captured.err.startswith("runtime error: a new string of length 1537 is longer")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
 
 def test_max_iterations_flag(tmp_path):
     path = tmp_path / "spin.qds"
