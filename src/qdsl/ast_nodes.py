@@ -1,279 +1,359 @@
 """AST node definitions.
 
-Every node carries a span. Expression nodes additionally carry a ``ty`` slot
-filled in by the checker; it is excluded from structural equality, which is
-what the parse/pretty-print round-trip tests compare.
+Every node carries a span. Expression nodes also carry ``ty``, filled in by
+the checker, and a ``Name`` its ``binding``. Nodes are plain classes with
+``__slots__`` that compare by identity. ``structurally_equal`` compares trees
+ignoring every span and those annotations, which is what the
+parse/pretty-print round-trip tests compare. Each class's ``_fields`` names,
+in declaration order, the fields ``walk`` visits and ``structurally_equal``
+compares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional, Union
 
 from .source import Span
 from .values import Pauli
 
+# Fields that hold a span or a checker annotation, not a part of the tree.
+_NOT_COMPARED = frozenset({"span", "name_span", "var_span", "ty", "binding", "is_partial"})
 
-@dataclass
+
 class Node:
-    span: Span
+    __slots__ = ("span",)
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        own = cls.__dict__.get("__slots__", ())
+        cls._fields = cls._fields + tuple(n for n in own if n not in _NOT_COMPARED)
 
 
 # ── Type syntax ──────────────────────────────────────────────────────────────
 
 
-@dataclass
 class TypeNode(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class NamedTypeNode(TypeNode):
     """A primitive or user-defined type name, possibly dotted."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, span: Span, name: str) -> None:
+        self.span, self.name = span, name
 
 
-@dataclass
 class TypeParamNode(TypeNode):
-    name: str  # includes the leading backtick
+    __slots__ = ("name",)  # includes the leading backtick
+
+    def __init__(self, span: Span, name: str) -> None:
+        self.span, self.name = span, name
 
 
-@dataclass
 class TupleTypeNode(TypeNode):
-    items: list[TypeNode]
+    __slots__ = ("items",)
+
+    def __init__(self, span: Span, items: list[TypeNode]) -> None:
+        self.span, self.items = span, items
 
 
-@dataclass
 class ArrayTypeNode(TypeNode):
-    element: TypeNode
+    __slots__ = ("element",)
+
+    def __init__(self, span: Span, element: TypeNode) -> None:
+        self.span, self.element = span, element
 
 
-@dataclass
 class CallableTypeNode(TypeNode):
-    is_operation: bool
-    input: TypeNode
-    output: TypeNode
-    functors: list[str] = field(default_factory=list)  # "Adjoint" / "Controlled"
+    __slots__ = ("is_operation", "input", "output", "functors")
+
+    def __init__(
+        self,
+        span: Span,
+        is_operation: bool,
+        input: TypeNode,
+        output: TypeNode,
+        functors: list[str],  # "Adjoint" / "Controlled"
+    ) -> None:
+        self.span, self.is_operation, self.input = span, is_operation, input
+        self.output, self.functors = output, functors
 
 
 # ── Expressions ──────────────────────────────────────────────────────────────
 
 
-@dataclass
 class Expr(Node):
-    ty: Any = field(default=None, compare=False, repr=False)
+    __slots__ = ("ty",)
+
+    def __init__(self, span: Span) -> None:
+        self.span, self.ty = span, None
 
 
-@dataclass
 class IntLit(Expr):
-    value: int = 0
+    __slots__ = ("value",)
+
+    def __init__(self, span: Span, value: int) -> None:
+        self.span, self.ty, self.value = span, None, value
 
 
-@dataclass
 class DoubleLit(Expr):
-    value: float = 0.0
+    __slots__ = ("value",)
+
+    def __init__(self, span: Span, value: float) -> None:
+        self.span, self.ty, self.value = span, None, value
 
 
-@dataclass
 class BoolLit(Expr):
-    value: bool = False
+    __slots__ = ("value",)
+
+    def __init__(self, span: Span, value: bool) -> None:
+        self.span, self.ty, self.value = span, None, value
 
 
-@dataclass
 class StringLit(Expr):
-    value: str = ""
+    __slots__ = ("value",)
+
+    def __init__(self, span: Span, value: str) -> None:
+        self.span, self.ty, self.value = span, None, value
 
 
-@dataclass
 class InterpString(Expr):
     """Alternating literal text and embedded expressions."""
 
-    parts: list[Union[str, "Expr"]] = field(default_factory=list)
+    __slots__ = ("parts",)
+
+    def __init__(self, span: Span, parts: list[Union[str, Expr]]) -> None:
+        self.span, self.ty, self.parts = span, None, parts
 
 
-@dataclass
 class PauliLit(Expr):
-    kind: Pauli = Pauli.I
+    __slots__ = ("kind",)
+
+    def __init__(self, span: Span, kind: Pauli) -> None:
+        self.span, self.ty, self.kind = span, None, kind
 
 
-@dataclass
 class ResultLit(Expr):
-    one: bool = False  # False = Zero, True = One
+    __slots__ = ("one",)  # False = Zero, True = One
+
+    def __init__(self, span: Span, one: bool) -> None:
+        self.span, self.ty, self.one = span, None, one
 
 
-@dataclass
 class Name(Expr):
     """A possibly-dotted reference; resolution happens in the checker."""
 
-    name: str = ""
-    binding: Any = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "binding")
+
+    def __init__(self, span: Span, name: str) -> None:
+        self.span, self.ty, self.name, self.binding = span, None, name, None
 
 
-@dataclass
 class Hole(Expr):
     """The `_` placeholder inside a partial application."""
 
+    __slots__ = ()
 
-@dataclass
+
 class TupleExpr(Expr):
-    items: list[Expr] = field(default_factory=list)  # never exactly one item
+    __slots__ = ("items",)  # never exactly one item
+
+    def __init__(self, span: Span, items: list[Expr]) -> None:
+        self.span, self.ty, self.items = span, None, items
 
 
-@dataclass
 class ArrayExpr(Expr):
-    items: list[Expr] = field(default_factory=list)
+    __slots__ = ("items",)
+
+    def __init__(self, span: Span, items: list[Expr]) -> None:
+        self.span, self.ty, self.items = span, None, items
 
 
-@dataclass
 class RangeExpr(Expr):
-    start: Optional[Expr] = None
-    step: Optional[Expr] = None  # None means implicit step 1
-    end: Optional[Expr] = None
+    __slots__ = ("start", "step", "end")  # step None means implicit step 1
+
+    def __init__(self, span: Span, start: Expr, step: Optional[Expr], end: Expr) -> None:
+        self.span, self.ty = span, None
+        self.start, self.step, self.end = start, step, end
 
 
-@dataclass
 class IndexExpr(Expr):
-    base: Expr = None  # type: ignore[assignment]
-    index: Expr = None  # type: ignore[assignment]
+    __slots__ = ("base", "index")
+
+    def __init__(self, span: Span, base: Expr, index: Expr) -> None:
+        self.span, self.ty, self.base, self.index = span, None, base, index
 
 
-@dataclass
 class CallExpr(Expr):
-    callee: Expr = None  # type: ignore[assignment]
-    args: list[Expr] = field(default_factory=list)
-    # Checker annotations:
-    is_partial: bool = field(default=False, compare=False)
+    __slots__ = ("callee", "args", "is_partial")  # is_partial: set by the checker
+
+    def __init__(self, span: Span, callee: Expr, args: list[Expr]) -> None:
+        self.span, self.ty, self.callee, self.args = span, None, callee, args
+        self.is_partial = False
 
 
-@dataclass
 class FunctorExpr(Expr):
-    functor: str = ""  # "Adjoint" | "Controlled"
-    operand: Expr = None  # type: ignore[assignment]
+    __slots__ = ("functor", "operand")  # functor: "Adjoint" | "Controlled"
+
+    def __init__(self, span: Span, functor: str, operand: Expr) -> None:
+        self.span, self.ty, self.functor, self.operand = span, None, functor, operand
 
 
-@dataclass
 class UnaryExpr(Expr):
-    op: str = ""
-    operand: Expr = None  # type: ignore[assignment]
+    __slots__ = ("op", "operand")
+
+    def __init__(self, span: Span, op: str, operand: Expr) -> None:
+        self.span, self.ty, self.op, self.operand = span, None, op, operand
 
 
-@dataclass
 class BinaryExpr(Expr):
-    op: str = ""
-    left: Expr = None  # type: ignore[assignment]
-    right: Expr = None  # type: ignore[assignment]
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, span: Span, op: str, left: Expr, right: Expr) -> None:
+        self.span, self.ty = span, None
+        self.op, self.left, self.right = op, left, right
 
 
 # ── Patterns ─────────────────────────────────────────────────────────────────
 
 
-@dataclass
 class Pattern(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class NamePattern(Pattern):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, span: Span, name: str) -> None:
+        self.span, self.name = span, name
 
 
-@dataclass
 class TuplePattern(Pattern):
-    items: list[Pattern]
+    __slots__ = ("items",)
+
+    def __init__(self, span: Span, items: list[Pattern]) -> None:
+        self.span, self.items = span, items
 
 
 # ── Statements ───────────────────────────────────────────────────────────────
 
 
-@dataclass
 class Stmt(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class Block(Node):
-    stmts: list[Stmt]
+    __slots__ = ("stmts",)
+
+    def __init__(self, span: Span, stmts: list[Stmt]) -> None:
+        self.span, self.stmts = span, stmts
 
 
-@dataclass
 class LetStmt(Stmt):
-    pattern: Pattern
-    value: Expr
+    __slots__ = ("pattern", "value")
+
+    def __init__(self, span: Span, pattern: Pattern, value: Expr) -> None:
+        self.span, self.pattern, self.value = span, pattern, value
 
 
-@dataclass
 class MutableStmt(Stmt):
-    name: str
-    value: Expr
+    __slots__ = ("name", "value")
+
+    def __init__(self, span: Span, name: str, value: Expr) -> None:
+        self.span, self.name, self.value = span, name, value
 
 
-@dataclass
 class SetStmt(Stmt):
-    name: str
-    value: Expr
+    __slots__ = ("name", "value")
+
+    def __init__(self, span: Span, name: str, value: Expr) -> None:
+        self.span, self.name, self.value = span, name, value
 
 
-@dataclass
 class IfStmt(Stmt):
-    branches: list[tuple[Expr, Block]]  # if + elifs, in order
-    else_block: Optional[Block]
+    __slots__ = ("branches", "else_block")  # branches: if + elifs, in order
+
+    def __init__(
+        self, span: Span, branches: list[tuple[Expr, Block]], else_block: Optional[Block]
+    ) -> None:
+        self.span, self.branches, self.else_block = span, branches, else_block
 
 
-@dataclass
 class ForStmt(Stmt):
-    var: str
-    var_span: Span
-    iterable: Expr
-    body: Block
+    __slots__ = ("var", "var_span", "iterable", "body")
+
+    def __init__(self, span: Span, var: str, var_span: Span, iterable: Expr, body: Block) -> None:
+        self.span, self.var, self.var_span = span, var, var_span
+        self.iterable, self.body = iterable, body
 
 
-@dataclass
 class RepeatStmt(Stmt):
-    body: Block
-    condition: Expr
-    fixup: Block
+    __slots__ = ("body", "condition", "fixup")
+
+    def __init__(self, span: Span, body: Block, condition: Expr, fixup: Block) -> None:
+        self.span, self.body = span, body
+        self.condition, self.fixup = condition, fixup
 
 
-@dataclass
 class ReturnStmt(Stmt):
-    value: Expr
+    __slots__ = ("value",)
+
+    def __init__(self, span: Span, value: Expr) -> None:
+        self.span, self.value = span, value
 
 
-@dataclass
 class FailStmt(Stmt):
-    message: Expr
+    __slots__ = ("message",)
+
+    def __init__(self, span: Span, message: Expr) -> None:
+        self.span, self.message = span, message
 
 
-@dataclass
 class AllocateStmt(Stmt):
-    """``using`` / ``borrowing`` blocks."""
+    """``using`` / ``borrowing`` blocks; ``count`` is None for the
+    single-qubit form Qubit()."""
 
-    name: str
-    name_span: Span
-    count: Optional[Expr]  # None for the single-qubit form Qubit()
-    body: Block
-    borrowing: bool = False
+    __slots__ = ("name", "name_span", "count", "body", "borrowing")
+
+    def __init__(
+        self,
+        span: Span,
+        name: str,
+        name_span: Span,
+        count: Optional[Expr],
+        body: Block,
+        borrowing: bool = False,
+    ) -> None:
+        self.span, self.name, self.name_span = span, name, name_span
+        self.count, self.body, self.borrowing = count, body, borrowing
 
 
-@dataclass
 class ExprStmt(Stmt):
-    expr: Expr
+    __slots__ = ("expr",)
+
+    def __init__(self, span: Span, expr: Expr) -> None:
+        self.span, self.expr = span, expr
 
 
 # ── Declarations ─────────────────────────────────────────────────────────────
 
 
-@dataclass
 class ParamLeaf(Node):
-    name: str
-    type: TypeNode
+    __slots__ = ("name", "type")
+
+    def __init__(self, span: Span, name: str, type: TypeNode) -> None:
+        self.span, self.name, self.type = span, name, type
 
 
-@dataclass
 class ParamTuple(Node):
-    items: list[Union[ParamLeaf, "ParamTuple"]]
+    __slots__ = ("items",)
+
+    def __init__(self, span: Span, items: list[Union[ParamLeaf, ParamTuple]]) -> None:
+        self.span, self.items = span, items
 
 
 class SpecKind(Enum):
@@ -297,48 +377,83 @@ class SpecImpl(Enum):
     AUTO = "auto"
 
 
-@dataclass
+
+
 class SpecDecl(Node):
-    kind: SpecKind
-    impl: SpecImpl = SpecImpl.PROVIDED
-    block: Optional[Block] = None  # for PROVIDED
-    ctl_param: Optional[str] = None  # for provided controlled variants
+    """``block`` is the body of a PROVIDED one; ``ctl_param`` names the
+    control register of a provided controlled variant."""
+
+    __slots__ = ("kind", "impl", "block", "ctl_param")
+
+    def __init__(
+        self,
+        span: Span,
+        kind: SpecKind,
+        impl: SpecImpl = SpecImpl.PROVIDED,
+        block: Optional[Block] = None,
+        ctl_param: Optional[str] = None,
+    ) -> None:
+        self.span, self.kind, self.impl = span, kind, impl
+        self.block, self.ctl_param = block, ctl_param
 
 
-@dataclass
 class CallableDecl(Node):
-    is_operation: bool
-    name: str
-    name_span: Span
-    type_params: list[str]
-    params: ParamTuple
-    output: TypeNode
-    specs: list[SpecDecl]  # functions carry a single synthesized BODY spec
+    """``specs`` of a function is a single synthesized BODY spec."""
+
+    __slots__ = ("is_operation", "name", "name_span", "type_params", "params", "output", "specs")
+
+    def __init__(
+        self,
+        span: Span,
+        is_operation: bool,
+        name: str,
+        name_span: Span,
+        type_params: list[str],
+        params: ParamTuple,
+        output: TypeNode,
+        specs: list[SpecDecl],
+    ) -> None:
+        self.span, self.is_operation, self.name = span, is_operation, name
+        self.name_span, self.type_params, self.params = name_span, type_params, params
+        self.output, self.specs = output, specs
 
 
-@dataclass
 class NewtypeDecl(Node):
-    name: str
-    name_span: Span
-    base: TypeNode
+    __slots__ = ("name", "name_span", "base")
+
+    def __init__(self, span: Span, name: str, name_span: Span, base: TypeNode) -> None:
+        self.span, self.name, self.name_span, self.base = span, name, name_span, base
 
 
-@dataclass
 class OpenDirective(Node):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, span: Span, name: str) -> None:
+        self.span, self.name = span, name
 
 
-@dataclass
 class Namespace(Node):
-    name: str
-    opens: list[OpenDirective]
-    decls: list[Union[CallableDecl, NewtypeDecl]]
-    implicit: bool = False  # wraps bare top-level declarations
+    """``implicit`` when it wraps bare top-level declarations."""
+
+    __slots__ = ("name", "opens", "decls", "implicit")
+
+    def __init__(
+        self,
+        span: Span,
+        name: str,
+        opens: list[OpenDirective],
+        decls: list[Union[CallableDecl, NewtypeDecl]],
+        implicit: bool = False,
+    ) -> None:
+        self.span, self.name, self.opens = span, name, opens
+        self.decls, self.implicit = decls, implicit
 
 
-@dataclass
 class Program(Node):
-    namespaces: list[Namespace]
+    __slots__ = ("namespaces",)
+
+    def __init__(self, span: Span, namespaces: list[Namespace]) -> None:
+        self.span, self.namespaces = span, namespaces
 
 
 # ── Structural helpers ───────────────────────────────────────────────────────
@@ -348,10 +463,8 @@ def walk(node: Any):
     """Yield every Node reachable from ``node``, including itself."""
     if isinstance(node, Node):
         yield node
-        for f in node.__dataclass_fields__.values():
-            if f.name in ("span", "ty", "binding"):
-                continue
-            yield from walk(getattr(node, f.name))
+        for name in node._fields:
+            yield from walk(getattr(node, name))
     elif isinstance(node, (list, tuple)):
         for item in node:
             yield from walk(item)
@@ -362,12 +475,8 @@ def structurally_equal(a: Any, b: Any) -> bool:
     if isinstance(a, Node) or isinstance(b, Node):
         if type(a) is not type(b):
             return False
-        for f in a.__dataclass_fields__.values():
-            if f.name in ("span", "name_span", "var_span", "ty", "binding"):
-                continue
-            if not f.compare:
-                continue
-            if not structurally_equal(getattr(a, f.name), getattr(b, f.name)):
+        for name in a._fields:
+            if not structurally_equal(getattr(a, name), getattr(b, name)):
                 return False
         return True
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):

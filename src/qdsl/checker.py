@@ -10,8 +10,6 @@ runtime dispatches on.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
 from . import diagnostics as diag
@@ -79,30 +77,40 @@ def _is_error(t: ty.Type) -> bool:
 # ── Symbols ──────────────────────────────────────────────────────────────────
 
 
-@dataclass
 class CallableSymbol:
-    namespace: str
-    name: str
-    is_operation: bool
-    type_params: list[str]
-    input: ty.Type
-    output: ty.Type
-    variants: frozenset[str]
-    decl: Optional[CallableDecl] = None
-    intrinsic: Optional[str] = None  # key into the runtime intrinsic registry
-    file: str = "<builtin>"
-    # The namespaces its declaration opens; filled by resolve_signatures.
-    opens: list[str] = dc_field(default_factory=list)
-    # Filled by the specialization generator:
-    specializations: dict = dc_field(default_factory=dict)
-    # The runtime's simulator.ShotPrefix, made when it first runs as an entry point.
-    shot_prefix: Optional[object] = dc_field(default=None, repr=False, compare=False)
+    __slots__ = (
+        "namespace", "name", "is_operation", "type_params", "input", "output", "variants",
+        "decl", "intrinsic", "file", "opens", "specializations", "shot_prefix",
+    )
+
+    def __init__(
+        self,
+        namespace: str,
+        name: str,
+        is_operation: bool,
+        type_params: list[str],
+        input: ty.Type,
+        output: ty.Type,
+        variants: frozenset[str],
+        decl: Optional[CallableDecl] = None,
+        intrinsic: Optional[str] = None,  # key into the runtime intrinsic registry
+        file: str = "<builtin>",
+    ) -> None:
+        self.namespace, self.name, self.is_operation = namespace, name, is_operation
+        self.type_params, self.input, self.output = type_params, input, output
+        self.variants, self.decl, self.intrinsic, self.file = variants, decl, intrinsic, file
+        # The namespaces its declaration opens; filled by resolve_signatures.
+        self.opens: list[str] = []
+        # Filled by the specialization generator:
+        self.specializations: dict = {}
+        # The runtime's simulator.ShotPrefix, made when it first runs as an entry point.
+        self.shot_prefix: Optional[object] = None
 
     @property
     def qualified(self) -> str:
         return f"{self.namespace}.{self.name}" if self.namespace else self.name
 
-    @functools.cached_property
+    @property
     def is_diagnostic(self) -> bool:
         """A function returning (): `--elide-diagnostics` skips its calls."""
         return not self.is_operation and self.output == ty.UNIT
@@ -121,14 +129,19 @@ class CallableSymbol:
         )
 
 
-@dataclass
 class UdtSymbol:
-    namespace: str
-    name: str
-    base: Optional[ty.Type]  # resolved lazily; None while unresolved
-    decl: Optional[NewtypeDecl] = None
-    file: str = "<builtin>"
-    resolving: bool = False
+    __slots__ = ("namespace", "name", "base", "decl", "file", "resolving")
+
+    def __init__(
+        self,
+        namespace: str,
+        name: str,
+        base: Optional[ty.Type],  # resolved lazily; None while unresolved
+        decl: Optional[NewtypeDecl] = None,
+        file: str = "<builtin>",
+    ) -> None:
+        self.namespace, self.name, self.base = namespace, name, base
+        self.decl, self.file, self.resolving = decl, file, False
 
     @property
     def qualified(self) -> str:
@@ -193,12 +206,11 @@ class SymbolTable:
 # ── Scopes ───────────────────────────────────────────────────────────────────
 
 
-@dataclass
 class LocalBinding:
-    name: str
-    type: ty.Type
-    mutable: bool
-    span: Span
+    __slots__ = ("name", "type", "mutable", "span")
+
+    def __init__(self, name: str, type: ty.Type, mutable: bool, span: Span) -> None:
+        self.name, self.type, self.mutable, self.span = name, type, mutable, span
 
 
 class Scope:
@@ -225,18 +237,28 @@ class Scope:
 # ── Checking context ─────────────────────────────────────────────────────────
 
 
-@dataclass
 class _Context:
-    table: SymbolTable
-    namespace: str
-    opens: list[str]
-    file: str
-    diagnostics: list[Diagnostic]
-    rigid_params: frozenset[str] = frozenset()
-    output: ty.Type = ty.UNIT
-    in_function: bool = False
-    alloc_depth: int = 0
-    bindings: ty.Bindings = dc_field(default_factory=dict)
+    __slots__ = (
+        "table", "namespace", "opens", "file", "diagnostics", "rigid_params", "output",
+        "in_function", "alloc_depth", "bindings",
+    )
+
+    def __init__(
+        self,
+        table: SymbolTable,
+        namespace: str,
+        opens: list[str],
+        file: str,
+        diagnostics: list[Diagnostic],
+        rigid_params: frozenset[str] = frozenset(),
+        output: ty.Type = ty.UNIT,
+        in_function: bool = False,
+    ) -> None:
+        self.table, self.namespace, self.opens, self.file = table, namespace, opens, file
+        self.diagnostics, self.rigid_params = diagnostics, rigid_params
+        self.output, self.in_function = output, in_function
+        self.alloc_depth = 0
+        self.bindings: ty.Bindings = {}
 
     def error(self, code: str, message: str, span: Span) -> None:
         self.diagnostics.append(diag.error(code, message, span, self.file))

@@ -191,7 +191,7 @@ def _run_options(args):
     for name in ("max_qubits", "max_iterations"):
         value = getattr(args, name)
         if value is None:
-            value = _env_int(name.upper(), getattr(RunOptions, name))
+            value = _env_int(name.upper(), getattr(RunOptions(), name))
         if value < 0:
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must not be negative, got {value}")

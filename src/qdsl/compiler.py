@@ -16,7 +16,6 @@ import contextlib
 import functools
 import sys
 import threading
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import prelude, transform
@@ -28,12 +27,18 @@ from .parser import parse_program
 from .source import Span
 
 
-@dataclass
 class CompileResult:
-    table: SymbolTable
-    units: list[tuple[str, Program]]
-    diagnostics: list[Diagnostic]
-    user_files: list[str]
+    __slots__ = ("table", "units", "diagnostics", "user_files")
+
+    def __init__(
+        self,
+        table: SymbolTable,
+        units: list[tuple[str, Program]],
+        diagnostics: list[Diagnostic],
+        user_files: list[str],
+    ) -> None:
+        self.table, self.units, self.diagnostics = table, units, diagnostics
+        self.user_files = user_files
 
     @property
     def errors(self) -> list[Diagnostic]:

@@ -7,7 +7,6 @@ tooling match on them, so changing a string is a breaking change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .source import SourceFile, Span
@@ -73,30 +72,46 @@ ALL_CODES = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class Diagnostic:
-    severity: Severity
-    code: str
-    message: str
-    span: Span
-    file: str = "<input>"
+    """One finding in one file; equal by every field."""
+
+    __slots__ = ("severity", "code", "message", "span", "file")
+
+    def __init__(
+        self, severity: Severity, code: str, message: str, span: Span, file: str = "<input>"
+    ) -> None:
+        self.severity = severity
+        self.code = code
+        self.message = message
+        self.span = span
+        self.file = file
+
+    def _key(self) -> tuple:
+        return (self.severity, self.code, self.message, self.span, self.file)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Diagnostic) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _position(self, source: SourceFile | None) -> tuple[int, int]:
+        """(line, column) of the span's start in ``source``, or (0, 0) when
+        ``source`` is not this diagnostic's file."""
+        if source is not None and source.name == self.file:
+            return source.position(self.span.start)
+        return 0, 0
 
     def render(self, source: SourceFile | None = None) -> str:
         """One-line rendering: file:line:col: severity: message [code]."""
-        if source is not None and source.name == self.file:
-            line, col = source.position(self.span.start)
-        else:
-            line, col = 0, 0
+        line, col = self._position(source)
         return (
             f"{self.file}:{line}:{col}: {self.severity.value}: "
             f"{self.message} [{self.code}]"
         )
 
     def to_json(self, source: SourceFile | None = None) -> dict:
-        if source is not None and source.name == self.file:
-            line, col = source.position(self.span.start)
-        else:
-            line, col = 0, 0
+        line, col = self._position(source)
         return {
             "file": self.file,
             "line": line,

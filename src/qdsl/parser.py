@@ -142,13 +142,14 @@ class Parser:
         return self._current().kind is TokenKind.EOF
 
     def _at_symbol(self, sym: str) -> bool:
-        return self._current().is_symbol(sym)
+        tok = self.tokens[self.pos]
+        return tok.kind is TokenKind.SYMBOL and tok.lexeme == sym
 
     def _at_keyword(self, word: str) -> bool:
         return self._current().is_keyword(word)
 
     def _advance(self) -> Token:
-        tok = self._current()
+        tok = self.tokens[self.pos]
         if tok.kind is not TokenKind.EOF:
             self.pos += 1
         return tok

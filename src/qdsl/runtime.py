@@ -38,7 +38,6 @@ from __future__ import annotations
 import heapq
 import io
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from . import simulator
@@ -71,34 +70,72 @@ from .values import (
 )
 
 
-@dataclass
 class RunOptions:
-    strict_release: bool = True
-    elide_diagnostics: bool = False
-    max_qubits: int = DEFAULT_CAPACITY
-    max_iterations: int = 1_000_000  # per repeat or for loop
-    recursion_limit: int = 1000  # qdsl call depth
-    dump_state: bool = False  # snapshot before each outermost release
+    __slots__ = (
+        "strict_release", "elide_diagnostics", "max_qubits", "max_iterations",
+        "recursion_limit", "dump_state",
+    )
+
+    def __init__(
+        self,
+        strict_release: bool = True,
+        elide_diagnostics: bool = False,
+        max_qubits: int = DEFAULT_CAPACITY,
+        max_iterations: int = 1_000_000,  # per repeat or for loop
+        recursion_limit: int = 1000,  # qdsl call depth
+        dump_state: bool = False,  # snapshot before each outermost release
+    ) -> None:
+        self.strict_release, self.elide_diagnostics = strict_release, elide_diagnostics
+        self.max_qubits, self.max_iterations = max_qubits, max_iterations
+        self.recursion_limit, self.dump_state = recursion_limit, dump_state
 
 
-@dataclass
 class RunStats:
-    allocations: int = 0
-    releases: int = 0
-    peak_live: int = 0
-    borrowed_existing: int = 0
-    borrowed_fresh: int = 0
-    gates: int = 0
-    measurements: int = 0
-    resets_on_release: int = 0
+    """One shot's counts; equal when every count is."""
+
+    __slots__ = (
+        "allocations", "releases", "peak_live", "borrowed_existing", "borrowed_fresh",
+        "gates", "measurements", "resets_on_release",
+    )
+
+    def __init__(
+        self,
+        allocations: int = 0,
+        releases: int = 0,
+        peak_live: int = 0,
+        borrowed_existing: int = 0,
+        borrowed_fresh: int = 0,
+        gates: int = 0,
+        measurements: int = 0,
+        resets_on_release: int = 0,
+    ) -> None:
+        self.allocations, self.releases, self.peak_live = allocations, releases, peak_live
+        self.borrowed_existing, self.borrowed_fresh = borrowed_existing, borrowed_fresh
+        self.gates, self.measurements = gates, measurements
+        self.resets_on_release = resets_on_release
+
+    def _counts(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RunStats) and self._counts() == other._counts()
+
+    def __repr__(self) -> str:  # for test failure output
+        return f"RunStats{self._counts()}"
 
 
-@dataclass
 class ShotResult:
-    value: Any
-    messages: list[str]
-    stats: RunStats
-    state_dumps: list = field(default_factory=list)  # (qubit ids, amplitudes)
+    __slots__ = ("value", "messages", "stats", "state_dumps")
+
+    def __init__(
+        self,
+        value: Any,
+        messages: list[str],
+        stats: RunStats,
+        state_dumps: Optional[list] = None,  # (qubit ids, amplitudes)
+    ) -> None:
+        self.value, self.messages, self.stats = value, messages, stats
+        self.state_dumps = [] if state_dumps is None else state_dumps
 
 
 class QubitLedger:

@@ -3,15 +3,26 @@
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
 class Span:
-    """Half-open byte range [start, end) into one source file."""
+    """Half-open byte range [start, end) into one source file; equal and
+    hashed by its offsets."""
 
-    start: int
-    end: int
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: int, end: int) -> None:
+        self.start = start
+        self.end = end
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Span) and self.start == other.start and self.end == other.end
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
+
+    def __repr__(self) -> str:
+        return f"Span({self.start}, {self.end})"
 
     def union(self, other: Span) -> Span:
         return Span(min(self.start, other.start), max(self.end, other.end))

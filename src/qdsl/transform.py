@@ -32,7 +32,6 @@ the runtime and the CLI look a variant up and never see `self` or `auto`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Optional
 
@@ -71,16 +70,18 @@ from .source import Span
 REVERSED_RANGE = "Microsoft.Quantum.Primitive.ReversedRange"
 
 
-@dataclass
 class SpecEntry:
     """The block that runs one variant of a callable."""
 
-    block: Block
-    ctl_param: Optional[str] = None
-    generated: bool = False
-    # The runtime's compiled body, `(interp, arg, controls) -> value`: Python
-    # source emitted and run on the first invocation.
-    compiled: Optional[Callable] = field(default=None, repr=False, compare=False)
+    __slots__ = ("block", "ctl_param", "generated", "compiled")
+
+    def __init__(
+        self, block: Block, ctl_param: Optional[str] = None, generated: bool = False
+    ) -> None:
+        self.block, self.ctl_param, self.generated = block, ctl_param, generated
+        # The runtime's compiled body, `(interp, arg, controls) -> value`:
+        # Python source emitted and run on the first invocation.
+        self.compiled: Optional[Callable] = None
 
 
 class TransformError(Exception):

@@ -18,17 +18,25 @@ from __future__ import annotations
 
 import itertools
 from collections import abc
-from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
 class Type:
-    pass
+    """A type; equal and hashed by value. Types are never changed once built."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Prim(Type):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Prim) and self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return self.name
@@ -56,13 +64,19 @@ PRIMITIVES = {
 }
 
 
-@dataclass(frozen=True)
 class Tuple(Type):
-    items: tuple[Type, ...]
+    __slots__ = ("items",)
 
-    def __post_init__(self) -> None:
-        if len(self.items) == 1:
+    def __init__(self, items: tuple[Type, ...]) -> None:
+        if len(items) == 1:
             raise ValueError("a one-item tuple type is its item; use tuple_of")
+        self.items = items
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Tuple) and self.items == other.items
+
+    def __hash__(self) -> int:
+        return hash(self.items)
 
 
 def tuple_of(items: abc.Iterable[Type]) -> Type:
@@ -74,32 +88,72 @@ def tuple_of(items: abc.Iterable[Type]) -> Type:
 UNIT = Tuple(())
 
 
-@dataclass(frozen=True)
 class Array(Type):
-    element: Type
+    __slots__ = ("element",)
+
+    def __init__(self, element: Type) -> None:
+        self.element = element
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Array) and self.element == other.element
+
+    def __hash__(self) -> int:
+        return hash(self.element)
 
 
-@dataclass(frozen=True)
 class Callable(Type):
-    operation: bool
-    input: Type
-    output: Type
-    variants: frozenset[str] = frozenset()  # subset of {"Adjoint", "Controlled"}
+    __slots__ = ("operation", "input", "output", "variants")
+
+    def __init__(
+        self,
+        operation: bool,
+        input: Type,
+        output: Type,
+        variants: frozenset[str] = frozenset(),  # subset of {"Adjoint", "Controlled"}
+    ) -> None:
+        self.operation, self.input, self.output = operation, input, output
+        self.variants = variants
+
+    def _key(self) -> tuple:
+        return (self.operation, self.input, self.output, self.variants)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Callable) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class Udt(Type):
-    name: str  # fully qualified
-    base: Type = field(compare=False)  # resolved base; identity is the name
+    """A named type; its identity is its fully qualified name, not its base."""
+
+    __slots__ = ("name", "base")
+
+    def __init__(self, name: str, base: Type) -> None:
+        self.name, self.base = name, base
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Udt) and self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return self.name.rsplit(".", 1)[-1]
 
 
-@dataclass(frozen=True)
 class Param(Type):
-    name: str  # includes the leading backtick
-    uid: int | None = None  # None = rigid declaration parameter
+    __slots__ = ("name", "uid")
+
+    def __init__(self, name: str, uid: int | None = None) -> None:
+        self.name = name  # includes the leading backtick
+        self.uid = uid  # None = rigid declaration parameter
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Param) and self.name == other.name and self.uid == other.uid
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.uid))
 
 
 _uid_counter = itertools.count(1)

@@ -17,7 +17,6 @@ cancels structurally.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from .source import Span
@@ -56,19 +55,41 @@ class Pauli(enum.Enum):
     Z = "PauliZ"
 
 
-@dataclass(frozen=True)
 class QubitRef:
-    id: int
+    """A qubit by its id; equal and hashed by the id."""
+
+    __slots__ = ("id",)
+
+    def __init__(self, id: int) -> None:
+        self.id = id
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, QubitRef) and self.id == other.id
+
+    def __hash__(self) -> int:
+        return hash(self.id)
 
     def __repr__(self) -> str:
         return f"q{self.id}"
 
 
-@dataclass(frozen=True)
 class RangeValue:
-    start: int
-    step: int
-    end: int
+    """``start..step..end``, both ends included; equal and hashed by the three."""
+
+    __slots__ = ("start", "step", "end")
+
+    def __init__(self, start: int, step: int, end: int) -> None:
+        self.start, self.step, self.end = start, step, end
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RangeValue) and (self.start, self.step, self.end) == (
+            other.start,
+            other.step,
+            other.end,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.step, self.end))
 
     def __iter__(self):
         return iter(range(self.start, self.end + (1 if self.step > 0 else -1), self.step))
@@ -129,10 +150,12 @@ ADJOINT_WRAPPER = ("adjoint",)
 CONTROLLED_WRAPPER = ("controlled",)
 
 
-@dataclass(frozen=True)
 class Closure:
-    base: Any  # CallableSymbol or UdtSymbol
-    wrappers: tuple = ()
+    __slots__ = ("base", "wrappers")
+
+    def __init__(self, base: Any, wrappers: tuple = ()) -> None:
+        self.base = base  # CallableSymbol or UdtSymbol
+        self.wrappers = wrappers
 
     def adjoint(self) -> "Closure":
         if self.wrappers and self.wrappers[0] == ADJOINT_WRAPPER:

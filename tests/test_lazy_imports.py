@@ -28,8 +28,9 @@ namespace Demo {
 """
 
 
-def loaded_after(code: str, tmp_path) -> tuple[int, list[str]]:
-    """Run `code` in a fresh interpreter; its exit code and the heavy modules."""
+def loaded_after(code: str, tmp_path, modules=HEAVY) -> tuple[int, list[str]]:
+    """Run `code` in a fresh interpreter; its exit code and which of `modules`
+    it loaded."""
     bad = tmp_path / "bad.qds"
     bad.write_text(BAD)
     script = (
@@ -37,7 +38,7 @@ def loaded_after(code: str, tmp_path) -> tuple[int, list[str]]:
         f"GOOD, AUTO, BAD = {GOOD!r}, {AUTO!r}, {str(bad)!r}\n"
         f"MISSING = {str(tmp_path / 'missing.qds')!r}\n"
         f"{code}\n"
-        f"print(json.dumps(sorted(m for m in {HEAVY!r} if m in sys.modules)))\n"
+        f"print(json.dumps(sorted(m for m in {modules!r} if m in sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert "Traceback" not in proc.stderr, proc.stderr
@@ -71,6 +72,15 @@ COMPILE_ONLY = {
 @pytest.mark.parametrize("name", sorted(COMPILE_ONLY))
 def test_compile_only_paths_load_no_simulator(name, tmp_path):
     code, loaded = loaded_after(COMPILE_ONLY[name], tmp_path)
+    assert code == 0
+    assert loaded == []
+
+
+@pytest.mark.parametrize("name", ["import", "check"])
+def test_the_front_end_loads_no_dataclass_machinery(name, tmp_path):
+    """Front-end objects are plain classes, so start-up skips `dataclasses`
+    and the `inspect` it imports."""
+    code, loaded = loaded_after(COMPILE_ONLY[name], tmp_path, ("dataclasses", "inspect"))
     assert code == 0
     assert loaded == []
 
