@@ -34,6 +34,11 @@ token, then the span, code and message of every lexer diagnostic, of each
 of `tests/program_generator.py`: the trace lines and the value or failure
 of each shot; `tests/test_generated_programs.py` checks it.
 
+`tests/golden/measurements.txt` pins the simulator's measurement bit for bit:
+on seeded states of 1 to 5 qubits, so in both storages, and for every shape
+of Pauli product, the probability `probe_zero_probability` gives, then the
+outcome and `drawn` of `measure`, each with a sha256 of the state after it.
+
 Regenerate a golden file only when its output change is intended, and name
 each file to rewrite by its path under `tests/golden/`; files not named are
 left alone, and no name prints the list of known files:
@@ -45,12 +50,16 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
+import math
 import os
 import sys
+import random
 import tempfile
 
+import numpy as np
 import pytest
 
 import qdsl
@@ -60,6 +69,7 @@ from qdsl.ast_nodes import Expr, walk
 from qdsl.compiler import compile_units, wrap_statement_snippet
 from qdsl.lexer import tokenize
 from qdsl.pretty import pretty_print
+from qdsl.simulator import StateVectorSimulator
 from qdsl.source import SourceFile
 from test_corpus import load_accept
 import program_generator
@@ -74,6 +84,7 @@ SPECIALIZATIONS = "specializations.txt"
 TOKENS = "tokens.txt"
 TYPES = "types.txt"
 GENERATED = "generated_runs.txt"
+MEASUREMENTS = "measurements.txt"
 
 SEEDS = (1, 2, 3)
 SHOTS = 20
@@ -296,6 +307,61 @@ def test_token_stream_matches_golden():
     assert token_text() == expected
 
 
+def _measurement_cases(rng: random.Random):
+    """(qubit ids in allocation order, amplitudes, bases, measured ids), per
+    qubit count: the identity on one qubit and on all, each single factor,
+    then random products over I, X, Y and Z, where an I slot may repeat an id.
+    Every fourth state is a basis state, whose Z outcomes are certain."""
+    for n in range(1, 6):
+        products = ["I", "I" * n, "X", "Y", "Z"]
+        products += ["".join(rng.choice("IXYZ") for _ in range(rng.randint(1, n)))
+                     for _ in range(25)]
+        for index, bases in enumerate(products):
+            ids = rng.sample(range(10), n)
+            if index % 4 == 3:
+                basis = rng.randrange(1 << n)
+                amplitudes = [complex(k == basis) for k in range(1 << n)]
+            else:
+                amplitudes = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                              for _ in range(1 << n)]
+                norm = math.sqrt(math.fsum(abs(a) ** 2 for a in amplitudes))
+                amplitudes = [a / norm for a in amplitudes]
+            measured = rng.sample(ids, len(bases))
+            for slot, basis in enumerate(bases):
+                if basis == "I" and rng.random() < 0.25:
+                    measured[slot] = rng.choice(ids)
+            yield ids, amplitudes, list(bases), measured
+
+
+def measurement_text() -> str:
+    """One line per measurement case: the state's qubits and the product,
+    then what probing and measuring it give, with the state after each."""
+    def digest(sim: StateVectorSimulator) -> str:
+        return hashlib.sha256(np.asarray(sim.state, dtype=complex).tobytes()).hexdigest()
+
+    rng, lines = random.Random(23), []
+    for ids, amplitudes, bases, measured in _measurement_cases(rng):
+        sim = StateVectorSimulator()
+        for qid in ids:
+            sim.allocate(qid)
+        sim.load(amplitudes)
+        probe = sim.probe_zero_probability(bases, measured)
+        probed = digest(sim)
+        outcome = sim.measure(bases, measured, random.Random(rng.getrandbits(32)))
+        lines.append(
+            f"ids={ids} bases={''.join(bases)} on={measured} "
+            f"probe={probe!r} {probed} "
+            f"measure={outcome} drawn={sim.drawn!r} {digest(sim)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_measurements_match_golden():
+    with open(os.path.join(GOLDEN, MEASUREMENTS), encoding="utf-8") as handle:
+        expected = handle.read()
+    assert measurement_text() == expected
+
+
 def run_golden_text(name: str) -> str:
     """Every variant of one run case, one line each, so a changed run shows
     as a changed line."""
@@ -320,6 +386,7 @@ def golden_files() -> dict:
     files[TOKENS] = token_text
     files[TYPES] = types_text
     files[GENERATED] = program_generator.golden_text
+    files[MEASUREMENTS] = measurement_text
     return files
 
 
