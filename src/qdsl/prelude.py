@@ -118,11 +118,16 @@ def _r1frac_handler(r1frac_matrix):
     return r1frac
 
 
+# The simulator's basis letters, and the results by outcome: cheaper than
+# `Pauli.name` and `Result.One`, which go through enum's descriptors.
+_LETTERS = {Pauli.I: "I", Pauli.X: "X", Pauli.Y: "Y", Pauli.Z: "Z"}
+_RESULTS = (Result.Zero, Result.One)
+
+
 def _measure(interp, arg, adjoint, controls):
     bases, qubits = arg
-    letters, ids = [p.name for p in bases], interp.ledger.ids(qubits)
-    one = interp.simulator.measure(letters, ids, interp.rng)
-    outcome = Result.One if one else Result.Zero
+    letters, ids = [_LETTERS[p] for p in bases], interp.ledger.ids(qubits)
+    outcome = _RESULTS[interp.simulator.measure(letters, ids, interp.rng)]
     interp.stats.measurements += 1
     if interp.trace is not None:
         basis_text = " ".join(letters) or "-"
@@ -132,7 +137,7 @@ def _measure(interp, arg, adjoint, controls):
 
 
 def _probe(interp, bases, qubits) -> float:
-    letters, ids = [p.name for p in bases], interp.ledger.ids(qubits)
+    letters, ids = [_LETTERS[p] for p in bases], interp.ledger.ids(qubits)
     return interp.simulator.probe_zero_probability(letters, ids)
 
 

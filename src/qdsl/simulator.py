@@ -23,16 +23,18 @@ slice too when its entry is not 1. Any other gate mixes the two target
 slices from one saved copy.
 
 Measurement of a Pauli product P conjugates P into Z on one pivot qubit
-with gates applied in place. S^dagger turns each Y factor into X. If any
-factor is X, the first is the pivot: CNOTs and CZs from it absorb every
-other factor, and one H turns its X into Z. Otherwise CNOTs into the first
-Z factor fold the parity of all Z factors into it. Either way at most one
-dense gate runs, however long P is. The probability of the +1 outcome
-(reported as Zero) is the weight of the pivot=0 slice. The state collapses
-by zeroing the rejected slice and dividing the kept one by the square root
-of its probability, and the gates are then undone in reverse. A weight is
-summed in chunks of a fixed length, so its bits do not depend on how many
-threads the BLAS library runs.
+with gates applied in place, planned in the one pass over P that checks the
+arguments. S^dagger turns each Y factor into X. If any factor is X, the
+first is the pivot: CNOTs and CZs from it absorb every other factor, and one
+H turns its X into Z. Otherwise CNOTs into the first Z factor fold the
+parity of all Z factors into it, and a single Z factor conjugates nothing.
+Either way at most one dense gate runs, however long P is. The probability
+of the +1 outcome (reported as Zero) is the weight of the pivot=0 slice. A
+number r drawn below it gives Zero, and `drawn` keeps both as (p, r). The
+state collapses by zeroing the rejected slice and dividing the kept one by
+the square root of its probability, and the gates are then undone in
+reverse. A weight is summed in chunks of a fixed length, so its bits do not
+depend on how many threads the BLAS library runs.
 Assertions probe the same probability on a copy of the state, which a
 state-vector backend can do because it is not bound by no-cloning.
 
@@ -175,7 +177,7 @@ class StateVectorSimulator:
         self.capacity = capacity
         self.position: dict[int, int] = {}  # qubit id -> bit position
         self.state: list[complex] | np.ndarray = [1 + 0j]
-        self.drawn: tuple[float, float] | None = None  # see `_draw`
+        self.drawn: tuple[float, float] | None = None  # the last draw's (p, r)
 
     @property
     def num_qubits(self) -> int:
@@ -238,7 +240,9 @@ class StateVectorSimulator:
                     f"releasing q{qubit_id} with probability {p_one:.3g} of "
                     "being |1> measures it, and no random generator was given"
                 )
-            keep_one = self._draw(rng, p_one)
+            r = rng.random()
+            self.drawn = (p_one, r)
+            keep_one = r < p_one
         probability = p_one if keep_one else 1.0 - p_one
         if probability < 1e-300:
             raise SimulationError("projection onto a zero-probability subspace")
@@ -325,58 +329,80 @@ class StateVectorSimulator:
 
     # ── Measurement ──────────────────────────────────────────────────────
 
-    def _to_z_basis(
-        self, bases: Sequence[str], qubit_ids: Sequence[int], apply_at
-    ) -> tuple[int, list]:
-        """Conjugate P, not the identity, into Z on one pivot qubit, in place
-        (see module doc), with the storage's gate kernel `apply_at`.
+    def _conjugation(
+        self, bases: Sequence[str], qubit_ids: Sequence[int]
+    ) -> tuple[int, Sequence[tuple]] | None:
+        """Check a measurement's arguments and plan the conjugation of P into
+        Z on one pivot qubit (see module doc), in one pass over P.
 
-        Returns the pivot's bit position and the gates applied as (matrix,
-        inverse, target, controls).
+        Returns None for the identity, else the pivot's bit position and the
+        gates to apply, as (matrix, inverse, target, controls). A single Z
+        needs none. The checks fail in a fixed order: the length, each basis,
+        a repeated qubit, then an unallocated one.
         """
-        x_factors, z_factors, gates = [], [], []
+        if len(bases) != len(qubit_ids):
+            raise SimulationError(
+                f"measurement needs one Pauli basis per qubit, got "
+                f"{len(bases)} bases for {len(qubit_ids)} qubits"
+            )
+        position = self.position
+        if len(bases) == 1 and bases[0] == "Z" and qubit_ids[0] in position:
+            return position[qubit_ids[0]], ()
+        x_factors, y_factors, z_factors, unallocated = [], [], [], None
         for basis, qid in zip(bases, qubit_ids):
-            pos = self.position[qid]
-            if basis == "Y":
-                gates.append((_S_DAG, _S, pos, ()))
-            if basis in ("X", "Y"):
-                x_factors.append(pos)
-            elif basis == "Z":
-                z_factors.append(pos)
+            if basis == "Z":
+                z_factors.append(qid)
+            elif basis == "X" or basis == "Y":
+                x_factors.append(qid)
+                if basis == "Y":
+                    y_factors.append(qid)
+            elif basis != "I":
+                raise SimulationError(
+                    f"unknown Pauli basis {basis!r}; expected I, X, Y or Z"
+                )
+            if unallocated is None and qid not in position:
+                unallocated = qid
+        active = x_factors + z_factors
+        if len(set(active)) != len(active):
+            raise SimulationError(
+                "a qubit may appear only once in a measurement register"
+            )
+        if unallocated is not None:
+            raise SimulationError(f"qubit q{unallocated} is not allocated")
+        if not active:
+            return None
+        gates = [(_S_DAG, _S, position[q], ()) for q in y_factors]
         x, z, h = GATE_MATRICES["X"], GATE_MATRICES["Z"], GATE_MATRICES["H"]
         if x_factors:
-            pivot = x_factors[0]
-            gates += [(x, x, q, (pivot,)) for q in x_factors[1:]]
-            gates += [(z, z, q, (pivot,)) for q in z_factors]
+            pivot = position[x_factors[0]]
+            gates += [(x, x, position[q], (pivot,)) for q in x_factors[1:]]
+            gates += [(z, z, position[q], (pivot,)) for q in z_factors]
             gates.append((h, h, pivot, ()))
         else:
-            pivot = z_factors[0]
-            gates += [(x, x, pivot, (q,)) for q in z_factors[1:]]
-        for matrix, _, target, controls in gates:
-            apply_at(matrix, target, controls)
+            pivot = position[z_factors[0]]
+            gates += [(x, x, pivot, (position[q],)) for q in z_factors[1:]]
         return pivot, gates
-
-    def _zero_probability(self, pivot: int, small: bool) -> float:
-        """Probability of Zero once `_to_z_basis` has chosen `pivot`."""
-        if small:
-            p_one = _small_weight(self.state)
-        else:
-            p_one = _weight(self._target_slices(pivot)[1])
-        return min(1.0, max(0.0, 1.0 - p_one))
 
     def probe_zero_probability(
         self, bases: Sequence[str], qubit_ids: Sequence[int]
     ) -> float:
         """Probability of the +1 (Zero) outcome, without collapsing."""
-        if self._check_measurement_args(bases, qubit_ids):
+        plan = self._conjugation(bases, qubit_ids)
+        if plan is None:
             return 1.0  # the identity has the whole space as +1 eigenspace
-        small = self.num_qubits <= SMALL_QUBITS
+        pivot, gates = plan
+        small = len(self.position) <= SMALL_QUBITS
         apply_at = self._apply_small if small else self._apply_at
         state = self.state
         self.state = state.copy()
         try:
-            pivot = self._to_z_basis(bases, qubit_ids, apply_at)[0]
-            return self._zero_probability(pivot, small)
+            for matrix, _, target, controls in gates:
+                apply_at(matrix, target, controls)
+            if small:
+                p_one = _small_weight(self.state)
+            else:
+                p_one = _weight(self._target_slices(pivot)[1])
+            return min(1.0, max(0.0, 1.0 - p_one))
         finally:
             self.state = state
 
@@ -384,15 +410,25 @@ class StateVectorSimulator:
         self, bases: Sequence[str], qubit_ids: Sequence[int], rng
     ) -> int:
         """Projective Pauli-product measurement; returns 0 for Zero, 1 for One."""
-        if self._check_measurement_args(bases, qubit_ids):
+        plan = self._conjugation(bases, qubit_ids)
+        if plan is None:
             self.drawn = None  # the identity gives Zero with no draw
             return 0
-        small = self.num_qubits <= SMALL_QUBITS
+        pivot, gates = plan
+        small = len(self.position) <= SMALL_QUBITS
         apply_at = self._apply_small if small else self._apply_at
-        pivot, gates = self._to_z_basis(bases, qubit_ids, apply_at)
+        for matrix, _, target, controls in gates:
+            apply_at(matrix, target, controls)
         try:
-            p_zero = self._zero_probability(pivot, small)
-            outcome = 0 if self._draw(rng, p_zero) else 1
+            if small:
+                x = self.state[1]  # `_small_weight`, inlined
+                p_one = x.real * x.real + x.imag * x.imag
+            else:
+                p_one = _weight(self._target_slices(pivot)[1])
+            p_zero = min(1.0, max(0.0, 1.0 - p_one))
+            r = rng.random()
+            self.drawn = (p_zero, r)
+            outcome = 0 if r < p_zero else 1
             probability = p_zero if outcome == 0 else 1.0 - p_zero
             if probability < 1e-300:
                 raise SimulationError(
@@ -410,39 +446,6 @@ class StateVectorSimulator:
             for _, inverse, target, controls in reversed(gates):
                 apply_at(inverse, target, controls)
         return outcome
-
-    def _draw(self, rng, p: float) -> bool:
-        """Whether a number drawn from `rng` falls below `p`. Keeps both in
-        `drawn`, as (p, number), for a caller that records the draw."""
-        r = rng.random()
-        self.drawn = (p, r)
-        return r < p
-
-    def _check_measurement_args(
-        self, bases: Sequence[str], qubit_ids: Sequence[int]
-    ) -> bool:
-        """Check a measurement's arguments; returns whether P is the identity."""
-        if len(bases) != len(qubit_ids):
-            raise SimulationError(
-                f"measurement needs one Pauli basis per qubit, got "
-                f"{len(bases)} bases for {len(qubit_ids)} qubits"
-            )
-        for basis in bases:
-            if basis not in ("I", "X", "Y", "Z"):
-                raise SimulationError(
-                    f"unknown Pauli basis {basis!r}; expected I, X, Y or Z"
-                )
-        if len(qubit_ids) == 1:  # one qubit appears once
-            self._position_of(qubit_ids[0])
-            return bases[0] == "I"
-        active = [q for b, q in zip(bases, qubit_ids) if b != "I"]
-        if len(set(active)) != len(active):
-            raise SimulationError(
-                "a qubit may appear only once in a measurement register"
-            )
-        for q in qubit_ids:
-            self._position_of(q)
-        return not active
 
     # ── Inspection ───────────────────────────────────────────────────────
 

@@ -589,7 +589,7 @@ def simulator_calls(monkeypatch):
         counted(qdsl.simulator, name)
     for name in ("_apply_at", "_apply_small", "_target_slices", "measure",
                  "release", "allocate", "apply", "load", "probe_zero_probability",
-                 "_check_measurement_args", "_position_of", "_check_limits"):
+                 "_conjugation", "_position_of", "_check_limits"):
         counted(StateVectorSimulator, name)
     return calls
 
