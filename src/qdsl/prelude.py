@@ -10,7 +10,7 @@ package data (``prelude/*.qds``) along with the canon namespace.
 from __future__ import annotations
 
 import functools
-from importlib import resources
+import os
 from typing import Any
 
 from . import types as ty
@@ -228,18 +228,22 @@ def intrinsic_handlers() -> dict[str, Any]:
 # ── Prelude sources ──────────────────────────────────────────────────────────
 
 
+# The bundled sources are read as plain files, so start-up does not import
+# `importlib.resources`, which takes a large share of it.
+_PRELUDE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "prelude")
+
+
 @functools.cache
 def prelude_files() -> tuple[str, ...]:
     """Names of the bundled prelude files, sorted."""
-    root = resources.files("qdsl").joinpath("prelude")
-    return tuple(sorted(e.name for e in root.iterdir() if e.name.endswith(".qds")))
+    return tuple(sorted(n for n in os.listdir(_PRELUDE_DIR) if n.endswith(".qds")))
 
 
 def prelude_units(exclude: tuple[str, ...] = ()) -> list[tuple[str, str]]:
     """(file label, source text) pairs for the bundled prelude files."""
-    root = resources.files("qdsl").joinpath("prelude")
-    return [
-        (f"prelude/{name}", root.joinpath(name).read_text(encoding="utf-8"))
-        for name in prelude_files()
-        if name not in exclude
-    ]
+    units = []
+    for name in prelude_files():
+        if name not in exclude:
+            with open(os.path.join(_PRELUDE_DIR, name), encoding="utf-8") as handle:
+                units.append((f"prelude/{name}", handle.read()))
+    return units

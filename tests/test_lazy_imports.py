@@ -28,9 +28,11 @@ namespace Demo {
 """
 
 
-def loaded_after(code: str, tmp_path, modules=HEAVY) -> tuple[int, list[str]]:
-    """Run `code` in a fresh interpreter; its exit code and which of `modules`
-    it loaded."""
+def loaded_after(
+    code: str, tmp_path, modules=HEAVY, flags=()
+) -> tuple[int, list[str]]:
+    """Run `code` in a fresh interpreter started with `flags`; its exit code
+    and which of `modules` it loaded."""
     bad = tmp_path / "bad.qds"
     bad.write_text(BAD)
     script = (
@@ -40,7 +42,9 @@ def loaded_after(code: str, tmp_path, modules=HEAVY) -> tuple[int, list[str]]:
         f"{code}\n"
         f"print(json.dumps(sorted(m for m in {modules!r} if m in sys.modules)))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True
+    )
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc.returncode, json.loads(proc.stdout.splitlines()[-1])
 
@@ -81,6 +85,20 @@ def test_the_front_end_loads_no_dataclass_machinery(name, tmp_path):
     """Front-end objects are plain classes, so start-up skips `dataclasses`
     and the `inspect` it imports."""
     code, loaded = loaded_after(COMPILE_ONLY[name], tmp_path, ("dataclasses", "inspect"))
+    assert code == 0
+    assert loaded == []
+
+
+def test_checking_a_file_loads_no_importlib_resources(tmp_path):
+    """The prelude is read as plain files. Under `-S`, because a `site` may
+    import `importlib.resources` itself, through a `.pth` file."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qdsl.__file__)))
+    code, loaded = loaded_after(
+        f"sys.path.insert(0, {src!r})\n{COMPILE_ONLY['check']}",
+        tmp_path,
+        ("importlib.resources",),
+        flags=("-S",),
+    )
     assert code == 0
     assert loaded == []
 
