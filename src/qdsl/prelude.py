@@ -118,8 +118,8 @@ def _r1frac_handler(r1frac_matrix):
     return r1frac
 
 
-# The simulator's basis letters, and the results by outcome: cheaper than
-# `Pauli.name` and `Result.One`, which go through enum's descriptors.
+# The simulator's basis letters, and the results by outcome: tables instead
+# of `Pauli.name` and `Result.One`, which go through enum's slow descriptors.
 _LETTERS = {Pauli.I: "I", Pauli.X: "X", Pauli.Y: "Y", Pauli.Z: "Z"}
 _RESULTS = (Result.Zero, Result.One)
 
