@@ -41,18 +41,19 @@ class UsageError(Exception):
     pass
 
 
-def _env_default(name: str, fallback):
-    return os.environ.get(f"QDSL_{name}", fallback)
-
-
-def _env_int(name: str, fallback: Optional[int]) -> Optional[int]:
-    raw = os.environ.get(f"QDSL_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"QDSL_{name} must be an integer, got {raw!r}")
+def _fill_from_environment(args) -> None:
+    """Sets each run flag left unset from its QDSL_<NAME> variable, if any."""
+    for name in ("entry", "shots", "seed", "max_qubits", "max_iterations"):
+        variable = f"QDSL_{name.upper()}"
+        raw = os.environ.get(variable)
+        if raw is None or getattr(args, name) is not None:
+            continue
+        if name != "entry":
+            try:
+                raw = int(raw)
+            except ValueError:
+                raise UsageError(f"{variable} must be an integer, got {raw!r}")
+        setattr(args, name, raw)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -73,9 +74,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def add_run_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument("files", nargs="+", help="source files (.qds)")
         p.add_argument(
-            "--entry",
-            default=_env_default("ENTRY", None),
-            help="entry operation (default: a unique Main in your files)",
+            "--entry", help="entry operation (default: a unique Main in your files)"
         )
         p.add_argument("--shots", type=int, default=None, help="number of runs")
         p.add_argument("--seed", type=int, default=None, help="deterministic seed")
@@ -127,13 +126,13 @@ def _print_diagnostics(
         for d in result.diagnostics:
             print(d.render(sources.get(d.file)), file=sys.stderr)
         return
-    payload = {
-        "version": JSON_VERSION,
-        "command": command,
-        "ok": result.ok,
-        "diagnostics": [d.to_json(sources.get(d.file)) for d in result.diagnostics],
-        **extra,
-    }
+    diagnostics = [d.to_json(sources.get(d.file)) for d in result.diagnostics]
+    _envelope(command, result.ok, diagnostics=diagnostics, **extra)
+
+
+def _envelope(command: str, ok: bool, **fields) -> None:
+    """Prints a command's one JSON document: version, command, ok, then `fields`."""
+    payload = {"version": JSON_VERSION, "command": command, "ok": ok, **fields}
     print(json.dumps(payload, indent=2))
 
 
@@ -142,8 +141,11 @@ def _load(files: list[str]) -> tuple[CompileResult, Sources]:
     for path in files:
         if not os.path.exists(path):
             raise UsageError(f"no such file: {path}")
-        with open(path, "r", encoding="utf-8") as handle:
-            units.append((path, handle.read()))
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                units.append((path, handle.read()))
+        except UnicodeDecodeError:
+            raise UsageError(f"not UTF-8 text: {path}")
     # The prelude is checked clean on its own, so only these files can hold
     # a diagnostic.
     sources = {name: SourceFile(name, text) for name, text in units}
@@ -191,7 +193,7 @@ def _run_options(args):
     for name in ("max_qubits", "max_iterations"):
         value = getattr(args, name)
         if value is None:
-            value = _env_int(name.upper(), getattr(RunOptions(), name))
+            continue
         if value < 0:
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must not be negative, got {value}")
@@ -212,15 +214,10 @@ def _basis_label(index: int, ids: list[int]) -> str:
 
 
 def _dump_payload(dumps) -> list:
-    payload = []
-    for ids, amplitudes in dumps:
-        payload.append(
-            {
-                "qubits": list(ids),
-                "amplitudes": [[float(a.real), float(a.imag)] for a in amplitudes],
-            }
-        )
-    return payload
+    return [
+        {"qubits": list(ids), "amplitudes": [[float(a.real), float(a.imag)] for a in amps]}
+        for ids, amps in dumps
+    ]
 
 
 def _cmd_run(args, tracing: bool) -> int:
@@ -229,29 +226,28 @@ def _cmd_run(args, tracing: bool) -> int:
         _print_diagnostics(result, sources, "run", args.json)
         return EXIT_DIAGNOSTICS
 
+    _fill_from_environment(args)
     entry, err = resolve_entry(result, args.entry)
     if err is not None:
         raise UsageError(err)
-
-    shots = args.shots
-    if shots is None:
-        shots = _env_int("SHOTS", DEFAULT_SHOTS)
+    shots = DEFAULT_SHOTS if args.shots is None else args.shots
     if shots < 1:
         raise UsageError("--shots must be at least 1")
-    seed = args.seed
-    if seed is None:
-        seed = _env_int("SEED", None)
 
     options = _run_options(args)
     # The runtime, and numpy with it, loads only once a program is ready to run.
     from .runtime import QdslFailure, render, run_shots
 
+    # Under --json, each shot's trace lines go into the envelope instead.
+    traces = [[] for _ in range(shots)] if tracing and args.json else None
     trace_cb = None
-    if tracing:
+    if traces is not None:
+        trace_cb = lambda shot, line: traces[shot].append(line)
+    elif tracing:
         trace_cb = lambda shot, line: print(f"[{shot}] {line}")
 
     try:
-        outcomes = run_shots(intrinsic_handlers(), entry, shots, seed, options, trace_cb)
+        outcomes = run_shots(intrinsic_handlers(), entry, shots, args.seed, options, trace_cb)
         # A value whose text would not fit the memory budget fails the run.
         rendered = [render([s.value]) for s in outcomes]
     except QdslFailure as failure:
@@ -261,22 +257,16 @@ def _cmd_run(args, tracing: bool) -> int:
     histogram = dict(sorted(collections.Counter(rendered).items()))
 
     if args.json:
-        payload = {
-            "version": JSON_VERSION,
-            "command": "run",
-            "ok": True,
-            "entry": entry.qualified,
-            "shots": shots,
-            "seed": seed,
-            "results": rendered,
-            "histogram": histogram,
-            "messages": [s.messages for s in outcomes],
-        }
+        extra = {}
         if args.dump_state:
-            payload["state_dumps"] = [
-                _dump_payload(s.state_dumps) for s in outcomes
-            ]
-        print(json.dumps(payload, indent=2))
+            extra["state_dumps"] = [_dump_payload(s.state_dumps) for s in outcomes]
+        if traces is not None:
+            extra["trace"] = traces
+        _envelope(
+            "run", True, entry=entry.qualified, shots=shots, seed=args.seed,
+            results=rendered, histogram=histogram,
+            messages=[s.messages for s in outcomes], **extra,
+        )
         return EXIT_OK
 
     for index, shot in enumerate(outcomes):
@@ -303,17 +293,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse has already rejected any other command.
         if args.command == "check":
             return _cmd_check(args)
-        if args.command == "run":
-            return _cmd_run(args, tracing=False)
-        if args.command == "trace":
-            return _cmd_run(args, tracing=True)
-        raise UsageError(f"unknown command {args.command}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+        return _cmd_run(args, tracing=args.command == "trace")
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -136,24 +136,18 @@ def _measure(interp, arg, adjoint, controls):
     return outcome
 
 
-def _probe(interp, bases, qubits) -> float:
+def _outcome_probability(interp, bases, qubits, expected) -> float:
+    """The probability that measuring gives `expected`, with float noise at
+    the endpoints clamped so reports read 0 and 1 exactly."""
     letters, ids = [_LETTERS[p] for p in bases], interp.ledger.ids(qubits)
-    return interp.simulator.probe_zero_probability(letters, ids)
-
-
-def _snap(probability: float) -> float:
-    """Clamp float noise at the endpoints so reports read 0 and 1 exactly."""
-    if probability < 1e-12:
-        return 0.0
-    if probability > 1.0 - 1e-12:
-        return 1.0
-    return probability
+    p_zero = interp.simulator.probe_zero_probability(letters, ids)
+    p = p_zero if expected is Result.Zero else 1.0 - p_zero
+    return 0.0 if p < 1e-12 else 1.0 if p > 1.0 - 1e-12 else p
 
 
 def _assert(interp, arg, adjoint, controls):
     bases, qubits, expected = arg
-    p_zero = _probe(interp, bases, qubits)
-    p_expected = _snap(p_zero if expected is Result.Zero else 1.0 - p_zero)
+    p_expected = _outcome_probability(interp, bases, qubits, expected)
     if p_expected < 1.0 - 1e-9:
         interp.fail(
             f"assertion failed: the measurement would give {expected.name} "
@@ -164,8 +158,7 @@ def _assert(interp, arg, adjoint, controls):
 
 def _assert_prob(interp, arg, adjoint, controls):
     bases, qubits, expected, probability, tolerance = arg
-    p_zero = _probe(interp, bases, qubits)
-    p_expected = _snap(p_zero if expected is Result.Zero else 1.0 - p_zero)
+    p_expected = _outcome_probability(interp, bases, qubits, expected)
     if abs(p_expected - probability) > tolerance:
         interp.fail(
             f"assertion failed: the measurement would give {expected.name} "

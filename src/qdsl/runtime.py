@@ -98,21 +98,10 @@ class RunStats:
         "gates", "measurements", "resets_on_release",
     )
 
-    def __init__(
-        self,
-        allocations: int = 0,
-        releases: int = 0,
-        peak_live: int = 0,
-        borrowed_existing: int = 0,
-        borrowed_fresh: int = 0,
-        gates: int = 0,
-        measurements: int = 0,
-        resets_on_release: int = 0,
-    ) -> None:
-        self.allocations, self.releases, self.peak_live = allocations, releases, peak_live
-        self.borrowed_existing, self.borrowed_fresh = borrowed_existing, borrowed_fresh
-        self.gates, self.measurements = gates, measurements
-        self.resets_on_release = resets_on_release
+    def __init__(self) -> None:
+        self.allocations = self.releases = self.peak_live = 0
+        self.borrowed_existing = self.borrowed_fresh = self.gates = 0
+        self.measurements = self.resets_on_release = 0
 
     def _counts(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -252,11 +241,12 @@ class Interpreter:
             self.trace(f"borrow {borrowed}{extra}")
         return [self.ledger.live[q] for q in candidates] + fresh, fresh
 
-    def _hold(self, fresh: list[QubitRef], body: Callable, frame: list):
-        """Run a qubit block's body, then release the qubits it allocated."""
+    def _hold(self, fresh: list[QubitRef], body: Callable, frame: list) -> None:
+        """Run a qubit block's body, then release the qubits it allocated. The
+        body returns nothing: the checker rejects a `return` inside the block."""
         self._alloc_depth += 1
         try:
-            value = body(self, frame)
+            body(self, frame)
             if self.options.dump_state and self._alloc_depth == 1:
                 self.state_dumps.append(self.simulator.amplitudes())
         except BaseException:
@@ -265,7 +255,6 @@ class Interpreter:
             raise
         self._alloc_depth -= 1
         self._release(fresh, strict=True)
-        return value
 
     def _allocate(self, n: int) -> list[QubitRef]:
         fresh = [self._allocate_one() for _ in range(n)]
@@ -612,9 +601,7 @@ class _Compiler:
         self._line(f"frame[{slot}] = {refs}" + ("[0]" if stmt.count is None else ""))
         body = self._function(lambda: self._statements(stmt.body.stmts), scoped=False)
         self.scopes.pop()
-        value = self._fresh("t")
-        held = f"interp._hold({fresh}, {body}, frame)"
-        self._line(f"if ({value} := {held}) is not None: return {value}", stmt)
+        self._line(f"interp._hold({fresh}, {body}, frame)", stmt)
 
     # ── Expressions ──────────────────────────────────────────────────────
 

@@ -243,6 +243,17 @@ def test_missing_file_is_usage_error(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_non_utf8_file_is_usage_error(tmp_path, command):
+    path = tmp_path / "latin1.qds"
+    path.write_bytes(GOOD_PROGRAM.encode() + b"// caf\xe9 \xff\n")
+    proc = qdsl(command, str(path))
+    assert proc.returncode == 2
+    assert str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 # ── run ──────────────────────────────────────────────────────────────────────
 
 
@@ -420,6 +431,77 @@ def test_negative_run_limit_is_usage_error(good_file, limit, source):
         proc = qdsl("run", good_file, env_extra={env: "-1"})
     assert proc.returncode == 2
     assert f"--{limit} must not be negative" in proc.stderr
+
+
+TWO_ENTRIES = """
+namespace Demo {
+    operation Main () : Int { body { return 1; } }
+    operation Other () : Int { body { return 2; } }
+}"""
+
+
+def test_env_entry_is_used_and_the_flag_wins(tmp_path):
+    path = tmp_path / "two.qds"
+    path.write_text(TWO_ENTRIES)
+    env = {"QDSL_ENTRY": "Demo.Other"}
+    assert qdsl("run", str(path), env_extra=env).stdout == "shot 0: 2\n"
+    flagged = qdsl("run", "--entry", "Main", str(path), env_extra=env)
+    assert flagged.stdout == "shot 0: 1\n"
+
+
+def test_env_max_qubits_takes_effect(tmp_path):
+    path = tmp_path / "wide.qds"
+    path.write_text("""
+namespace Demo {
+    operation Main () : () {
+        body { using (qs = Qubit[6]) { } }
+    }
+}""")
+    capped = qdsl("run", str(path), env_extra={"QDSL_MAX_QUBITS": "4"})
+    assert capped.returncode == 3
+    assert "max-qubits" in capped.stderr
+    roomy = qdsl("run", str(path), env_extra={"QDSL_MAX_QUBITS": "6"})
+    assert roomy.returncode == 0
+    flagged = qdsl("run", "--max-qubits", "6", str(path), env_extra={"QDSL_MAX_QUBITS": "4"})
+    assert flagged.returncode == 0
+
+
+@pytest.mark.parametrize("limit, code", [("100", 0), ("99", 3)])
+def test_env_max_iterations_takes_effect(tmp_path, limit, code):
+    path = tmp_path / "count.qds"
+    path.write_text("""
+namespace Demo {
+    operation Main () : Int {
+        body {
+            mutable n = 0;
+            for (i in 1 .. 100) { set n = n + 1; }
+            return n;
+        }
+    }
+}""")
+    proc = qdsl("run", str(path), env_extra={"QDSL_MAX_ITERATIONS": limit})
+    assert proc.returncode == code
+    if code == 3:
+        assert proc.stderr == f"runtime error: for loop exceeded {limit} iterations\n"
+
+
+@pytest.mark.parametrize("variable", ["QDSL_SEED", "QDSL_MAX_QUBITS", "QDSL_MAX_ITERATIONS"])
+def test_non_integer_env_value_is_usage_error(good_file, variable):
+    proc = qdsl("run", good_file, env_extra={variable: "1.5"})
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {variable} must be an integer, got '1.5'\n"
+
+
+def test_check_ignores_a_bad_env_shot_count(good_file):
+    proc = qdsl("check", good_file, env_extra={"QDSL_SHOTS": "many"})
+    assert proc.returncode == 0
+
+
+def test_compile_errors_exit_1_despite_a_bad_env_shot_count(bad_file):
+    proc = qdsl("run", bad_file, env_extra={"QDSL_SHOTS": "many"})
+    assert proc.returncode == 1
+    assert "[type-mismatch]" in proc.stderr
+    assert "QDSL_SHOTS" not in proc.stderr
 
 
 def test_dump_state_text(tmp_path):
@@ -759,6 +841,23 @@ namespace Demo {
     proc = qdsl("trace", str(path))
     assert "[0] gate Adjoint T q0" in proc.stdout
     assert "[0] gate X q1 ctl[q0]" in proc.stdout
+
+
+def test_trace_json_is_one_document_with_the_text_trace_per_shot(good_file):
+    args = ("--shots", "3", "--seed", "5", good_file)
+    text = qdsl("trace", *args).stdout.splitlines()
+    proc = qdsl("trace", "--json", *args)
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["version"] == 1
+    assert payload["results"] == [line.split(": ")[1] for line in text if line.startswith("shot ")]
+    grouped = [[] for _ in range(3)]
+    for line in text:
+        if line.startswith("["):
+            shot, event = line.split("] ", 1)
+            grouped[int(shot[1:])].append(event)
+    assert payload["trace"] == grouped
+    assert all(grouped)
 
 
 # ── top-level usage ──────────────────────────────────────────────────────────

@@ -194,6 +194,29 @@ def test_seeded_trace_matches_golden(name):
     assert run_trace(name) == expected
 
 
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_trace_json_holds_the_text_trace_by_shot(name):
+    """`qdsl trace --json` prints one JSON document whose `trace` holds each
+    shot's event lines as the text trace prints them, minus `[N] `."""
+    path, extra = TRACE_CASES[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["trace", "--json", path, *TRACE_ARGS, *extra]) == 0
+    payload = json.loads(out.getvalue())
+    # The text trace leads the output, in shot order; the per-shot messages
+    # printed after the run start again at shot 0.
+    grouped: list[list[str]] = [[] for _ in payload["results"]]
+    shot = 0
+    for line in run_trace(name).splitlines()[1:]:
+        prefix, _, event = line.partition("] ")
+        if not prefix.startswith("[") or int(prefix[1:]) < shot:
+            break
+        shot = int(prefix[1:])
+        grouped[shot].append(event)
+    assert payload["trace"] == grouped
+    assert all(grouped)
+
+
 def test_every_runnable_accept_file_is_pinned():
     """A new accept file with a `Main` must get a golden case too."""
     pinned = {os.path.basename(path) for path, _ in CASES.values()}
