@@ -2,7 +2,9 @@
 
 Checking happens in three passes over one or more parsed units sharing a
 symbol table: collect declarations, resolve signatures (UDT bases first so
-newtypes can reference each other), then check every provided body. All
+newtypes can reference each other), then check every provided body. Each
+declaration's names resolve in its own namespace block: its namespace, then
+the namespaces its block opens. All
 expression nodes come out annotated with their type (``expr.ty``) and every
 name reference with its resolution (``name.binding``), which is what the
 runtime dispatches on.
@@ -99,7 +101,7 @@ class CallableSymbol:
         self.namespace, self.name, self.is_operation = namespace, name, is_operation
         self.type_params, self.input, self.output = type_params, input, output
         self.variants, self.decl, self.intrinsic, self.file = variants, decl, intrinsic, file
-        # The namespaces its declaration opens; filled by resolve_signatures.
+        # The namespaces its declaration's block opens; filled by collect.
         self.opens: list[str] = []
         # Filled by the specialization generator:
         self.specializations: dict = {}
@@ -130,7 +132,7 @@ class CallableSymbol:
 
 
 class UdtSymbol:
-    __slots__ = ("namespace", "name", "base", "decl", "file", "resolving")
+    __slots__ = ("namespace", "name", "base", "decl", "file", "opens", "resolving")
 
     def __init__(
         self,
@@ -142,6 +144,8 @@ class UdtSymbol:
     ) -> None:
         self.namespace, self.name, self.base = namespace, name, base
         self.decl, self.file, self.resolving = decl, file, False
+        # The namespaces its declaration's block opens; filled by collect.
+        self.opens: list[str] = []
 
     @property
     def qualified(self) -> str:
@@ -238,48 +242,51 @@ class Scope:
 
 
 class _Context:
+    """Checking state for one declaration, in its own namespace block."""
+
     __slots__ = (
-        "table", "namespace", "opens", "file", "diagnostics", "rigid_params", "output",
+        "checker", "namespace", "opens", "file", "rigid_params", "output",
         "in_function", "alloc_depth", "bindings",
     )
 
-    def __init__(
-        self,
-        table: SymbolTable,
-        namespace: str,
-        opens: list[str],
-        file: str,
-        diagnostics: list[Diagnostic],
-        rigid_params: frozenset[str] = frozenset(),
-        output: ty.Type = ty.UNIT,
-        in_function: bool = False,
-    ) -> None:
-        self.table, self.namespace, self.opens, self.file = table, namespace, opens, file
-        self.diagnostics, self.rigid_params = diagnostics, rigid_params
-        self.output, self.in_function = output, in_function
+    def __init__(self, checker: "Checker", sym: Symbol) -> None:
+        self.checker, self.namespace, self.opens, self.file = (
+            checker, sym.namespace, sym.opens, sym.file
+        )
+        is_callable = isinstance(sym, CallableSymbol)
+        self.rigid_params = frozenset(sym.type_params if is_callable else ())
+        self.output = sym.output if is_callable else ty.UNIT
+        self.in_function = is_callable and not sym.is_operation
         self.alloc_depth = 0
         self.bindings: ty.Bindings = {}
 
     def error(self, code: str, message: str, span: Span) -> None:
-        self.diagnostics.append(diag.error(code, message, span, self.file))
+        self.checker._error(code, message, span, self.file)
 
 
 class Checker:
     def __init__(self, table: SymbolTable) -> None:
         self.table = table
         self.diagnostics: list[Diagnostic] = []
+        # Each namespace block -> the symbols it declared, duplicates left out.
+        self._declared: dict[Namespace, list[Symbol]] = {}
+
+    def _error(self, code: str, message: str, span: Span, file: str) -> None:
+        self.diagnostics.append(diag.error(code, message, span, file))
 
     # ── Pass 1: collect declarations ─────────────────────────────────────
 
     def collect(self, program: Program, file: str) -> None:
         for ns in program.namespaces:
+            # An open of a namespace that no file defines finds nothing.
+            opens = [op.name for op in ns.opens]
+            if ns.implicit:
+                opens += IMPLICIT_OPENS
+            declared = self._declared[ns] = []
             for decl in ns.decls:
                 if isinstance(decl, NewtypeDecl):
                     sym: Symbol = UdtSymbol(ns.name, decl.name, None, decl, file)
-                    clash = self.table.define(sym)
-                    if clash is not None:
-                        self._duplicate(decl.name, decl.name_span, file)
-                elif isinstance(decl, CallableDecl):
+                else:
                     self._validate_spec_combination(decl, file)
                     sym = CallableSymbol(
                         ns.name,
@@ -293,19 +300,16 @@ class Checker:
                         None,
                         file,
                     )
-                    clash = self.table.define(sym)
-                    if clash is not None:
-                        self._duplicate(decl.name, decl.name_span, file)
-
-    def _duplicate(self, name: str, span: Span, file: str) -> None:
-        self.diagnostics.append(
-            diag.error(
-                diag.DUPLICATE_DEFINITION,
-                f"'{name}' is already defined in this namespace",
-                span,
-                file,
-            )
-        )
+                sym.opens = opens
+                if self.table.define(sym) is None:
+                    declared.append(sym)
+                else:
+                    self._error(
+                        diag.DUPLICATE_DEFINITION,
+                        f"'{decl.name}' is already defined in this namespace",
+                        decl.name_span,
+                        file,
+                    )
 
     @staticmethod
     def _declared_variants(decl: CallableDecl) -> frozenset[str]:
@@ -323,115 +327,76 @@ class Checker:
         kinds = {s.kind for s in decl.specs}
         has_ca = SpecKind.CONTROLLED_ADJOINT in kinds
         if has_ca != (SpecKind.ADJOINT in kinds and SpecKind.CONTROLLED in kinds):
-            self.diagnostics.append(
-                diag.error(
-                    diag.SPECIALIZATION_MISMATCH,
-                    "a controlled adjoint specialization requires both adjoint "
-                    "and controlled specializations"
-                    if has_ca
-                    else "an operation with both adjoint and controlled "
-                    "specializations must also declare controlled adjoint",
-                    decl.name_span,
-                    file,
-                )
+            self._error(
+                diag.SPECIALIZATION_MISMATCH,
+                "a controlled adjoint specialization requires both adjoint "
+                "and controlled specializations"
+                if has_ca
+                else "an operation with both adjoint and controlled "
+                "specializations must also declare controlled adjoint",
+                decl.name_span,
+                file,
             )
+
+    def _callables(self, program: Program) -> list[CallableSymbol]:
+        return [
+            sym
+            for ns in program.namespaces
+            for sym in self._declared[ns]
+            if isinstance(sym, CallableSymbol)
+        ]
 
     # ── Pass 2: resolve signatures ───────────────────────────────────────
 
     def resolve_signatures(self, program: Program, file: str) -> None:
-        ns_opens = []
         for ns in program.namespaces:
-            opens = self._effective_opens(ns, file)
-            ns_opens.append(opens)
-            for decl in ns.decls:
-                if isinstance(decl, NewtypeDecl):
-                    self._resolve_udt_base(ns.name, opens, decl, file)
-        for ns, opens in zip(program.namespaces, ns_opens):
-            for decl in ns.decls:
-                if isinstance(decl, CallableDecl):
-                    self._resolve_callable_signature(ns.name, opens, decl, file)
-
-    def _effective_opens(self, ns: Namespace, file: str) -> list[str]:
-        opens = []
-        for op in ns.opens:
-            if not self.table.has_namespace(op.name):
-                self.diagnostics.append(
-                    diag.error(
+            for op in ns.opens:
+                if not self.table.has_namespace(op.name):
+                    self._error(
                         diag.UNKNOWN_NAMESPACE,
                         f"namespace '{op.name}' is not defined",
                         op.span,
                         file,
                     )
-                )
-                continue
-            opens.append(op.name)
-        if ns.implicit:
-            for name in IMPLICIT_OPENS:
-                if self.table.has_namespace(name) and name not in opens:
-                    opens.append(name)
-        return opens
+            for sym in self._declared[ns]:
+                if isinstance(sym, UdtSymbol):
+                    self._udt_base_of(sym)
+        for sym in self._callables(program):
+            self._resolve_callable_signature(sym)
 
-    def _resolve_udt_base(
-        self, namespace: str, opens: list[str], decl: NewtypeDecl, file: str
-    ) -> None:
-        sym = self.table.namespaces.get(namespace, {}).get(decl.name)
-        if not isinstance(sym, UdtSymbol) or sym.decl is not decl:
-            return
-        ctx = _Context(self.table, namespace, opens, file, self.diagnostics)
-        sym.base = self._udt_base_of(sym, ctx)
-
-    def _udt_base_of(self, sym: UdtSymbol, ctx: _Context) -> ty.Type:
+    def _udt_base_of(self, sym: UdtSymbol) -> ty.Type:
+        """The newtype's base, resolved in its own block the first time."""
         if sym.base is not None:
             return sym.base
         if sym.resolving:
-            span = sym.decl.name_span if sym.decl else Span(0, 0)
-            self.diagnostics.append(
-                diag.error(
-                    diag.UDT_RECURSION,
-                    f"newtype '{sym.name}' is defined in terms of itself",
-                    span,
-                    sym.file,
-                )
+            self._error(
+                diag.UDT_RECURSION,
+                f"newtype '{sym.name}' is defined in terms of itself",
+                sym.decl.name_span,
+                sym.file,
             )
             return ERROR
         sym.resolving = True
         try:
-            assert sym.decl is not None
-            base = self.resolve_type(sym.decl.base, ctx)
+            base = self.resolve_type(sym.decl.base, _Context(self, sym))
         finally:
             sym.resolving = False
         sym.base = base
         return base
 
-    def _resolve_callable_signature(
-        self, namespace: str, opens: list[str], decl: CallableDecl, file: str
-    ) -> None:
-        sym = self.table.namespaces.get(namespace, {}).get(decl.name)
-        if not isinstance(sym, CallableSymbol) or sym.decl is not decl:
-            return
-        sym.opens = opens
+    def _resolve_callable_signature(self, sym: CallableSymbol) -> None:
+        ctx = _Context(self, sym)
         seen: set[str] = set()
-        for p in decl.type_params:
+        for p in sym.type_params:
             if p in seen:
-                self.diagnostics.append(
-                    diag.error(
-                        diag.DUPLICATE_BINDING,
-                        f"duplicate type parameter {p}",
-                        decl.name_span,
-                        file,
-                    )
+                ctx.error(
+                    diag.DUPLICATE_BINDING,
+                    f"duplicate type parameter {p}",
+                    sym.decl.name_span,
                 )
             seen.add(p)
-        ctx = _Context(
-            self.table,
-            namespace,
-            opens,
-            file,
-            self.diagnostics,
-            rigid_params=frozenset(decl.type_params),
-        )
-        sym.input = self._param_tuple_type(decl.params, ctx)
-        sym.output = self.resolve_type(decl.output, ctx)
+        sym.input = self._param_tuple_type(sym.decl.params, ctx)
+        sym.output = self.resolve_type(sym.decl.output, ctx)
 
     def _param_tuple_type(self, params: ParamTuple, ctx: _Context) -> ty.Type:
         items: list[ty.Type] = []
@@ -450,7 +415,7 @@ class Checker:
                 return ty.PRIMITIVES[node.name]
             sym = self._resolve_symbol_name(node.name, ctx, node.span, is_type=True)
             if isinstance(sym, UdtSymbol):
-                self._udt_base_of(sym, ctx)
+                self._udt_base_of(sym)
                 return sym.type()
             if sym is not None:
                 ctx.error(
@@ -508,41 +473,27 @@ class Checker:
     # ── Pass 3: check bodies ─────────────────────────────────────────────
 
     def check_bodies(self, program: Program, file: str) -> None:
-        for ns in program.namespaces:
-            for decl in ns.decls:
-                if isinstance(decl, CallableDecl):
-                    self._check_callable(ns.name, decl, file)
-
-    def _check_callable(self, namespace: str, decl: CallableDecl, file: str) -> None:
-        sym = self.table.namespaces.get(namespace, {}).get(decl.name)
-        if not isinstance(sym, CallableSymbol) or sym.decl is not decl:
-            return
-        for spec in decl.specs:
-            if spec.block is not None:
-                self.check_specialization_block(sym, spec.block, spec.ctl_param, file)
-        body = next((s.block for s in decl.specs if s.kind is SpecKind.BODY), None)
-        if (
-            sym.output != ty.UNIT
-            and not _is_error(sym.output)
-            and body is not None
-            and not _block_returns(body)
-        ):
-            self.diagnostics.append(
-                diag.error(
+        for sym in self._callables(program):
+            for spec in sym.decl.specs:
+                if spec.block is not None:
+                    self.check_specialization_block(sym, spec.block, spec.ctl_param)
+            body = next((s.block for s in sym.decl.specs if s.kind is SpecKind.BODY), None)
+            if (
+                sym.output != ty.UNIT
+                and not _is_error(sym.output)
+                and body is not None
+                and not _block_returns(body)
+            ):
+                self._error(
                     diag.MISSING_RETURN,
-                    f"'{decl.name}' must return a value of type "
+                    f"'{sym.name}' must return a value of type "
                     f"{ty.render(sym.output)} on every path",
-                    decl.name_span,
+                    sym.decl.name_span,
                     file,
                 )
-            )
 
     def check_specialization_block(
-        self,
-        sym: CallableSymbol,
-        block: Block,
-        ctl_param: str | None,
-        file: str,
+        self, sym: CallableSymbol, block: Block, ctl_param: str | None
     ) -> list[Diagnostic]:
         """Type-check one specialization body in the callable's scope.
 
@@ -550,23 +501,13 @@ class Checker:
         blocks; returns the diagnostics it produced.
         """
         before = len(self.diagnostics)
-        ctx = _Context(
-            self.table,
-            sym.namespace,
-            sym.opens,
-            file,
-            self.diagnostics,
-            rigid_params=frozenset(sym.type_params),
-            output=sym.output,
-            in_function=not sym.is_operation,
-        )
+        ctx = _Context(self, sym)
         scope = Scope()
         if ctl_param is not None:
             scope.define(
                 LocalBinding(ctl_param, ty.Array(ty.QUBIT), False, block.span)
             )
-        if sym.decl is not None:
-            self._bind(sym.decl.params, sym.input, scope, ctx)
+        self._bind(sym.decl.params, sym.input, scope, ctx)
         self._check_block(block, scope, ctx)
         return self.diagnostics[before:]
 

@@ -154,8 +154,12 @@ class Parser:
             self.pos += 1
         return tok
 
-    def _error(self, message: str, code: str = diag.UNEXPECTED_TOKEN) -> _ParseError:
-        span = self._current().span
+    def _error(
+        self, message: str, code: str = diag.UNEXPECTED_TOKEN, span: Span | None = None
+    ) -> _ParseError:
+        """Report an error at ``span``, or at the current token; the caller
+        raises the result only to abandon the construct it is parsing."""
+        span = span or self._current().span
         self.diagnostics.append(diag.error(code, message, span, self.file))
         return _ParseError()
 
@@ -227,13 +231,9 @@ class Parser:
                 elif self._at_keyword("open"):
                     snippet_opens.append(self._parse_open())
                 elif self._current().lexeme in self._STATEMENTS or self._looks_like_expr():
-                    self.diagnostics.append(
-                        diag.error(
-                            diag.STRAY_STATEMENT,
-                            "statements may not appear at the top level of a file",
-                            self._current().span,
-                            self.file,
-                        )
+                    self._error(
+                        "statements may not appear at the top level of a file",
+                        diag.STRAY_STATEMENT,
                     )
                     reported = len(self.diagnostics)
                     self._parse_statement()
@@ -367,24 +367,18 @@ class Parser:
             specs.append(self._parse_one_specialization())
         end = self._expect_symbol("}").span
         if not any(s.kind is SpecKind.BODY for s in specs):
-            self.diagnostics.append(
-                diag.error(
-                    diag.MISSING_SPECIALIZATION_BODY,
-                    f"operation '{name_tok.lexeme}' has no body specialization",
-                    name_tok.span,
-                    self.file,
-                )
+            self._error(
+                f"operation '{name_tok.lexeme}' has no body specialization",
+                diag.MISSING_SPECIALIZATION_BODY,
+                name_tok.span,
             )
         seen: set[SpecKind] = set()
         for s in specs:
             if s.kind in seen:
-                self.diagnostics.append(
-                    diag.error(
-                        diag.DUPLICATE_SPECIALIZATION,
-                        f"duplicate {s.kind.value} specialization",
-                        s.span,
-                        self.file,
-                    )
+                self._error(
+                    f"duplicate {s.kind.value} specialization",
+                    diag.DUPLICATE_SPECIALIZATION,
+                    s.span,
                 )
             seen.add(s.kind)
         return specs, end
@@ -692,13 +686,9 @@ class Parser:
             if start > at:
                 parts.append(_unescape(body[at:start]))
             if end is None:
-                self.diagnostics.append(
-                    diag.error(
-                        diag.UNEXPECTED_TOKEN,
-                        "unterminated interpolation hole",
-                        Span(base + start, base + len(body)),
-                        self.file,
-                    )
+                self._error(
+                    "unterminated interpolation hole",
+                    span=Span(base + start, base + len(body)),
                 )
                 return InterpString(tok.span, parts=parts)
             expr, diags = _parse_whole_expression(
@@ -769,14 +759,7 @@ class Parser:
         """A name in an operation type's functor list; an unknown one is reported."""
         f = self._expect_ident("functor name")
         if f.lexeme not in _FUNCTORS:
-            self.diagnostics.append(
-                diag.error(
-                    diag.UNEXPECTED_TOKEN,
-                    f"unknown functor {f.lexeme!r}",
-                    f.span,
-                    self.file,
-                )
-            )
+            self._error(f"unknown functor {f.lexeme!r}", span=f.span)
         return f
 
 

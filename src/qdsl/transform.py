@@ -296,9 +296,7 @@ _VARIANTS = (
 )
 
 
-def build_specializations(
-    sym: CallableSymbol, checker: Checker, file: str
-) -> list[Diagnostic]:
+def build_specializations(sym: CallableSymbol, checker: Checker) -> list[Diagnostic]:
     """Fill sym.specializations with its finished table; returns diagnostics.
 
     Each declared variant maps to the entry that runs it: a provided block,
@@ -339,11 +337,11 @@ def build_specializations(
                     f"cannot generate the {kind.value} specialization of "
                     f"'{sym.name}': {err.message}",
                     err.span,
-                    file,
+                    sym.file,
                 )
             )
             continue
-        problems.extend(checker.check_specialization_block(sym, block, ctl, file))
+        problems.extend(checker.check_specialization_block(sym, block, ctl))
         table[kind] = SpecEntry(block, ctl, generated=True)
     sym.specializations = table
     return problems
@@ -355,5 +353,5 @@ def generate_all(
     problems: list[Diagnostic] = []
     for sym in symbols:
         if sym.decl is not None:
-            problems.extend(build_specializations(sym, checker, sym.file))
+            problems.extend(build_specializations(sym, checker))
     return problems

@@ -9,7 +9,7 @@ import pytest
 
 from qdsl import types as ty
 from qdsl.ast_nodes import FunctorExpr, IntLit, walk
-from qdsl.compiler import compile_snippet
+from qdsl.compiler import compile_snippet, compile_units
 from conftest import compile_errors, compile_ok, get_symbol
 
 
@@ -517,3 +517,37 @@ namespace T {
         Message($"xs: {xs} slice: {xs[r]} flag: {Length(xs) > 1}");
     }
 }""")
+
+
+# ── Declarations resolve in their own namespace block ────────────────────────
+
+
+def test_a_newtype_base_resolves_in_its_own_block_whatever_comes_first():
+    # A's base B is reached first from N1, which does not open N3.
+    compile_ok("""
+namespace N1 { open N2; newtype A = B; }
+namespace N2 { open N3; newtype B = C; }
+namespace N3 { newtype C = Int; }""")
+
+
+@pytest.mark.parametrize("order", [("a.qds", "b.qds"), ("b.qds", "a.qds")])
+def test_a_newtype_base_does_not_see_the_type_parameters_of_its_user(order):
+    files = {
+        "a.qds": "namespace N1 { open N2; function F<`T> (x : B) : Int { return 0; } }",
+        "b.qds": "namespace N2 { newtype B = `T; }",
+    }
+    result = compile_units([(name, files[name]) for name in order])
+    assert [(d.code, d.file) for d in result.errors] == [("undefined-type", "b.qds")]
+
+
+@pytest.mark.parametrize("order", [("a.qds", "b.qds"), ("b.qds", "a.qds")])
+def test_a_newtype_base_is_the_type_its_own_opens_name(order):
+    files = {
+        "a.qds": "namespace N1 { open N2; open N3; function F (x : B) : Int { return 0; } }",
+        "b.qds": "namespace N2 { open N4; newtype B = C; }\n"
+        "namespace N3 { newtype C = Int; }\n"
+        "namespace N4 { newtype C = Double; }",
+    }
+    result = compile_units([(name, files[name]) for name in order])
+    assert result.ok, [d.render() for d in result.diagnostics]
+    assert get_symbol(result, "N2.B").base.name == "N4.C"
