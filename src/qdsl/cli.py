@@ -236,13 +236,18 @@ def _cmd_run(args, tracing: bool) -> int:
 
     options = _run_options(args)
     # The runtime, and numpy with it, loads only once a program is ready to run.
-    from .runtime import QdslFailure, render, run_shots
+    from .runtime import QdslFailure, _keep, render, run_shots
 
-    # Under --json, each shot's trace lines go into the envelope instead.
-    traces = [[] for _ in range(shots)] if tracing and args.json else None
+    # Under --json, each shot's trace lines go into the envelope instead, in
+    # lists made as the shots run and kept like the run's other output.
+    traces: list[list[str]] = []
     trace_cb = None
-    if traces is not None:
-        trace_cb = lambda shot, line: traces[shot].append(line)
+    if tracing and args.json:
+        def trace_cb(shot: int, line: str) -> None:
+            _keep("trace line", line)
+            while len(traces) <= shot:
+                traces.append([])
+            traces[shot].append(line)
     elif tracing:
         trace_cb = lambda shot, line: print(f"[{shot}] {line}")
 
@@ -260,8 +265,8 @@ def _cmd_run(args, tracing: bool) -> int:
         extra = {}
         if args.dump_state:
             extra["state_dumps"] = [_dump_payload(s.state_dumps) for s in outcomes]
-        if traces is not None:
-            extra["trace"] = traces
+        if tracing:  # the shots after the last trace line traced nothing
+            extra["trace"] = traces + [[] for _ in range(len(traces), shots)]
         _envelope(
             "run", True, entry=entry.qualified, shots=shots, seed=args.seed,
             results=rendered, histogram=histogram,

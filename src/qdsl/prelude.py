@@ -15,7 +15,7 @@ from typing import Any
 
 from . import types as ty
 from .checker import CallableSymbol, SymbolTable
-from .values import Pauli, QubitRef, RangeValue, Result, UNIT
+from .values import Pauli, QdslFailure, QubitRef, RangeValue, Result, UNIT
 
 PRIMITIVE_NAMESPACE = "Microsoft.Quantum.Primitive"
 
@@ -149,7 +149,7 @@ def _assert(interp, arg, adjoint, controls):
     bases, qubits, expected = arg
     p_expected = _outcome_probability(interp, bases, qubits, expected)
     if p_expected < 1.0 - 1e-9:
-        interp.fail(
+        raise QdslFailure(
             f"assertion failed: the measurement would give {expected.name} "
             f"with probability {p_expected:.6g}, not with certainty"
         )
@@ -160,7 +160,7 @@ def _assert_prob(interp, arg, adjoint, controls):
     bases, qubits, expected, probability, tolerance = arg
     p_expected = _outcome_probability(interp, bases, qubits, expected)
     if abs(p_expected - probability) > tolerance:
-        interp.fail(
+        raise QdslFailure(
             f"assertion failed: the measurement would give {expected.name} "
             f"with probability {p_expected:.6g}, expected {probability:.6g} "
             f"within {tolerance:.6g}"
@@ -168,11 +168,15 @@ def _assert_prob(interp, arg, adjoint, controls):
     return UNIT
 
 
-def _message(interp, arg, adjoint, controls):
-    interp.messages.append(arg)
-    if interp.trace is not None:
-        interp.trace(f"message {arg}")
-    return UNIT
+def _message_handler(keep):
+    def message(interp, arg, adjoint, controls):
+        keep("message", arg)
+        interp.messages.append(arg)
+        if interp.trace is not None:
+            interp.trace(f"message {arg}")
+        return UNIT
+
+    return message
 
 
 def _length(interp, arg, adjoint, controls):
@@ -186,7 +190,7 @@ def _reversed_range(interp, arg, adjoint, controls):
 def _updated(interp, arg, adjoint, controls):
     source, index, value = arg
     if not 0 <= index < len(source):
-        interp.fail(
+        raise QdslFailure(
             f"index {index} is out of range for an array of length {len(source)}"
         )
     copy = list(source)
@@ -195,8 +199,9 @@ def _updated(interp, arg, adjoint, controls):
 
 
 def intrinsic_handlers() -> dict[str, Any]:
-    # The simulator, and numpy with it, loads here and not with this module,
-    # so compiling a program never loads it.
+    # The runtime and the simulator, and numpy with them, load here and not
+    # with this module, so compiling a program never loads them.
+    from .runtime import _keep
     from .simulator import GATE_ADJOINTS, GATE_MATRICES, r1frac_matrix
 
     handlers: dict[str, Any] = {
@@ -209,7 +214,7 @@ def intrinsic_handlers() -> dict[str, Any]:
             "Measure": _measure,
             "Assert": _assert,
             "AssertProb": _assert_prob,
-            "Message": _message,
+            "Message": _message_handler(_keep),
             "Length": _length,
             "ReversedRange": _reversed_range,
             "Updated": _updated,

@@ -26,11 +26,16 @@ reads ``interp.options`` at run time, and every call still enters through
 
 A run may use 200,000 Python frames (`compiler.recursion_budget`), so a
 recursive program meets the qdsl call-depth limit. An array `+` or a string
-interpolation fails before it builds a value too long for the memory budget.
+interpolation fails before it builds a value too long for the memory budget,
+and a run fails once what it keeps until printing passes half that budget.
 
 Failures raised by programs (fail statements, assertion violations, runtime
 errors such as out-of-range indexing, simulator checks) surface as QdslFailure,
 with the span of the innermost emitted line they leave and that body's file.
+Emitted code holds no handler: as a failure with no span leaves a call,
+`Interpreter.invoke` walks its traceback once and takes the innermost frame
+compiled from ``<qdsl>`` whose line is in its module's ``SPANS``, and that
+module's ``FILE``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import heapq
 import io
 import random
+import sys
 from typing import Any, Callable, Optional
 
 from . import simulator
@@ -189,9 +195,6 @@ class Interpreter:
             raise QdslFailure(f"qubits leaked after the entry point: {leaked}")
         return value
 
-    def fail(self, message: str) -> None:
-        raise QdslFailure(message)
-
     # ── Invocation ───────────────────────────────────────────────────────
 
     def invoke(self, closure: Closure, arg: Any) -> Any:
@@ -219,6 +222,15 @@ class Interpreter:
             if base.intrinsic is not None:
                 return self.intrinsics[base.intrinsic](self, arg, adjoint, controls)
             return _specialization(base, adjoint, controls)(self, arg, controls)
+        except QdslFailure as failure:
+            # The innermost emitted line in its module's SPANS that the failure left.
+            tb = failure.__traceback__ if failure.span is None else None
+            while tb is not None:
+                names = tb.tb_frame.f_globals
+                if tb.tb_frame.f_code.co_filename == "<qdsl>" and tb.tb_lineno in names["SPANS"]:
+                    failure.span, failure.file = names["SPANS"][tb.tb_lineno], names["FILE"]
+                tb = tb.tb_next
+            raise
         except RecursionError:
             raise QdslFailure("recursion limit exceeded") from None
         finally:
@@ -248,7 +260,10 @@ class Interpreter:
         try:
             body(self, frame)
             if self.options.dump_state and self._alloc_depth == 1:
-                self.state_dumps.append(self.simulator.amplitudes())
+                dump = self.simulator.amplitudes()
+                # Its slot, and the amplitudes' data and base array.
+                _keep("state dump", dump, 136 + dump[1].nbytes)
+                self.state_dumps.append(dump)
         except BaseException:
             self._alloc_depth -= 1
             self._release(fresh, strict=False)
@@ -379,8 +394,7 @@ class _Compiler:
     nests a few levels deep however deep the program nests. Program
     values, program text and spans reach the source only as names of the
     module's namespace. Each line that can raise has its node's span in the
-    line table, and each function's handler gives a failure with no span yet
-    the span of the line it leaves and the body's `sym.file`.
+    line table ``SPANS``, which `Interpreter.invoke` reads for a failure.
     """
 
     def __init__(self) -> None:
@@ -411,18 +425,11 @@ class _Compiler:
         """Runs the emitted functions' source and returns its namespace."""
         source, spans = [], {}
         for name, params, lines in self.functions:
-            source += [f"def {name}({params}):", "    try:"]
+            source.append(f"def {name}({params}):")
             for indent, text, node in lines or [(0, "pass", None)]:
-                source.append("    " * (2 + indent) + text)
+                source.append("    " * (1 + indent) + text)
                 if node is not None:
                     spans[len(source)] = node.span
-            source += [
-                "    except QdslFailure as failure:",
-                "        if failure.span is None:",
-                "            failure.span = SPANS.get(failure.__traceback__.tb_lineno)",
-                "            failure.file = FILE",
-                "        raise",
-            ]
         namespace = dict(self.names, SPANS=spans, FILE=file)
         exec(compile("\n".join(source), "<qdsl>", "exec"), namespace)
         return namespace
@@ -657,8 +664,7 @@ class _Compiler:
         return self._temp(f"{array}[{at}] if {in_range} else _index({array}, {at})", expr)
 
     def _CallExpr(self, expr) -> str:
-        static = self._static(expr.callee)
-        callee = self._compile(expr.callee) if static is None else self._const(static)
+        callee = self._compile(expr.callee)
         args = expr.args
         if expr.is_partial:
             shape = self._shape(args[0] if len(args) == 1 else TupleExpr(expr.span, items=args))
@@ -761,6 +767,34 @@ def _sized(what: str, length: int) -> None:
         )
 
 
+# What a run keeps until it prints: its messages, state dumps, `trace --json`
+# lines and finished shots. It may keep half the memory budget, which leaves
+# room to print them. `run_shots` starts each run at 0.
+_kept = [0]
+
+
+def _held(value: Any) -> int:
+    """At least the bytes `value` holds, with 16 per object for the allocator's
+    rounding; an item held twice counts twice."""
+    size = sys.getsizeof(value) + 16
+    if value.__class__ is list or value.__class__ is tuple:
+        size += sum(map(_held, value))
+    return size
+
+
+def _keep(what: str, item: Any, extra: int = 16) -> None:
+    """Charges `item`, kept until printing, and `extra` bytes (by default its
+    slot in a growing list) to the run. The first item kept after the run's
+    output passes its limit fails the run."""
+    limit = simulator.MEMORY_BUDGET // 2
+    if _kept[0] > limit:
+        raise QdslFailure(
+            f"the output this run keeps until printing passed its limit of {int(limit)} "
+            f"bytes, half the memory budget, before a {what}"
+        )
+    _kept[0] += _held(item) + extra
+
+
 def _concat(left: list, right: list) -> list:
     _sized("array", len(left) + len(right))
     return left + right
@@ -803,14 +837,17 @@ def run_shots(
 ) -> list[ShotResult]:
     if entry.shot_prefix is None:
         entry.shot_prefix = ShotPrefix()
-    results = []
+    results, _kept[0] = [], 0
     for shot in range(shots):
+        _keep("shot", None, 0)  # a run past its limit of kept output starts no shot
         rng = random.Random(seed ^ shot) if seed is not None else random.Random()
         shot_trace = (lambda line, s=shot: trace(s, line)) if trace else None
         interp = Interpreter(intrinsics, options, rng, shot_trace)
         interp.simulator = prefix = entry.shot_prefix.stand_in(interp.simulator)
         value = interp.run(entry)
         prefix.commit()
+        # Its value, the value's text (at most as large), result, counts and lists.
+        _kept[0] += 2 * _held(value) + 512
         results.append(
             ShotResult(value, interp.messages, interp.stats, interp.state_dumps)
         )

@@ -639,6 +639,69 @@ namespace Demo {
     assert captured.out == ""
 
 
+RUNAWAY_OUTPUT = """
+namespace Demo {
+    open Microsoft.Quantum.Primitive;
+    operation Messages () : () {
+        body { for (i in 0 .. 9999) { Message("kept until printing"); } }
+    }
+    operation Dumps () : () {
+        body { for (i in 0 .. 9999) { using (q = Qubit()) { } } }
+    }
+    operation Gates () : () {
+        body { using (q = Qubit()) { for (i in 0 .. 9999) { X(q); } } }
+    }
+    operation Nothing () : () {
+        body { }
+    }
+}"""
+
+
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (["run", "--entry", "Demo.Messages"], "message"),
+        (["run", "--dump-state", "--entry", "Demo.Dumps"], "state dump"),
+        (["trace", "--json", "--entry", "Demo.Gates"], "trace line"),
+        (["run", "--shots", "10000", "--entry", "Demo.Nothing"], "shot"),
+    ],
+    ids=["messages", "dumps", "trace", "shots"],
+)
+def test_output_kept_past_half_the_memory_budget_fails_the_run(
+    tmp_path, monkeypatch, capsys, args, what
+):
+    import qdsl.simulator
+    from qdsl import cli
+
+    path = tmp_path / "runaway.qds"
+    path.write_text(RUNAWAY_OUTPUT)
+    monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 2**16)
+    assert cli.main([*args, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "runtime error: the output this run keeps until printing passed its limit "
+        f"of 32768 bytes, half the memory budget, before a {what}\n"
+    )
+    assert captured.out == ""
+
+
+def test_each_run_keeps_its_own_output(tmp_path, monkeypatch, capsys):
+    import qdsl.simulator
+    from qdsl import cli
+
+    path = tmp_path / "runaway.qds"
+    path.write_text(RUNAWAY_OUTPUT)
+    monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 2**16)
+    # 30 finished shots keep more than half of the 32,768 bytes, so a second
+    # run of them fails unless it starts from nothing kept.
+    for _ in range(2):
+        assert cli.main(["run", "--shots", "30", "--entry", "Demo.Nothing", str(path)]) == 0
+    capsys.readouterr()
+    # Under --json, a shot that traces nothing still has its list.
+    assert cli.main(["trace", "--json", "--shots", "3", "--entry", "Demo.Nothing", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["trace"] == [[], [], []]
+
+
 def test_max_iterations_flag(tmp_path):
     path = tmp_path / "spin.qds"
     path.write_text("""

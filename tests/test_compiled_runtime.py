@@ -251,6 +251,55 @@ namespace T {
     assert text[span.start : span.end] == "Updated(values, 5, 0)"
 
 
+def deep_failure_program(statements: str) -> str:
+    """Main, then Down(988) .. Down(0), which runs `statements`: 990 nested calls."""
+    return f"""
+namespace T {{
+    open Microsoft.Quantum.Primitive;
+    operation Down (n : Int) : Int {{
+        body {{
+            if (n == 0) {{ {statements} }}
+            return Down(n - 1);
+        }}
+    }}
+    operation Main () : Int {{
+        body {{ return Down(988); }}
+    }}
+}}"""
+
+
+@pytest.mark.parametrize(
+    "statements, message, file, expected",
+    [
+        (
+            "using (q = Qubit()) { let a = [n]; let b = a[n + 5]; }",
+            "index 5 is out of range",
+            "<test>",
+            "a[n + 5]",
+        ),
+        (
+            "using (q = Qubit()) { CNOT(q, q); }",
+            "a qubit may appear only once",
+            "prelude/primitive.qds",
+            "(Controlled X)([control], target)",
+        ),
+    ],
+    ids=["index", "prelude"],
+)
+def test_a_failure_990_calls_deep_names_its_expression_and_file(
+    statements, message, file, expected
+):
+    from qdsl.prelude import prelude_units
+
+    text = deep_failure_program(statements)
+    with pytest.raises(QdslFailure, match=message) as info:
+        run_main(text)
+    failure = info.value
+    assert failure.file == file
+    source = text if file == "<test>" else dict(prelude_units())[file]
+    assert source[failure.span.start : failure.span.end] == expected
+
+
 # ── Partial application ──────────────────────────────────────────────────────
 
 

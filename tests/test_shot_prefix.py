@@ -261,7 +261,7 @@ def test_failing_shot_stores_nothing():
 
     def measure_then_fail(interp, arg, adjoint, controls):
         HANDLERS["Measure"](interp, arg, adjoint, controls)
-        interp.fail("stop after the first draw")
+        raise QdslFailure("stop after the first draw")
 
     with pytest.raises(QdslFailure, match="stop"):
         run_shots({**HANDLERS, "Measure": measure_then_fail}, entry, 1, 1, RunOptions())
