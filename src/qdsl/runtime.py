@@ -185,6 +185,7 @@ class Interpreter:
         self.trace = trace  # called with each event line, or None
         self._depth = 0
         self._alloc_depth = 0
+        _kept[0] = 0  # a new interpreter starts a run
 
     # ── Entry points ─────────────────────────────────────────────────────
 
@@ -769,7 +770,8 @@ def _sized(what: str, length: int) -> None:
 
 # What a run keeps until it prints: its messages, state dumps, `trace --json`
 # lines and finished shots. It may keep half the memory budget, which leaves
-# room to print them. `run_shots` starts each run at 0.
+# room to print them. A new `Interpreter` starts it at 0, and `run_shots`
+# carries it from each shot's interpreter into the next.
 _kept = [0]
 
 
@@ -837,17 +839,18 @@ def run_shots(
 ) -> list[ShotResult]:
     if entry.shot_prefix is None:
         entry.shot_prefix = ShotPrefix()
-    results, _kept[0] = [], 0
+    results, kept = [], 0
     for shot in range(shots):
-        _keep("shot", None, 0)  # a run past its limit of kept output starts no shot
         rng = random.Random(seed ^ shot) if seed is not None else random.Random()
         shot_trace = (lambda line, s=shot: trace(s, line)) if trace else None
         interp = Interpreter(intrinsics, options, rng, shot_trace)
+        _kept[0] = kept
+        _keep("shot", None, 0)  # a run past its limit of kept output starts no shot
         interp.simulator = prefix = entry.shot_prefix.stand_in(interp.simulator)
         value = interp.run(entry)
         prefix.commit()
         # Its value, the value's text (at most as large), result, counts and lists.
-        _kept[0] += 2 * _held(value) + 512
+        kept = _kept[0] + 2 * _held(value) + 512
         results.append(
             ShotResult(value, interp.messages, interp.stats, interp.state_dumps)
         )

@@ -394,7 +394,8 @@ class StateVectorSimulator:
         small = len(self.position) <= SMALL_QUBITS
         apply_at = self._apply_small if small else self._apply_at
         state = self.state
-        self.state = state.copy()
+        if gates:  # a single Z factor conjugates nothing, and reads the state in place
+            self.state = state.copy()
         try:
             for matrix, _, target, controls in gates:
                 apply_at(matrix, target, controls)

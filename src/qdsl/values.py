@@ -56,59 +56,43 @@ class Pauli(enum.Enum):
 
 
 class QubitRef:
-    """A qubit by its id; equal and hashed by the id."""
+    """A qubit by its id, equal only to itself: a reference kept past its qubit's
+    release differs from the live one that reuses its id."""
 
     __slots__ = ("id",)
 
     def __init__(self, id: int) -> None:
         self.id = id
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QubitRef) and self.id == other.id
-
-    def __hash__(self) -> int:
-        return hash(self.id)
-
     def __repr__(self) -> str:
         return f"q{self.id}"
 
 
 class RangeValue:
-    """``start..step..end``, both ends included; equal and hashed by the three."""
+    """``start..step..end``, both ends included. Its values, emptiness, length
+    and reversal (an empty range swaps its ends) come from one Python range."""
 
     __slots__ = ("start", "step", "end")
 
     def __init__(self, start: int, step: int, end: int) -> None:
         self.start, self.step, self.end = start, step, end
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RangeValue) and (self.start, self.step, self.end) == (
-            other.start,
-            other.step,
-            other.end,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.step, self.end))
+    def _range(self) -> range:
+        return range(self.start, self.end + (1 if self.step > 0 else -1), self.step)
 
     def __iter__(self):
-        return iter(range(self.start, self.end + (1 if self.step > 0 else -1), self.step))
+        return iter(self._range())
 
     @property
     def is_empty(self) -> bool:
-        span = self.end - self.start
-        return span != 0 and (span > 0) != (self.step > 0)
+        return not self._range()
 
     def __len__(self) -> int:
-        if self.is_empty:
-            return 0
-        return (self.end - self.start) // self.step + 1
+        return len(self._range())
 
     def reversed(self) -> "RangeValue":
-        if self.is_empty:
-            return RangeValue(self.end, -self.step, self.start)
-        last = self.start + (len(self) - 1) * self.step
-        return RangeValue(last, -self.step, self.start)
+        values = self._range()
+        return RangeValue(values[-1] if values else self.end, -self.step, self.start)
 
 
 UNIT: tuple = ()

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from qdsl.cli import main as cli_main
-from qdsl.compiler import compile_units, resolve_entry, wrap_statement_snippet
+from qdsl.compiler import compile_units, resolve_entry
 from qdsl.runtime import QdslFailure
 from qdsl.simulator import GATE_MATRICES
 from qdsl.values import Closure, Result, UNIT
@@ -42,6 +42,7 @@ from conftest import (
     single_qubit_arg,
     tuple_arg,
 )
+from test_corpus import load_accept
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 ACCEPT = sorted(os.listdir(os.path.join(CORPUS, "accept")))
@@ -51,18 +52,6 @@ REJECT = sorted(os.listdir(os.path.join(CORPUS, "reject")))
 def corpus_text(kind: str, name: str) -> str:
     with open(os.path.join(CORPUS, kind, name)) as handle:
         return handle.read()
-
-
-def prepare_accept(name: str) -> tuple[str, tuple[str, ...]]:
-    """Corpus text plus the prelude files its directives exclude."""
-    text = corpus_text("accept", name)
-    first = text.splitlines()[0]
-    exclude: tuple[str, ...] = ()
-    if first.startswith("// prelude-exclude:"):
-        exclude = tuple(first.split(":", 1)[1].split())
-    if first.strip() == "// statements":
-        text = wrap_statement_snippet(text)
-    return text, exclude
 
 
 def criterion(number: int, summary: str):
@@ -335,7 +324,7 @@ def test_criterion_5_sampling_statistics():
     frequency = zeros / 10_000
     assert 0.485 <= frequency <= 0.515, f"Zero frequency {frequency}"
 
-    text, _ = prepare_accept("repeat_until.qds")
+    text, _ = load_accept("repeat_until.qds")
     tries = run_main(text, shots=1_000, seed=11, entry="Corpus.CoinUntilOne")
     mean = sum(s.value for s in tries) / 1_000
     # Geometric with p = 1/2: mean 2, variance 2.
@@ -371,7 +360,7 @@ def test_criterion_6_diagnostic_corpus():
         assert codes[0] == expected, f"{name}: expected {expected}, got {codes}"
 
     for name in ACCEPT:
-        text, exclude = prepare_accept(name)
+        text, exclude = load_accept(name)
         result = compile_units([(name, text)], prelude_exclude=exclude)
         assert result.ok, name + "\n" + "\n".join(
             d.render() for d in result.diagnostics
@@ -449,7 +438,7 @@ namespace Scratch {
 def test_criterion_8_qubit_hygiene_and_borrowing():
     executed = 0
     for name in ACCEPT:
-        text, exclude = prepare_accept(name)
+        text, exclude = load_accept(name)
         result = compile_units([(name, text)], prelude_exclude=exclude)
         assert result.ok
         entry, err = resolve_entry(result, None)
@@ -493,7 +482,7 @@ def _cli_capture(argv: list[str]) -> tuple[int, str]:
 
 def _cli_source(name: str) -> str:
     """Corpus text rewritten so the CLI can compile it standalone."""
-    text, exclude = prepare_accept(name)
+    text, exclude = load_accept(name)
     if exclude:
         # The CLI always loads the full prelude, so give the redefined
         # operation a fresh name instead of excluding the prelude file.
