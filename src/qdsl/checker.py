@@ -117,17 +117,14 @@ class CallableSymbol:
         """A function returning (): `--elide-diagnostics` skips its calls."""
         return not self.is_operation and self.output == ty.UNIT
 
-    def reference_type(self) -> tuple[ty.Type, dict[str, ty.Param]]:
+    def reference_type(self) -> ty.Type:
         """Type of a reference to this callable, with fresh variables."""
         mapping = {p: ty.fresh_param(p) for p in self.type_params}
-        return (
-            ty.Callable(
-                self.is_operation,
-                ty.instantiate(self.input, mapping),
-                ty.instantiate(self.output, mapping),
-                self.variants,
-            ),
-            mapping,
+        return ty.Callable(
+            self.is_operation,
+            ty.instantiate(self.input, mapping),
+            ty.instantiate(self.output, mapping),
+            self.variants,
         )
 
 
@@ -758,8 +755,7 @@ class Checker:
             base = sym.base if sym.base is not None else ERROR
             return ty.Callable(False, base, sym.type())
         expr.binding = ("callable", sym)
-        ref_type, _ = sym.reference_type()
-        return ref_type
+        return sym.reference_type()
 
     def _check_tuple(
         self, expr: TupleExpr, scope: Scope, ctx: _Context, expected: ty.Type | None

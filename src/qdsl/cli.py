@@ -236,18 +236,18 @@ def _cmd_run(args, tracing: bool) -> int:
 
     options = _run_options(args)
     # The runtime, and numpy with it, loads only once a program is ready to run.
-    from .runtime import QdslFailure, _keep, render, run_shots
+    from .runtime import QdslFailure, render, run_shots
 
     # Under --json, each shot's trace lines go into the envelope instead, in
-    # lists made as the shots run and kept like the run's other output.
+    # lists made as the shots run; returning True has the runtime charge each.
     traces: list[list[str]] = []
     trace_cb = None
     if tracing and args.json:
-        def trace_cb(shot: int, line: str) -> None:
-            _keep("trace line", line)
+        def trace_cb(shot: int, line: str) -> bool:
             while len(traces) <= shot:
                 traces.append([])
             traces[shot].append(line)
+            return True
     elif tracing:
         trace_cb = lambda shot, line: print(f"[{shot}] {line}")
 

@@ -15,7 +15,8 @@ token of that kind as matched; a lower-case group needs the loop's care:
   of the text; it is reported and still yields a token.
 * ``interp_string``: ``$"...{expr}..."`` is one token, ended by
   ``scan_interp_string``; the parser splits out the embedded expressions
-  at the holes that function finds.
+  at the holes that function finds. One cut off by the end of its line
+  ends at the first quote in one of its holes, if any, so that hole is open.
 * ``TYPE_PARAM``: ```T`` including the backtick. ``backtick`` is one
   with no name after it, reported and skipped.
 * ``SYMBOL``: ``tokens.SYMBOLS``, tried in their order so the longest wins.
@@ -52,6 +53,8 @@ _TOKEN = re.compile(
     re.ASCII | re.DOTALL,
 )
 _KINDS = {kind.name: kind for kind in TokenKind}
+# Up to the first quote that no backslash escapes.
+_TO_QUOTE = re.compile(r'(?:[^"\\]|\\.)*"', re.DOTALL)
 
 
 def scan_interp_string(
@@ -109,7 +112,10 @@ def lex(
             kind, closed = TokenKind.STRING, False
             if group == "interp_string":
                 kind = TokenKind.INTERP_STRING
-                pos, closed, _ = scan_interp_string(text, pos)
+                end, closed, _ = scan_interp_string(text, pos)
+                # Cut off, so any quote before `end` is in a hole.
+                quote = None if closed else _TO_QUOTE.match(text, pos, end)
+                pos, closed = (quote.end(), True) if quote else (end, closed)
             elif m.group("dangling"):
                 pos += 1  # an escape at the very end of the text skips past it
             span = Span(start + offset, pos + offset)

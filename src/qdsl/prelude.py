@@ -2,9 +2,10 @@
 
 The primitive namespace is half intrinsic, half source: the elementary
 single-qubit gates, Measure, the assertion/message functions and a few
-array/range utilities are implemented here as Python handlers, while CNOT,
-CCNOT, SWAP and the reset helpers are ordinary source operations shipped as
-package data (``prelude/*.qds``) along with the canon namespace.
+array/range utilities are Python handlers here, which unpack their arguments
+and call the interpreter for quantum work and output, while CNOT, CCNOT,
+SWAP and the reset helpers are ordinary source operations shipped as package
+data (``prelude/*.qds``) along with the canon namespace.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Any
 
 from . import types as ty
 from .checker import CallableSymbol, SymbolTable
-from .values import Pauli, QdslFailure, QubitRef, RangeValue, Result, UNIT
+from .values import QdslFailure, UNIT
 
 PRIMITIVE_NAMESPACE = "Microsoft.Quantum.Primitive"
 
@@ -118,36 +119,14 @@ def _r1frac_handler(r1frac_matrix):
     return r1frac
 
 
-# The simulator's basis letters, and the results by outcome: tables instead
-# of `Pauli.name` and `Result.One`, which go through enum's slow descriptors.
-_LETTERS = {Pauli.I: "I", Pauli.X: "X", Pauli.Y: "Y", Pauli.Z: "Z"}
-_RESULTS = (Result.Zero, Result.One)
-
-
 def _measure(interp, arg, adjoint, controls):
     bases, qubits = arg
-    letters, ids = [_LETTERS[p] for p in bases], interp.ledger.ids(qubits)
-    outcome = _RESULTS[interp.simulator.measure(letters, ids, interp.rng)]
-    interp.stats.measurements += 1
-    if interp.trace is not None:
-        basis_text = " ".join(letters) or "-"
-        target_text = " ".join(f"q{q}" for q in ids) or "-"
-        interp.trace(f"measure [{basis_text}] [{target_text}] -> {outcome.name}")
-    return outcome
-
-
-def _outcome_probability(interp, bases, qubits, expected) -> float:
-    """The probability that measuring gives `expected`, with float noise at
-    the endpoints clamped so reports read 0 and 1 exactly."""
-    letters, ids = [_LETTERS[p] for p in bases], interp.ledger.ids(qubits)
-    p_zero = interp.simulator.probe_zero_probability(letters, ids)
-    p = p_zero if expected is Result.Zero else 1.0 - p_zero
-    return 0.0 if p < 1e-12 else 1.0 if p > 1.0 - 1e-12 else p
+    return interp.measure(bases, qubits)
 
 
 def _assert(interp, arg, adjoint, controls):
     bases, qubits, expected = arg
-    p_expected = _outcome_probability(interp, bases, qubits, expected)
+    p_expected = interp.probe(bases, qubits, expected)
     if p_expected < 1.0 - 1e-9:
         raise QdslFailure(
             f"assertion failed: the measurement would give {expected.name} "
@@ -158,7 +137,7 @@ def _assert(interp, arg, adjoint, controls):
 
 def _assert_prob(interp, arg, adjoint, controls):
     bases, qubits, expected, probability, tolerance = arg
-    p_expected = _outcome_probability(interp, bases, qubits, expected)
+    p_expected = interp.probe(bases, qubits, expected)
     if abs(p_expected - probability) > tolerance:
         raise QdslFailure(
             f"assertion failed: the measurement would give {expected.name} "
@@ -168,15 +147,9 @@ def _assert_prob(interp, arg, adjoint, controls):
     return UNIT
 
 
-def _message_handler(keep):
-    def message(interp, arg, adjoint, controls):
-        keep("message", arg)
-        interp.messages.append(arg)
-        if interp.trace is not None:
-            interp.trace(f"message {arg}")
-        return UNIT
-
-    return message
+def _message(interp, arg, adjoint, controls):
+    interp.message(arg)
+    return UNIT
 
 
 def _length(interp, arg, adjoint, controls):
@@ -199,9 +172,8 @@ def _updated(interp, arg, adjoint, controls):
 
 
 def intrinsic_handlers() -> dict[str, Any]:
-    # The runtime and the simulator, and numpy with them, load here and not
-    # with this module, so compiling a program never loads them.
-    from .runtime import _keep
+    # The simulator, and numpy with it, loads here and not with this module,
+    # so compiling a program never loads it.
     from .simulator import GATE_ADJOINTS, GATE_MATRICES, r1frac_matrix
 
     handlers: dict[str, Any] = {
@@ -214,7 +186,7 @@ def intrinsic_handlers() -> dict[str, Any]:
             "Measure": _measure,
             "Assert": _assert,
             "AssertProb": _assert_prob,
-            "Message": _message_handler(_keep),
+            "Message": _message,
             "Length": _length,
             "ReversedRange": _reversed_range,
             "Updated": _updated,

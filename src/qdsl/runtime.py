@@ -5,7 +5,7 @@ free qubit id and failing the use of a released qubit's reference, a
 state-vector simulator, and a per-shot RNG. `run_shots`
 wraps the simulator in a stand-in from the entry point's `ShotPrefix`, which
 skips an earlier shot's simulator work while the outcomes are that shot's.
-The handlers call it directly, and it checks their arguments. Invoking a
+The interpreter calls it directly, and it checks the arguments. Invoking a
 callable value peels its wrapper stack outermost-first, accumulating flattened
 control registers and an adjoint parity bit, then dispatches the base symbol
 to the matching specialization body (or intrinsic handler).
@@ -74,6 +74,13 @@ from .values import (
     render_pieces,
     wrap64,
 )
+
+
+# Python frames a run may use. A qdsl call takes a few, more inside qubit
+# blocks and deep blocks, so this bounds any useful `recursion_limit`.
+_MAX_PYTHON_DEPTH = 200_000
+
+_RESULTS = (Result.Zero, Result.One)  # by outcome, past enum's slow descriptors
 
 
 class RunOptions:
@@ -183,12 +190,13 @@ class Interpreter:
         self.messages: list[str] = []
         self.state_dumps: list = []
         self.trace = trace  # called with each event line, or None
+        self.kept = 0  # bytes of output kept until printing, charged by `keep`
         self._depth = 0
         self._alloc_depth = 0
-        _kept[0] = 0  # a new interpreter starts a run
 
     # ── Entry points ─────────────────────────────────────────────────────
 
+    @recursion_budget(_MAX_PYTHON_DEPTH)
     def run(self, entry: CallableSymbol) -> Any:
         value = self.invoke(Closure(entry), UNIT)
         if self.ledger.live:
@@ -251,7 +259,7 @@ class Interpreter:
         if self.trace is not None and (candidates or fresh):
             borrowed = " ".join(f"q{q}" for q in candidates) or "-"
             extra = "".join(f" +q{r.id}" for r in fresh)
-            self.trace(f"borrow {borrowed}{extra}")
+            self._event(f"borrow {borrowed}{extra}")
         return [self.ledger.live[q] for q in candidates] + fresh, fresh
 
     def _hold(self, fresh: list[QubitRef], body: Callable, frame: list) -> None:
@@ -263,7 +271,7 @@ class Interpreter:
             if self.options.dump_state and self._alloc_depth == 1:
                 dump = self.simulator.amplitudes()
                 # Its slot, and the amplitudes' data and base array.
-                _keep("state dump", dump, 136 + dump[1].nbytes)
+                self.keep("state dump", dump, 136 + dump[1].nbytes)
                 self.state_dumps.append(dump)
         except BaseException:
             self._alloc_depth -= 1
@@ -275,7 +283,7 @@ class Interpreter:
     def _allocate(self, n: int) -> list[QubitRef]:
         fresh = [self._allocate_one() for _ in range(n)]
         if fresh and self.trace is not None:
-            self.trace("allocate " + " ".join(f"q{r.id}" for r in fresh))
+            self._event("allocate " + " ".join(f"q{r.id}" for r in fresh))
         return fresh
 
     def _allocate_one(self) -> QubitRef:
@@ -297,9 +305,26 @@ class Interpreter:
             self.ledger.release(ref.id)
             self.stats.releases += 1
             if self.trace is not None:
-                self.trace(f"release q{ref.id}")
+                self._event(f"release q{ref.id}")
 
-    # ── Helpers used by intrinsic handlers ───────────────────────────────
+    # ── Events, kept output and intrinsic operations ─────────────────────
+
+    def _event(self, line: str) -> None:
+        """Traces `line`; a callback that keeps it returns True, and the run is charged."""
+        if self.trace(line) is True:
+            self.keep("trace line", line)
+
+    def keep(self, what: str, item: Any, extra: int = 16) -> None:
+        """Charges `item`, kept until printing, and `extra` bytes (by default its
+        slot in a growing list) to the run, which may keep half the memory budget.
+        The first item kept after the run's output passes that fails the run."""
+        limit = simulator.MEMORY_BUDGET // 2
+        if self.kept > limit:
+            raise QdslFailure(
+                f"the output this run keeps until printing passed its limit of {int(limit)} "
+                f"bytes, half the memory budget, before a {what}"
+            )
+        self.kept += _held(item) + extra
 
     def apply_gate(self, label: str, matrix, target: QubitRef, controls: list[QubitRef]) -> None:
         """Apply `matrix` as given; `label` names the gate in a trace line."""
@@ -320,7 +345,31 @@ class Interpreter:
         if self.trace is not None:
             ctl = " ".join(f"q{c.id}" for c in controls)
             suffix = f" ctl[{ctl}]" if controls else ""
-            self.trace(f"gate {label} q{target.id}{suffix}")
+            self._event(f"gate {label} q{target.id}{suffix}")
+
+    def measure(self, bases: list, qubits: list[QubitRef]) -> Result:
+        letters, ids = [p._name_ for p in bases], self.ledger.ids(qubits)
+        outcome = _RESULTS[self.simulator.measure(letters, ids, self.rng)]
+        self.stats.measurements += 1
+        if self.trace is not None:
+            basis_text = " ".join(letters) or "-"
+            target_text = " ".join(f"q{q}" for q in ids) or "-"
+            self._event(f"measure [{basis_text}] [{target_text}] -> {outcome.name}")
+        return outcome
+
+    def probe(self, bases: list, qubits: list[QubitRef], expected: Result) -> float:
+        """The probability that measuring gives `expected`, with float noise at
+        the endpoints clamped so reports read 0 and 1 exactly."""
+        letters, ids = [p._name_ for p in bases], self.ledger.ids(qubits)
+        p_zero = self.simulator.probe_zero_probability(letters, ids)
+        p = p_zero if expected is Result.Zero else 1.0 - p_zero
+        return 0.0 if p < 1e-12 else 1.0 if p > 1.0 - 1e-12 else p
+
+    def message(self, text: str) -> None:
+        self.keep("message", text)
+        self.messages.append(text)
+        if self.trace is not None:
+            self._event(f"message {text}")
 
 
 _SPEC_KINDS = (
@@ -768,13 +817,6 @@ def _sized(what: str, length: int) -> None:
         )
 
 
-# What a run keeps until it prints: its messages, state dumps, `trace --json`
-# lines and finished shots. It may keep half the memory budget, which leaves
-# room to print them. A new `Interpreter` starts it at 0, and `run_shots`
-# carries it from each shot's interpreter into the next.
-_kept = [0]
-
-
 def _held(value: Any) -> int:
     """At least the bytes `value` holds, with 16 per object for the allocator's
     rounding; an item held twice counts twice."""
@@ -782,19 +824,6 @@ def _held(value: Any) -> int:
     if value.__class__ is list or value.__class__ is tuple:
         size += sum(map(_held, value))
     return size
-
-
-def _keep(what: str, item: Any, extra: int = 16) -> None:
-    """Charges `item`, kept until printing, and `extra` bytes (by default its
-    slot in a growing list) to the run. The first item kept after the run's
-    output passes its limit fails the run."""
-    limit = simulator.MEMORY_BUDGET // 2
-    if _kept[0] > limit:
-        raise QdslFailure(
-            f"the output this run keeps until printing passed its limit of {int(limit)} "
-            f"bytes, half the memory budget, before a {what}"
-        )
-    _kept[0] += _held(item) + extra
 
 
 def _concat(left: list, right: list) -> list:
@@ -823,12 +852,7 @@ _CHECKED = {  # operators that can fail
 
 # ── Shot driver ──────────────────────────────────────────────────────────────
 
-# Python frames a run may use. A qdsl call takes a few, more inside qubit
-# blocks and deep blocks, so this bounds any useful `recursion_limit`.
-_MAX_PYTHON_DEPTH = 200_000
 
-
-@recursion_budget(_MAX_PYTHON_DEPTH)
 def run_shots(
     intrinsics: dict[str, Callable],
     entry: CallableSymbol,
@@ -844,13 +868,13 @@ def run_shots(
         rng = random.Random(seed ^ shot) if seed is not None else random.Random()
         shot_trace = (lambda line, s=shot: trace(s, line)) if trace else None
         interp = Interpreter(intrinsics, options, rng, shot_trace)
-        _kept[0] = kept
-        _keep("shot", None, 0)  # a run past its limit of kept output starts no shot
+        interp.kept = kept
+        interp.keep("shot", None, 0)  # a run past its limit of kept output starts no shot
         interp.simulator = prefix = entry.shot_prefix.stand_in(interp.simulator)
         value = interp.run(entry)
         prefix.commit()
         # Its value, the value's text (at most as large), result, counts and lists.
-        kept = _kept[0] + 2 * _held(value) + 512
+        kept = interp.kept + 2 * _held(value) + 512
         results.append(
             ShotResult(value, interp.messages, interp.stats, interp.state_dumps)
         )

@@ -69,8 +69,8 @@ class QubitRef:
 
 
 class RangeValue:
-    """``start..step..end``, both ends included. Its values, emptiness, length
-    and reversal (an empty range swaps its ends) come from one Python range."""
+    """``start..step..end``, both ends included. Its values and its reversal
+    (an empty range swaps its ends) come from one Python range."""
 
     __slots__ = ("start", "step", "end")
 
@@ -82,13 +82,6 @@ class RangeValue:
 
     def __iter__(self):
         return iter(self._range())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._range()
-
-    def __len__(self) -> int:
-        return len(self._range())
 
     def reversed(self) -> "RangeValue":
         values = self._range()

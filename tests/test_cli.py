@@ -685,6 +685,20 @@ def test_output_kept_past_half_the_memory_budget_fails_the_run(
     assert captured.out == ""
 
 
+def test_text_trace_lines_are_printed_not_kept(tmp_path, monkeypatch, capsys):
+    import qdsl.simulator
+    from qdsl import cli
+
+    path = tmp_path / "runaway.qds"
+    path.write_text(RUNAWAY_OUTPUT)
+    monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 2**16)
+    # The 10,000 gate lines that fail the run under --json are each printed
+    # as they happen, so the run keeps none of them.
+    assert cli.main(["trace", "--entry", "Demo.Gates", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count("[0] gate X q0") == 10000
+
+
 def test_each_run_keeps_its_own_output(tmp_path, monkeypatch, capsys):
     import qdsl.simulator
     from qdsl import cli

@@ -1,7 +1,7 @@
 """Paths that programs reach and that are pinned here exactly: ranges at the
-64-bit edges, value identity, output kept across direct runs, probes that
-conjugate nothing, the text of callable values, and checker and runtime
-branches that no other test runs.
+64-bit edges, value identity, the output kept and the Python frames given in
+direct runs, probes that conjugate nothing, the text of callable values, and
+checker and runtime branches that no other test runs.
 """
 
 import random
@@ -32,7 +32,7 @@ INT_MIN, INT_MAX = -(1 << 63), (1 << 63) - 1
 ])
 def test_reversing_a_range_longer_than_sys_maxsize_is_exact(start, step, end, last):
     r = RangeValue(start, step, end)
-    assert r.is_empty is False
+    assert next(iter(r), None) == start
     back = r.reversed()
     assert (back.start, back.step, back.end) == (last, -step, start)
     assert next(iter(back)) == last
@@ -74,7 +74,7 @@ def test_values_compare_by_identity():
     assert len({QubitRef(0), QubitRef(0)}) == 2
 
 
-# ── Output kept across runs ──────────────────────────────────────────────────
+# ── Direct runs ──────────────────────────────────────────────────────────────
 
 
 def test_each_directly_built_interpreter_starts_its_own_kept_output(monkeypatch):
@@ -97,6 +97,42 @@ namespace T {
         interp = Interpreter(intrinsic_handlers(), RunOptions(), random.Random(seed))
         interp.run(entry)
         assert len(interp.messages) == 100
+
+
+def test_interpreters_built_before_either_runs_keep_their_own_output(monkeypatch):
+    import qdsl.simulator
+
+    monkeypatch.setattr(qdsl.simulator, "MEMORY_BUDGET", 2**16)
+    result = compile_ok("""
+namespace T {
+    open Microsoft.Quantum.Primitive;
+    operation Main () : () {
+        body {
+            for (i in 1 .. 200) { Message("a message kept until printing"); }
+        }
+    }
+}""")
+    entry, err = resolve_entry(result, None)
+    assert err is None
+    # Each run keeps about two thirds of the 32,768 bytes it may keep, so the
+    # second passes the limit if it counts on from the first.
+    interps = [Interpreter(intrinsic_handlers(), RunOptions(), random.Random(seed))
+               for seed in range(2)]
+    for interp in interps:
+        interp.run(entry)
+        assert len(interp.messages) == 200
+
+
+def test_a_direct_run_gets_the_documented_python_frames():
+    result = compile_ok("""
+namespace T {
+    function Down (n : Int) : Int { if (n == 0) { return 0; } return Down(n - 1) + 1; }
+    operation Main () : Int { body { return Down(900); } }
+}""")
+    entry, err = resolve_entry(result, None)
+    assert err is None
+    interp = Interpreter(intrinsic_handlers(), RunOptions(), random.Random(1))
+    assert interp.run(entry) == 900
 
 
 # ── Probes ───────────────────────────────────────────────────────────────────
@@ -189,11 +225,12 @@ def test_checker_diagnostic(stmts, expected):
 
 
 def test_an_interpolation_hole_left_open_at_the_end_of_the_line():
+    # The string ends at the quote in its hole, so the rest of the line is code.
     assert statements('Message($"{x");') == [
-        ("unterminated-string", "unterminated string literal"),
         ("unexpected-token", "unterminated interpolation hole"),
-        ("unexpected-token", "expected ')', found '}'"),
     ]
+    text = 'namespace T { function F () : String { return $"{x"; } }'
+    assert diagnostics(text) == [("unexpected-token", "unterminated interpolation hole")]
 
 
 def test_an_unknown_functor_in_a_signature():

@@ -121,21 +121,38 @@ def test_truncation_error_shrinks_as_cutoff_grows(prelude):
     assert errors[0] > 1e-3  # dropping rotations genuinely changes the map
 
 
-def test_adjoint_transform_inverts(prelude):
-    sym = get_symbol(prelude, "Microsoft.Quantum.Canon.QFT")
-    forward = operation_unitary(sym, 3, register_arg)
-    backward = operation_unitary(sym, 3, register_arg, adjoint=True)
-    assert_unitaries_close(backward @ forward, np.eye(8), 1e-10)
+# Prelude operations with generated variants, each with a register size and
+# an argument builder.
+GENERATED_VARIANTS = [
+    ("Microsoft.Quantum.Primitive.CNOT", 2, tuple_arg),
+    ("Microsoft.Quantum.Primitive.CCNOT", 3, tuple_arg),
+    ("Microsoft.Quantum.Primitive.SWAP", 2, tuple_arg),
+    ("Microsoft.Quantum.Canon.SwapReverseRegister", 3, register_arg),
+    ("Microsoft.Quantum.Canon.QFT", 3, register_arg),
+    ("Microsoft.Quantum.Canon.ApproximateQFT", 3, lambda refs: (2, list(refs))),
+]
+GENERATED_IDS = [name.rsplit(".", 1)[1] for name, _, _ in GENERATED_VARIANTS]
 
 
-def test_controlled_transform_is_block_diagonal(prelude):
-    sym = get_symbol(prelude, "Microsoft.Quantum.Canon.QFT")
-    base = operation_unitary(sym, 2, register_arg)
-    controlled = operation_unitary(sym, 2, register_arg, n_controls=1)
-    expected = np.kron(np.diag([1.0, 0.0]), np.eye(4)) + np.kron(
-        np.diag([0.0, 1.0]), base
-    )
-    assert_unitaries_close(controlled, expected, 1e-10)
+@pytest.mark.parametrize("name, n, arg", GENERATED_VARIANTS, ids=GENERATED_IDS)
+def test_adjoint_transform_inverts(prelude, name, n, arg):
+    sym = get_symbol(prelude, name)
+    forward = operation_unitary(sym, n, arg)
+    backward = operation_unitary(sym, n, arg, adjoint=True)
+    assert_unitaries_close(backward @ forward, np.eye(1 << n), 1e-10)
+
+
+@pytest.mark.parametrize("name, n, arg", GENERATED_VARIANTS, ids=GENERATED_IDS)
+def test_controlled_transform_is_block_diagonal(prelude, name, n, arg):
+    sym = get_symbol(prelude, name)
+    base = operation_unitary(sym, n, arg)
+    off, on = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    identity = np.eye(1 << n)
+    controlled = operation_unitary(sym, n, arg, n_controls=1)
+    assert_unitaries_close(controlled, np.kron(off, identity) + np.kron(on, base), 1e-10)
+    # Controlled Adjoint U = diag(I, U†).
+    both = operation_unitary(sym, n, arg, adjoint=True, n_controls=1)
+    assert_unitaries_close(both, np.kron(off, identity) + np.kron(on, base.conj().T), 1e-10)
 
 
 # ── Elementary composites ────────────────────────────────────────────────────
