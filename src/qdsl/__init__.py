@@ -18,8 +18,9 @@ from .compiler import (
 )
 from .diagnostics import Diagnostic, Severity
 
-# The runtime and the simulator (and with it numpy) load on first access
-# (PEP 562), so importing the package to compile or check never loads them.
+# The runtime and the simulator load on first access (PEP 562), so importing
+# the package to compile or check never loads them; numpy loads later still,
+# once a state first holds two qubits.
 _LAZY = {
     "Interpreter": "runtime",
     "QdslFailure": "values",

@@ -235,7 +235,8 @@ def _cmd_run(args, tracing: bool) -> int:
         raise UsageError("--shots must be at least 1")
 
     options = _run_options(args)
-    # The runtime, and numpy with it, loads only once a program is ready to run.
+    # The runtime loads only once a program is ready to run, and numpy only
+    # once its state first holds two qubits.
     from .runtime import QdslFailure, render, run_shots
 
     # Under --json, each shot's trace lines go into the envelope instead, in

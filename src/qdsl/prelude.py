@@ -172,8 +172,8 @@ def _updated(interp, arg, adjoint, controls):
 
 
 def intrinsic_handlers() -> dict[str, Any]:
-    # The simulator, and numpy with it, loads here and not with this module,
-    # so compiling a program never loads it.
+    # The simulator loads here and not with this module, so compiling a
+    # program never loads it. Its gate tables need no numpy.
     from .simulator import GATE_ADJOINTS, GATE_MATRICES, r1frac_matrix
 
     handlers: dict[str, Any] = {

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import io
+import itertools
 import random
 import sys
 from typing import Any, Callable, Optional
@@ -817,12 +818,31 @@ def _sized(what: str, length: int) -> None:
         )
 
 
+# Exact types whose sys.getsizeof is their __sizeof__, as they carry no
+# garbage-collector header: a level of one of them is sized without a lookup
+# per item.
+_UNTRACKED = frozenset((int, bool, float, str))
+_CONTAINERS = frozenset((list, tuple))
+
+
 def _held(value: Any) -> int:
     """At least the bytes `value` holds, with 16 per object for the allocator's
-    rounding; an item held twice counts twice."""
-    size = sys.getsizeof(value) + 16
-    if value.__class__ is list or value.__class__ is tuple:
-        size += sum(map(_held, value))
+    rounding; an item held twice counts twice. It sizes `value`, then the
+    items of the lists and tuples in it, one level at a time."""
+    size, level = 0, [value]
+    while level:
+        kinds = set(map(type, level))
+        if len(kinds) == 1 and kinds <= _UNTRACKED:
+            size += sum(map(next(iter(kinds)).__sizeof__, level))
+        else:
+            size += sum(map(sys.getsizeof, level))
+        size += 16 * len(level)
+        if kinds.isdisjoint(_CONTAINERS):
+            break
+        if not kinds <= _CONTAINERS:
+            level = [x for x in level if type(x) in _CONTAINERS]
+        # A lone container is walked as it is, not copied.
+        level = level[0] if len(level) == 1 else list(itertools.chain.from_iterable(level))
     return size
 
 

@@ -11,7 +11,11 @@ state is a Python list of complex, where a gate or a measurement costs a few
 Python operations; above it, a complex128 ndarray, where it costs a dozen
 numpy calls whatever the size. An allocation or a release that crosses the
 threshold converts the state. The list kernels serve the one-qubit state
-alone, with the arithmetic of the numpy kernels below.
+alone, with the arithmetic of the numpy kernels below. numpy is imported
+where a state first needs an ndarray (an allocation past SMALL_QUBITS, a
+load of such a state, or `amplitudes`), so a run that never holds two
+qubits at once does not load it. The gate matrices are read-only
+2x2 `GateMatrix` objects of Python complex, not ndarrays.
 
 Every kernel updates slices of that view in place. The controls and the
 target select length-1 slices, never integer indices: indexing every axis
@@ -47,12 +51,11 @@ a later one computes no amplitude for as long as it repeats them exactly.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
 from typing import Sequence
-
-import numpy as np
 
 from .values import QdslFailure
 
@@ -89,33 +92,77 @@ MEMORY_BUDGET = _physical_memory()
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 
-def _frozen(rows) -> np.ndarray:
-    matrix = np.array(rows, dtype=complex)
-    matrix.setflags(write=False)
-    return matrix
+np = None  # numpy, once `_load_numpy` has run
 
 
-GATE_MATRICES: dict[str, np.ndarray] = {
-    "I": _frozen([[1, 0], [0, 1]]),
-    "X": _frozen([[0, 1], [1, 0]]),
-    "Y": _frozen([[0, -1j], [1j, 0]]),
-    "Z": _frozen([[1, 0], [0, -1]]),
-    "H": _frozen([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]]),
-    "T": _frozen([[1, 0], [0, np.exp(1j * math.pi / 4)]]),
+def _load_numpy() -> None:
+    """Bind numpy to `np`: called where a state first needs an ndarray. Every
+    other use of `np` runs on an ndarray state, so after it."""
+    global np
+    if np is None:
+        import numpy as np
+
+
+class GateMatrix:
+    """A read-only 2x2 matrix whose rows are a tuple of two tuples of complex.
+
+    The kernels unpack `tolist()`, the rows. `m[i, j]` reads an entry,
+    `conj()` and `T` give new matrices, and numpy takes one as an array. The
+    shot log matches a gate by its matrix's identity, so `copy()` gives
+    another object with the same entries.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows) -> None:
+        self._rows = tuple(tuple(map(complex, row)) for row in rows)
+
+    def tolist(self) -> tuple:
+        return self._rows
+
+    def __getitem__(self, index: tuple[int, int]) -> complex:
+        i, j = index
+        return self._rows[i][j]
+
+    def __setitem__(self, index, value) -> None:
+        raise ValueError("a gate matrix is read-only")
+
+    def copy(self) -> GateMatrix:
+        return GateMatrix(self._rows)
+
+    def conj(self) -> GateMatrix:
+        return GateMatrix([x.conjugate() for x in row] for row in self._rows)
+
+    @property
+    def T(self) -> GateMatrix:
+        return GateMatrix(zip(*self._rows))
+
+    def __array__(self, dtype=None, copy=None):
+        _load_numpy()
+        return np.array(self._rows, dtype=dtype or complex)
+
+
+GATE_MATRICES: dict[str, GateMatrix] = {
+    "I": GateMatrix([[1, 0], [0, 1]]),
+    "X": GateMatrix([[0, 1], [1, 0]]),
+    "Y": GateMatrix([[0, -1j], [1j, 0]]),
+    "Z": GateMatrix([[1, 0], [0, -1]]),
+    "H": GateMatrix([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]]),
+    "T": GateMatrix([[1, 0], [0, cmath.exp(1j * math.pi / 4)]]),
 }
-GATE_ADJOINTS: dict[str, np.ndarray] = {
-    name: _frozen(matrix.conj().T) for name, matrix in GATE_MATRICES.items()
+GATE_ADJOINTS: dict[str, GateMatrix] = {
+    name: matrix.conj().T for name, matrix in GATE_MATRICES.items()
 }
 
-_S = _frozen([[1, 0], [0, 1j]])
-_S_DAG = _frozen([[1, 0], [0, -1j]])  # S^dagger Y S = X
+_S = GateMatrix([[1, 0], [0, 1j]])
+_S_DAG = GateMatrix([[1, 0], [0, -1j]])  # S^dagger Y S = X
 
 _ZERO = slice(0, 1)
 _ONE = slice(1, 2)
 
 
 @functools.lru_cache(maxsize=1024)
-def r1frac_matrix(numerator: int, power: int) -> np.ndarray:
+def r1frac_matrix(numerator: int, power: int) -> GateMatrix:
     """Phase gate diag(1, exp(i pi numerator / 2^power)), shared read-only.
 
     ldexp scales by 2^-power bit for bit as a division by 2^power does, and a
@@ -123,8 +170,7 @@ def r1frac_matrix(numerator: int, power: int) -> np.ndarray:
     negative power the angle is a multiple of 2 pi.
     """
     angle = math.ldexp(math.pi * numerator, -power) if power >= 0 else 0.0
-    phase = np.exp(1j * angle)
-    return _frozen([[1, 0], [0, phase]])
+    return GateMatrix([[1, 0], [0, cmath.exp(1j * angle)]])
 
 
 class SimulationError(QdslFailure):
@@ -193,6 +239,7 @@ class StateVectorSimulator:
         if self.num_qubits <= SMALL_QUBITS:
             self.state = self.state + [0j] * len(self.state)
         else:
+            _load_numpy()
             self.state = np.concatenate([self.state, np.zeros_like(self.state)])
 
     def _check_limits(self, live: int) -> None:
@@ -267,7 +314,7 @@ class StateVectorSimulator:
 
     def apply(
         self,
-        matrix: np.ndarray,
+        matrix: GateMatrix,
         target_id: int,
         control_ids: Sequence[int] = (),
     ) -> None:
@@ -300,7 +347,7 @@ class StateVectorSimulator:
         return lo, tensor[tuple(index)]
 
     def _apply_at(
-        self, matrix: np.ndarray, pos: int, controls: Sequence[int] = ()
+        self, matrix: GateMatrix, pos: int, controls: Sequence[int] = ()
     ) -> None:
         lo, hi = self._target_slices(pos, controls)
         (a, b), (c, d) = matrix.tolist()
@@ -315,7 +362,7 @@ class StateVectorSimulator:
         _mix(hi, d, saved, c)
 
     def _apply_small(
-        self, matrix: np.ndarray, pos: int, controls: Sequence[int] = ()
+        self, matrix: GateMatrix, pos: int, controls: Sequence[int] = ()
     ) -> None:
         """`_apply_at` on the one-qubit list state, with the same cases and
         products. One qubit is at position 0 and cannot have a control."""
@@ -453,16 +500,23 @@ class StateVectorSimulator:
     def load(self, amplitudes) -> None:
         """Set the state to a copy of `amplitudes`, indexed by bit position,
         in the storage the live-qubit count selects."""
-        vector = np.array(amplitudes, dtype=complex)
-        if vector.shape != (1 << self.num_qubits,):
+        if self.num_qubits <= SMALL_QUBITS:
+            vector = list(map(complex, amplitudes))
+            shape = (len(vector),)
+        else:
+            _load_numpy()
+            vector = np.array(amplitudes, dtype=complex)
+            shape = vector.shape
+        if shape != (1 << self.num_qubits,):
             raise ValueError(
                 f"{self.num_qubits} qubits need {1 << self.num_qubits} "
-                f"amplitudes, got shape {vector.shape}"
+                f"amplitudes, got shape {shape}"
             )
-        self.state = vector.tolist() if self.num_qubits <= SMALL_QUBITS else vector
+        self.state = vector
 
     def amplitudes(self) -> tuple[list[int], np.ndarray]:
         """State vector with bit j of the index tracking the j-th smallest id."""
+        _load_numpy()
         ids = sorted(self.position)
         n = len(ids)
         if n == 0:
@@ -515,7 +569,7 @@ class ShotPrefix:
     def __init__(self) -> None:
         self.log: list | None = None  # (key, value) per operation
         self.first_draw = 0  # index of the log's first draw, or its length
-        self.snapshot: tuple[np.ndarray, dict[int, int]] | None = None
+        self.snapshot: tuple[tuple | np.ndarray, dict[int, int]] | None = None
 
     def stand_in(self, sim: StateVectorSimulator) -> _PrefixStandIn:
         """A stand-in for a shot's fresh `sim` that records or follows the log."""
@@ -573,7 +627,7 @@ class _PrefixStandIn:
         self._record(key, live)
 
     def apply(
-        self, matrix: np.ndarray, target_id: int, control_ids: Sequence[int] = ()
+        self, matrix: GateMatrix, target_id: int, control_ids: Sequence[int] = ()
     ) -> None:
         log = self.log
         if log is not None:
@@ -677,8 +731,11 @@ class _PrefixStandIn:
                 if prefix.snapshot is None:
                     self._replay(0, start)
                     if 3 * BYTES_PER_AMPLITUDE * (1 << sim.num_qubits) <= MEMORY_BUDGET:
-                        state = np.array(sim.state, dtype=complex)
-                        state.setflags(write=False)
+                        if sim.num_qubits <= SMALL_QUBITS:
+                            state = tuple(sim.state)
+                        else:
+                            state = np.array(sim.state, dtype=complex)
+                            state.setflags(write=False)
                         prefix.snapshot = state, dict(sim.position)
                 else:
                     state, positions = prefix.snapshot

@@ -1,4 +1,5 @@
-"""The compile-only paths never load numpy, the simulator or the runtime.
+"""The compile-only paths never load numpy, the simulator or the runtime,
+and a run whose state never holds two qubits never loads numpy.
 
 Each case runs in a fresh interpreter, because this test process has long
 since imported all three. A case prints the sorted list of the heavy modules
@@ -107,6 +108,59 @@ def test_running_a_program_loads_the_simulator(tmp_path):
     """The probe sees the modules once a shot runs, so an empty list means something."""
     code, loaded = loaded_after(
         "from qdsl import cli\nassert cli.main(['run', GOOD]) == 0", tmp_path
+    )
+    assert code == 0
+    assert loaded == sorted(HEAVY)
+
+
+COIN = os.path.join(ACCEPT, "repeat_until.qds")
+COIN_GOLDEN = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "golden", "repeat_until.json"
+)
+# The one-qubit coin's shots run on the list kernels, so numpy stays unloaded.
+ONE_QUBIT = {
+    "run": ["run", COIN, "--entry", "Corpus.CoinUntilOne", "--shots", "100", "--json"],
+    "trace_json": ["trace", "--json", COIN, "--entry", "Corpus.CoinUntilOne"],
+}
+
+
+def _cli_quietly(argv: list[str]) -> str:
+    """Code that runs `qdsl <argv>`, asserts exit 0 and keeps its stdout in `out`."""
+    return (
+        "import contextlib, io\nfrom qdsl import cli\nout = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert cli.main({argv!r}) == 0"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ONE_QUBIT))
+def test_a_one_qubit_program_runs_without_numpy(name, tmp_path):
+    code, loaded = loaded_after(_cli_quietly(ONE_QUBIT[name]), tmp_path)
+    assert code == 0
+    assert loaded == ["qdsl.runtime", "qdsl.simulator"]
+
+
+def test_intrinsic_handlers_load_no_numpy(tmp_path):
+    code, loaded = loaded_after(
+        "from qdsl.prelude import intrinsic_handlers\nintrinsic_handlers()", tmp_path
+    )
+    assert code == 0
+    assert loaded == ["qdsl.simulator"]
+
+
+def test_dumping_a_one_qubit_state_loads_numpy(tmp_path):
+    """A dump is an ndarray. The shots are the golden ones, and each ends in
+    |0>, dumped as exactly 1 and 0 with no negative zero."""
+    argv = ["run", COIN, "--entry", "CoinUntilOne", "--json", "--shots", "20",
+            "--seed", "1", "--dump-state"]
+    ground = [{"qubits": [0], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}]
+    code, loaded = loaded_after(
+        f"{_cli_quietly(argv)}\n"
+        f"golden = json.load(open({COIN_GOLDEN!r}))['seed1-dump']['output']\n"
+        "got = json.loads(out.getvalue())\n"
+        "assert all(got[k] == golden[k] for k in ('results', 'histogram', 'messages'))\n"
+        f"assert json.dumps(got['state_dumps']) == json.dumps([{ground!r}] * 20)",
+        tmp_path,
     )
     assert code == 0
     assert loaded == sorted(HEAVY)

@@ -5,6 +5,7 @@ checker and runtime branches that no other test runs.
 """
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -13,9 +14,9 @@ from qdsl.ast_nodes import SpecKind
 from qdsl.compiler import compile_snippet, resolve_entry, wrap_statement_snippet
 from qdsl.prelude import intrinsic_handlers
 from qdsl.pretty import pretty_print
-from qdsl.runtime import Interpreter, QdslFailure, RunOptions
+from qdsl.runtime import Interpreter, QdslFailure, RunOptions, _held
 from qdsl.simulator import BYTES_PER_AMPLITUDE, GATE_MATRICES, StateVectorSimulator
-from qdsl.values import QubitRef, RangeValue, render_value
+from qdsl.values import Pauli, QubitRef, RangeValue, Result, render_value
 from conftest import compile_ok, get_symbol, run_main
 
 INT_MIN, INT_MAX = -(1 << 63), (1 << 63) - 1
@@ -133,6 +134,60 @@ namespace T {
     assert err is None
     interp = Interpreter(intrinsic_handlers(), RunOptions(), random.Random(1))
     assert interp.run(entry) == 900
+
+
+# ── Sizing a shot's value ───────────────────────────────────────────────────
+
+
+def _held_by_recursion(value) -> int:
+    """The per-object definition that `_held` computes a level at a time."""
+    size = sys.getsizeof(value) + 16
+    if value.__class__ is list or value.__class__ is tuple:
+        size += sum(map(_held_by_recursion, value))
+    return size
+
+
+class _ListSubclass(list):
+    """Not an exact list, so sized as one object, its items not walked."""
+
+
+def _seeded_value(rng: random.Random, depth: int):
+    leaves = [
+        lambda: rng.randrange(-(1 << 70), 1 << 70),
+        lambda: rng.random() < 0.5,
+        lambda: rng.uniform(-1e9, 1e9),
+        lambda: "x" * rng.randrange(40) + "é" * rng.randrange(2),
+        lambda: rng.choice(list(Result) + list(Pauli)),
+        lambda: QubitRef(rng.randrange(8)),
+        lambda: RangeValue(0, 1, rng.randrange(9)),
+        lambda: _ListSubclass(range(rng.randrange(4))),
+        lambda: None,
+    ]
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+    if rng.random() < 0.5:  # a homogeneous array, as qdsl arrays are
+        make = rng.choice(leaves[:4] + [lambda: _seeded_value(rng, depth - 1)])
+        items = [make() for _ in range(rng.randrange(6))]
+    else:
+        items = [_seeded_value(rng, depth - 1) for _ in range(rng.randrange(6))]
+    if items and rng.random() < 0.3:
+        items.append(items[0])  # held twice, counted twice
+    return items if rng.random() < 0.6 else tuple(items)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_held_counts_what_the_recursive_definition_counts(seed):
+    rng = random.Random(seed)
+    value = [_seeded_value(rng, rng.randrange(6)) for _ in range(rng.randrange(1, 9))]
+    assert _held(value) == _held_by_recursion(value)
+
+
+def test_held_walks_deeper_than_the_python_frames():
+    value = [1.5]
+    for _ in range(5000):
+        value = (value, "a")
+    pair = sys.getsizeof((None, "a")) + sys.getsizeof("a") + 32
+    assert _held(value) == 5000 * pair + sys.getsizeof([1.5]) + sys.getsizeof(1.5) + 32
 
 
 # ── Probes ───────────────────────────────────────────────────────────────────

@@ -13,6 +13,7 @@ it gives on an entry compiled afresh, which has nothing recorded.
 from __future__ import annotations
 
 import os
+import struct
 
 import pytest
 
@@ -194,6 +195,11 @@ def test_prefix_with_probe_and_strict_release_is_reused(dump):
     assert sorted(positions.values()) == list(range(PREFIXED_QUBITS))
 
 
+def _bits(amplitudes) -> list[bytes]:
+    """The bits of each part of each amplitude, the sign of a zero included."""
+    return [struct.pack("<dd", x.real, x.imag) for x in amplitudes]
+
+
 def test_later_shots_leave_a_small_snapshot_unchanged():
     storages = []
 
@@ -207,13 +213,15 @@ def test_later_shots_leave_a_small_snapshot_unchanged():
     run_shots(HANDLERS, entry, 2, 1, RunOptions())
     snapshot = entry.shot_prefix.snapshot
     state, positions = snapshot
-    assert len(state) == 2 and not state.flags.writeable and positions == {0: 0}
-    stored = state.tobytes()
+    # A one-qubit snapshot is an immutable tuple, which loads without numpy.
+    assert type(state) is tuple and len(state) == 2 and positions == {0: 0}
+    assert all(type(x) is complex for x in state)
+    stored = _bits(state)
     # Each later shot leaves the log at an outcome of its own, loads the
     # snapshot, replays its draws and then gates and measures in place.
     run_shots({**HANDLERS, "Measure": spy}, entry, 5, 2, RunOptions())
     assert entry.shot_prefix.snapshot is snapshot
-    assert state.tobytes() == stored and positions == {0: 0}
+    assert _bits(state) == stored and positions == {0: 0}
     assert len(storages) >= 5 and set(storages) == {list}
 
 

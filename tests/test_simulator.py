@@ -10,6 +10,7 @@ gates, never from the backend's slice kernels.
 import cmath
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -123,6 +124,50 @@ def test_r1frac_matches_the_division_formula_bit_for_bit():
         for numerator in numerators:
             old = np.exp(1j * math.pi * numerator / float(2**power))
             assert r1frac_matrix(numerator, power)[1, 1] == old, (numerator, power)
+
+
+def _entry_bits(matrix) -> list[bytes]:
+    """The bits of the real and imaginary part of each entry, signed zeros
+    included, of a gate matrix or an ndarray."""
+    return [struct.pack("<dd", matrix[i, j].real, matrix[i, j].imag)
+            for i in (0, 1) for j in (0, 1)]
+
+
+def _numpy_built(rows) -> np.ndarray:
+    """A table entry as the simulator built it with numpy, before its
+    gate matrices were Python objects."""
+    return np.array(rows, dtype=complex)
+
+
+def test_gate_tables_have_the_bits_of_the_numpy_construction():
+    built = {
+        "I": _numpy_built([[1, 0], [0, 1]]),
+        "X": _numpy_built([[0, 1], [1, 0]]),
+        "Y": _numpy_built([[0, -1j], [1j, 0]]),
+        "Z": _numpy_built([[1, 0], [0, -1]]),
+        "H": _numpy_built([[SQ2, SQ2], [SQ2, -SQ2]]),
+        "T": _numpy_built([[1, 0], [0, np.exp(1j * math.pi / 4)]]),
+    }
+    assert sorted(GATE_MATRICES) == sorted(GATE_ADJOINTS) == sorted(built)
+    for name, matrix in built.items():
+        assert _entry_bits(GATE_MATRICES[name]) == _entry_bits(matrix), name
+        adjoint = matrix.conj().T
+        assert _entry_bits(GATE_ADJOINTS[name]) == _entry_bits(adjoint), name
+    # The conjugation of a Y factor in a measurement.
+    assert _entry_bits(qdsl.simulator._S) == _entry_bits(_numpy_built([[1, 0], [0, 1j]]))
+    assert _entry_bits(qdsl.simulator._S_DAG) == _entry_bits(_numpy_built([[1, 0], [0, -1j]]))
+
+
+def test_r1frac_has_the_bits_of_the_numpy_construction():
+    # The uncached function, so that 24,000 angles leave the shared cache,
+    # whose matrices the shot logs match by identity, as it was.
+    build = r1frac_matrix.__wrapped__
+    for power in range(40):
+        for numerator in range(-300, 300):
+            angle = math.ldexp(math.pi * numerator, -power)
+            expected = _numpy_built([[1, 0], [0, np.exp(1j * angle)]])
+            assert _entry_bits(build(numerator, power)) == _entry_bits(expected), (
+                numerator, power)
 
 
 @pytest.mark.parametrize("power", [1100, 2000, 2**63 - 1, -1, -2000, -(2**63)])
