@@ -818,31 +818,25 @@ def _sized(what: str, length: int) -> None:
         )
 
 
-# Exact types whose sys.getsizeof is their __sizeof__, as they carry no
-# garbage-collector header: a level of one of them is sized without a lookup
-# per item.
-_UNTRACKED = frozenset((int, bool, float, str))
 _CONTAINERS = frozenset((list, tuple))
 
 
 def _held(value: Any) -> int:
     """At least the bytes `value` holds, with 16 per object for the allocator's
-    rounding; an item held twice counts twice. It sizes `value`, then the
-    items of the lists and tuples in it, one level at a time."""
-    size, level = 0, [value]
-    while level:
-        kinds = set(map(type, level))
-        if len(kinds) == 1 and kinds <= _UNTRACKED:
-            size += sum(map(next(iter(kinds)).__sizeof__, level))
+    rounding; an item held twice counts twice. The items of each list or tuple
+    are sized together, and the walk keeps one iterator per level of nesting,
+    so it needs no Python frame per level and no copy of any level."""
+    size, stack = 0, [iter(((value,),))]
+    is_container = _CONTAINERS.__contains__
+    while stack:
+        for items in stack[-1]:
+            size += sum(map(sys.getsizeof, items)) + 16 * len(items)
+            if not _CONTAINERS.isdisjoint(map(type, items)):
+                # The lists and tuples among `items`, read lazily.
+                stack.append(itertools.compress(items, map(is_container, map(type, items))))
+                break
         else:
-            size += sum(map(sys.getsizeof, level))
-        size += 16 * len(level)
-        if kinds.isdisjoint(_CONTAINERS):
-            break
-        if not kinds <= _CONTAINERS:
-            level = [x for x in level if type(x) in _CONTAINERS]
-        # A lone container is walked as it is, not copied.
-        level = level[0] if len(level) == 1 else list(itertools.chain.from_iterable(level))
+            stack.pop()
     return size
 
 

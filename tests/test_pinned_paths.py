@@ -140,7 +140,7 @@ namespace T {
 
 
 def _held_by_recursion(value) -> int:
-    """The per-object definition that `_held` computes a level at a time."""
+    """The per-object definition that `_held` computes without recursion."""
     size = sys.getsizeof(value) + 16
     if value.__class__ is list or value.__class__ is tuple:
         size += sum(map(_held_by_recursion, value))
@@ -188,6 +188,19 @@ def test_held_walks_deeper_than_the_python_frames():
         value = (value, "a")
     pair = sys.getsizeof((None, "a")) + sys.getsizeof("a") + 32
     assert _held(value) == 5000 * pair + sys.getsizeof([1.5]) + sys.getsizeof(1.5) + 32
+
+
+def test_held_copies_no_level_of_shared_rows():
+    row = list(range(1000))
+    value = [row] * 1000  # a million items held through 1,000 pointers
+    tracemalloc.start()
+    try:
+        size = _held(value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size == _held_by_recursion(value)
+    assert peak < 64 * 1024  # a copy of the rows' items would take 8 MB
 
 
 # ── Probes ───────────────────────────────────────────────────────────────────
