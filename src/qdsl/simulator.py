@@ -6,16 +6,17 @@ allocated into bit position p contributes bit p of the basis index, which is
 axis n-1-p of the view `state.reshape((2,) * n)`. No 2^n x 2^n operator is
 ever built.
 
-The live-qubit count alone selects the storage. Up to SMALL_QUBITS qubits the
-state is a Python list of complex, where a gate or a measurement costs a few
-Python operations; above it, a complex128 ndarray, where it costs a dozen
-numpy calls whatever the size. An allocation or a release that crosses the
-threshold converts the state. The list kernels serve the one-qubit state
-alone, with the arithmetic of the numpy kernels below. numpy is imported
-where a state first needs an ndarray (an allocation past SMALL_QUBITS, a
-load of such a state, or `amplitudes`), so a run that never holds two
-qubits at once does not load it. The gate matrices are read-only
-2x2 `GateMatrix` objects of Python complex, not ndarrays.
+The live-qubit count selects the storage where a state is made: by an
+allocation, a release or `load`. Up to SMALL_QUBITS qubits the state is a
+Python list of complex, where a gate or a measurement costs a few Python
+operations; above it, a complex128 ndarray, where it costs a dozen numpy
+calls whatever the size. An allocation or a release that crosses the
+threshold converts the state. Every kernel follows the storage it finds: its
+list branch serves the one-qubit state alone, with the arithmetic of its
+numpy branch. numpy is imported where a state first needs an ndarray (an
+allocation past SMALL_QUBITS, a load of such a state, or `amplitudes`), so a
+run that never holds two qubits at once does not load it. The gate matrices
+are read-only 2x2 `GateMatrix` objects of Python complex, not ndarrays.
 
 Every kernel updates slices of that view in place. The controls and the
 target select length-1 slices, never integer indices: indexing every axis
@@ -63,11 +64,13 @@ DEFAULT_CAPACITY = 24
 RELEASE_EPSILON = 1e-9
 BYTES_PER_AMPLITUDE = 16  # complex128
 
-# At one qubit every slice holds one amplitude, so the list kernels compute
-# each probability bit for bit as np.vdot does. Over two or more amplitudes
-# OpenBLAS's zdotc sums with fused multiply-adds, which Python before 3.13
-# cannot reproduce, and a probability could differ in its last bit. Only 0
-# and 1 are valid: the list kernels are written for one qubit.
+# The most live qubits a list state holds, read only where a state is made;
+# the kernels dispatch on the storage they find. At one qubit every slice
+# holds one amplitude, so the list branches compute each probability bit for
+# bit as np.vdot does. Over two or more amplitudes OpenBLAS's zdotc sums with
+# fused multiply-adds, which Python before 3.13 cannot reproduce, and a
+# probability could differ in its last bit. Only 0 and 1 are valid: the list
+# branches are written for one qubit.
 SMALL_QUBITS = 1
 
 
@@ -201,14 +204,7 @@ def _weight(view: np.ndarray) -> float:
     return float(total)
 
 
-# ── List storage: the numpy kernels' arithmetic, one amplitude at a time ─────
-
-
-def _small_weight(state: list) -> float:
-    """`_weight` of the |1> amplitude of the one-qubit list state, |x|^2 as
-    vdot computes it (abs(x)**2 goes through hypot and rounds differently)."""
-    x = state[1]
-    return x.real * x.real + x.imag * x.imag
+# ── List storage: the kernels' list branches repeat the numpy arithmetic ─────
 
 
 def _divided(x: complex, scale: float) -> complex:
@@ -267,12 +263,7 @@ class StateVectorSimulator:
         becomes the new state.
         """
         pos = self._position_of(qubit_id)
-        small = self.num_qubits <= SMALL_QUBITS
-        if small:
-            p_one = _small_weight(self.state)
-        else:
-            lo, hi = self._target_slices(pos)
-            p_one = _weight(hi)
+        p_one = self._weight_one(pos)
         dirty = p_one > RELEASE_EPSILON
         keep_one = False
         if dirty:
@@ -293,10 +284,10 @@ class StateVectorSimulator:
         probability = p_one if keep_one else 1.0 - p_one
         if probability < 1e-300:
             raise SimulationError("projection onto a zero-probability subspace")
-        if small:
+        if self.state.__class__ is list:
             self.state = [_divided(self.state[keep_one], 1.0 / math.sqrt(probability))]
         else:
-            kept = ((hi if keep_one else lo) / math.sqrt(probability)).ravel()
+            kept = (self._target_slices(pos)[keep_one] / math.sqrt(probability)).ravel()
             self.state = kept.tolist() if self.num_qubits == SMALL_QUBITS + 1 else kept
         # Free the bit position and close the gap it leaves.
         del self.position[qubit_id]
@@ -327,10 +318,7 @@ class StateVectorSimulator:
                     "a qubit may appear only once among the controls and the "
                     f"target of a gate (got {sorted({target_id, *control_ids})})"
                 )
-        if self.num_qubits <= SMALL_QUBITS:
-            self._apply_small(matrix, pos, controls)
-        else:
-            self._apply_at(matrix, pos, controls)
+        self._apply_at(matrix, pos, controls)
 
     def _target_slices(
         self, pos: int, controls: Sequence[int] = ()
@@ -349,8 +337,19 @@ class StateVectorSimulator:
     def _apply_at(
         self, matrix: GateMatrix, pos: int, controls: Sequence[int] = ()
     ) -> None:
-        lo, hi = self._target_slices(pos, controls)
         (a, b), (c, d) = matrix.tolist()
+        state = self.state
+        if state.__class__ is list:
+            # The one-qubit state, with the same cases and products as below.
+            # Its qubit is at position 0 and cannot have a control.
+            lo, hi = state
+            if b == 0 and c == 0:
+                self.state = [lo if a == 1 else lo * a, hi if d == 1 else hi * d]
+            else:
+                self.state = [hi * b if a == 0 else lo * a + b * hi,
+                              lo * c if d == 0 else hi * d + c * lo]
+            return
+        lo, hi = self._target_slices(pos, controls)
         if b == 0 and c == 0:
             if d != 1:
                 hi *= d
@@ -361,18 +360,15 @@ class StateVectorSimulator:
         _mix(lo, a, hi, b)
         _mix(hi, d, saved, c)
 
-    def _apply_small(
-        self, matrix: GateMatrix, pos: int, controls: Sequence[int] = ()
-    ) -> None:
-        """`_apply_at` on the one-qubit list state, with the same cases and
-        products. One qubit is at position 0 and cannot have a control."""
-        (a, b), (c, d) = matrix.tolist()
-        lo, hi = self.state
-        if b == 0 and c == 0:
-            self.state = [lo if a == 1 else lo * a, hi if d == 1 else hi * d]
-        else:
-            self.state = [hi * b if a == 0 else lo * a + b * hi,
-                          lo * c if d == 0 else hi * d + c * lo]
+    def _weight_one(self, pos: int) -> float:
+        """The weight of the slice where the qubit at `pos` is 1. On the
+        one-qubit list state it is |x|^2 of the |1> amplitude as vdot
+        computes it (abs(x)**2 goes through hypot and rounds differently)."""
+        state = self.state
+        if state.__class__ is list:
+            x = state[1]
+            return x.real * x.real + x.imag * x.imag
+        return _weight(self._target_slices(pos)[1])
 
     # ── Measurement ──────────────────────────────────────────────────────
 
@@ -438,19 +434,13 @@ class StateVectorSimulator:
         if plan is None:
             return 1.0  # the identity has the whole space as +1 eigenspace
         pivot, gates = plan
-        small = len(self.position) <= SMALL_QUBITS
-        apply_at = self._apply_small if small else self._apply_at
         state = self.state
         if gates:  # a single Z factor conjugates nothing, and reads the state in place
             self.state = state.copy()
         try:
             for matrix, _, target, controls in gates:
-                apply_at(matrix, target, controls)
-            if small:
-                p_one = _small_weight(self.state)
-            else:
-                p_one = _weight(self._target_slices(pivot)[1])
-            return min(1.0, max(0.0, 1.0 - p_one))
+                self._apply_at(matrix, target, controls)
+            return min(1.0, max(0.0, 1.0 - self._weight_one(pivot)))
         finally:
             self.state = state
 
@@ -463,17 +453,10 @@ class StateVectorSimulator:
             self.drawn = None  # the identity gives Zero with no draw
             return 0
         pivot, gates = plan
-        small = len(self.position) <= SMALL_QUBITS
-        apply_at = self._apply_small if small else self._apply_at
         for matrix, _, target, controls in gates:
-            apply_at(matrix, target, controls)
+            self._apply_at(matrix, target, controls)
         try:
-            if small:
-                x = self.state[1]  # `_small_weight`, inlined
-                p_one = x.real * x.real + x.imag * x.imag
-            else:
-                p_one = _weight(self._target_slices(pivot)[1])
-            p_zero = min(1.0, max(0.0, 1.0 - p_one))
+            p_zero = min(1.0, max(0.0, 1.0 - self._weight_one(pivot)))
             r = rng.random()
             self.drawn = (p_zero, r)
             outcome = 0 if r < p_zero else 1
@@ -482,7 +465,7 @@ class StateVectorSimulator:
                 raise SimulationError(
                     "measurement collapsed onto an outcome of probability zero"
                 )
-            if small:
+            if self.state.__class__ is list:
                 kept = _divided(self.state[outcome], 1.0 / math.sqrt(probability))
                 self.state = [0j, kept] if outcome else [kept, 0j]
             else:
@@ -492,7 +475,7 @@ class StateVectorSimulator:
                 kept /= math.sqrt(probability)
         finally:
             for _, inverse, target, controls in reversed(gates):
-                apply_at(inverse, target, controls)
+                self._apply_at(inverse, target, controls)
         return outcome
 
     # ── Inspection ───────────────────────────────────────────────────────
@@ -731,7 +714,7 @@ class _PrefixStandIn:
                 if prefix.snapshot is None:
                     self._replay(0, start)
                     if 3 * BYTES_PER_AMPLITUDE * (1 << sim.num_qubits) <= MEMORY_BUDGET:
-                        if sim.num_qubits <= SMALL_QUBITS:
+                        if sim.state.__class__ is list:
                             state = tuple(sim.state)
                         else:
                             state = np.array(sim.state, dtype=complex)

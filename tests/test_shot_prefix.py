@@ -593,9 +593,8 @@ def simulator_calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("_weight", "_small_weight"):
-        counted(qdsl.simulator, name)
-    for name in ("_apply_at", "_apply_small", "_target_slices", "measure",
+    counted(qdsl.simulator, "_weight")
+    for name in ("_apply_at", "_weight_one", "_target_slices", "measure",
                  "release", "allocate", "apply", "load", "probe_zero_probability",
                  "_conjugation", "_position_of", "_check_limits"):
         counted(StateVectorSimulator, name)

@@ -12,6 +12,7 @@ numpy replay of the same circuit, built from retyped matrices and explicit
 Kronecker products rather than the simulator's stride arithmetic.
 """
 
+import functools
 import math
 import random
 
@@ -36,6 +37,7 @@ from conftest import (
     single_qubit_arg,
     tuple_arg,
 )
+from test_corpus import load_accept
 
 SQ2 = 1.0 / math.sqrt(2.0)
 H_FROZEN = np.array([[SQ2, SQ2], [SQ2, -SQ2]], dtype=complex)
@@ -121,30 +123,61 @@ def test_truncation_error_shrinks_as_cutoff_grows(prelude):
     assert errors[0] > 1e-3  # dropping rotations genuinely changes the map
 
 
-# Prelude operations with generated variants, each with a register size and
-# an argument builder.
+# Operations with generated variants: the prelude's, then those of the accept
+# corpus, each with its corpus file (None for the prelude), a register size,
+# an argument builder and whether it declares Controlled (every one declares
+# Adjoint).
 GENERATED_VARIANTS = [
-    ("Microsoft.Quantum.Primitive.CNOT", 2, tuple_arg),
-    ("Microsoft.Quantum.Primitive.CCNOT", 3, tuple_arg),
-    ("Microsoft.Quantum.Primitive.SWAP", 2, tuple_arg),
-    ("Microsoft.Quantum.Canon.SwapReverseRegister", 3, register_arg),
-    ("Microsoft.Quantum.Canon.QFT", 3, register_arg),
-    ("Microsoft.Quantum.Canon.ApproximateQFT", 3, lambda refs: (2, list(refs))),
+    (None, "Microsoft.Quantum.Primitive.CNOT", 2, tuple_arg, True),
+    (None, "Microsoft.Quantum.Primitive.CCNOT", 3, tuple_arg, True),
+    (None, "Microsoft.Quantum.Primitive.SWAP", 2, tuple_arg, True),
+    (None, "Microsoft.Quantum.Canon.SwapReverseRegister", 3, register_arg, True),
+    (None, "Microsoft.Quantum.Canon.QFT", 3, register_arg, True),
+    (None, "Microsoft.Quantum.Canon.ApproximateQFT", 3, lambda refs: (2, list(refs)), True),
+    ("approximate_qft.qds", "Microsoft.Quantum.Canon.ApproximateQFT", 3,
+     lambda refs: (2, list(refs)), True),
+    ("ccnot_listing.qds", "Snippet.CCNOT", 3, tuple_arg, True),
+    ("functors_everywhere.qds", "Corpus.Entangle", 2, tuple_arg, True),
+    ("partial_application.qds", "Corpus.Rotate", 1, lambda refs: (1, 2, refs[0]), False),
+    ("partial_application.qds", "Corpus.PairOp", 1, lambda refs: ((1, refs[0]), 2), False),
+    ("spec_keyword_orders.qds", "Corpus.BothOrders", 1, single_qubit_arg, True),
+    ("spec_keyword_orders.qds", "Corpus.OtherOrder", 1, single_qubit_arg, True),
 ]
-GENERATED_IDS = [name.rsplit(".", 1)[1] for name, _, _ in GENERATED_VARIANTS]
 
 
-@pytest.mark.parametrize("name, n, arg", GENERATED_VARIANTS, ids=GENERATED_IDS)
-def test_adjoint_transform_inverts(prelude, name, n, arg):
-    sym = get_symbol(prelude, name)
+def _variant_params(controlled_only: bool) -> list:
+    """pytest params of GENERATED_VARIANTS: a prelude operation's id is its
+    short name, a corpus one's is its file's stem and its short name."""
+    params = []
+    for file, name, n, arg, controlled in GENERATED_VARIANTS:
+        short = name.rsplit(".", 1)[1]
+        if controlled or not controlled_only:
+            label = short if file is None else f"{file.removesuffix('.qds')}-{short}"
+            params.append(pytest.param(file, name, n, arg, id=label))
+    return params
+
+
+@functools.lru_cache(maxsize=None)
+def compile_accept(file: str):
+    text, exclude = load_accept(file)
+    return compile_ok(text, file=file, prelude_exclude=exclude)
+
+
+def variant_symbol(prelude, file, name):
+    return get_symbol(prelude if file is None else compile_accept(file), name)
+
+
+@pytest.mark.parametrize("file, name, n, arg", _variant_params(False))
+def test_adjoint_transform_inverts(prelude, file, name, n, arg):
+    sym = variant_symbol(prelude, file, name)
     forward = operation_unitary(sym, n, arg)
     backward = operation_unitary(sym, n, arg, adjoint=True)
     assert_unitaries_close(backward @ forward, np.eye(1 << n), 1e-10)
 
 
-@pytest.mark.parametrize("name, n, arg", GENERATED_VARIANTS, ids=GENERATED_IDS)
-def test_controlled_transform_is_block_diagonal(prelude, name, n, arg):
-    sym = get_symbol(prelude, name)
+@pytest.mark.parametrize("file, name, n, arg", _variant_params(True))
+def test_controlled_transform_is_block_diagonal(prelude, file, name, n, arg):
+    sym = variant_symbol(prelude, file, name)
     base = operation_unitary(sym, n, arg)
     off, on = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     identity = np.eye(1 << n)
