@@ -3,12 +3,18 @@ front end's objects and the public run options.
 
 The checker compares types by value and hashes them; tests and tools
 compare spans, tokens and diagnostics by value; the parse/pretty-print
-round trip compares trees with ``structurally_equal``; and ``RunOptions``
-is part of the public API.
+round trip compares trees with ``structurally_equal``; the parser, the
+specialization generator and tools build syntax-tree nodes by position and
+by keyword; and ``RunOptions`` is part of the public API.
 """
 
+import inspect
+
+import pytest
+
+from qdsl import ast_nodes
 from qdsl import types as ty
-from qdsl.ast_nodes import CallExpr, ForStmt, Name, structurally_equal, walk
+from qdsl.ast_nodes import CallExpr, ForStmt, Name, Node, SpecImpl, structurally_equal, walk
 from qdsl.diagnostics import Diagnostic, Severity, error
 from qdsl.parser import parse_program
 from qdsl.runtime import RunOptions, RunStats
@@ -124,6 +130,117 @@ def test_structural_equality_sees_a_changed_name():
     program = parse(SOURCE)
     for old, new in (("(i in", "(j in"), ("H(q)", "X(q)"), ("r = ", "s = "), ("Op", "Oq")):
         assert not structurally_equal(program, parse(SOURCE.replace(old, new, 1))), new
+
+
+# Each node class's constructor parameters, in order; a pair is a parameter
+# and its default. The three category bases that add no slot to `span` are
+# never built, and take no argument.
+CONSTRUCTORS = {
+    "AllocateStmt": ("span", "name", "name_span", "count", "body", ("borrowing", False)),
+    "ArrayExpr": ("span", "items"),
+    "ArrayTypeNode": ("span", "element"),
+    "BinaryExpr": ("span", "op", "left", "right"),
+    "Block": ("span", "stmts"),
+    "BoolLit": ("span", "value"),
+    "CallExpr": ("span", "callee", "args"),
+    "CallableDecl": (
+        "span", "is_operation", "name", "name_span", "type_params", "params", "output", "specs"
+    ),
+    "CallableTypeNode": ("span", "is_operation", "input", "output", "functors"),
+    "DoubleLit": ("span", "value"),
+    "Expr": ("span",),
+    "ExprStmt": ("span", "expr"),
+    "FailStmt": ("span", "message"),
+    "ForStmt": ("span", "var", "var_span", "iterable", "body"),
+    "FunctorExpr": ("span", "functor", "operand"),
+    "Hole": ("span",),
+    "IfStmt": ("span", "branches", "else_block"),
+    "IndexExpr": ("span", "base", "index"),
+    "IntLit": ("span", "value"),
+    "InterpString": ("span", "parts"),
+    "LetStmt": ("span", "pattern", "value"),
+    "MutableStmt": ("span", "name", "value"),
+    "Name": ("span", "name"),
+    "NamePattern": ("span", "name"),
+    "NamedTypeNode": ("span", "name"),
+    "Namespace": ("span", "name", "opens", "decls", ("implicit", False)),
+    "NewtypeDecl": ("span", "name", "name_span", "base"),
+    "OpenDirective": ("span", "name"),
+    "ParamLeaf": ("span", "name", "type"),
+    "ParamTuple": ("span", "items"),
+    "Pattern": (),
+    "PauliLit": ("span", "kind"),
+    "Program": ("span", "namespaces"),
+    "RangeExpr": ("span", "start", "step", "end"),
+    "RepeatStmt": ("span", "body", "condition", "fixup"),
+    "ResultLit": ("span", "one"),
+    "ReturnStmt": ("span", "value"),
+    "SetStmt": ("span", "name", "value"),
+    "SpecDecl": ("span", "kind", ("impl", SpecImpl.PROVIDED), ("block", None), ("ctl_param", None)),
+    "Stmt": (),
+    "StringLit": ("span", "value"),
+    "TupleExpr": ("span", "items"),
+    "TuplePattern": ("span", "items"),
+    "TupleTypeNode": ("span", "items"),
+    "TypeNode": (),
+    "TypeParamNode": ("span", "name"),
+    "UnaryExpr": ("span", "op", "operand"),
+}
+
+# The slots the checker fills in, and the value each holds on a fresh node.
+ANNOTATIONS = {"ty": None, "binding": None, "is_partial": False}
+
+NODE_CLASSES = sorted(
+    (
+        value
+        for value in vars(ast_nodes).values()
+        if isinstance(value, type) and issubclass(value, Node) and value is not Node
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+def parameters(cls):
+    return inspect.signature(cls).parameters.values()
+
+
+def all_slots(cls):
+    return [name for base in reversed(cls.__mro__) for name in base.__dict__.get("__slots__", ())]
+
+
+def test_node_constructors_keep_their_parameters_and_defaults():
+    found = {
+        cls.__name__: tuple(
+            param.name if param.default is param.empty else (param.name, param.default)
+            for param in parameters(cls)
+        )
+        for cls in NODE_CLASSES
+    }
+    assert found == CONSTRUCTORS
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
+def test_a_node_constructor_takes_its_span_and_slots_in_slot_order(cls):
+    """So reordering `__slots__` reorders the parameters, and the table above
+    catches it before a positional call such as
+    `ForStmt(span, var, var_span, iterable, body)` swaps two fields."""
+    slots = all_slots(cls)
+    expected = [name for name in slots if name not in ANNOTATIONS] if slots != ["span"] else []
+    assert [param.name for param in parameters(cls)] == expected
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in NODE_CLASSES if CONSTRUCTORS[cls.__name__]], ids=lambda cls: cls.__name__
+)
+def test_a_fresh_node_has_no_annotations_and_no_constructor_takes_them(cls):
+    args = [object() for _ in parameters(cls)]
+    node = cls(*args)
+    assert [getattr(node, param.name) for param in parameters(cls)] == args
+    for name, value in ANNOTATIONS.items():
+        if name in all_slots(cls):
+            assert getattr(node, name) is value
+        with pytest.raises(TypeError):
+            cls(*args, **{name: value})
 
 
 def test_run_options_keep_their_keyword_constructor_and_defaults():
