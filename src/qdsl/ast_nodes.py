@@ -1,34 +1,51 @@
 """AST node definitions.
 
 Every node carries a span. Expression nodes also carry ``ty``, filled in by
-the checker, and a ``Name`` its ``binding``. Nodes are plain classes with
-``__slots__`` that compare by identity. ``structurally_equal`` compares trees
-ignoring every span and those annotations, which is what the
-parse/pretty-print round-trip tests compare. Each class's ``_fields`` names,
-in declaration order, the fields ``walk`` visits and ``structurally_equal``
-compares.
+the checker, a ``Name`` its ``binding`` and a ``CallExpr`` its
+``is_partial``. Nodes are plain classes with ``__slots__`` that compare by
+identity. The slots are the one place a node's fields are named: a class's
+constructor takes ``span`` and then the other slots, its bases' first, in
+declaration order, and ``_defaults`` gives the trailing parameters that have
+a default. The checker's annotations are not parameters; a new node holds
+the value ``_ANNOTATIONS`` gives each. A class that adds no slot keeps its
+base's constructor. ``structurally_equal`` compares trees ignoring every
+span and those annotations, which is what the parse/pretty-print round-trip
+tests compare. Each class's ``_fields`` names, in declaration order, the
+fields ``walk`` visits and ``structurally_equal`` compares.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Optional, Union
+from typing import Any
 
-from .source import Span
-from .values import Pauli
-
+# The checker's annotations, and the value each holds on a new node.
+_ANNOTATIONS = {"ty": None, "binding": None, "is_partial": False}
 # Fields that hold a span or a checker annotation, not a part of the tree.
-_NOT_COMPARED = frozenset({"span", "name_span", "var_span", "ty", "binding", "is_partial"})
+_NOT_COMPARED = frozenset({"span", "name_span", "var_span", *_ANNOTATIONS})
 
 
 class Node:
     __slots__ = ("span",)
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         own = cls.__dict__.get("__slots__", ())
         cls._fields = cls._fields + tuple(n for n in own if n not in _NOT_COMPARED)
+        if own:
+            slots = [n for c in reversed(cls.__mro__) for n in c.__dict__.get("__slots__", ())]
+            params = ", ".join(
+                f"{n}=_defaults[{n!r}]" if n in cls._defaults else n
+                for n in slots
+                if n not in _ANNOTATIONS
+            )
+            stores = "".join(f"\n    self.{n} = {_ANNOTATIONS.get(n, n)}" for n in slots)
+            namespace = {"__name__": __name__, "_defaults": cls._defaults}
+            exec(f"def __init__(self, {params}):{stores}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__name__}.__init__"
 
 
 # ── Type syntax ──────────────────────────────────────────────────────────────
@@ -43,44 +60,22 @@ class NamedTypeNode(TypeNode):
 
     __slots__ = ("name",)
 
-    def __init__(self, span: Span, name: str) -> None:
-        self.span, self.name = span, name
-
 
 class TypeParamNode(TypeNode):
     __slots__ = ("name",)  # includes the leading backtick
-
-    def __init__(self, span: Span, name: str) -> None:
-        self.span, self.name = span, name
 
 
 class TupleTypeNode(TypeNode):
     __slots__ = ("items",)
 
-    def __init__(self, span: Span, items: list[TypeNode]) -> None:
-        self.span, self.items = span, items
-
 
 class ArrayTypeNode(TypeNode):
     __slots__ = ("element",)
 
-    def __init__(self, span: Span, element: TypeNode) -> None:
-        self.span, self.element = span, element
-
 
 class CallableTypeNode(TypeNode):
+    # functors: a list of "Adjoint" / "Controlled"
     __slots__ = ("is_operation", "input", "output", "functors")
-
-    def __init__(
-        self,
-        span: Span,
-        is_operation: bool,
-        input: TypeNode,
-        output: TypeNode,
-        functors: list[str],  # "Adjoint" / "Controlled"
-    ) -> None:
-        self.span, self.is_operation, self.input = span, is_operation, input
-        self.output, self.functors = output, functors
 
 
 # ── Expressions ──────────────────────────────────────────────────────────────
@@ -89,36 +84,21 @@ class CallableTypeNode(TypeNode):
 class Expr(Node):
     __slots__ = ("ty",)
 
-    def __init__(self, span: Span) -> None:
-        self.span, self.ty = span, None
-
 
 class IntLit(Expr):
     __slots__ = ("value",)
-
-    def __init__(self, span: Span, value: int) -> None:
-        self.span, self.ty, self.value = span, None, value
 
 
 class DoubleLit(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, span: Span, value: float) -> None:
-        self.span, self.ty, self.value = span, None, value
-
 
 class BoolLit(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, span: Span, value: bool) -> None:
-        self.span, self.ty, self.value = span, None, value
-
 
 class StringLit(Expr):
     __slots__ = ("value",)
-
-    def __init__(self, span: Span, value: str) -> None:
-        self.span, self.ty, self.value = span, None, value
 
 
 class InterpString(Expr):
@@ -126,31 +106,19 @@ class InterpString(Expr):
 
     __slots__ = ("parts",)
 
-    def __init__(self, span: Span, parts: list[Union[str, Expr]]) -> None:
-        self.span, self.ty, self.parts = span, None, parts
-
 
 class PauliLit(Expr):
-    __slots__ = ("kind",)
-
-    def __init__(self, span: Span, kind: Pauli) -> None:
-        self.span, self.ty, self.kind = span, None, kind
+    __slots__ = ("kind",)  # a values.Pauli
 
 
 class ResultLit(Expr):
     __slots__ = ("one",)  # False = Zero, True = One
-
-    def __init__(self, span: Span, one: bool) -> None:
-        self.span, self.ty, self.one = span, None, one
 
 
 class Name(Expr):
     """A possibly-dotted reference; resolution happens in the checker."""
 
     __slots__ = ("name", "binding")
-
-    def __init__(self, span: Span, name: str) -> None:
-        self.span, self.ty, self.name, self.binding = span, None, name, None
 
 
 class Hole(Expr):
@@ -162,60 +130,33 @@ class Hole(Expr):
 class TupleExpr(Expr):
     __slots__ = ("items",)  # never exactly one item
 
-    def __init__(self, span: Span, items: list[Expr]) -> None:
-        self.span, self.ty, self.items = span, None, items
-
 
 class ArrayExpr(Expr):
     __slots__ = ("items",)
-
-    def __init__(self, span: Span, items: list[Expr]) -> None:
-        self.span, self.ty, self.items = span, None, items
 
 
 class RangeExpr(Expr):
     __slots__ = ("start", "step", "end")  # step None means implicit step 1
 
-    def __init__(self, span: Span, start: Expr, step: Optional[Expr], end: Expr) -> None:
-        self.span, self.ty = span, None
-        self.start, self.step, self.end = start, step, end
-
 
 class IndexExpr(Expr):
     __slots__ = ("base", "index")
-
-    def __init__(self, span: Span, base: Expr, index: Expr) -> None:
-        self.span, self.ty, self.base, self.index = span, None, base, index
 
 
 class CallExpr(Expr):
     __slots__ = ("callee", "args", "is_partial")  # is_partial: set by the checker
 
-    def __init__(self, span: Span, callee: Expr, args: list[Expr]) -> None:
-        self.span, self.ty, self.callee, self.args = span, None, callee, args
-        self.is_partial = False
-
 
 class FunctorExpr(Expr):
     __slots__ = ("functor", "operand")  # functor: "Adjoint" | "Controlled"
-
-    def __init__(self, span: Span, functor: str, operand: Expr) -> None:
-        self.span, self.ty, self.functor, self.operand = span, None, functor, operand
 
 
 class UnaryExpr(Expr):
     __slots__ = ("op", "operand")
 
-    def __init__(self, span: Span, op: str, operand: Expr) -> None:
-        self.span, self.ty, self.op, self.operand = span, None, op, operand
-
 
 class BinaryExpr(Expr):
     __slots__ = ("op", "left", "right")
-
-    def __init__(self, span: Span, op: str, left: Expr, right: Expr) -> None:
-        self.span, self.ty = span, None
-        self.op, self.left, self.right = op, left, right
 
 
 # ── Patterns ─────────────────────────────────────────────────────────────────
@@ -228,15 +169,9 @@ class Pattern(Node):
 class NamePattern(Pattern):
     __slots__ = ("name",)
 
-    def __init__(self, span: Span, name: str) -> None:
-        self.span, self.name = span, name
-
 
 class TuplePattern(Pattern):
     __slots__ = ("items",)
-
-    def __init__(self, span: Span, items: list[Pattern]) -> None:
-        self.span, self.items = span, items
 
 
 # ── Statements ───────────────────────────────────────────────────────────────
@@ -249,68 +184,37 @@ class Stmt(Node):
 class Block(Node):
     __slots__ = ("stmts",)
 
-    def __init__(self, span: Span, stmts: list[Stmt]) -> None:
-        self.span, self.stmts = span, stmts
-
 
 class LetStmt(Stmt):
     __slots__ = ("pattern", "value")
-
-    def __init__(self, span: Span, pattern: Pattern, value: Expr) -> None:
-        self.span, self.pattern, self.value = span, pattern, value
 
 
 class MutableStmt(Stmt):
     __slots__ = ("name", "value")
 
-    def __init__(self, span: Span, name: str, value: Expr) -> None:
-        self.span, self.name, self.value = span, name, value
-
 
 class SetStmt(Stmt):
     __slots__ = ("name", "value")
-
-    def __init__(self, span: Span, name: str, value: Expr) -> None:
-        self.span, self.name, self.value = span, name, value
 
 
 class IfStmt(Stmt):
     __slots__ = ("branches", "else_block")  # branches: if + elifs, in order
 
-    def __init__(
-        self, span: Span, branches: list[tuple[Expr, Block]], else_block: Optional[Block]
-    ) -> None:
-        self.span, self.branches, self.else_block = span, branches, else_block
-
 
 class ForStmt(Stmt):
     __slots__ = ("var", "var_span", "iterable", "body")
-
-    def __init__(self, span: Span, var: str, var_span: Span, iterable: Expr, body: Block) -> None:
-        self.span, self.var, self.var_span = span, var, var_span
-        self.iterable, self.body = iterable, body
 
 
 class RepeatStmt(Stmt):
     __slots__ = ("body", "condition", "fixup")
 
-    def __init__(self, span: Span, body: Block, condition: Expr, fixup: Block) -> None:
-        self.span, self.body = span, body
-        self.condition, self.fixup = condition, fixup
-
 
 class ReturnStmt(Stmt):
     __slots__ = ("value",)
 
-    def __init__(self, span: Span, value: Expr) -> None:
-        self.span, self.value = span, value
-
 
 class FailStmt(Stmt):
     __slots__ = ("message",)
-
-    def __init__(self, span: Span, message: Expr) -> None:
-        self.span, self.message = span, message
 
 
 class AllocateStmt(Stmt):
@@ -318,25 +222,11 @@ class AllocateStmt(Stmt):
     single-qubit form Qubit()."""
 
     __slots__ = ("name", "name_span", "count", "body", "borrowing")
-
-    def __init__(
-        self,
-        span: Span,
-        name: str,
-        name_span: Span,
-        count: Optional[Expr],
-        body: Block,
-        borrowing: bool = False,
-    ) -> None:
-        self.span, self.name, self.name_span = span, name, name_span
-        self.count, self.body, self.borrowing = count, body, borrowing
+    _defaults = {"borrowing": False}
 
 
 class ExprStmt(Stmt):
     __slots__ = ("expr",)
-
-    def __init__(self, span: Span, expr: Expr) -> None:
-        self.span, self.expr = span, expr
 
 
 # ── Declarations ─────────────────────────────────────────────────────────────
@@ -345,15 +235,9 @@ class ExprStmt(Stmt):
 class ParamLeaf(Node):
     __slots__ = ("name", "type")
 
-    def __init__(self, span: Span, name: str, type: TypeNode) -> None:
-        self.span, self.name, self.type = span, name, type
-
 
 class ParamTuple(Node):
     __slots__ = ("items",)
-
-    def __init__(self, span: Span, items: list[Union[ParamLeaf, ParamTuple]]) -> None:
-        self.span, self.items = span, items
 
 
 class SpecKind(Enum):
@@ -377,24 +261,12 @@ class SpecImpl(Enum):
     AUTO = "auto"
 
 
-
-
 class SpecDecl(Node):
     """``block`` is the body of a PROVIDED one; ``ctl_param`` names the
     control register of a provided controlled variant."""
 
     __slots__ = ("kind", "impl", "block", "ctl_param")
-
-    def __init__(
-        self,
-        span: Span,
-        kind: SpecKind,
-        impl: SpecImpl = SpecImpl.PROVIDED,
-        block: Optional[Block] = None,
-        ctl_param: Optional[str] = None,
-    ) -> None:
-        self.span, self.kind, self.impl = span, kind, impl
-        self.block, self.ctl_param = block, ctl_param
+    _defaults = {"impl": SpecImpl.PROVIDED, "block": None, "ctl_param": None}
 
 
 class CallableDecl(Node):
@@ -402,58 +274,24 @@ class CallableDecl(Node):
 
     __slots__ = ("is_operation", "name", "name_span", "type_params", "params", "output", "specs")
 
-    def __init__(
-        self,
-        span: Span,
-        is_operation: bool,
-        name: str,
-        name_span: Span,
-        type_params: list[str],
-        params: ParamTuple,
-        output: TypeNode,
-        specs: list[SpecDecl],
-    ) -> None:
-        self.span, self.is_operation, self.name = span, is_operation, name
-        self.name_span, self.type_params, self.params = name_span, type_params, params
-        self.output, self.specs = output, specs
-
 
 class NewtypeDecl(Node):
     __slots__ = ("name", "name_span", "base")
 
-    def __init__(self, span: Span, name: str, name_span: Span, base: TypeNode) -> None:
-        self.span, self.name, self.name_span, self.base = span, name, name_span, base
-
 
 class OpenDirective(Node):
     __slots__ = ("name",)
-
-    def __init__(self, span: Span, name: str) -> None:
-        self.span, self.name = span, name
 
 
 class Namespace(Node):
     """``implicit`` when it wraps bare top-level declarations."""
 
     __slots__ = ("name", "opens", "decls", "implicit")
-
-    def __init__(
-        self,
-        span: Span,
-        name: str,
-        opens: list[OpenDirective],
-        decls: list[Union[CallableDecl, NewtypeDecl]],
-        implicit: bool = False,
-    ) -> None:
-        self.span, self.name, self.opens = span, name, opens
-        self.decls, self.implicit = decls, implicit
+    _defaults = {"implicit": False}
 
 
 class Program(Node):
     __slots__ = ("namespaces",)
-
-    def __init__(self, span: Span, namespaces: list[Namespace]) -> None:
-        self.span, self.namespaces = span, namespaces
 
 
 # ── Structural helpers ───────────────────────────────────────────────────────
