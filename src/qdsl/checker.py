@@ -335,7 +335,8 @@ class Checker:
                 file,
             )
 
-    def _callables(self, program: Program) -> list[CallableSymbol]:
+    def callables(self, program: Program) -> list[CallableSymbol]:
+        """The callables `program` declares, in source order."""
         return [
             sym
             for ns in program.namespaces
@@ -358,7 +359,7 @@ class Checker:
             for sym in self._declared[ns]:
                 if isinstance(sym, UdtSymbol):
                     self._udt_base_of(sym)
-        for sym in self._callables(program):
+        for sym in self.callables(program):
             self._resolve_callable_signature(sym)
 
     def _udt_base_of(self, sym: UdtSymbol) -> ty.Type:
@@ -470,7 +471,7 @@ class Checker:
     # ── Pass 3: check bodies ─────────────────────────────────────────────
 
     def check_bodies(self, program: Program, file: str) -> None:
-        for sym in self._callables(program):
+        for sym in self.callables(program):
             for spec in sym.decl.specs:
                 if spec.block is not None:
                     self.check_specialization_block(sym, spec.block, spec.ctl_param)

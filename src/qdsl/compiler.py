@@ -170,14 +170,8 @@ def _layer_passes(
         if result.errors:
             return result
 
-        layer = [
-            sym
-            for sym in result.table.all_callables()
-            if base.table.lookup_qualified(sym.qualified) is not sym
-        ]
-        for file, _ in programs:
-            own = [sym for sym in layer if sym.file == file]
-            result.diagnostics.extend(transform.generate_all(own, checker))
+        for file, program in programs:
+            result.diagnostics.extend(transform.generate_all(checker.callables(program), checker))
     except RecursionError:
         result.diagnostics.append(
             error(

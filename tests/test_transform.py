@@ -304,6 +304,20 @@ namespace T {{
     assert "adjoint-ineligible" in codes
 
 
+def test_generation_errors_follow_source_order_in_a_reopened_namespace():
+    """A file that opens namespace A again after B gets A's second block's
+    specializations generated, and their errors reported, after B's."""
+    text = "".join(
+        f"namespace {ns} {{ operation {name} (q : Qubit) : () "
+        "{ body { return (); } adjoint auto } }\n"
+        for ns, name in (("A", "F"), ("B", "G"), ("A", "H"))
+    )
+    errors = compile_snippet(text).errors
+    assert [e.code for e in errors] == ["adjoint-ineligible"] * 3
+    returns = [i for i in range(len(text)) if text.startswith("return", i)]
+    assert [e.span.start for e in errors] == returns
+
+
 # The adjoint moves every `let` to the front of its block, where it would
 # capture the uses of the name it shadows that came before it.
 SHADOWING_LETS = {  # the body, and the `let` that shadows an earlier use
