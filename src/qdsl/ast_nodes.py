@@ -32,10 +32,9 @@ class Node:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        own = cls.__dict__.get("__slots__", ())
-        cls._fields = cls._fields + tuple(n for n in own if n not in _NOT_COMPARED)
-        if own:
+        if cls.__dict__.get("__slots__"):
             slots = [n for c in reversed(cls.__mro__) for n in c.__dict__.get("__slots__", ())]
+            cls._fields = tuple(n for n in slots if n not in _NOT_COMPARED)
             params = ", ".join(
                 f"{n}=_defaults[{n!r}]" if n in cls._defaults else n
                 for n in slots
