@@ -1,5 +1,5 @@
 """The equality, hashing and construction that callers rely on in the
-front end's objects and the public run options.
+front end's objects, the runtime's values and the public run options.
 
 The checker compares types by value and hashes them; tests and tools
 compare spans, tokens and diagnostics by value; the parse/pretty-print
@@ -15,12 +15,16 @@ import pytest
 from qdsl import ast_nodes
 from qdsl import types as ty
 from qdsl.ast_nodes import CallExpr, ForStmt, Name, Node, SpecImpl, structurally_equal, walk
+from qdsl.checker import CallableSymbol, LocalBinding, UdtSymbol
+from qdsl.compiler import CompileResult
 from qdsl.diagnostics import Diagnostic, Severity, error
 from qdsl.parser import parse_program
 from qdsl.runtime import RunOptions, RunStats
 from qdsl.simulator import DEFAULT_CAPACITY
 from qdsl.source import Span
 from qdsl.tokens import Token, TokenKind
+from qdsl.transform import SpecEntry
+from qdsl.values import Closure, QubitRef, RangeValue
 
 
 def test_spans_are_equal_and_hashed_by_their_offsets():
@@ -277,3 +281,85 @@ def test_run_stats_are_equal_by_their_counts():
     assert stats == RunStats()
     stats.gates += 1
     assert stats != RunStats()
+
+
+# The other slotted classes' constructor parameters, in order, in the form of
+# `CONSTRUCTORS`: callers build them by position and by keyword.
+VALUE_CONSTRUCTORS = {
+    Span: ("start", "end"),
+    Token: ("kind", "lexeme", "span"),
+    Diagnostic: ("severity", "code", "message", "span", ("file", "<input>")),
+    RunStats: (),
+    ty.Prim: ("name",),
+    ty.Array: ("element",),
+    ty.Callable: ("operation", "input", "output", ("variants", frozenset())),
+    ty.Param: ("name", ("uid", None)),
+    ty.Udt: ("name", "base"),
+    LocalBinding: ("name", "type", "mutable", "span"),
+    CallableSymbol: (
+        "namespace", "name", "is_operation", "type_params", "input", "output", "variants",
+        ("decl", None), ("intrinsic", None), ("file", "<builtin>"),
+    ),
+    UdtSymbol: ("namespace", "name", "base", ("decl", None), ("file", "<builtin>")),
+    CompileResult: ("table", "units", "diagnostics", "user_files"),
+    RunOptions: (
+        ("strict_release", True), ("elide_diagnostics", False), ("max_qubits", DEFAULT_CAPACITY),
+        ("max_iterations", 1_000_000), ("recursion_limit", 1000), ("dump_state", False),
+    ),
+    SpecEntry: ("block", ("ctl_param", None), ("generated", False)),
+    QubitRef: ("id",),
+    RangeValue: ("start", "step", "end"),
+    Closure: ("base", ("wrappers", ())),
+}
+
+
+@pytest.mark.parametrize("cls", VALUE_CONSTRUCTORS, ids=lambda cls: cls.__name__)
+def test_value_constructors_keep_their_parameters_and_defaults(cls):
+    found = tuple(
+        param.name if param.default is param.empty else (param.name, param.default)
+        for param in parameters(cls)
+    )
+    assert found == VALUE_CONSTRUCTORS[cls]
+
+
+def symbol():
+    return CallableSymbol("N", "F", False, [], ty.UNIT, ty.UNIT, frozenset())
+
+
+def test_a_fresh_symbol_holds_its_own_empty_opens_and_specializations():
+    first, second = symbol(), symbol()
+    assert first.opens == [] and first.specializations == {} and first.shot_prefix is None
+    assert first.opens is not second.opens
+    assert first.specializations is not second.specializations
+    udt = UdtSymbol("N", "U", None)
+    assert udt.opens == [] and udt.resolving is False
+    assert udt.opens is not UdtSymbol("N", "U", None).opens
+
+
+def test_fresh_entries_and_stats_start_empty():
+    assert SpecEntry(None).compiled is None
+    stats = RunStats()
+    assert [getattr(stats, name) for name in RunStats.__slots__] == [0] * len(RunStats.__slots__)
+
+
+IDENTITY_COMPARED = {
+    LocalBinding: ("x", ty.INT, False, Span(0, 1)),
+    CompileResult: (None, [], [], []),
+    RunOptions: (),
+    SpecEntry: (None,),
+    QubitRef: (3,),
+    RangeValue: (0, 1, 4),
+    Closure: ("base",),
+}
+
+
+@pytest.mark.parametrize("cls", IDENTITY_COMPARED, ids=lambda cls: cls.__name__)
+def test_runtime_and_symbol_objects_compare_by_identity(cls):
+    args = IDENTITY_COMPARED[cls]
+    made = cls(*args)
+    assert made == made and made != cls(*args)
+
+
+def test_run_stats_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(RunStats())
