@@ -2,16 +2,13 @@
 
 Every node carries a span. Expression nodes also carry ``ty``, filled in by
 the checker, a ``Name`` its ``binding`` and a ``CallExpr`` its
-``is_partial``. Nodes are plain classes with ``__slots__`` that compare by
-identity. The slots are the one place a node's fields are named: a class's
-constructor takes ``span`` and then the other slots, its bases' first, in
-declaration order, and ``_defaults`` gives the trailing parameters that have
-a default. The checker's annotations are not parameters; a new node holds
-the value ``_ANNOTATIONS`` gives each. A class that adds no slot keeps its
-base's constructor. ``structurally_equal`` compares trees ignoring every
-span and those annotations, which is what the parse/pretty-print round-trip
-tests compare. Each class's ``_fields`` names, in declaration order, the
-fields ``walk`` visits and ``structurally_equal`` compares.
+``is_partial``. Nodes are ``Slotted`` classes that compare by identity: a
+constructor takes ``span`` and the other slots by the rule in
+``qdsl.slots``, except the checker's annotations, which a new node holds at
+``Node._initial``'s values. ``structurally_equal`` compares trees ignoring
+every span and those annotations, which is what the parse/pretty-print
+round-trip tests compare. Each class's ``_fields`` names, in declaration
+order, the fields ``walk`` visits and ``structurally_equal`` compares.
 """
 
 from __future__ import annotations
@@ -19,32 +16,24 @@ from __future__ import annotations
 from enum import Enum
 from typing import Any
 
-# The checker's annotations, and the value each holds on a new node.
-_ANNOTATIONS = {"ty": None, "binding": None, "is_partial": False}
-# Fields that hold a span or a checker annotation, not a part of the tree.
-_NOT_COMPARED = frozenset({"span", "name_span", "var_span", *_ANNOTATIONS})
+from .slots import Slotted, all_slots
 
 
-class Node:
+class Node(Slotted):
     __slots__ = ("span",)
+    __init__ = object.__init__  # only the classes that add a slot take a span
+    # The checker's annotations, and the value each holds on a new node.
+    _initial = {"ty": "None", "binding": "None", "is_partial": "False"}
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, Any] = {}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         if cls.__dict__.get("__slots__"):
-            slots = [n for c in reversed(cls.__mro__) for n in c.__dict__.get("__slots__", ())]
-            cls._fields = tuple(n for n in slots if n not in _NOT_COMPARED)
-            params = ", ".join(
-                f"{n}=_defaults[{n!r}]" if n in cls._defaults else n
-                for n in slots
-                if n not in _ANNOTATIONS
-            )
-            stores = "".join(f"\n    self.{n} = {_ANNOTATIONS.get(n, n)}" for n in slots)
-            namespace = {"__name__": __name__, "_defaults": cls._defaults}
-            exec(f"def __init__(self, {params}):{stores}", namespace)
-            cls.__init__ = namespace["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__name__}.__init__"
+            cls._fields = tuple(n for n in all_slots(cls) if n not in _NOT_COMPARED)
+
+
+# Fields that hold a span or a checker annotation, not a part of the tree.
+_NOT_COMPARED = frozenset({"span", "name_span", "var_span", *Node._initial})
 
 
 # ── Type syntax ──────────────────────────────────────────────────────────────

@@ -64,6 +64,7 @@ from .ast_nodes import (
     UnaryExpr,
 )
 from .diagnostics import Diagnostic
+from .slots import Slotted
 from .source import Span
 
 ERROR = ty.Prim("<error>")
@@ -79,34 +80,17 @@ def _is_error(t: ty.Type) -> bool:
 # ── Symbols ──────────────────────────────────────────────────────────────────
 
 
-class CallableSymbol:
+class CallableSymbol(Slotted):
     __slots__ = (
         "namespace", "name", "is_operation", "type_params", "input", "output", "variants",
         "decl", "intrinsic", "file", "opens", "specializations", "shot_prefix",
     )
-
-    def __init__(
-        self,
-        namespace: str,
-        name: str,
-        is_operation: bool,
-        type_params: list[str],
-        input: ty.Type,
-        output: ty.Type,
-        variants: frozenset[str],
-        decl: Optional[CallableDecl] = None,
-        intrinsic: Optional[str] = None,  # key into the runtime intrinsic registry
-        file: str = "<builtin>",
-    ) -> None:
-        self.namespace, self.name, self.is_operation = namespace, name, is_operation
-        self.type_params, self.input, self.output = type_params, input, output
-        self.variants, self.decl, self.intrinsic, self.file = variants, decl, intrinsic, file
-        # The namespaces its declaration's block opens; filled by collect.
-        self.opens: list[str] = []
-        # Filled by the specialization generator:
-        self.specializations: dict = {}
-        # The runtime's simulator.ShotPrefix, made when it first runs as an entry point.
-        self.shot_prefix: Optional[object] = None
+    # intrinsic: a key into the runtime intrinsic registry
+    _defaults = {"decl": None, "intrinsic": None, "file": "<builtin>"}
+    # opens: the namespaces its declaration's block opens, filled by collect;
+    # specializations: filled by the specialization generator; shot_prefix: the
+    # runtime's simulator.ShotPrefix, made when it first runs as an entry point
+    _initial = {"opens": "[]", "specializations": "{}", "shot_prefix": "None"}
 
     @property
     def qualified(self) -> str:
@@ -128,21 +112,12 @@ class CallableSymbol:
         )
 
 
-class UdtSymbol:
+class UdtSymbol(Slotted):
+    # base: resolved lazily; None while unresolved
     __slots__ = ("namespace", "name", "base", "decl", "file", "opens", "resolving")
-
-    def __init__(
-        self,
-        namespace: str,
-        name: str,
-        base: Optional[ty.Type],  # resolved lazily; None while unresolved
-        decl: Optional[NewtypeDecl] = None,
-        file: str = "<builtin>",
-    ) -> None:
-        self.namespace, self.name, self.base = namespace, name, base
-        self.decl, self.file, self.resolving = decl, file, False
-        # The namespaces its declaration's block opens; filled by collect.
-        self.opens: list[str] = []
+    _defaults = {"decl": None, "file": "<builtin>"}
+    # opens: the namespaces its declaration's block opens; filled by collect
+    _initial = {"opens": "[]", "resolving": "False"}
 
     @property
     def qualified(self) -> str:
@@ -207,11 +182,8 @@ class SymbolTable:
 # ── Scopes ───────────────────────────────────────────────────────────────────
 
 
-class LocalBinding:
+class LocalBinding(Slotted):
     __slots__ = ("name", "type", "mutable", "span")
-
-    def __init__(self, name: str, type: ty.Type, mutable: bool, span: Span) -> None:
-        self.name, self.type, self.mutable, self.span = name, type, mutable, span
 
 
 class Scope:

@@ -24,21 +24,12 @@ from .ast_nodes import Program
 from .checker import CallableSymbol, Checker, SymbolTable
 from .diagnostics import NESTING_TOO_DEEP, Diagnostic, Severity, error
 from .parser import parse_program
+from .slots import Slotted
 from .source import Span
 
 
-class CompileResult:
+class CompileResult(Slotted):
     __slots__ = ("table", "units", "diagnostics", "user_files")
-
-    def __init__(
-        self,
-        table: SymbolTable,
-        units: list[tuple[str, Program]],
-        diagnostics: list[Diagnostic],
-        user_files: list[str],
-    ) -> None:
-        self.table, self.units, self.diagnostics = table, units, diagnostics
-        self.user_files = user_files
 
     @property
     def errors(self) -> list[Diagnostic]:

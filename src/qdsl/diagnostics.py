@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 
+from .slots import Slotted
 from .source import SourceFile, Span
 
 
@@ -72,28 +73,12 @@ ALL_CODES = frozenset(
 )
 
 
-class Diagnostic:
+class Diagnostic(Slotted):
     """One finding in one file; equal by every field."""
 
     __slots__ = ("severity", "code", "message", "span", "file")
-
-    def __init__(
-        self, severity: Severity, code: str, message: str, span: Span, file: str = "<input>"
-    ) -> None:
-        self.severity = severity
-        self.code = code
-        self.message = message
-        self.span = span
-        self.file = file
-
-    def _key(self) -> tuple:
-        return (self.severity, self.code, self.message, self.span, self.file)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Diagnostic) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    _defaults = {"file": "<input>"}
+    _key = __slots__
 
     def _position(self, source: SourceFile | None) -> tuple[int, int]:
         """(line, column) of the span's start in ``source``, or (0, 0) when

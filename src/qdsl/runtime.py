@@ -64,6 +64,7 @@ from .ast_nodes import (
 from .checker import CallableSymbol, UdtSymbol, shape_has_hole
 from .compiler import recursion_budget
 from .simulator import DEFAULT_CAPACITY, ShotPrefix, StateVectorSimulator
+from .slots import Slotted
 from .values import (
     Closure,
     QdslFailure,
@@ -84,47 +85,32 @@ _MAX_PYTHON_DEPTH = 200_000
 _RESULTS = (Result.Zero, Result.One)  # by outcome, past enum's slow descriptors
 
 
-class RunOptions:
+class RunOptions(Slotted):
     __slots__ = (
         "strict_release", "elide_diagnostics", "max_qubits", "max_iterations",
         "recursion_limit", "dump_state",
     )
-
-    def __init__(
-        self,
-        strict_release: bool = True,
-        elide_diagnostics: bool = False,
-        max_qubits: int = DEFAULT_CAPACITY,
-        max_iterations: int = 1_000_000,  # per repeat or for loop
-        recursion_limit: int = 1000,  # qdsl call depth
-        dump_state: bool = False,  # snapshot before each outermost release
-    ) -> None:
-        self.strict_release, self.elide_diagnostics = strict_release, elide_diagnostics
-        self.max_qubits, self.max_iterations = max_qubits, max_iterations
-        self.recursion_limit, self.dump_state = recursion_limit, dump_state
+    # max_iterations: per repeat or for loop; recursion_limit: the qdsl call
+    # depth; dump_state: a snapshot before each outermost release
+    _defaults = {
+        "strict_release": True, "elide_diagnostics": False, "max_qubits": DEFAULT_CAPACITY,
+        "max_iterations": 1_000_000, "recursion_limit": 1000, "dump_state": False,
+    }
 
 
-class RunStats:
-    """One shot's counts; equal when every count is."""
+class RunStats(Slotted):
+    """One shot's counts, each 0 in a new one; equal when every count is."""
 
     __slots__ = (
         "allocations", "releases", "peak_live", "borrowed_existing", "borrowed_fresh",
         "gates", "measurements", "resets_on_release",
     )
-
-    def __init__(self) -> None:
-        self.allocations = self.releases = self.peak_live = 0
-        self.borrowed_existing = self.borrowed_fresh = self.gates = 0
-        self.measurements = self.resets_on_release = 0
-
-    def _counts(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RunStats) and self._counts() == other._counts()
+    _initial = dict.fromkeys(__slots__, "0")
+    _key = __slots__
+    __hash__ = None  # type: ignore[assignment]  # unhashable: the counts change
 
     def __repr__(self) -> str:  # for test failure output
-        return f"RunStats{self._counts()}"
+        return f"RunStats{tuple(getattr(self, name) for name in self._key)}"
 
 
 class ShotResult:

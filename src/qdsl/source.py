@@ -4,22 +4,15 @@ from __future__ import annotations
 
 import bisect
 
+from .slots import Slotted
 
-class Span:
+
+class Span(Slotted):
     """Half-open byte range [start, end) into one source file; equal and
     hashed by its offsets."""
 
     __slots__ = ("start", "end")
-
-    def __init__(self, start: int, end: int) -> None:
-        self.start = start
-        self.end = end
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Span) and self.start == other.start and self.end == other.end
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.end))
+    _key = __slots__
 
     def __repr__(self) -> str:
         return f"Span({self.start}, {self.end})"

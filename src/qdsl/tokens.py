@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from enum import Enum, auto
 
-from .source import Span
+from .slots import Slotted
 
 
 class TokenKind(Enum):
@@ -95,25 +95,11 @@ SYMBOLS = (
 )
 
 
-class Token:
+class Token(Slotted):
     """One lexeme with its kind and span; equal and hashed by all three."""
 
     __slots__ = ("kind", "lexeme", "span")
-
-    def __init__(self, kind: TokenKind, lexeme: str, span: Span) -> None:
-        self.kind = kind
-        self.lexeme = lexeme
-        self.span = span
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Token) and (self.kind, self.lexeme, self.span) == (
-            other.kind,
-            other.lexeme,
-            other.span,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.lexeme, self.span))
+    _key = __slots__
 
     def is_keyword(self, word: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.lexeme == word

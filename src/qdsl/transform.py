@@ -65,23 +65,20 @@ from .ast_nodes import (
 )
 from .checker import Checker, CallableSymbol
 from .diagnostics import Diagnostic
+from .slots import Slotted
 from .source import Span
 
 REVERSED_RANGE = "Microsoft.Quantum.Primitive.ReversedRange"
 
 
-class SpecEntry:
+class SpecEntry(Slotted):
     """The block that runs one variant of a callable."""
 
     __slots__ = ("block", "ctl_param", "generated", "compiled")
-
-    def __init__(
-        self, block: Block, ctl_param: Optional[str] = None, generated: bool = False
-    ) -> None:
-        self.block, self.ctl_param, self.generated = block, ctl_param, generated
-        # The runtime's compiled body, `(interp, arg, controls) -> value`:
-        # Python source emitted and run on the first invocation.
-        self.compiled: Optional[Callable] = None
+    _defaults = {"ctl_param": None, "generated": False}
+    # compiled: the runtime's compiled body, `(interp, arg, controls) -> value`:
+    # Python source emitted and run on the first invocation.
+    _initial = {"compiled": "None"}
 
 
 class TransformError(Exception):

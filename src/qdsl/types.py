@@ -2,6 +2,8 @@
 
 Representation notes:
 
+* Every type is a ``Slotted`` class (``qdsl.slots``), equal and hashed by
+  the fields its ``_key`` names: a UDT by its name alone.
 * Unit is the empty tuple type. A one-item tuple type is its item, as the
   language treats ``(T)`` and ``T`` alike. This is enforced where a tuple
   type is built: ``tuple_of`` returns the item itself when there is one, and
@@ -19,8 +21,10 @@ from __future__ import annotations
 import itertools
 from collections import abc
 
+from .slots import Slotted
 
-class Type:
+
+class Type(Slotted):
     """A type; equal and hashed by value. Types are never changed once built."""
 
     __slots__ = ()
@@ -28,15 +32,7 @@ class Type:
 
 class Prim(Type):
     __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Prim) and self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
+    _key = __slots__
 
     def __repr__(self) -> str:
         return self.name
@@ -66,17 +62,12 @@ PRIMITIVES = {
 
 class Tuple(Type):
     __slots__ = ("items",)
+    _key = __slots__
 
     def __init__(self, items: tuple[Type, ...]) -> None:
         if len(items) == 1:
             raise ValueError("a one-item tuple type is its item; use tuple_of")
         self.items = items
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Tuple) and self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash(self.items)
 
 
 def tuple_of(items: abc.Iterable[Type]) -> Type:
@@ -90,70 +81,30 @@ UNIT = Tuple(())
 
 class Array(Type):
     __slots__ = ("element",)
-
-    def __init__(self, element: Type) -> None:
-        self.element = element
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Array) and self.element == other.element
-
-    def __hash__(self) -> int:
-        return hash(self.element)
+    _key = __slots__
 
 
 class Callable(Type):
     __slots__ = ("operation", "input", "output", "variants")
-
-    def __init__(
-        self,
-        operation: bool,
-        input: Type,
-        output: Type,
-        variants: frozenset[str] = frozenset(),  # subset of {"Adjoint", "Controlled"}
-    ) -> None:
-        self.operation, self.input, self.output = operation, input, output
-        self.variants = variants
-
-    def _key(self) -> tuple:
-        return (self.operation, self.input, self.output, self.variants)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Callable) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    _defaults = {"variants": frozenset()}  # a subset of {"Adjoint", "Controlled"}
+    _key = __slots__
 
 
 class Udt(Type):
     """A named type; its identity is its fully qualified name, not its base."""
 
     __slots__ = ("name", "base")
-
-    def __init__(self, name: str, base: Type) -> None:
-        self.name, self.base = name, base
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Udt) and self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
+    _key = ("name",)
 
     def __repr__(self) -> str:
         return self.name.rsplit(".", 1)[-1]
 
 
 class Param(Type):
+    # name includes the leading backtick; uid None = rigid declaration parameter
     __slots__ = ("name", "uid")
-
-    def __init__(self, name: str, uid: int | None = None) -> None:
-        self.name = name  # includes the leading backtick
-        self.uid = uid  # None = rigid declaration parameter
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Param) and self.name == other.name and self.uid == other.uid
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.uid))
+    _defaults = {"uid": None}
+    _key = __slots__
 
 
 _uid_counter = itertools.count(1)

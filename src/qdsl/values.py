@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Iterator, Optional
 
+from .slots import Slotted
 from .source import Span
 
 _MASK64 = (1 << 64) - 1
@@ -55,27 +56,21 @@ class Pauli(enum.Enum):
     Z = "PauliZ"
 
 
-class QubitRef:
+class QubitRef(Slotted):
     """A qubit by its id, equal only to itself: a reference kept past its qubit's
     release differs from the live one that reuses its id."""
 
     __slots__ = ("id",)
 
-    def __init__(self, id: int) -> None:
-        self.id = id
-
     def __repr__(self) -> str:
         return f"q{self.id}"
 
 
-class RangeValue:
+class RangeValue(Slotted):
     """``start..step..end``, both ends included. Its values and its reversal
     (an empty range swaps its ends) come from one Python range."""
 
     __slots__ = ("start", "step", "end")
-
-    def __init__(self, start: int, step: int, end: int) -> None:
-        self.start, self.step, self.end = start, step, end
 
     def _range(self) -> range:
         return range(self.start, self.end + (1 if self.step > 0 else -1), self.step)
@@ -127,12 +122,9 @@ ADJOINT_WRAPPER = ("adjoint",)
 CONTROLLED_WRAPPER = ("controlled",)
 
 
-class Closure:
-    __slots__ = ("base", "wrappers")
-
-    def __init__(self, base: Any, wrappers: tuple = ()) -> None:
-        self.base = base  # CallableSymbol or UdtSymbol
-        self.wrappers = wrappers
+class Closure(Slotted):
+    __slots__ = ("base", "wrappers")  # base: a CallableSymbol or UdtSymbol
+    _defaults = {"wrappers": ()}
 
     def adjoint(self) -> "Closure":
         if self.wrappers and self.wrappers[0] == ADJOINT_WRAPPER:
