@@ -31,6 +31,7 @@ STRAY_STATEMENT = "stray-statement"
 MISSING_SPECIALIZATION_BODY = "missing-specialization-body"
 DUPLICATE_SPECIALIZATION = "duplicate-specialization"
 BAD_RANGE = "bad-range"
+NUMBER_OUT_OF_RANGE = "number-out-of-range"
 
 # Name resolution / declarations
 NAME_NOT_FOUND = "name-not-found"

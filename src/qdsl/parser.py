@@ -23,6 +23,7 @@ are written parenthesized: ``(Controlled X)([c], t)``.
 
 from __future__ import annotations
 
+import math
 import re
 
 from . import diagnostics as diag
@@ -113,6 +114,7 @@ FUNCTOR_BP = 120
 POSTFIX_BP = 130
 
 _FUNCTORS = ("Adjoint", "Controlled")
+_INT_MAX = str((1 << 63) - 1)  # the largest Int literal
 
 # Where recovery resumes after an error outside a block.
 _DECLARATION_KEYWORDS = frozenset({"namespace", "operation", "function", "newtype", "open"})
@@ -636,10 +638,19 @@ class Parser:
         tok = self._current()
         if tok.kind is TokenKind.INT:
             self._advance()
-            return IntLit(tok.span, value=int(tok.lexeme))
+            digits = tok.lexeme.lstrip("0")  # compared before int(), which limits digits
+            if (len(digits), digits) > (len(_INT_MAX), _INT_MAX):
+                message = f"Int literal out of range: the largest Int is {_INT_MAX}"
+                self._error(message, diag.NUMBER_OUT_OF_RANGE, tok.span)
+                return IntLit(tok.span, value=0)
+            return IntLit(tok.span, value=int(digits or "0"))
         if tok.kind is TokenKind.DOUBLE:
             self._advance()
-            return DoubleLit(tok.span, value=float(tok.lexeme))
+            value = float(tok.lexeme)
+            if not math.isfinite(value):
+                message = "Double literal out of range: its value is not finite"
+                self._error(message, diag.NUMBER_OUT_OF_RANGE, tok.span)
+            return DoubleLit(tok.span, value=value)
         if tok.kind is TokenKind.STRING:
             self._advance()
             return StringLit(tok.span, value=_unescape(tok.lexeme[1:-1]))

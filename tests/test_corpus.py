@@ -29,6 +29,9 @@ GENERATED_REJECT = {
     + "1"
     + ")" * 400
     + "; } }",
+    diag.NUMBER_OUT_OF_RANGE: "namespace Big { function F () : Int { return "
+    + "1" * 5000
+    + "; } }",
 }
 
 

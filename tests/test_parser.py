@@ -317,6 +317,47 @@ def test_name_spans_slice_to_their_text():
             assert text[node.span.start : node.span.end] == node.name
 
 
+# ── Number literals ──────────────────────────────────────────────────────────
+
+INT_MAX = (1 << 63) - 1
+
+
+def returned(literal, result="Int"):
+    return f"namespace T {{ function F () : {result} {{ return {literal}; }} }}"
+
+
+def reported(text):
+    """Each diagnostic of parsing ``text``: its code and the text it spans."""
+    _, diags = parse_program(text)
+    return [(d.code, text[d.span.start : d.span.end]) for d in diags]
+
+
+def test_int_literals_reach_the_largest_int():
+    assert expr(str(INT_MAX)).value == INT_MAX
+    assert expr("0" * 5000 + "7").value == 7
+    # The most negative Int is written as a difference.
+    assert reported(returned("-9223372036854775807 - 1")) == []
+
+
+def test_an_int_literal_past_the_digit_limit_of_int_is_a_diagnostic():
+    """Python's `int()` refuses a string of more than 4300 digits."""
+    digits = "1" * 5000
+    assert reported(returned(digits)) == [(diag.NUMBER_OUT_OF_RANGE, digits)]
+
+
+@pytest.mark.parametrize("literal", [str(INT_MAX + 1), "99999999999999999999999"])
+def test_an_int_literal_past_64_bits_is_a_diagnostic_not_a_value(literal):
+    text = returned("(a, a + 0)", "(Int, Int)").replace("return", f"let a = {literal}; return")
+    assert reported(text) == [(diag.NUMBER_OUT_OF_RANGE, literal)]
+
+
+@pytest.mark.parametrize("literal", ["1e999", "1" * 400 + ".0"])
+def test_a_double_literal_that_is_not_finite_is_a_diagnostic(literal):
+    """So no literal parses to `inf`, which would print as a name."""
+    assert reported(returned(literal, "Double")) == [(diag.NUMBER_OUT_OF_RANGE, literal)]
+    assert expr("1e308").value == 1e308 and expr("1e-999").value == 0.0
+
+
 # ── Round-trip property ──────────────────────────────────────────────────────
 
 EXPRESSION_ATOMS = ["a", "b", "1", "2.5", "true", "Zero", "[1; 2]", "(x, y)"]
