@@ -295,6 +295,7 @@ VALUE_CONSTRUCTORS = {
     ty.Callable: ("operation", "input", "output", ("variants", frozenset())),
     ty.Param: ("name", ("uid", None)),
     ty.Udt: ("name", "base"),
+    ty.Tuple: ("items",),
     LocalBinding: ("name", "type", "mutable", "span"),
     CallableSymbol: (
         "namespace", "name", "is_operation", "type_params", "input", "output", "variants",
