@@ -5,7 +5,7 @@ A ``Slotted`` class names each of its fields once, in ``__slots__``:
 * A class that declares slots gets ``__init__(self, <slots>)``, its bases'
   slots first, in declaration order. ``_defaults`` gives the trailing
   parameters that have a default, and ``_initial`` the slots that are not
-  parameters, as literal source text: ``"[]"`` gives each a fresh list.
+  parameters, as literal source text: ``"[]"`` gives each instance a new list.
 * A class that sets ``_key``, a tuple of slot names, is equal to an instance
   of its class whose key fields are equal, and hashed by its key fields.
 * A class that defines ``__init__``, ``__eq__`` or ``__hash__`` keeps it, so
